@@ -315,19 +315,9 @@ def fuse_pipeline(scores: Sequence[ClassifierScore], cfg: FusionConfig) -> Fused
 
 def save_config(cfg: FusionConfig, path: Union[str, Path]) -> None:
     """Write ``cfg`` as a flat ``key = value`` text file."""
-    lines = [
-        f"alpha = {cfg.alpha!r}",
-        f"beta = {cfg.beta!r}",
-        f"a = {cfg.a!r}",
-        f"b = {cfg.b!r}",
-        f"c = {cfg.c!r}",
-        f"d = {cfg.d!r}",
-        f"common_threshold = {cfg.common_threshold!r}",
-        f"threshold.minutiae = {cfg.classifier_thresholds[CLASSIFIER_MINUTIAE]!r}",
-        f"threshold.haar = {cfg.classifier_thresholds[CLASSIFIER_HAAR]!r}",
-        f"threshold.mellin = {cfg.classifier_thresholds[CLASSIFIER_MELLIN]!r}",
-        f"paper_faithful_final = {'true' if cfg.paper_faithful_final else 'false'}",
-    ]
+    lines = [f"{key} = {getattr(cfg, key)!r}" for key in _FLOAT_KEYS]
+    lines += [f"{_THRESHOLD_PREFIX}{name} = {cfg.threshold_for(name)!r}" for name in CLASSIFIERS]
+    lines.append(f"paper_faithful_final = {'true' if cfg.paper_faithful_final else 'false'}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

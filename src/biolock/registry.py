@@ -36,7 +36,6 @@ from .errors import (
     EmptyEnrollment,
     MissingTemplateFile,
     NoProbe,
-    NoScores,
     PipelineFailure,
     TruncatedData,
     UnknownSubject,
@@ -68,7 +67,7 @@ from .iris import (
     build_codes,
     decode_code,
     encode_code,
-    hamming_distance,
+    hamming_distances,
 )
 
 SUBJECT_ID_PATTERN = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
@@ -474,37 +473,37 @@ def _probe_features(probe_finger, probe_iris):
     return probe_template, probe_pair
 
 
-def _score_record(record: PersonRecord, probe_template, probe_pair,
-                  cfg: FusionConfig) -> FusedScore:
-    """Fuse the probe against one record (max over the record's templates)."""
-    scores = []
-    if probe_template is not None and record.fingerprints:
-        best = max(match_minutiae(t, probe_template) for t in record.fingerprints)
-        scores.append(
-            ClassifierScore(TRAIT_FINGER, CLASSIFIER_MINUTIAE, best, is_distance=False)
-        )
-    if probe_pair is not None and record.iris_codes:
-        probe_haar, probe_mellin = probe_pair
-        best_pair = None
-        best_value = None
-        for pair in record.iris_codes:
-            d_haar = hamming_distance(pair.haar, probe_haar)
-            d_mellin = hamming_distance(pair.mellin, probe_mellin)
-            iris_scores = [
-                ClassifierScore(TRAIT_IRIS, CLASSIFIER_HAAR, d_haar, is_distance=True),
-                ClassifierScore(TRAIT_IRIS, CLASSIFIER_MELLIN, d_mellin, is_distance=True),
-            ]
-            value = fuse_pipeline(iris_scores, cfg).ms_iris
-            if best_value is None or value > best_value:
-                best_value = value
-                best_pair = (d_haar, d_mellin)
-        scores.extend(
-            [
-                ClassifierScore(TRAIT_IRIS, CLASSIFIER_HAAR, best_pair[0], is_distance=True),
-                ClassifierScore(TRAIT_IRIS, CLASSIFIER_MELLIN, best_pair[1], is_distance=True),
-            ]
-        )
-    return fuse_pipeline(scores, cfg)
+def _score_records(records: Sequence[PersonRecord], probe_template, probe_pair,
+                   cfg: FusionConfig) -> list:
+    """The scoring core of verify and identify: the probe against many records.
+
+    Returns, per record, the classifier scores to fuse (empty when record and
+    probe share no trait).  The iris codes of all records are scored in one
+    batched Hamming call per scheme; a record holding several pairs keeps the
+    pair with the best fused iris score, the first one on ties.  The minutiae
+    score is the maximum over the record's templates.
+    """
+    iris = [[] for _ in records]
+    if probe_pair is not None:
+        pairs = [(i, pair) for i, record in enumerate(records) for pair in record.iris_codes]
+        d_haar = hamming_distances([pair.haar for _, pair in pairs], probe_pair[0])
+        d_mellin = hamming_distances([pair.mellin for _, pair in pairs], probe_pair[1])
+        for (i, _), dh, dm in zip(pairs, d_haar.tolist(), d_mellin.tolist()):
+            iris[i].append([ClassifierScore(TRAIT_IRIS, CLASSIFIER_HAAR, dh, is_distance=True),
+                            ClassifierScore(TRAIT_IRIS, CLASSIFIER_MELLIN, dm, is_distance=True)])
+    out = []
+    for record, candidates in zip(records, iris):
+        scores = []
+        if probe_template is not None and record.fingerprints:
+            best = max(match_minutiae(t, probe_template) for t in record.fingerprints)
+            scores.append(
+                ClassifierScore(TRAIT_FINGER, CLASSIFIER_MINUTIAE, best, is_distance=False)
+            )
+        if len(candidates) > 1:
+            values = [fuse_pipeline(c, cfg).ms_iris for c in candidates]
+            candidates = [candidates[values.index(max(values))]]
+        out.append(scores + candidates[0] if candidates else scores)
+    return out
 
 
 def verify(
@@ -514,14 +513,15 @@ def verify(
     probe_iris: Optional[GrayImage] = None,
     cfg: Optional[FusionConfig] = None,
 ) -> FusedScore:
-    """Score a probe against one claimed subject (1:1)."""
+    """Score a probe against one claimed subject (1:1), a gallery of one."""
     if claimed_id not in db.records:
         raise UnknownSubject(f"subject {claimed_id!r} is not enrolled")
     if probe_finger is None and probe_iris is None:
         raise NoProbe("verification needs at least one probe image")
     cfg = cfg if cfg is not None else FusionConfig()
     probe_template, probe_pair = _probe_features(probe_finger, probe_iris)
-    return _score_record(db.records[claimed_id], probe_template, probe_pair, cfg)
+    (scores,) = _score_records([db.records[claimed_id]], probe_template, probe_pair, cfg)
+    return fuse_pipeline(scores, cfg)
 
 
 def identify(
@@ -533,8 +533,10 @@ def identify(
 ) -> list:
     """Score a probe against every subject (1:N) and rank the results.
 
-    Subjects sharing no trait with the probe are skipped (nothing to compare).
-    Ties in ms_final rank by subject id ascending.
+    All subjects go through the shared scoring core in one pass, then each
+    is fused on its own.  Subjects sharing no trait with the probe are
+    skipped (nothing to compare).  Ties in ms_final rank by subject id
+    ascending.
     """
     if not db.records:
         raise EmptyDatabase("no subjects enrolled")
@@ -545,12 +547,12 @@ def identify(
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     cfg = cfg if cfg is not None else FusionConfig()
     probe_template, probe_pair = _probe_features(probe_finger, probe_iris)
+    all_scores = _score_records(list(db.records.values()), probe_template, probe_pair, cfg)
     matches = []
-    for subject_id, record in db.records.items():
-        try:
-            fused = _score_record(record, probe_template, probe_pair, cfg)
-        except NoScores:
+    for subject_id, scores in zip(db.records, all_scores):
+        if not scores:
             continue
+        fused = fuse_pipeline(scores, cfg)
         matches.append(RankedMatch(subject_id, fused.ms_final,
                                    (fused.ms_finger, fused.ms_iris)))
     matches.sort(key=lambda m: (-m.ms_final, m.subject_id))

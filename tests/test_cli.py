@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import synthgen
+import biolock
 from biolock import cli
 from biolock.cli import EvalReport, read_probe_rows, sweep_rates
 from biolock.fingerprint import KIND_ENDING, build_template
@@ -400,10 +402,13 @@ def test_inspect_requires_exactly_one_source(env, capsys):
 
 
 def test_console_script_runs(env):
+    # The child imports the same biolock as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(biolock.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "biolock.cli", "identify", "--db", str(env["db"]),
          "--iris", str(env["alice_eye"]), "--top", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert result.stdout.startswith("1 alice ")

@@ -11,6 +11,7 @@ from biolock.fusion import (
     CLASSIFIER_MELLIN,
     CLASSIFIER_MINUTIAE,
     CLASSIFIER_REF,
+    CLASSIFIERS,
     GENUINE,
     IMPOSTOR,
     ClassifierScore,
@@ -461,6 +462,32 @@ def test_config_roundtrip(tmp_path):
         "paper_faithful_final",
     ):
         assert any(line.startswith(key + " ") for line in text.splitlines())
+
+
+def test_config_roundtrip_keeps_every_key(tmp_path):
+    # Every key away from its default, the ref threshold included.
+    cfg = FusionConfig(
+        alpha=0.25,
+        beta=3.5,
+        a=0.75,
+        b=1.25,
+        c=0.1,
+        d=7.0,
+        common_threshold=0.35,
+        classifier_thresholds={"minutiae": 0.2, "ref": 0.3, "haar": 0.65, "mellin": 0.7},
+        paper_faithful_final=True,
+    )
+    default = FusionConfig()
+    for name in ("alpha", "beta", "a", "b", "c", "d", "common_threshold",
+                 "paper_faithful_final"):
+        assert getattr(cfg, name) != getattr(default, name)
+    for name in CLASSIFIERS:
+        assert cfg.threshold_for(name) != default.threshold_for(name)
+    path = tmp_path / "fusion.conf"
+    save_config(cfg, path)
+    loaded = load_config(path)
+    assert loaded == cfg
+    assert loaded.threshold_for(CLASSIFIER_REF) == 0.3
 
 
 def test_config_partial_file_uses_defaults(tmp_path):

@@ -33,6 +33,7 @@ from biolock.iris import (
     haar_decompose,
     haar_reconstruct,
     hamming_distance,
+    hamming_distances,
     locate_iris_boundary,
     locate_pupil,
     mellin_code,
@@ -476,6 +477,77 @@ def test_hamming_skips_shifts_below_quorum():
     a = IrisCode(np.zeros(1536, bool), mask, SCHEME_MELLIN)
     b = IrisCode(b_bits, mask, SCHEME_MELLIN)
     assert hamming_distance(a, b) == 0.5
+
+
+# --- batched hamming distance -----------------------------------------------
+
+def assert_matches_oracle(gallery, probe, max_shift=8):
+    batched = hamming_distances(gallery, probe, max_shift)
+    assert batched.dtype == np.float64 and batched.shape == (len(gallery),)
+    for a, value in zip(gallery, batched.tolist()):
+        assert value == hamming_distance(a, probe, max_shift)
+
+
+def masked_random_code(rng, scheme, valid_fraction):
+    n = 512 if scheme == SCHEME_HAAR else 1536
+    return IrisCode(rng.integers(0, 2, n).astype(bool),
+                    rng.random(n) < valid_fraction, scheme)
+
+
+def test_hamming_distances_match_oracle_on_random_codes():
+    rng = np.random.default_rng(71)
+    for scheme in (SCHEME_HAAR, SCHEME_MELLIN):
+        gallery = [masked_random_code(rng, scheme, 0.8) for _ in range(30)]
+        probe = masked_random_code(rng, scheme, 0.8)
+        gallery.append(roll_code_rows(probe, 3))
+        gallery.append(probe)
+        for max_shift in (0, 1, 8):
+            assert_matches_oracle(gallery, probe, max_shift)
+
+
+def test_hamming_distances_match_oracle_on_occluded_codes():
+    # Sparse masks leave about 100 jointly valid bits per shift in both
+    # schemes, so the valid count, the ratio's denominator, varies by shift.
+    rng = np.random.default_rng(72)
+    for scheme in (SCHEME_HAAR, SCHEME_MELLIN):
+        fraction = 0.45 if scheme == SCHEME_HAAR else 0.25
+        gallery = [masked_random_code(rng, scheme, fraction) for _ in range(40)]
+        assert_matches_oracle(gallery, masked_random_code(rng, scheme, fraction))
+
+
+def test_hamming_distances_match_oracle_at_quorum_edge():
+    mask = np.zeros(1536, bool)
+    mask[0:32] = True
+    mask[64:96] = True
+    b_bits = np.zeros(1536, bool)
+    b_bits[16:32] = True
+    b_bits[80:96] = True
+    a = IrisCode(np.zeros(1536, bool), mask, SCHEME_MELLIN)
+    b = IrisCode(b_bits, mask, SCHEME_MELLIN)
+    assert hamming_distances([a, b, a], b).tolist() == [0.5, 0.0, 0.5]
+    assert hamming_distances([b, a], a).tolist() == [0.5, 0.0]
+    assert_matches_oracle([a, b], b)
+
+
+def test_hamming_distances_incomparable_gallery_code_raises():
+    rng = np.random.default_rng(73)
+    mask = np.zeros(512, bool)
+    mask[:63] = True
+    thin = IrisCode(np.zeros(512, bool), mask, SCHEME_HAAR)
+    gallery = [random_code(rng, SCHEME_HAAR), thin, random_code(rng, SCHEME_HAAR)]
+    with pytest.raises(IncomparableCodes):
+        hamming_distance(thin, gallery[0])
+    with pytest.raises(IncomparableCodes):
+        hamming_distances(gallery, gallery[0])
+
+
+def test_hamming_distances_scheme_mismatch_and_empty_gallery():
+    rng = np.random.default_rng(74)
+    haar = random_code(rng, SCHEME_HAAR)
+    mellin = random_code(rng, SCHEME_MELLIN)
+    with pytest.raises(SchemeMismatch):
+        hamming_distances([haar, mellin], haar)
+    assert hamming_distances([], haar).shape == (0,)
 
 
 # --- serialization ----------------------------------------------------------

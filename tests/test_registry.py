@@ -22,7 +22,18 @@ from biolock.errors import (
     UnknownSubject,
 )
 from biolock.fingerprint import build_template, encode_template, match_minutiae
-from biolock.fusion import FusionConfig, GENUINE, IMPOSTOR
+from biolock.fusion import (
+    CLASSIFIER_HAAR,
+    CLASSIFIER_MELLIN,
+    CLASSIFIER_MINUTIAE,
+    GENUINE,
+    IMPOSTOR,
+    TRAIT_FINGER,
+    TRAIT_IRIS,
+    ClassifierScore,
+    FusionConfig,
+    fuse_pipeline,
+)
 from biolock.imaging import GrayImage
 from biolock.iris import SCHEME_HAAR, SCHEME_MELLIN, build_codes, encode_code, hamming_distance
 from biolock.registry import (
@@ -288,6 +299,97 @@ def test_identify_errors(enrolled, tmp_path, corpus):
         identify(enrolled, cfg=CFG)
     with pytest.raises(ValueError):
         identify(enrolled, probe_iris=corpus["alice"]["eye"], cfg=CFG, top_k=0)
+
+
+# ---------------------------------------------------------------------------
+# the shared scoring core against the per-record scorer it replaced
+
+
+def reference_score_record(record, probe_template, probe_pair, cfg):
+    """One record at a time, one pairwise Hamming call per code, as before."""
+    scores = []
+    if probe_template is not None and record.fingerprints:
+        best = max(match_minutiae(t, probe_template) for t in record.fingerprints)
+        scores.append(ClassifierScore(TRAIT_FINGER, CLASSIFIER_MINUTIAE, best,
+                                      is_distance=False))
+    if probe_pair is not None and record.iris_codes:
+        best_pair, best_value = None, None
+        for pair in record.iris_codes:
+            d_haar = hamming_distance(pair.haar, probe_pair[0])
+            d_mellin = hamming_distance(pair.mellin, probe_pair[1])
+            value = fuse_pipeline([
+                ClassifierScore(TRAIT_IRIS, CLASSIFIER_HAAR, d_haar, is_distance=True),
+                ClassifierScore(TRAIT_IRIS, CLASSIFIER_MELLIN, d_mellin, is_distance=True),
+            ], cfg).ms_iris
+            if best_value is None or value > best_value:
+                best_pair, best_value = (d_haar, d_mellin), value
+        scores += [
+            ClassifierScore(TRAIT_IRIS, CLASSIFIER_HAAR, best_pair[0], is_distance=True),
+            ClassifierScore(TRAIT_IRIS, CLASSIFIER_MELLIN, best_pair[1], is_distance=True),
+        ]
+    return fuse_pipeline(scores, cfg)
+
+
+@pytest.fixture(scope="module")
+def mixed_db(tmp_path_factory, corpus):
+    """Both traits, two eyes, finger only, and iris only, in one gallery."""
+    db = load_db(tmp_path_factory.mktemp("mixed") / "db")
+    for sid in ("alice", "bob", "carol"):
+        enroll(db, sid, [corpus[sid]["finger"]], [corpus[sid]["eye"]])
+    enroll(db, "twoeye", [corpus["carol"]["finger"]],
+           [corpus["alice"]["eye"], corpus["bob"]["eye"]])
+    enroll(db, "finger-only", [corpus["bob"]["finger"]], [])
+    enroll(db, "eyes-only", [], [corpus["carol"]["eye"]])
+    return db
+
+
+SCORING_CONFIGS = (
+    CFG,
+    FusionConfig(alpha=2.0, beta=0.5, a=0.7, b=1.3, common_threshold=0.45,
+                 classifier_thresholds={"minutiae": 0.3, "haar": 0.62, "mellin": 0.58}),
+)
+
+
+@pytest.mark.parametrize("probe_traits", [("finger", "eye"), ("eye",), ("finger",)])
+@pytest.mark.parametrize("cfg", SCORING_CONFIGS)
+def test_scoring_core_matches_per_record_reference(mixed_db, corpus, probe_traits, cfg):
+    images = {trait: corpus["bob"]["probe_" + trait] for trait in probe_traits}
+    probe_finger, probe_eye = images.get("finger"), images.get("eye")
+    probe_template = build_template(probe_finger) if probe_finger is not None else None
+    probe_pair = build_codes(probe_eye)[2:] if probe_eye is not None else None
+
+    expected = []
+    for sid, record in mixed_db.records.items():
+        try:
+            ref = reference_score_record(record, probe_template, probe_pair, cfg)
+        except NoScores:
+            with pytest.raises(NoScores):
+                verify(mixed_db, sid, probe_finger, probe_eye, cfg)
+            continue
+        fused = verify(mixed_db, sid, probe_finger, probe_eye, cfg)
+        assert fused == ref
+        expected.append((sid, ref.ms_final, (ref.ms_finger, ref.ms_iris)))
+    expected.sort(key=lambda m: (-m[1], m[0]))
+
+    matches = identify(mixed_db, probe_finger, probe_eye, cfg, top_k=len(mixed_db))
+    assert [(m.subject_id, m.ms_final, m.per_trait) for m in matches] == expected
+    skipped = set()
+    if probe_eye is None:
+        skipped.add("eyes-only")
+    if probe_finger is None:
+        skipped.add("finger-only")
+    assert {m.subject_id for m in matches} == set(mixed_db.records) - skipped
+
+
+def test_scoring_core_picks_the_better_second_pair(mixed_db, corpus):
+    probe_pair = build_codes(corpus["bob"]["probe_eye"])[2:]
+    record = mixed_db.records["twoeye"]
+    per_pair = [reference_score_record(
+        PersonRecord("one", (), (pair,), record.enrolled_at), None, probe_pair, CFG).ms_iris
+        for pair in record.iris_codes]
+    assert per_pair[1] > per_pair[0]
+    fused = verify(mixed_db, "twoeye", probe_iris=corpus["bob"]["probe_eye"], cfg=CFG)
+    assert fused.ms_iris == per_pair[1]
 
 
 # ---------------------------------------------------------------------------
