@@ -23,7 +23,7 @@ from .fingerprint import KIND_ENDING, build_template
 from .fusion import FusionConfig, GENUINE, load_config
 from .imaging import GrayImage, decode_pgm, encode_pgm, encode_pgm_raster
 from .iris import build_codes
-from .registry import ACCESS_UNLOCK, access, enroll, identify, load_db, verify
+from .registry import ACCESS_UNLOCK, _access, enroll, identify, load_db, verify
 
 ROC_THRESHOLDS = tuple(i / 100.0 for i in range(101))
 _PROBE_HEADER = ("true_subject_id", "finger_path", "iris_path")
@@ -189,11 +189,9 @@ def cmd_access(args) -> int:
     probe_finger, probe_iris = _load_probes(args)
     audit = Path(args.audit) if args.audit else None
     cfg = _load_cfg(args)
-    # access() owns the audit trail (one event per call, errors included);
-    # the printed score line re-verifies the same deterministic inputs.
-    result = access(db, args.claim, probe_finger, probe_iris, cfg,
-                    audit_log=audit)
-    fused = verify(db, args.claim, probe_finger, probe_iris, cfg)
+    # The access path owns the audit trail (one event per call, errors
+    # included) and hands back the score it decided on for the printed line.
+    result, fused = _access(db, args.claim, probe_finger, probe_iris, cfg, audit)
     label = "UNLOCK" if result == ACCESS_UNLOCK else "ALARM"
     print(f"{_score_line(fused)} {label}")
     return 0 if result == ACCESS_UNLOCK else 1

@@ -27,6 +27,7 @@ from .imaging import (
     BinaryImage,
     FloatField,
     GrayImage,
+    _bilinear,
     adaptive_threshold,
     gradients,
     morph_close_open,
@@ -231,21 +232,6 @@ def estimate_orientation(img: GrayImage, block: int = DEFAULT_BLOCK) -> FloatFie
     degenerate = (np.abs(c_bar) < 1e-12) & (np.abs(s_bar) < 1e-12)
     out = np.where(degenerate, 0.0, smooth)
     return FloatField(np.where(out >= math.pi, 0.0, out), kind="orientation")
-
-
-def _bilinear(pixels: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    h, w = pixels.shape
-    x = np.clip(x, 0.0, w - 1.0)
-    y = np.clip(y, 0.0, h - 1.0)
-    x0 = np.floor(x).astype(int)
-    y0 = np.floor(y).astype(int)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = x - x0
-    fy = y - y0
-    top = pixels[y0, x0] * (1 - fx) + pixels[y0, x1] * fx
-    bot = pixels[y1, x0] * (1 - fx) + pixels[y1, x1] * fx
-    return top * (1 - fy) + bot * fy
 
 
 def estimate_frequency(img: GrayImage, orientation: FloatField,
@@ -606,18 +592,92 @@ def filter_false_minutiae(minutiae: list[Minutia], thinned: BinaryImage,
 
 # ---------------------------------------------------------------------------
 # Registration and matching
+#
+# One kernel scores a probe against a gallery in blocks of whole templates.
+# Its float operations and their order are those of the pairwise definition
+# (votes in template-minutia-major order, bin sums left to right), so a
+# template's result does not depend on the gallery around it.
 
-def _wrap_pi(a: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    a = (a + math.pi) % (2.0 * math.pi) - math.pi
-    return math.pi if a == -math.pi else a
+_TWO_PI = 2.0 * math.pi
+_BLOCK_VOTES = 1 << 14  # votes per block of whole templates; bounds scratch memory
 
 
-def _rotate_about(x: float, y: float, cx: float, cy: float,
-                  angle: float) -> tuple[float, float]:
-    c, s = math.cos(angle), math.sin(angle)
-    dx, dy = x - cx, y - cy
-    return cx + c * dx - s * dy, cy + s * dx + c * dy
+def _minutiae_rows(templates) -> np.ndarray:
+    """(n, 4) array of x, y, theta, kind code over the templates' minutiae."""
+    rows = [(m.x, m.y, m.theta, _KIND_CODE[m.kind]) for t in templates for m in t.minutiae]
+    rows = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    if not np.isfinite(rows).all():
+        raise ValueError("minutia positions must be finite")
+    return rows
+
+
+def _register_block(block, p: np.ndarray, params: MatchParams):
+    """Hough registration of probe rows ``p`` against each template of a
+    block: the block's minutia rows, each row's template, the template
+    centres, and per template the peak bin's (dtheta, dx, dy, support)."""
+    t = _minutiae_rows(block)
+    owner = np.repeat(np.arange(len(block)), [len(x.minutiae) for x in block])
+    centre = np.array([(x.image_width / 2.0, x.image_height / 2.0) for x in block])
+    cx, cy = centre[owner, 0, None], centre[owner, 1, None]
+    dtheta = np.mod(p[:, 2] - t[:, 2, None] + math.pi, _TWO_PI) - math.pi
+    dtheta[dtheta == -math.pi] = math.pi
+    c, s = np.cos(dtheta), np.sin(dtheta)
+    ox, oy = t[:, 0, None] - cx, t[:, 1, None] - cy
+    votes = [dtheta.ravel(), (p[:, 0] - (cx + c * ox - s * oy)).ravel(),
+             (p[:, 1] - (cy + s * ox + c * oy)).ravel()]
+    bins = (params.hough_angle_bin, params.hough_xy_bin, params.hough_xy_bin)
+    keys = [owner.repeat(len(p))] + [np.rint(v / b) for v, b in zip(votes, bins)]
+    # Keys that fit in int16 take lexsort's radix path; the order is the same.
+    keys = [k.astype(np.int16) if np.abs(k).max() < 2**15 else k for k in keys]
+    order = np.lexsort(keys[::-1])
+    keys = [k[order] for k in keys]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.logical_or.reduce([k[1:] != k[:-1] for k in keys])
+    group = np.cumsum(first) - 1
+    n = np.bincount(group)
+    dt, dx, dy = (np.bincount(group, weights=v[order]) / n for v in votes)
+    # Per template, narrow its bins rank by rank to the peak.
+    bin_owner = keys[0][first]
+    starts = np.flatnonzero(np.r_[True, bin_owner[1:] != bin_owner[:-1]])
+    best = np.ones(len(n), dtype=bool)
+    for rank in (-n, np.abs(dt), np.abs(dx) + np.abs(dy)):
+        rank = np.where(best, rank, np.inf)
+        best &= rank == np.minimum.reduceat(rank, starts)[bin_owner]
+    peak = np.flatnonzero(best)
+    peak = peak[np.r_[True, bin_owner[peak[1:]] != bin_owner[peak[:-1]]]]
+    return t, owner, centre, (dt[peak], dx[peak], dy[peak], n[peak])
+
+
+def _pair_block(t, owner, centre, p, reg, params: MatchParams) -> list[int]:
+    """Per template of a block, the greedy count of paired minutiae: probe
+    rows mapped back into the template frame by its registration, candidate
+    pairs of equal kind within the spatial and orientation thresholds taken
+    closest first, ties by (template index, probe index)."""
+    dt, dx, dy, _ = reg
+    cx, cy = centre[:, 0, None], centre[:, 1, None]
+    c, s = np.cos(-dt)[:, None], np.sin(-dt)[:, None]
+    ox, oy = (p[:, 0] - dx[:, None]) - cx, (p[:, 1] - dy[:, None]) - cy
+    ex = t[:, 0, None] - (cx + c * ox - s * oy)[owner]
+    ey = t[:, 1, None] - (cy + s * ox + c * oy)[owner]
+    turn = np.mod(t[:, 2, None] - np.mod(p[:, 2] - dt[:, None], _TWO_PI)[owner], _TWO_PI)
+    # np.hypot may differ from math.hypot in the last bit: keep a little
+    # slack here and decide on the exact distance below.
+    near = ((t[:, 3, None] == p[:, 3])
+            & (np.hypot(ex, ey) <= params.theta0 * (1.0 + 1e-9))
+            & (np.minimum(turn, _TWO_PI - turn) <= params.theta1))
+    rows, cols = np.nonzero(near)
+    dist = np.array([math.hypot(a, b) for a, b in zip(ex[near].tolist(), ey[near].tolist())])
+    keep = dist <= params.theta0
+    rows, cols, dist = rows[keep], cols[keep], dist[keep]
+    order = np.lexsort((cols, rows, dist))
+    rows, cols = rows[order], cols[order]
+    matched = [0] * len(centre)
+    used: set = set()  # template rows, and (template, probe column) pairs
+    for row, o, col in zip(rows.tolist(), owner[rows].tolist(), cols.tolist()):
+        if row not in used and (o, col) not in used:
+            used.update((row, (o, col)))
+            matched[o] += 1
+    return matched
 
 
 def register_minutiae(template: FingerprintTemplate, probe: FingerprintTemplate,
@@ -626,83 +686,43 @@ def register_minutiae(template: FingerprintTemplate, probe: FingerprintTemplate,
     and return the peak bin's transform refined by averaging its raw votes.
 
     Ties between equally supported bins go to the smallest |dtheta|, then the
-    smallest |dx|+|dy| of the refined transform.
+    smallest |dx|+|dy| of the refined transform, then the smallest bin key.
     """
     if len(template) == 0 or len(probe) == 0:
         raise EmptyTemplate("registration needs non-empty minutiae sets")
-    cx = template.image_width / 2.0
-    cy = template.image_height / 2.0
-    votes: dict[tuple[int, int, int], list[tuple[float, float, float]]] = {}
-    for mt in template.minutiae:
-        for mp in probe.minutiae:
-            dtheta = _wrap_pi(mp.theta - mt.theta)
-            rx, ry = _rotate_about(mt.x, mt.y, cx, cy, dtheta)
-            dx = mp.x - rx
-            dy = mp.y - ry
-            key = (int(round(dtheta / params.hough_angle_bin)),
-                   int(round(dx / params.hough_xy_bin)),
-                   int(round(dy / params.hough_xy_bin)))
-            votes.setdefault(key, []).append((dtheta, dx, dy))
-
-    best: tuple | None = None
-    for key in sorted(votes):
-        raw = votes[key]
-        n = len(raw)
-        dtheta = sum(v[0] for v in raw) / n
-        dx = sum(v[1] for v in raw) / n
-        dy = sum(v[2] for v in raw) / n
-        rank = (-n, abs(dtheta), abs(dx) + abs(dy))
-        if best is None or rank < best[0]:
-            best = (rank, RegistrationTransform(dx, dy, dtheta, n))
-    return best[1]
+    *_, (dt, dx, dy, n) = _register_block([template], _minutiae_rows([probe]), params)
+    return RegistrationTransform(float(dx[0]), float(dy[0]), float(dt[0]), int(n[0]))
 
 
-def _apply_registration(probe: FingerprintTemplate, reg: RegistrationTransform,
-                        template: FingerprintTemplate) -> list[tuple[float, float, float, str]]:
-    """Map probe minutiae back into the template frame."""
-    cx = template.image_width / 2.0
-    cy = template.image_height / 2.0
-    out = []
-    for m in probe.minutiae:
-        x, y = _rotate_about(m.x - reg.dx, m.y - reg.dy, cx, cy, -reg.dtheta)
-        theta = (m.theta - reg.dtheta) % (2.0 * math.pi)
-        out.append((x, y, theta, m.kind))
-    return out
+def match_minutiae_many(templates, probe: FingerprintTemplate,
+                        params: MatchParams = MatchParams()) -> list[float]:
+    """``[match_minutiae(t, probe, params) for t in templates]``, computed in
+    one pass over blocks of whole templates."""
+    templates = list(templates)
+    sizes = [len(t.minutiae) for t in templates]
+    scores = [0.0] * len(templates)
+    votes = np.array(sizes, dtype=np.int64) * len(probe)
+    live = np.flatnonzero(votes)
+    if len(live) == 0:
+        return scores
+    p = _minutiae_rows([probe])
+    # A block starts at each template whose preceding votes pass a multiple
+    # of _BLOCK_VOTES, so it casts under _BLOCK_VOTES plus one template's.
+    start = (np.cumsum(votes) - votes)[live] // _BLOCK_VOTES
+    for block in np.split(live, np.flatnonzero(np.diff(start)) + 1):
+        block = block.tolist()
+        t, owner, centre, reg = _register_block([templates[i] for i in block], p, params)
+        for i, matched in zip(block, _pair_block(t, owner, centre, p, reg, params)):
+            scores[i] = matched / max(sizes[i], len(probe))
+    return scores
 
 
 def match_minutiae(template: FingerprintTemplate, probe: FingerprintTemplate,
                    params: MatchParams = MatchParams()) -> float:
     """Similarity in [0,1]: greedily pair registered minutiae, closest pairs
     first, within the spatial/orientation thresholds and with equal kind;
-    score = matched / max(|template|, |probe|)."""
-    nt, np_ = len(template), len(probe)
-    if nt == 0 or np_ == 0:
-        return 0.0
-    reg = register_minutiae(template, probe, params)
-    aligned = _apply_registration(probe, reg, template)
-
-    candidates = []
-    for ti, mt in enumerate(template.minutiae):
-        for pi, (x, y, theta, kind) in enumerate(aligned):
-            if kind != mt.kind:
-                continue
-            dist = math.hypot(mt.x - x, mt.y - y)
-            if dist > params.theta0:
-                continue
-            if _angle_diff(mt.theta, theta) > params.theta1:
-                continue
-            candidates.append((dist, ti, pi))
-    candidates.sort()
-    used_t: set[int] = set()
-    used_p: set[int] = set()
-    matched = 0
-    for dist, ti, pi in candidates:
-        if ti in used_t or pi in used_p:
-            continue
-        used_t.add(ti)
-        used_p.add(pi)
-        matched += 1
-    return matched / max(nt, np_)
+    score = matched / max(|template|, |probe|), 0.0 when either is empty."""
+    return match_minutiae_many([template], probe, params)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,22 @@ def gradients(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
+def _bilinear(pixels: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sample ``pixels`` at float coordinates, clamping to the border."""
+    h, w = pixels.shape
+    x = np.clip(x, 0.0, w - 1.0)
+    y = np.clip(y, 0.0, h - 1.0)
+    x0 = np.floor(x).astype(int)
+    y0 = np.floor(y).astype(int)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = x - x0
+    fy = y - y0
+    top = pixels[y0, x0] * (1 - fx) + pixels[y0, x1] * fx
+    bot = pixels[y1, x0] * (1 - fx) + pixels[y1, x1] * fx
+    return top * (1 - fy) + bot * fy
+
+
 def morph_close_open(mask: BinaryImage, radius: int) -> BinaryImage:
     """Morphological closing then opening with a square (2r+1) element.
 

@@ -35,7 +35,7 @@ from .errors import (
     SchemeMismatch,
     TruncatedData,
 )
-from .imaging import GrayImage, _freeze
+from .imaging import GrayImage, _bilinear, _freeze
 
 # Localization.
 PUPIL_THRESHOLD = 0.25
@@ -210,21 +210,6 @@ def _circle_samples(pixels: np.ndarray, cx: float, cy: float,
     x = cx + radii[:, None] * np.cos(phi)[None, :]
     y = cy + radii[:, None] * np.sin(phi)[None, :]
     return _bilinear(pixels, x, y).mean(axis=1)
-
-
-def _bilinear(pixels: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sample ``pixels`` at float coordinates, clamping to the border."""
-    h, w = pixels.shape
-    x = np.clip(x, 0.0, w - 1.0)
-    y = np.clip(y, 0.0, h - 1.0)
-    x0 = np.clip(np.floor(x).astype(int), 0, w - 2) if w > 1 else np.zeros_like(x, int)
-    y0 = np.clip(np.floor(y).astype(int), 0, h - 2) if h > 1 else np.zeros_like(y, int)
-    fx = x - x0
-    fy = y - y0
-    top = pixels[y0, x0] * (1 - fx) + pixels[y0, np.minimum(x0 + 1, w - 1)] * fx
-    y1 = np.minimum(y0 + 1, h - 1)
-    bot = pixels[y1, x0] * (1 - fx) + pixels[y1, np.minimum(x0 + 1, w - 1)] * fx
-    return top * (1 - fy) + bot * fy
 
 
 def locate_iris_boundary(img: GrayImage, center_x: float, center_y: float,

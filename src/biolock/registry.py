@@ -45,7 +45,7 @@ from .fingerprint import (
     build_template,
     decode_template,
     encode_template,
-    match_minutiae,
+    match_minutiae_many,
 )
 from .fusion import (
     CLASSIFIER_HAAR,
@@ -480,9 +480,16 @@ def _score_records(records: Sequence[PersonRecord], probe_template, probe_pair,
     Returns, per record, the classifier scores to fuse (empty when record and
     probe share no trait).  The iris codes of all records are scored in one
     batched Hamming call per scheme; a record holding several pairs keeps the
-    pair with the best fused iris score, the first one on ties.  The minutiae
-    score is the maximum over the record's templates.
+    pair with the best fused iris score, the first one on ties.  The
+    fingerprint templates of all records are scored in one batched minutiae
+    call; a record's minutiae score is the maximum over its templates.
     """
+    finger = [[] for _ in records]
+    if probe_template is not None:
+        templates = [(i, t) for i, record in enumerate(records) for t in record.fingerprints]
+        scores = match_minutiae_many([t for _, t in templates], probe_template)
+        for (i, _), score in zip(templates, scores):
+            finger[i].append(score)
     iris = [[] for _ in records]
     if probe_pair is not None:
         pairs = [(i, pair) for i, record in enumerate(records) for pair in record.iris_codes]
@@ -492,13 +499,11 @@ def _score_records(records: Sequence[PersonRecord], probe_template, probe_pair,
             iris[i].append([ClassifierScore(TRAIT_IRIS, CLASSIFIER_HAAR, dh, is_distance=True),
                             ClassifierScore(TRAIT_IRIS, CLASSIFIER_MELLIN, dm, is_distance=True)])
     out = []
-    for record, candidates in zip(records, iris):
+    for matched, candidates in zip(finger, iris):
         scores = []
-        if probe_template is not None and record.fingerprints:
-            best = max(match_minutiae(t, probe_template) for t in record.fingerprints)
-            scores.append(
-                ClassifierScore(TRAIT_FINGER, CLASSIFIER_MINUTIAE, best, is_distance=False)
-            )
+        if matched:
+            scores.append(ClassifierScore(TRAIT_FINGER, CLASSIFIER_MINUTIAE, max(matched),
+                                          is_distance=False))
         if len(candidates) > 1:
             values = [fuse_pipeline(c, cfg).ms_iris for c in candidates]
             candidates = [candidates[values.index(max(values))]]
@@ -572,6 +577,11 @@ def access(
     The audit event is appended before the result is returned; errors append
     an ``error`` event and re-raise.
     """
+    return _access(db, claimed_id, probe_finger, probe_iris, cfg, audit_log)[0]
+
+
+def _access(db, claimed_id, probe_finger, probe_iris, cfg, audit_log) -> tuple:
+    """:func:`access`, returning ``(outcome, FusedScore)`` of the decision."""
     log = _audit_log_for(db, audit_log)
     try:
         fused = verify(db, claimed_id, probe_finger, probe_iris, cfg)
@@ -584,6 +594,6 @@ def access(
     )
     if fused.decision == GENUINE:
         log.append(EVENT_ACCESS_GRANTED, claimed_id, fused.ms_final, detail)
-        return ACCESS_UNLOCK
+        return ACCESS_UNLOCK, fused
     log.append(EVENT_ALARM, claimed_id, fused.ms_final, detail)
-    return ACCESS_ALARM
+    return ACCESS_ALARM, fused

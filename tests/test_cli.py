@@ -11,7 +11,7 @@ import pytest
 
 import synthgen
 import biolock
-from biolock import cli
+from biolock import cli, registry
 from biolock.cli import EvalReport, read_probe_rows, sweep_rates
 from biolock.fingerprint import KIND_ENDING, build_template
 from biolock.fusion import FusionConfig, save_config
@@ -244,6 +244,36 @@ def test_access_error_still_logs_event(tmp_path, env, capsys):
     assert "mallory" in err
     events = read_audit_log(audit)
     assert [e.kind for e in events] == ["error"]
+
+
+@pytest.mark.parametrize("claim, expected_code", [("bob", 0), ("alice", 1)])
+def test_access_extracts_once_and_reports_what_access_then_verify_did(
+        tmp_path, env, capsys, monkeypatch, claim, expected_code):
+    # The earlier door path: access() for the decision and audit line, then
+    # verify() on the same probe for the printed score.
+    db = registry.load_db(env["db"])
+    finger = decode_pgm(env["bob_probe_finger"].read_bytes())
+    eye = decode_pgm(env["bob_probe_eye"].read_bytes())
+    expected_log = tmp_path / "expected.log"
+    outcome = registry.access(db, claim, finger, eye, FusionConfig(), audit_log=expected_log)
+    fused = registry.verify(db, claim, finger, eye, FusionConfig())
+    label = "UNLOCK" if outcome == registry.ACCESS_UNLOCK else "ALARM"
+
+    calls = []
+    for name in ("build_template", "build_codes"):
+        original = getattr(registry, name)
+        monkeypatch.setattr(registry, name,
+                            lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    audit = tmp_path / "door.log"
+    code, out, _ = run_cli(capsys, "access", "--db", env["db"], "--claim", claim,
+                           "--finger", env["bob_probe_finger"],
+                           "--iris", env["bob_probe_eye"], "--audit", audit)
+    assert sorted(calls) == ["build_codes", "build_template"]
+    assert code == expected_code
+    assert out == f"{cli._score_line(fused)} {label}\n"
+    fields = lambda e: (e.kind, e.claimed_id, e.ms_final, e.detail)
+    assert [fields(e) for e in read_audit_log(audit)] == [
+        fields(e) for e in read_audit_log(expected_log)]
 
 
 # ---------------------------------------------------------------------------

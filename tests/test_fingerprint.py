@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import synthgen
 from biolock.errors import (
@@ -14,6 +15,7 @@ from biolock.errors import (
     ImageTooSmall,
     TruncatedData,
 )
+from biolock import fingerprint
 from biolock.fingerprint import (
     FREQ_FALLBACK,
     KIND_BIFURCATION,
@@ -21,6 +23,7 @@ from biolock.fingerprint import (
     FingerprintTemplate,
     MatchParams,
     Minutia,
+    RegistrationTransform,
     SegmentationParams,
     build_template,
     coherence_image,
@@ -33,6 +36,7 @@ from biolock.fingerprint import (
     filter_false_minutiae,
     gabor_enhance,
     match_minutiae,
+    match_minutiae_many,
     register_minutiae,
     segment,
 )
@@ -410,9 +414,13 @@ def ten_point_template(seed=5):
     return make_template(coords)
 
 
-def hough_oracle(template, probe, params):
-    """Independent accumulator: quantize every pair's vote, pick the peak
-    with the smallest-|dtheta| then smallest-|dx|+|dy| tie rule."""
+def hough_oracle(template, probe, params=MatchParams()):
+    """The pairwise Hough registration, one vote per (template, probe) minutia
+    pair in a dict accumulator; the peak bin has the most votes, then the
+    smallest |dtheta|, then the smallest |dx|+|dy|, then the first key in
+    sorted order.  Bin means are summed left to right in vote order."""
+    if len(template) == 0 or len(probe) == 0:
+        raise EmptyTemplate("registration needs non-empty minutiae sets")
     cx = template.image_width / 2.0
     cy = template.image_height / 2.0
     votes = {}
@@ -422,22 +430,61 @@ def hough_oracle(template, probe, params):
             if d == -math.pi:
                 d = math.pi
             ca, sa = math.cos(d), math.sin(d)
-            rx = cx + ca * (mt.x - cx) - sa * (mt.y - cy)
-            ry = cy + sa * (mt.x - cx) + ca * (mt.y - cy)
-            key = (round(d / params.hough_angle_bin),
-                   round((mp.x - rx) / params.hough_xy_bin),
-                   round((mp.y - ry) / params.hough_xy_bin))
-            votes.setdefault(key, []).append((d, mp.x - rx, mp.y - ry))
+            ox, oy = mt.x - cx, mt.y - cy
+            dx = mp.x - (cx + ca * ox - sa * oy)
+            dy = mp.y - (cy + sa * ox + ca * oy)
+            key = (int(round(d / params.hough_angle_bin)),
+                   int(round(dx / params.hough_xy_bin)),
+                   int(round(dy / params.hough_xy_bin)))
+            votes.setdefault(key, []).append((d, dx, dy))
     best = None
     for key in sorted(votes):
         raw = votes[key]
-        dtheta = sum(v[0] for v in raw) / len(raw)
-        dx = sum(v[1] for v in raw) / len(raw)
-        dy = sum(v[2] for v in raw) / len(raw)
+        means = []
+        for j in range(3):
+            acc = 0.0
+            for v in raw:
+                acc += v[j]
+            means.append(acc / len(raw))
+        dtheta, dx, dy = means
         rank = (-len(raw), abs(dtheta), abs(dx) + abs(dy))
         if best is None or rank < best[0]:
-            best = (rank, (len(raw), dtheta, dx, dy))
+            best = (rank, RegistrationTransform(dx, dy, dtheta, len(raw)))
     return best[1]
+
+
+def match_oracle(template, probe, params=MatchParams()):
+    """The pairwise matcher: register, map the probe back into the template
+    frame, then pair greedily over candidates sorted by (dist, ti, pi)."""
+    if len(template) == 0 or len(probe) == 0:
+        return 0.0
+    reg = hough_oracle(template, probe, params)
+    cx = template.image_width / 2.0
+    cy = template.image_height / 2.0
+    c, s = math.cos(-reg.dtheta), math.sin(-reg.dtheta)
+    aligned = []
+    for m in probe.minutiae:
+        ox, oy = (m.x - reg.dx) - cx, (m.y - reg.dy) - cy
+        aligned.append((cx + c * ox - s * oy, cy + s * ox + c * oy,
+                        (m.theta - reg.dtheta) % (2.0 * math.pi), m.kind))
+    candidates = []
+    for ti, mt in enumerate(template.minutiae):
+        for pi, (x, y, theta, kind) in enumerate(aligned):
+            if kind != mt.kind:
+                continue
+            dist = math.hypot(mt.x - x, mt.y - y)
+            turn = (mt.theta - theta) % (2.0 * math.pi)
+            if dist > params.theta0 or min(turn, 2.0 * math.pi - turn) > params.theta1:
+                continue
+            candidates.append((dist, ti, pi))
+    candidates.sort()
+    used_t, used_p, matched = set(), set(), 0
+    for _, ti, pi in candidates:
+        if ti not in used_t and pi not in used_p:
+            used_t.add(ti)
+            used_p.add(pi)
+            matched += 1
+    return matched / max(len(template), len(probe))
 
 
 def test_register_identity_is_exact():
@@ -462,11 +509,7 @@ def test_register_rotation_matches_accumulator_oracle():
     probe = rigid_template(tpl, 0.0, 0.0, math.radians(15.0))
     reg = register_minutiae(tpl, probe, params)
     assert abs(reg.dtheta - math.radians(15.0)) <= params.hough_angle_bin / 2.0
-    support, dtheta, dx, dy = hough_oracle(tpl, probe, params)
-    assert reg.support == support
-    assert reg.dtheta == pytest.approx(dtheta, abs=1e-9)
-    assert reg.dx == pytest.approx(dx, abs=1e-9)
-    assert reg.dy == pytest.approx(dy, abs=1e-9)
+    assert reg == hough_oracle(tpl, probe, params)
 
 
 def test_register_empty_template_raises():
@@ -557,6 +600,181 @@ def test_match_invariant_under_common_rigid_transform():
         moved_score = match_minutiae(rigid_template(base, dx, dy, dtheta),
                                      rigid_template(probe, dx, dy, dtheta))
         assert moved_score == score
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against the pairwise loops (exact equality)
+
+def assert_kernel_matches_oracle(gallery, probe, params=MatchParams()):
+    assert match_minutiae_many(gallery, probe, params) == [
+        match_oracle(t, probe, params) for t in gallery]
+    for t in gallery:
+        assert match_minutiae(t, probe, params) == match_oracle(t, probe, params)
+        if len(t) and len(probe):
+            assert register_minutiae(t, probe, params) == hough_oracle(t, probe, params)
+
+
+def jittered(tpl, rng, sigma=2.0, size=None):
+    width, height = size or (tpl.image_width, tpl.image_height)
+    return FingerprintTemplate(tuple(
+        Minutia(m.x + float(rng.normal(0.0, sigma)), m.y + float(rng.normal(0.0, sigma)),
+                (m.theta + float(rng.normal(0.0, 0.05))) % (2.0 * math.pi), m.kind)
+        for m in tpl.minutiae), width, height)
+
+
+def random_template(rng, n, width=256, height=256):
+    return FingerprintTemplate(tuple(
+        Minutia(float(rng.uniform(0, width)), float(rng.uniform(0, height)),
+                float(rng.uniform(0.0, 2.0 * math.pi)) % (2.0 * math.pi),
+                (KIND_ENDING, KIND_BIFURCATION)[int(rng.integers(2))])
+        for _ in range(n)), width, height)
+
+
+def _minutiae(width, height):
+    return st.builds(
+        Minutia,
+        st.floats(0.0, float(width)), st.floats(0.0, float(height)),
+        st.sampled_from([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
+        | st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+        st.sampled_from([KIND_ENDING, KIND_BIFURCATION]))
+
+
+@st.composite
+def templates(draw, max_size=14):
+    width = draw(st.sampled_from([64, 200, 256, 301]))
+    height = draw(st.sampled_from([64, 200, 256, 333]))
+    minutiae = draw(st.lists(_minutiae(width, height), max_size=max_size))
+    return FingerprintTemplate(tuple(minutiae), width, height)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gallery=st.lists(templates(), min_size=1, max_size=6), probe=templates(),
+       xy_bin=st.sampled_from([8.0, 3.0, 0.5, 1e-6]),
+       angle_bin=st.sampled_from([math.radians(10.0), 0.05, math.pi]))
+def test_kernel_equals_pairwise_loops_on_random_templates(gallery, probe, xy_bin, angle_bin):
+    params = MatchParams(hough_xy_bin=xy_bin, hough_angle_bin=angle_bin)
+    assert_kernel_matches_oracle(gallery + [gallery[0], probe], probe, params)
+
+
+def test_kernel_equals_pairwise_loops_on_near_copies():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        probe = random_template(rng, int(rng.integers(1, 30)))
+        gallery = [random_template(rng, int(rng.integers(0, 30))) for _ in range(8)]
+        gallery += [jittered(probe, rng), rigid_template(jittered(probe, rng), 9.0, -5.0, 0.2)]
+        assert_kernel_matches_oracle(gallery, probe)
+
+
+def test_kernel_wraps_angle_differences_of_exactly_pi():
+    for t_theta, p_theta in ((0.0, math.pi), (math.pi, 0.0), (math.pi / 2, 3 * math.pi / 2)):
+        tpl = make_template([(100, 120, t_theta, KIND_ENDING)])
+        probe = make_template([(140, 90, p_theta, KIND_ENDING), (60, 40, p_theta, KIND_ENDING)])
+        assert register_minutiae(tpl, probe).dtheta == math.pi
+        assert_kernel_matches_oracle([tpl, make_template([(60, 40, 1.0, KIND_ENDING)])], probe)
+    for p_theta in (0.0, math.pi, math.nextafter(2.0 * math.pi, 0.0)):
+        tpl = ten_point_template(seed=3)
+        probe = FingerprintTemplate(tuple(Minutia(m.x, m.y, p_theta, m.kind)
+                                          for m in tpl.minutiae), 256, 256)
+        assert_kernel_matches_oracle([tpl, probe], probe)
+
+
+def test_kernel_breaks_equal_support_ties_like_the_sorted_accumulator():
+    # Two single-vote bins with equal |dtheta| and |dx|+|dy|: the smaller key wins.
+    tpl = make_template([(128, 128, 0.0, KIND_ENDING)])
+    probe = make_template([(144, 128, 0.0, KIND_ENDING), (112, 128, 0.0, KIND_ENDING)])
+    reg = register_minutiae(tpl, probe)
+    assert (reg.dx, reg.dy, reg.support) == (-16.0, 0.0, 1)
+    assert_kernel_matches_oracle([tpl], probe)
+    # Equal support, different |dtheta|: the smaller wins over the key order.
+    probe = make_template([(128, 128, 0.3, KIND_ENDING), (160, 160, 0.1, KIND_ENDING)])
+    assert register_minutiae(tpl, probe).dtheta == pytest.approx(0.1, abs=1e-12)
+    assert_kernel_matches_oracle([tpl], probe)
+    # A grid of repeated displacements yields many tied two-vote bins.
+    coords = [(x, y, 0.5, KIND_ENDING) for x in (80, 120, 160) for y in (80, 120, 160)]
+    grid = make_template(coords)
+    assert_kernel_matches_oracle([grid, make_template(coords[:4])], grid)
+
+
+def test_kernel_decides_the_distance_threshold_on_the_exact_distance():
+    # Five anchors register the pair at the identity; A and B sit one bin
+    # apart at a distance where np.hypot and math.hypot differ in the last
+    # bit, and theta0 is set to the smaller of the two.
+    anchors = [(40.0 + 45.0 * i, 200.0 - 30.0 * i, 1.0, KIND_ENDING) for i in range(5)]
+    for i in range(2000):
+        u, v = 6.0 + i / 337.0, 7.0 - i / 613.0
+        ex, ey = 100.0 - (100.0 + u), 100.0 - (100.0 + v)
+        if float(np.hypot(ex, ey)) != math.hypot(ex, ey):
+            break
+    tpl = make_template(anchors + [(100.0, 100.0, 1.0, KIND_BIFURCATION)])
+    probe = make_template(anchors + [(100.0 + u, 100.0 + v, 1.0, KIND_BIFURCATION)])
+    params = MatchParams(theta0=min(float(np.hypot(ex, ey)), math.hypot(ex, ey)))
+    assert register_minutiae(tpl, probe, params) == RegistrationTransform(0.0, 0.0, 0.0, 5)
+    expected = 1.0 if params.theta0 == math.hypot(ex, ey) else 5 / 6
+    assert match_oracle(tpl, probe, params) == expected
+    assert_kernel_matches_oracle([tpl], probe, params)
+
+
+def test_kernel_keeps_bins_apart_whose_keys_differ_by_two_to_the_sixteen():
+    params = MatchParams(hough_xy_bin=1e-3)
+    tpl = make_template([(128, 128, 0.0, KIND_ENDING)])
+    probe = make_template([(128, 128, 0.0, KIND_ENDING), (193.536, 128, 0.0, KIND_ENDING)])
+    assert register_minutiae(tpl, probe, params) == RegistrationTransform(0.0, 0.0, 0.0, 1)
+    assert_kernel_matches_oracle([tpl], probe, params)
+
+
+def test_kernel_mixes_templates_of_different_image_sizes():
+    rng = np.random.default_rng(43)
+    probe = random_template(rng, 12, 300, 200)
+    gallery = [random_template(rng, 10, w, h) for w, h in ((300, 200), (256, 256), (512, 384))]
+    gallery += [jittered(probe, rng, size=size) for size in ((300, 200), (512, 384), (64, 64))]
+    assert_kernel_matches_oracle(gallery, probe)
+
+
+def test_kernel_matches_a_full_256_by_256_pair():
+    rng = np.random.default_rng(47)
+    tpl = random_template(rng, 256)
+    probe = rigid_template(jittered(tpl, rng), 6.0, -4.0, math.radians(7.0))
+    assert len(tpl) == len(probe) == 256
+    reg = register_minutiae(tpl, probe)
+    assert reg == hough_oracle(tpl, probe)
+    score = match_minutiae(tpl, probe)
+    assert score == match_oracle(tpl, probe)
+    assert score > 0.5
+    other = random_template(rng, 256)
+    assert match_minutiae_many([other, tpl], probe) == [match_oracle(other, probe), score]
+
+
+def test_kernel_scores_empty_templates_and_probes_zero():
+    empty = FingerprintTemplate((), 256, 256)
+    tpl = ten_point_template()
+    assert match_minutiae_many([empty, tpl, empty], tpl) == [0.0, 1.0, 0.0]
+    assert match_minutiae_many([tpl, empty], empty) == [0.0, 0.0]
+    assert match_minutiae_many([], tpl) == []
+    with pytest.raises(EmptyTemplate):
+        register_minutiae(empty, empty)
+
+
+@pytest.mark.parametrize("x, y", [(math.nan, 100.0), (100.0, math.inf), (-math.inf, 100.0)])
+def test_kernel_rejects_non_finite_positions(x, y):
+    # A decoded template file can hold any f32 value, NaN and inf included.
+    tpl = ten_point_template()
+    bad = make_template([(x, y, 1.0, KIND_ENDING)])
+    for gallery, probe in (([tpl, bad], tpl), ([tpl], bad)):
+        with pytest.raises(ValueError):
+            match_minutiae_many(gallery, probe)
+    with pytest.raises(ValueError):
+        register_minutiae(bad, tpl)
+
+
+@pytest.mark.parametrize("block_votes", [1, 7, 150, 1 << 14])
+def test_kernel_is_independent_of_block_boundaries(monkeypatch, block_votes):
+    rng = np.random.default_rng(53)
+    probe = random_template(rng, 11)
+    gallery = [random_template(rng, int(rng.integers(0, 20))) for _ in range(40)]
+    gallery[5::9] = [jittered(probe, rng) for _ in gallery[5::9]]
+    expected = [match_oracle(t, probe) for t in gallery]
+    monkeypatch.setattr(fingerprint, "_BLOCK_VOTES", block_votes)
+    assert match_minutiae_many(gallery, probe) == expected
 
 
 # ---------------------------------------------------------------------------

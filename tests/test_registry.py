@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import synthgen
-from biolock import registry
+from biolock import fingerprint, registry
 from biolock.errors import (
     BadMagic,
     CorruptManifest,
@@ -390,6 +390,41 @@ def test_scoring_core_picks_the_better_second_pair(mixed_db, corpus):
     assert per_pair[1] > per_pair[0]
     fused = verify(mixed_db, "twoeye", probe_iris=corpus["bob"]["probe_eye"], cfg=CFG)
     assert fused.ms_iris == per_pair[1]
+
+
+def test_scoring_core_takes_the_best_of_several_finger_templates(tmp_path, corpus):
+    db = load_db(tmp_path / "db")
+    enroll(db, "threefinger", [corpus[sid]["finger"] for sid in ("alice", "carol", "bob")],
+           [corpus["carol"]["eye"]])
+    enroll(db, "alice", [corpus["alice"]["finger"]], [corpus["alice"]["eye"]])
+    probe_finger, probe_eye = corpus["bob"]["probe_finger"], corpus["bob"]["probe_eye"]
+    probe_template = build_template(probe_finger)
+    per_template = [match_minutiae(t, probe_template)
+                    for t in db.records["threefinger"].fingerprints]
+    assert per_template.index(max(per_template)) == 2
+    probe_pair = build_codes(probe_eye)[2:]
+    for cfg in SCORING_CONFIGS:
+        refs = {sid: reference_score_record(record, probe_template, probe_pair, cfg)
+                for sid, record in db.records.items()}
+        assert refs["threefinger"].ms_finger == max(per_template)
+        for sid, ref in refs.items():
+            assert verify(db, sid, probe_finger, probe_eye, cfg) == ref
+        matches = identify(db, probe_finger, probe_eye, cfg, top_k=len(db))
+        assert {m.subject_id: (m.ms_final, m.per_trait) for m in matches} == {
+            sid: (ref.ms_final, (ref.ms_finger, ref.ms_iris)) for sid, ref in refs.items()}
+
+
+def test_identify_makes_no_pairwise_registration_calls(mixed_db, corpus, monkeypatch):
+    calls = []
+    for name in ("register_minutiae", "match_minutiae"):
+        original = getattr(fingerprint, name)
+        monkeypatch.setattr(fingerprint, name,
+                            lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    matches = identify(mixed_db, corpus["bob"]["probe_finger"], corpus["bob"]["probe_eye"],
+                       CFG, top_k=len(mixed_db))
+    verify(mixed_db, "bob", corpus["bob"]["probe_finger"], None, CFG)
+    assert len(matches) == len(mixed_db)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
