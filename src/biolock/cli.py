@@ -254,7 +254,7 @@ def _inspect_finger(img: GrayImage, out: Path) -> int:
     total = len(template.minutiae)
     print(f"minutiae: {total} total, {endings} endings, "
           f"{total - endings} bifurcations")
-    print(f"quality: {template.quality:.4f}")
+    print(f"quality: {float(artifacts.mask.bits.mean()):.4f}")
     return 0
 
 

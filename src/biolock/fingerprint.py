@@ -106,14 +106,11 @@ class FingerprintTemplate:
     minutiae: tuple[Minutia, ...]
     image_width: int
     image_height: int
-    quality: float = 1.0  # masked-area fraction
 
     def __post_init__(self):
         object.__setattr__(self, "minutiae", tuple(self.minutiae))
         if len(self.minutiae) > MAX_MINUTIAE:
             raise ValueError(f"template holds at most {MAX_MINUTIAE} minutiae")
-        if not (0.0 <= self.quality <= 1.0):
-            raise ValueError(f"quality must be in [0,1], got {self.quality}")
 
     def __len__(self) -> int:
         return len(self.minutiae)
@@ -452,11 +449,11 @@ def _angle_diff(a: float, b: float) -> float:
     return min(d, 2.0 * math.pi - d)
 
 
-def _trace_to_junction(bits: np.ndarray, ending: tuple[int, int],
+def _trace_to_junction(bits: np.ndarray, cn: np.ndarray, ending: tuple[int, int],
                        max_steps: int) -> tuple[tuple[int, int] | None, int]:
     """Walk from an ending along its arm; return (junction pixel, steps) if a
-    crossing-number >= 3 pixel is reached within max_steps, else (None, steps)."""
-    cn = _cn_map(bits)
+    pixel of crossing number `cn` >= 3 is reached within max_steps, else
+    (None, steps)."""
     visited = {ending}
     cur = ending
     steps = 0
@@ -508,6 +505,23 @@ def _two_paths(bits: np.ndarray, a: tuple[int, int], b: tuple[int, int],
     return shortest(interior) is not None
 
 
+def _close_pairs(minutiae: list[Minutia], gap: float) -> list[tuple[int, int]]:
+    """Index pairs (a, b), a < b, of minutiae less than `gap` apart: a sweep
+    in x order that ends each scan once the x offset alone reaches `gap`."""
+    order = sorted(range(len(minutiae)), key=lambda i: minutiae[i].x)
+    pairs = []
+    for s, a in enumerate(order):
+        ma = minutiae[a]
+        for t in range(s + 1, len(order)):
+            b = order[t]
+            mb = minutiae[b]
+            if mb.x - ma.x >= gap:
+                break
+            if math.hypot(ma.x - mb.x, ma.y - mb.y) < gap:
+                pairs.append((min(a, b), max(a, b)))
+    return pairs
+
+
 def filter_false_minutiae(minutiae: list[Minutia], thinned: BinaryImage,
                           mask: BinaryImage, avg_ridge_gap: float) -> list[Minutia]:
     """Drop artifact minutiae: border effects, ridge breaks, spurs/spikes,
@@ -529,27 +543,24 @@ def filter_false_minutiae(minutiae: list[Minutia], thinned: BinaryImage,
 
     # ridge break: facing ending pairs across a small gap
     drop: set[int] = set()
-    endings = [(i, m) for i, m in enumerate(current) if m.kind == KIND_ENDING]
-    for ai in range(len(endings)):
-        for bi in range(ai + 1, len(endings)):
-            i, ma = endings[ai]
-            j, mb = endings[bi]
-            if math.hypot(ma.x - mb.x, ma.y - mb.y) >= gap:
-                continue
-            if abs(_angle_diff(ma.theta, mb.theta) - math.pi) < math.radians(30.0):
-                drop.add(i)
-                drop.add(j)
+    for a, b in _close_pairs(current, gap):
+        ma, mb = current[a], current[b]
+        if ma.kind != KIND_ENDING or mb.kind != KIND_ENDING:
+            continue
+        if abs(_angle_diff(ma.theta, mb.theta) - math.pi) < math.radians(30.0):
+            drop.update((a, b))
     current = [m for i, m in enumerate(current) if i not in drop]
 
     # spur/spike: an ending hanging off a nearby junction takes the junction
     # minutia down with it
     drop = set()
+    cn = _cn_map(bits)
     bif_at = {(int(round(m.x)), int(round(m.y))): i
               for i, m in enumerate(current) if m.kind == KIND_BIFURCATION}
     for i, m in enumerate(current):
         if m.kind != KIND_ENDING:
             continue
-        junction, n_steps = _trace_to_junction(bits, (int(round(m.x)), int(round(m.y))), steps)
+        junction, n_steps = _trace_to_junction(bits, cn, (int(round(m.x)), int(round(m.y))), steps)
         if junction is not None and n_steps < gap:
             drop.add(i)
             if junction in bif_at:
@@ -558,35 +569,27 @@ def filter_false_minutiae(minutiae: list[Minutia], thinned: BinaryImage,
 
     # hole: twin bifurcations joined by two short paths (a loop)
     drop = set()
-    bifs = [(i, m) for i, m in enumerate(current) if m.kind == KIND_BIFURCATION]
-    for ai in range(len(bifs)):
-        for bi in range(ai + 1, len(bifs)):
-            i, ma = bifs[ai]
-            j, mb = bifs[bi]
-            if math.hypot(ma.x - mb.x, ma.y - mb.y) >= gap:
-                continue
-            pa = (int(round(ma.x)), int(round(ma.y)))
-            pb = (int(round(mb.x)), int(round(mb.y)))
-            if _two_paths(bits, pa, pb, 2 * steps):
-                drop.add(i)
-                drop.add(j)
+    for a, b in _close_pairs(current, gap):
+        ma, mb = current[a], current[b]
+        if ma.kind != KIND_BIFURCATION or mb.kind != KIND_BIFURCATION:
+            continue
+        pa = (int(round(ma.x)), int(round(ma.y)))
+        pb = (int(round(mb.x)), int(round(mb.y)))
+        if _two_paths(bits, pa, pb, 2 * steps):
+            drop.update((a, b))
     current = [m for i, m in enumerate(current) if i not in drop]
 
     # bridge/ladder: close pairs with near-orthogonal ridge directions where
     # at least one member is a bifurcation
     drop = set()
-    for ai in range(len(current)):
-        for bi in range(ai + 1, len(current)):
-            ma, mb = current[ai], current[bi]
-            if ma.kind == KIND_ENDING and mb.kind == KIND_ENDING:
-                continue
-            if math.hypot(ma.x - mb.x, ma.y - mb.y) >= gap:
-                continue
-            fold = _angle_diff(ma.theta, mb.theta) % math.pi
-            fold = min(fold, math.pi - fold)
-            if fold >= math.radians(60.0):
-                drop.add(ai)
-                drop.add(bi)
+    for a, b in _close_pairs(current, gap):
+        ma, mb = current[a], current[b]
+        if ma.kind == KIND_ENDING and mb.kind == KIND_ENDING:
+            continue
+        fold = _angle_diff(ma.theta, mb.theta) % math.pi
+        fold = min(fold, math.pi - fold)
+        if fold >= math.radians(60.0):
+            drop.update((a, b))
     return [m for i, m in enumerate(current) if i not in drop]
 
 
@@ -768,8 +771,7 @@ def build_template(img: GrayImage,
         keep_idx = sorted(scored[:MAX_MINUTIAE])
         kept = [kept[i] for i in keep_idx]
 
-    quality = float(mask.bits.mean())
-    template = FingerprintTemplate(tuple(kept), img.width, img.height, quality)
+    template = FingerprintTemplate(tuple(kept), img.width, img.height)
     if keep_artifacts:
         return template, PipelineArtifacts(mask, segmented, orientation,
                                            frequency, enhanced, binarized,

@@ -459,27 +459,9 @@ def hamming_distance(a: IrisCode, b: IrisCode,
     valid bits that disagree is computed.  Returns the minimum over shifts
     with at least 64 jointly valid bits; raises IncomparableCodes when no
     shift reaches that, and SchemeMismatch when the codes' schemes or lengths
-    differ.
+    differ.  A gallery of one for :func:`hamming_distances`.
     """
-    if a.scheme != b.scheme or len(a) != len(b):
-        raise SchemeMismatch(
-            f"cannot compare {a.scheme}/{len(a)} against {b.scheme}/{len(b)}")
-    layout = _row_layout(a.scheme)
-    best = None
-    for shift in range(-max_shift, max_shift + 1):
-        bits = _shift_rows(b.bits, layout, shift)
-        mask = _shift_rows(b.mask, layout, shift)
-        joint = a.mask & mask
-        valid_count = int(joint.sum())
-        if valid_count < MIN_COMPARABLE_BITS:
-            continue
-        hd = float(((a.bits ^ bits) & joint).sum()) / valid_count
-        if best is None or hd < best:
-            best = hd
-    if best is None:
-        raise IncomparableCodes(
-            f"fewer than {MIN_COMPARABLE_BITS} jointly valid bits at every shift")
-    return best
+    return float(hamming_distances([a], b, max_shift)[0])
 
 
 def _pack_words(flags: np.ndarray) -> np.ndarray:
@@ -491,11 +473,11 @@ def hamming_distances(gallery: list[IrisCode], probe: IrisCode,
                       max_shift: int = DEFAULT_MAX_SHIFT) -> np.ndarray:
     """:func:`hamming_distance` of each gallery code against one probe.
 
-    Returns ``[hamming_distance(a, probe) for a in gallery]`` as a float64
-    array, bit for bit, in one pass: the probe is shifted and packed once per
-    shift, the gallery is packed once, and jointly valid and disagreeing bits
-    are counted by popcount over 64-bit words.  Raises as the pairwise form
-    does when any gallery code is incomparable or of another scheme.
+    Returns a float64 array in one pass: the probe is shifted and packed
+    once per shift, the gallery is packed once, and jointly valid and
+    disagreeing bits are counted by popcount over 64-bit words.  Raises
+    IncomparableCodes or SchemeMismatch when any gallery code is incomparable
+    (a negative max_shift leaves no shift) or of another scheme.
     """
     for a in gallery:
         if a.scheme != probe.scheme or len(a) != len(probe):
@@ -504,6 +486,9 @@ def hamming_distances(gallery: list[IrisCode], probe: IrisCode,
                 f"{probe.scheme}/{len(probe)}")
     if not gallery:
         return np.empty(0)
+    if max_shift < 0:
+        raise IncomparableCodes(
+            f"fewer than {MIN_COMPARABLE_BITS} jointly valid bits at every shift")
     layout = _row_layout(probe.scheme)
     order = np.arange(len(probe))
     shifted = np.stack([_shift_rows(order, layout, s)

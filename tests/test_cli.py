@@ -375,6 +375,10 @@ def test_inspect_finger_dumps_and_counts(tmp_path, env, capsys):
     expected = (f"minutiae: {len(template.minutiae)} total, {endings} endings, "
                 f"{len(template.minutiae) - endings} bifurcations")
     assert expected in out
+    # quality is the fraction of the image inside the segmentation mask
+    mask = decode_pgm((out_dir / "mask.pgm").read_bytes()).pixels > 0.5
+    assert 0.0 < mask.mean() < 1.0
+    assert f"quality: {mask.mean():.4f}\n" in out
 
 
 def test_inspect_iris_dumps_strip(tmp_path, env, capsys):

@@ -1,5 +1,6 @@
 """Tests for the fingerprint pipeline: segmentation, field estimation,
 enhancement, minutiae extraction/filtering, registration, and matching."""
+import functools
 import math
 import struct
 
@@ -73,10 +74,10 @@ def circ_diff_pi(a, b):
     return min(d, math.pi - d)
 
 
-def make_template(coords, size=256, quality=1.0):
+def make_template(coords, size=256):
     minutiae = tuple(Minutia(float(x), float(y), theta, kind)
                      for x, y, theta, kind in coords)
-    return FingerprintTemplate(minutiae, size, size, quality)
+    return FingerprintTemplate(minutiae, size, size)
 
 
 def rigid_template(tpl, dx, dy, dtheta):
@@ -88,8 +89,7 @@ def rigid_template(tpl, dx, dy, dtheta):
         x = cx + ca * (m.x - cx) - sa * (m.y - cy) + dx
         y = cy + sa * (m.x - cx) + ca * (m.y - cy) + dy
         moved.append(Minutia(x, y, (m.theta + dtheta) % (2.0 * math.pi), m.kind))
-    return FingerprintTemplate(tuple(moved), tpl.image_width, tpl.image_height,
-                               tpl.quality)
+    return FingerprintTemplate(tuple(moved), tpl.image_width, tpl.image_height)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +396,252 @@ def test_filter_idempotent_on_synthetic_print():
     once = filter_false_minutiae(art.raw_minutiae, art.thinned, art.mask, gap)
     assert set(once) <= set(art.raw_minutiae)
     assert filter_false_minutiae(once, art.thinned, art.mask, gap) == once
+
+
+def filter_oracle(minutiae, thinned, mask, avg_ridge_gap):
+    """The filter as four hand-written loops: every pair of minutiae is
+    enumerated for the break, hole and bridge rules, and the crossing-number
+    map is rebuilt for every traced ending."""
+    bits = thinned.bits
+    border = fingerprint._border_distance(mask)
+    gap = avg_ridge_gap
+    steps = max(1, int(math.ceil(gap)))
+    angle_diff = fingerprint._angle_diff
+
+    current = [m for m in minutiae
+               if border[int(round(m.y)), int(round(m.x))] >= gap]
+
+    drop = set()
+    endings = [(i, m) for i, m in enumerate(current) if m.kind == KIND_ENDING]
+    for ai in range(len(endings)):
+        for bi in range(ai + 1, len(endings)):
+            i, ma = endings[ai]
+            j, mb = endings[bi]
+            if math.hypot(ma.x - mb.x, ma.y - mb.y) >= gap:
+                continue
+            if abs(angle_diff(ma.theta, mb.theta) - math.pi) < math.radians(30.0):
+                drop.add(i)
+                drop.add(j)
+    current = [m for i, m in enumerate(current) if i not in drop]
+
+    drop = set()
+    bif_at = {(int(round(m.x)), int(round(m.y))): i
+              for i, m in enumerate(current) if m.kind == KIND_BIFURCATION}
+    for i, m in enumerate(current):
+        if m.kind != KIND_ENDING:
+            continue
+        junction, n_steps = fingerprint._trace_to_junction(
+            bits, fingerprint._cn_map(bits), (int(round(m.x)), int(round(m.y))), steps)
+        if junction is not None and n_steps < gap:
+            drop.add(i)
+            if junction in bif_at:
+                drop.add(bif_at[junction])
+    current = [m for i, m in enumerate(current) if i not in drop]
+
+    drop = set()
+    bifs = [(i, m) for i, m in enumerate(current) if m.kind == KIND_BIFURCATION]
+    for ai in range(len(bifs)):
+        for bi in range(ai + 1, len(bifs)):
+            i, ma = bifs[ai]
+            j, mb = bifs[bi]
+            if math.hypot(ma.x - mb.x, ma.y - mb.y) >= gap:
+                continue
+            pa = (int(round(ma.x)), int(round(ma.y)))
+            pb = (int(round(mb.x)), int(round(mb.y)))
+            if fingerprint._two_paths(bits, pa, pb, 2 * steps):
+                drop.add(i)
+                drop.add(j)
+    current = [m for i, m in enumerate(current) if i not in drop]
+
+    drop = set()
+    for ai in range(len(current)):
+        for bi in range(ai + 1, len(current)):
+            ma, mb = current[ai], current[bi]
+            if ma.kind == KIND_ENDING and mb.kind == KIND_ENDING:
+                continue
+            if math.hypot(ma.x - mb.x, ma.y - mb.y) >= gap:
+                continue
+            fold = angle_diff(ma.theta, mb.theta) % math.pi
+            fold = min(fold, math.pi - fold)
+            if fold >= math.radians(60.0):
+                drop.add(ai)
+                drop.add(bi)
+    return [m for i, m in enumerate(current) if i not in drop]
+
+
+def assert_filter_matches_oracle(minutiae, thinned, mask, gap):
+    kept = filter_false_minutiae(minutiae, thinned, mask, gap)
+    assert kept == filter_oracle(minutiae, thinned, mask, gap)
+    return kept
+
+
+def art_gap(art):
+    return 1.0 / float(np.median(art.frequency.values))
+
+
+@functools.lru_cache(maxsize=None)
+def clean_print_artifacts():
+    img, _ = synthgen.plant_print([KIND_ENDING, KIND_BIFURCATION, KIND_ENDING],
+                                  seed=42)
+    return build_template(img, keep_artifacts=True)[1]
+
+
+def test_filter_hole_rule_removes_loop_bifurcations():
+    # A ridge that splits at (20, 24) around a small loop and rejoins at
+    # (26, 24): two bifurcations 6 px apart, joined by two 6-step paths.
+    upper = [(21, 23), (22, 22), (23, 22), (24, 22), (25, 23)]
+    lower = [(x, 48 - y) for x, y in upper]
+    thinned = skeleton_image(hline(10, 20, 24) + upper + lower + hline(26, 44, 24), 56)
+    raw, mask = extract_all(thinned, 56)
+    assert sorted((m.x, m.y, m.kind) for m in raw if m.kind == KIND_BIFURCATION) == [
+        (20.0, 24.0, KIND_BIFURCATION), (26.0, 24.0, KIND_BIFURCATION)]
+    kept = assert_filter_matches_oracle(raw, thinned, mask, 9.0)
+    assert {(m.x, m.y) for m in kept} == {(10.0, 24.0), (44.0, 24.0)}
+    assert all(m.kind == KIND_ENDING for m in kept)
+    # the same bifurcations around a tall loop, whose 24-step paths exceed
+    # twice the gap, stay
+    upper = ([(21, y) for y in range(23, 13, -1)] + hline(22, 24, 13)
+             + [(25, y) for y in range(14, 24)])
+    lower = [(x, 48 - y) for x, y in upper]
+    tall = skeleton_image(hline(10, 20, 24) + upper + lower + hline(26, 44, 24), 56)
+    raw, mask = extract_all(tall, 56)
+    kept = assert_filter_matches_oracle(raw, tall, mask, 9.0)
+    assert sorted((m.x, m.y) for m in kept if m.kind == KIND_BIFURCATION) == [
+        (20.0, 24.0), (26.0, 24.0)]
+
+
+def test_filter_bridge_rule_removes_crossing_pairs_with_a_bifurcation():
+    # No skeleton pixels, so only the distance and direction rules can fire.
+    thinned = BinaryImage(np.zeros((64, 64), dtype=bool))
+    mask = BinaryImage(np.ones((64, 64), dtype=bool))
+    bridge = [Minutia(20.0, 20.0, 0.0, KIND_BIFURCATION),
+              Minutia(24.0, 20.0, math.pi / 2, KIND_ENDING)]          # 90 degrees
+    shallow = [Minutia(20.0, 40.0, 0.0, KIND_BIFURCATION),
+               Minutia(24.0, 40.0, math.radians(50.0), KIND_BIFURCATION)]
+    far = [Minutia(44.0, 20.0, 0.0, KIND_BIFURCATION),
+           Minutia(44.0, 29.0, math.pi / 2, KIND_BIFURCATION)]       # exactly the gap
+    endings = [Minutia(44.0, 44.0, 0.0, KIND_ENDING),
+               Minutia(48.0, 44.0, math.pi / 2, KIND_ENDING)]
+    # directions 100 degrees apart are ridges 80 degrees apart; 150 are 30
+    steep = [Minutia(30.0, 52.0, 0.2, KIND_ENDING),
+             Minutia(33.0, 52.0, 0.2 + math.radians(100.0), KIND_BIFURCATION)]
+    opposed = [Minutia(10.0, 10.0, 0.2, KIND_BIFURCATION),
+               Minutia(10.0, 13.0, 0.2 + math.radians(150.0), KIND_BIFURCATION)]
+    raw = bridge + shallow + far + endings + steep + opposed
+    kept = assert_filter_matches_oracle(raw, thinned, mask, 9.0)
+    assert kept == shallow + far + endings + opposed
+
+
+def test_filter_builds_one_crossing_number_map_per_call(monkeypatch):
+    calls = []
+    real = fingerprint._cn_map
+
+    def counting(bits):
+        calls.append(bits.shape)
+        return real(bits)
+
+    monkeypatch.setattr(fingerprint, "_cn_map", counting)
+    thinned = skeleton_image(hline(10, 38, 24) + [(24, 23), (24, 22), (24, 21), (24, 20)]
+                             + hline(10, 38, 34), 48)
+    raw, mask = extract_all(thinned, 48)
+    assert sum(m.kind == KIND_ENDING for m in raw) >= 4
+    calls.clear()
+    filter_false_minutiae(raw, thinned, mask, 9.0)
+    assert calls == [(48, 48)]
+    art = clean_print_artifacts()
+    calls.clear()
+    filter_false_minutiae(art.raw_minutiae, art.thinned, art.mask, art_gap(art))
+    assert len(calls) == 1
+
+
+def degraded_print(kinds, seed):
+    """A planted print as the enroll workload degrades it: 2x np.kron
+    upsampling plus N(0, 0.15) noise."""
+    img, _ = synthgen.plant_print(kinds, seed=seed)
+    up = np.kron(img.pixels, np.ones((2, 2)))
+    noise = np.random.default_rng(seed).normal(0.0, 0.15, size=up.shape)
+    return GrayImage(np.clip(up + noise, 0.0, 1.0))
+
+
+def test_filter_equals_oracle_on_degraded_prints():
+    for n, seed in ((8, 5), (11, 9)):
+        kinds = [KIND_ENDING if j % 2 == 0 else KIND_BIFURCATION for j in range(n)]
+        _, art = build_template(degraded_print(kinds, seed), keep_artifacts=True)
+        assert art.thinned.bits.shape == (512, 512)
+        assert len(art.raw_minutiae) > 1000
+        kept = assert_filter_matches_oracle(art.raw_minutiae, art.thinned, art.mask,
+                                            art_gap(art))
+        assert 0 < len(kept) < len(art.raw_minutiae)
+
+
+_TWO_PI = 2.0 * math.pi
+_KINDS = st.sampled_from([KIND_ENDING, KIND_BIFURCATION])
+
+
+def _edge(v):
+    """v and its two neighbouring floats."""
+    return st.sampled_from([v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)])
+
+
+def _partner(draw, m, gap):
+    """A point at exactly `gap` from m, one ulp either side of that, at the
+    same x, or elsewhere close by."""
+    dx, dy = draw(st.sampled_from([
+        (gap, 0.0), (0.0, gap), (-gap, 0.0), (0.0, -gap), (0.6 * gap, 0.8 * gap),
+        (3.0, 4.0), (-3.0, 4.0), (0.0, 1.0), (0.0, -2.0), (0.0, 0.0)]))
+    x = draw(_edge(m.x + dx)) if dx else m.x
+    y = draw(_edge(m.y + dy)) if dy else m.y
+    return x, y
+
+
+@st.composite
+def near_pairs(draw):
+    """Minutiae on the clean print's skeleton: some of its own raw minutiae
+    with redrawn kinds and directions, plus partners near the gap in every
+    kind mix, in any order."""
+    art = clean_print_artifacts()
+    size = art.thinned.bits.shape[0]
+    gap = draw(st.sampled_from([art_gap(art), 5.0, 9.0]))
+    direction = (st.sampled_from([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
+                 | st.floats(0.0, _TWO_PI, exclude_max=True))
+    turn = (st.sampled_from([0.0, math.pi, math.radians(150.0), math.radians(60.0)])
+            .flatmap(_edge) | st.floats(0.0, _TWO_PI))
+    anchors = draw(st.lists(st.sampled_from(art.raw_minutiae), min_size=1, max_size=10))
+    out = []
+    for m in anchors:
+        out.append(Minutia(m.x, m.y, draw(direction), draw(_KINDS)) if draw(st.booleans())
+                   else m)
+    for m in draw(st.lists(st.sampled_from(out), max_size=12)):
+        x, y = _partner(draw, m, gap)
+        theta = (m.theta + draw(turn)) % _TWO_PI  # may round up to 2 pi
+        if 0.0 <= x <= size - 1 and 0.0 <= y <= size - 1 and theta < _TWO_PI:
+            out.append(Minutia(x, y, theta, draw(_KINDS)))
+    return draw(st.permutations(out)), gap
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=near_pairs())
+def test_filter_equals_oracle_on_pairs_at_the_gap(case):
+    minutiae, gap = case
+    art = clean_print_artifacts()
+    assert_filter_matches_oracle(minutiae, art.thinned, art.mask, gap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_close_pairs_equal_every_pair_under_the_gap(data):
+    # Small coordinates put partners exactly one ulp of the gap away.
+    gap = data.draw(st.sampled_from([1.0, 3.5, 5.0, 9.0, 1.0 / 0.28]))
+    coord = st.sampled_from([0.0, 0.5, 1.0, 3.0, 100.0]) | st.floats(0.0, 300.0)
+    minutiae = data.draw(st.lists(st.builds(Minutia, coord, coord, st.just(0.0), _KINDS),
+                                  min_size=1, max_size=8))
+    for m in data.draw(st.lists(st.sampled_from(minutiae), max_size=10)):
+        minutiae.append(Minutia(*_partner(data.draw, m, gap), 0.0, KIND_ENDING))
+    minutiae = data.draw(st.permutations(minutiae))
+    expected = [(a, b) for a in range(len(minutiae)) for b in range(a + 1, len(minutiae))
+                if math.hypot(minutiae[a].x - minutiae[b].x,
+                              minutiae[a].y - minutiae[b].y) < gap]
+    assert sorted(fingerprint._close_pairs(minutiae, gap)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -845,7 +1091,6 @@ def test_build_template_recovers_planted_minutiae():
     kinds = [KIND_ENDING, KIND_BIFURCATION, KIND_ENDING]
     img, truth = synthgen.plant_print(kinds, seed=77, beta=math.radians(-10))
     tpl = build_template(img)
-    assert 0.0 <= tpl.quality <= 1.0
     used = set()
     for tx, ty, kind in truth:
         best = None

@@ -20,6 +20,7 @@ from biolock.imaging import GrayImage
 from biolock.iris import (
     DEFAULT_ANGULAR,
     DEFAULT_RADIAL,
+    MIN_COMPARABLE_BITS,
     SCHEME_HAAR,
     SCHEME_MELLIN,
     IrisCode,
@@ -89,6 +90,29 @@ def roll_code_rows(code, shift):
                                 shift, axis=1).ravel())
         pos += n
     return IrisCode(np.concatenate(out_bits), np.concatenate(out_mask), code.scheme)
+
+
+def hamming_oracle(a, b, max_shift=8):
+    """The pairwise shift loop the batched kernel replaced: b is rotated by
+    each shift, and the least disagreeing fraction of at least
+    MIN_COMPARABLE_BITS jointly valid bits wins."""
+    if a.scheme != b.scheme or len(a) != len(b):
+        raise SchemeMismatch(
+            f"cannot compare {a.scheme}/{len(a)} against {b.scheme}/{len(b)}")
+    best = None
+    for shift in range(-max_shift, max_shift + 1):
+        rolled = roll_code_rows(b, shift)
+        joint = a.mask & rolled.mask
+        valid_count = int(joint.sum())
+        if valid_count < MIN_COMPARABLE_BITS:
+            continue
+        hd = float(((a.bits ^ rolled.bits) & joint).sum()) / valid_count
+        if best is None or hd < best:
+            best = hd
+    if best is None:
+        raise IncomparableCodes(
+            f"fewer than {MIN_COMPARABLE_BITS} jointly valid bits at every shift")
+    return best
 
 
 def perimeter_mean_oracle(img, cx, cy, r, samples=256):
@@ -485,7 +509,9 @@ def assert_matches_oracle(gallery, probe, max_shift=8):
     batched = hamming_distances(gallery, probe, max_shift)
     assert batched.dtype == np.float64 and batched.shape == (len(gallery),)
     for a, value in zip(gallery, batched.tolist()):
-        assert value == hamming_distance(a, probe, max_shift)
+        expected = hamming_oracle(a, probe, max_shift)
+        assert value == expected
+        assert hamming_distance(a, probe, max_shift) == expected
 
 
 def masked_random_code(rng, scheme, valid_fraction):
@@ -536,9 +562,24 @@ def test_hamming_distances_incomparable_gallery_code_raises():
     thin = IrisCode(np.zeros(512, bool), mask, SCHEME_HAAR)
     gallery = [random_code(rng, SCHEME_HAAR), thin, random_code(rng, SCHEME_HAAR)]
     with pytest.raises(IncomparableCodes):
+        hamming_oracle(thin, gallery[0])
+    with pytest.raises(IncomparableCodes):
         hamming_distance(thin, gallery[0])
     with pytest.raises(IncomparableCodes):
         hamming_distances(gallery, gallery[0])
+
+
+def test_negative_max_shift_is_incomparable_in_every_form():
+    # No shift lies in [-max_shift, max_shift], so no shift reaches the quorum.
+    code = random_code(np.random.default_rng(75), SCHEME_HAAR)
+    for max_shift in (-1, -5):
+        raised = []
+        for score in (hamming_oracle, hamming_distance,
+                      lambda a, b, s: hamming_distances([a, a], b, s)):
+            with pytest.raises(IncomparableCodes) as info:
+                score(code, code, max_shift)
+            raised.append(str(info.value))
+        assert len(set(raised)) == 1
 
 
 def test_hamming_distances_scheme_mismatch_and_empty_gallery():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import synthgen
+from test_iris import hamming_oracle
 from biolock import fingerprint, registry
 from biolock.errors import (
     BadMagic,
@@ -35,7 +36,7 @@ from biolock.fusion import (
     fuse_pipeline,
 )
 from biolock.imaging import GrayImage
-from biolock.iris import SCHEME_HAAR, SCHEME_MELLIN, build_codes, encode_code, hamming_distance
+from biolock.iris import SCHEME_HAAR, SCHEME_MELLIN, build_codes, encode_code
 from biolock.registry import (
     ACCESS_ALARM,
     ACCESS_UNLOCK,
@@ -239,8 +240,8 @@ def test_verify_multi_iris_rule_is_best_pair(tmp_path, corpus):
     _, _, probe_haar, probe_mellin = build_codes(probe)
     pair_scores = []
     for pair in db.records["twoeye"].iris_codes:
-        d_haar = hamming_distance(pair.haar, probe_haar)
-        d_mellin = hamming_distance(pair.mellin, probe_mellin)
+        d_haar = hamming_oracle(pair.haar, probe_haar)
+        d_mellin = hamming_oracle(pair.mellin, probe_mellin)
         pair_scores.append((1.0 - d_haar) / 2.0 + (1.0 - d_mellin) / 2.0)
     assert fused.ms_iris == max(pair_scores)
     assert min(pair_scores) < 0.7 < max(pair_scores)
@@ -315,8 +316,8 @@ def reference_score_record(record, probe_template, probe_pair, cfg):
     if probe_pair is not None and record.iris_codes:
         best_pair, best_value = None, None
         for pair in record.iris_codes:
-            d_haar = hamming_distance(pair.haar, probe_pair[0])
-            d_mellin = hamming_distance(pair.mellin, probe_pair[1])
+            d_haar = hamming_oracle(pair.haar, probe_pair[0])
+            d_mellin = hamming_oracle(pair.mellin, probe_pair[1])
             value = fuse_pipeline([
                 ClassifierScore(TRAIT_IRIS, CLASSIFIER_HAAR, d_haar, is_distance=True),
                 ClassifierScore(TRAIT_IRIS, CLASSIFIER_MELLIN, d_mellin, is_distance=True),
