@@ -10,6 +10,7 @@ are byte-identical (audit timestamps excepted).
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import sys
 from dataclasses import dataclass, field
@@ -79,23 +80,12 @@ def sweep_rates(genuine_scores, impostor_scores) -> EvalReport:
     impostor = sorted(float(s) for s in impostor_scores)
     rows = []
     for t in ROC_THRESHOLDS:
-        below_i = _count_below(impostor, t)
-        below_g = _count_below(genuine, t)
+        below_i = bisect.bisect_left(impostor, t)
+        below_g = bisect.bisect_left(genuine, t)
         far = (len(impostor) - below_i) / len(impostor) if impostor else 0.0
         frr = below_g / len(genuine) if genuine else 0.0
         rows.append((t, far, frr))
     return EvalReport(tuple(rows), tuple(genuine), tuple(impostor))
-
-
-def _count_below(sorted_scores, threshold: float) -> int:
-    lo, hi = 0, len(sorted_scores)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sorted_scores[mid] < threshold:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 def read_probe_rows(path: Path) -> list:

@@ -23,14 +23,18 @@ from .errors import (
     ImageTooSmall,
     TruncatedData,
 )
-from .imaging import (
+from .imaging import (  # crossing_number is re-exported
+    CROSSING_NUMBERS,
+    NEIGHBOUR_OFFSETS,
     BinaryImage,
     FloatField,
     GrayImage,
     _bilinear,
     adaptive_threshold,
+    crossing_number,
     gradients,
     morph_close_open,
+    neighbour_codes,
     thin,
 )
 
@@ -65,10 +69,6 @@ _KIND_CODE = {KIND_ENDING: 0, KIND_BIFURCATION: 1}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
 TEMPLATE_MAGIC = b"FPT1"
-
-# 8-neighborhood in clockwise order starting north: N NE E SE S SW W NW
-_NEIGH_OFFSETS = ((0, -1), (1, -1), (1, 0), (1, 1),
-                  (0, 1), (-1, 1), (-1, 0), (-1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +281,7 @@ def estimate_frequency(img: GrayImage, orientation: FloatField,
                 if known[bi, bj]:
                     continue
                 vals = [freq[bi + dy, bj + dx]
-                        for dx, dy in _NEIGH_OFFSETS
+                        for dx, dy in NEIGHBOUR_OFFSETS
                         if 0 <= bi + dy < bh and 0 <= bj + dx < bw
                         and known[bi + dy, bj + dx]]
                 if vals:
@@ -335,44 +335,24 @@ def gabor_enhance(img: GrayImage, orientation: FloatField, frequency: FloatField
 # ---------------------------------------------------------------------------
 # Minutiae extraction
 
-def crossing_number(neighborhood) -> int:
-    """Half the sum of absolute differences around the 8-neighborhood.
-
-    `neighborhood` lists the 8 neighbor values in cyclic order; the result
-    counts ridge arms: 1 = ending, 2 = interior ridge, 3 = bifurcation.
-    """
-    vals = [1 if v else 0 for v in neighborhood]
-    if len(vals) != 8:
-        raise ValueError("neighborhood must have exactly 8 entries")
-    return sum(abs(vals[i] - vals[i - 1]) for i in range(8)) // 2
+# the (dx, dy) offsets of the foreground neighbours of every neighbour code;
+# codes count pixels beyond the border as background, so none leaves the image
+_CODE_OFFSETS = tuple(tuple(off for i, off in enumerate(NEIGHBOUR_OFFSETS) if code >> i & 1)
+                      for code in range(256))
 
 
-def _cn_map(bits: np.ndarray) -> np.ndarray:
-    p = np.pad(bits, 1, mode="constant", constant_values=False).astype(np.int8)
-    h, w = bits.shape
-    planes = [p[1 + dy:1 + dy + h, 1 + dx:1 + dx + w] for dx, dy in _NEIGH_OFFSETS]
-    cn = sum(np.abs(planes[i] - planes[i - 1]) for i in range(8)) // 2
-    return np.where(bits, cn, 0)
+def _skeleton_neighbors(codes: np.ndarray, x: int, y: int) -> list[tuple[int, int]]:
+    return [(x + dx, y + dy) for dx, dy in _CODE_OFFSETS[codes[y, x]]]
 
 
-def _skeleton_neighbors(bits: np.ndarray, x: int, y: int) -> list[tuple[int, int]]:
-    h, w = bits.shape
-    out = []
-    for dx, dy in _NEIGH_OFFSETS:
-        nx, ny = x + dx, y + dy
-        if 0 <= nx < w and 0 <= ny < h and bits[ny, nx]:
-            out.append((nx, ny))
-    return out
-
-
-def _walk_arm(bits: np.ndarray, start: tuple[int, int], first: tuple[int, int],
+def _walk_arm(codes: np.ndarray, start: tuple[int, int], first: tuple[int, int],
               max_steps: int) -> tuple[int, int]:
     """Follow a skeleton arm from `start` through `first`; return the farthest
     pixel reached within max_steps (stops early at junctions or arm ends)."""
     visited = {start, first}
     cur = first
     for _ in range(max_steps - 1):
-        nxt = [q for q in _skeleton_neighbors(bits, *cur) if q not in visited]
+        nxt = [q for q in _skeleton_neighbors(codes, *cur) if q not in visited]
         if len(nxt) != 1:
             break
         cur = nxt[0]
@@ -398,20 +378,21 @@ def extract_minutiae(thinned: BinaryImage, orientation: FloatField,
     bh, bw = orientation.values.shape
     block_w = max(1, w // bw)
     block_h = max(1, h // bh)
-    cn = _cn_map(bits)
+    codes = neighbour_codes(bits)
+    cn = CROSSING_NUMBERS[codes]
     out: list[Minutia] = []
-    ys, xs = np.nonzero((cn == 1) | (cn == 3))
+    ys, xs = np.nonzero(bits & ((cn == 1) | (cn == 3)))
     for y, x in zip(ys.tolist(), xs.tolist()):
         if not mask.bits[y, x]:
             continue
         bi = min(y // block_h, bh - 1)
         bj = min(x // block_w, bw - 1)
         theta_base = float(orientation.values[bi, bj])
-        neighbors = _skeleton_neighbors(bits, x, y)
+        neighbors = _skeleton_neighbors(codes, x, y)
         if cn[y, x] == 1:
             kind = KIND_ENDING
             if neighbors:
-                fx, fy = _walk_arm(bits, (x, y), neighbors[0], TRACE_STEPS)
+                fx, fy = _walk_arm(codes, (x, y), neighbors[0], TRACE_STEPS)
                 vx, vy = fx - x, fy - y
             else:
                 vx, vy = math.cos(theta_base), math.sin(theta_base)
@@ -419,7 +400,7 @@ def extract_minutiae(thinned: BinaryImage, orientation: FloatField,
             kind = KIND_BIFURCATION
             vx = vy = 0.0
             for nb in neighbors:
-                fx, fy = _walk_arm(bits, (x, y), nb, TRACE_STEPS)
+                fx, fy = _walk_arm(codes, (x, y), nb, TRACE_STEPS)
                 norm = math.hypot(fx - x, fy - y)
                 if norm > 0:
                     vx += (fx - x) / norm
@@ -449,21 +430,21 @@ def _angle_diff(a: float, b: float) -> float:
     return min(d, 2.0 * math.pi - d)
 
 
-def _trace_to_junction(bits: np.ndarray, cn: np.ndarray, ending: tuple[int, int],
+def _trace_to_junction(codes: np.ndarray, ending: tuple[int, int],
                        max_steps: int) -> tuple[tuple[int, int] | None, int]:
     """Walk from an ending along its arm; return (junction pixel, steps) if a
-    pixel of crossing number `cn` >= 3 is reached within max_steps, else
+    pixel of crossing number >= 3 is reached within max_steps, else
     (None, steps)."""
     visited = {ending}
     cur = ending
     steps = 0
     while steps < max_steps:
-        nxt = [q for q in _skeleton_neighbors(bits, *cur) if q not in visited]
+        nxt = [q for q in _skeleton_neighbors(codes, *cur) if q not in visited]
         if not nxt:
             return None, steps
         # the junction pixel itself may sit among a fan-out of continuations
         for q in nxt:
-            if cn[q[1], q[0]] >= 3:
+            if CROSSING_NUMBERS[codes[q[1], q[0]]] >= 3:
                 return q, steps + 1
         if len(nxt) > 1:
             return None, steps
@@ -473,7 +454,7 @@ def _trace_to_junction(bits: np.ndarray, cn: np.ndarray, ending: tuple[int, int]
     return None, steps
 
 
-def _two_paths(bits: np.ndarray, a: tuple[int, int], b: tuple[int, int],
+def _two_paths(codes: np.ndarray, a: tuple[int, int], b: tuple[int, int],
                max_steps: int) -> bool:
     """True when two skeleton paths no longer than max_steps join a and b."""
 
@@ -490,7 +471,7 @@ def _two_paths(bits: np.ndarray, a: tuple[int, int], b: tuple[int, int],
                 return path
             if d == max_steps:
                 continue
-            for q in _skeleton_neighbors(bits, *cur):
+            for q in _skeleton_neighbors(codes, *cur):
                 if q in seen or q in blocked:
                     continue
                 seen.add(q)
@@ -533,7 +514,6 @@ def filter_false_minutiae(minutiae: list[Minutia], thinned: BinaryImage,
     """
     if avg_ridge_gap <= 0:
         raise ValueError("avg_ridge_gap must be positive")
-    bits = thinned.bits
     border = _border_distance(mask)
     gap = avg_ridge_gap
     steps = max(1, int(math.ceil(gap)))
@@ -554,13 +534,13 @@ def filter_false_minutiae(minutiae: list[Minutia], thinned: BinaryImage,
     # spur/spike: an ending hanging off a nearby junction takes the junction
     # minutia down with it
     drop = set()
-    cn = _cn_map(bits)
+    codes = neighbour_codes(thinned.bits)
     bif_at = {(int(round(m.x)), int(round(m.y))): i
               for i, m in enumerate(current) if m.kind == KIND_BIFURCATION}
     for i, m in enumerate(current):
         if m.kind != KIND_ENDING:
             continue
-        junction, n_steps = _trace_to_junction(bits, cn, (int(round(m.x)), int(round(m.y))), steps)
+        junction, n_steps = _trace_to_junction(codes, (int(round(m.x)), int(round(m.y))), steps)
         if junction is not None and n_steps < gap:
             drop.add(i)
             if junction in bif_at:
@@ -575,7 +555,7 @@ def filter_false_minutiae(minutiae: list[Minutia], thinned: BinaryImage,
             continue
         pa = (int(round(ma.x)), int(round(ma.y)))
         pb = (int(round(mb.x)), int(round(mb.y)))
-        if _two_paths(bits, pa, pb, 2 * steps):
+        if _two_paths(codes, pa, pb, 2 * steps):
             drop.update((a, b))
     current = [m for i, m in enumerate(current) if i not in drop]
 
@@ -798,6 +778,8 @@ def decode_template(data: bytes) -> FingerprintTemplate:
     if len(data) < 10:
         raise TruncatedData("template header truncated")
     count, width, height = struct.unpack_from("<HHH", data, 4)
+    if count > MAX_MINUTIAE:
+        raise TruncatedData(f"template holds {count} minutiae, at most {MAX_MINUTIAE} allowed")
     need = 10 + 16 * count
     if len(data) < need:
         raise TruncatedData(f"template payload needs {need} bytes, got {len(data)}")
@@ -806,6 +788,8 @@ def decode_template(data: bytes) -> FingerprintTemplate:
         x, y, theta, code = struct.unpack_from("<fffB", data, 10 + 16 * i)
         if code not in _CODE_KIND:
             raise TruncatedData(f"unknown minutia kind code {code}")
+        if not math.isfinite(x + y + theta):
+            raise TruncatedData(f"minutia {i} has a non-finite field")
         theta = min(max(float(theta), 0.0), math.nextafter(2.0 * math.pi, 0.0))
         minutiae.append(Minutia(float(x), float(y), theta, _CODE_KIND[code]))
     return FingerprintTemplate(tuple(minutiae), width, height)

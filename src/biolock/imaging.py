@@ -135,10 +135,9 @@ def decode_pgm(data: bytes) -> GrayImage:
     """Decode a binary PGM (P5, maxval 255) into a GrayImage (v/255 mapping)."""
     if not data.startswith(b"P5"):
         raise MalformedHeader("not a binary PGM (P5) file")
-    try:
-        tokens, pos = _read_tokens(data[2:], 3)
-    except MalformedHeader:
-        raise
+    tokens, pos = _read_tokens(data[2:], 3)
+    if not all(t.isdigit() for t in tokens):
+        raise MalformedHeader(f"non-numeric PGM header field in {tokens!r}")
     width, height, maxval = (int(t) for t in tokens)
     if width <= 0 or height <= 0:
         raise MalformedHeader("non-positive dimensions")
@@ -273,15 +272,54 @@ def adaptive_threshold(raster: GrayImage | np.ndarray, window: int) -> BinaryIma
 
 
 # ---------------------------------------------------------------------------
-# Thinning
+# 8-neighbourhoods and thinning
 
-def _neighbor_stack(bits: np.ndarray) -> list[np.ndarray]:
-    """8-neighborhood planes P2..P9 (N, NE, E, SE, S, SW, W, NW) of a padded image."""
-    p = np.pad(bits, 1, mode="constant", constant_values=False).astype(np.uint8)
+# Clockwise from north, as (dx, dy) with y down: N NE E SE S SW W NW.
+NEIGHBOUR_OFFSETS = ((0, -1), (1, -1), (1, 0), (1, 1),
+                     (0, 1), (-1, 1), (-1, 0), (-1, -1))
+
+
+def neighbour_codes(bits: np.ndarray) -> np.ndarray:
+    """Per-pixel uint8 code of the 8-neighbourhood: bit i is set when
+    neighbour i of NEIGHBOUR_OFFSETS is foreground.  Pixels beyond the
+    border count as background."""
+    p = np.pad(bits, 1).view(np.uint8)
     h, w = bits.shape
-    # offsets relative to the center pixel, y down
-    offs = [(-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1)]
-    return [p[1 + dy:1 + dy + h, 1 + dx:1 + dx + w] for dy, dx in offs]
+    codes = np.zeros((h, w), dtype=np.uint8)
+    for i, (dx, dy) in enumerate(NEIGHBOUR_OFFSETS):
+        codes |= p[1 + dy:1 + dy + h, 1 + dx:1 + dx + w] << i
+    return codes
+
+
+def crossing_number(neighborhood) -> int:
+    """Half the sum of absolute differences around the 8-neighborhood.
+
+    `neighborhood` lists the 8 neighbor values in cyclic order; the result
+    counts ridge arms: 1 = ending, 2 = interior ridge, 3 = bifurcation.
+    """
+    vals = [1 if v else 0 for v in neighborhood]
+    if len(vals) != 8:
+        raise ValueError("neighborhood must have exactly 8 entries")
+    return sum(abs(vals[i] - vals[i - 1]) for i in range(8)) // 2
+
+
+_CODE_BITS = [(np.arange(256) >> i) & 1 for i in range(8)]
+CROSSING_NUMBERS = np.array([crossing_number(hood) for hood in zip(*_CODE_BITS)],
+                            dtype=np.uint8)
+
+
+def _deletion_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Per neighbour code, whether each subiteration of `thin` deletes the
+    pixel: Zhang & Suen's rule, but with 3..6 set neighbours instead of 2..6,
+    because two set neighbours in one run (crossing number 1) are a line tip."""
+    p2, p3, p4, p5, p6, p7, p8, p9 = _CODE_BITS
+    b = sum(_CODE_BITS)
+    cond = (b >= 3) & (b <= 6) & (CROSSING_NUMBERS == 1)
+    return (cond & (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0),
+            cond & (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0))
+
+
+_THIN_DELETE = _deletion_tables()
 
 
 def thin(img: BinaryImage) -> BinaryImage:
@@ -296,20 +334,8 @@ def thin(img: BinaryImage) -> BinaryImage:
     bits = img.bits.copy()
     while True:
         changed = False
-        for phase in (0, 1):
-            n = _neighbor_stack(bits)
-            p2, p3, p4, p5, p6, p7, p8, p9 = n
-            b = sum(plane.astype(np.int32) for plane in n)
-            seq = n + [n[0]]
-            a = sum(((seq[i] == 0) & (seq[i + 1] == 1)).astype(np.int32)
-                    for i in range(8))
-            adj_pairs = sum((seq[i] & seq[i + 1]).astype(np.int32) for i in range(8))
-            cond = bits & (b >= 2) & (b <= 6) & (a == 1)
-            cond &= ~((b == 2) & (adj_pairs >= 1))
-            if phase == 0:
-                cond &= (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
-            else:
-                cond &= (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
+        for delete in _THIN_DELETE:
+            cond = bits & delete[neighbour_codes(bits)]
             if cond.any():
                 bits[cond] = False
                 changed = True

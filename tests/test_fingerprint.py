@@ -41,7 +41,14 @@ from biolock.fingerprint import (
     register_minutiae,
     segment,
 )
-from biolock.imaging import BinaryImage, FloatField, GrayImage, thin
+from biolock.imaging import (
+    CROSSING_NUMBERS,
+    BinaryImage,
+    FloatField,
+    GrayImage,
+    neighbour_codes,
+    thin,
+)
 
 # neighbor order used when reading a pixel's 8-neighborhood off an array
 NEIGH = ((0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1))
@@ -289,6 +296,37 @@ def test_crossing_number_validates_length():
         crossing_number([1, 0, 1])
 
 
+def cn_map_oracle(bits):
+    """Crossing numbers of the skeleton pixels, 0 elsewhere, from padded
+    neighbour planes."""
+    p = np.pad(bits, 1, mode="constant", constant_values=False).astype(np.int8)
+    h, w = bits.shape
+    planes = [p[1 + dy:1 + dy + h, 1 + dx:1 + dx + w] for dx, dy in NEIGH]
+    cn = sum(np.abs(planes[i] - planes[i - 1]) for i in range(8)) // 2
+    return np.where(bits, cn, 0)
+
+
+def skeleton_neighbors_oracle(bits, x, y):
+    """The set neighbours of (x, y) in NEIGH order, bounds-checked."""
+    h, w = bits.shape
+    return [(x + dx, y + dy) for dx, dy in NEIGH
+            if 0 <= x + dx < w and 0 <= y + dy < h and bits[y + dy, x + dx]]
+
+
+def test_neighbour_codes_equal_bounds_checked_scans_at_every_pixel():
+    rng = np.random.default_rng(23)
+    for shape in ((1, 1), (1, 7), (6, 1), (2, 2), (9, 13), (32, 32)):
+        for density in (0.2, 0.5, 0.9):
+            bits = rng.random(shape) < density
+            codes = neighbour_codes(bits)
+            cn = CROSSING_NUMBERS[codes]
+            assert np.array_equal(np.where(bits, cn, 0), cn_map_oracle(bits))
+            for y in range(shape[0]):
+                for x in range(shape[1]):
+                    assert (fingerprint._skeleton_neighbors(codes, x, y)
+                            == skeleton_neighbors_oracle(bits, x, y))
+
+
 def test_extract_segment_reports_two_endings():
     thinned = skeleton_image(hline(10, 19, 16), 32)
     mask = BinaryImage(np.ones((32, 32), dtype=bool))
@@ -400,8 +438,8 @@ def test_filter_idempotent_on_synthetic_print():
 
 def filter_oracle(minutiae, thinned, mask, avg_ridge_gap):
     """The filter as four hand-written loops: every pair of minutiae is
-    enumerated for the break, hole and bridge rules, and the crossing-number
-    map is rebuilt for every traced ending."""
+    enumerated for the break, hole and bridge rules, and the neighbour codes
+    are rebuilt for every traced ending and every hole candidate."""
     bits = thinned.bits
     border = fingerprint._border_distance(mask)
     gap = avg_ridge_gap
@@ -431,7 +469,7 @@ def filter_oracle(minutiae, thinned, mask, avg_ridge_gap):
         if m.kind != KIND_ENDING:
             continue
         junction, n_steps = fingerprint._trace_to_junction(
-            bits, fingerprint._cn_map(bits), (int(round(m.x)), int(round(m.y))), steps)
+            neighbour_codes(bits), (int(round(m.x)), int(round(m.y))), steps)
         if junction is not None and n_steps < gap:
             drop.add(i)
             if junction in bif_at:
@@ -448,7 +486,7 @@ def filter_oracle(minutiae, thinned, mask, avg_ridge_gap):
                 continue
             pa = (int(round(ma.x)), int(round(ma.y)))
             pb = (int(round(mb.x)), int(round(mb.y)))
-            if fingerprint._two_paths(bits, pa, pb, 2 * steps):
+            if fingerprint._two_paths(neighbour_codes(bits), pa, pb, 2 * steps):
                 drop.add(i)
                 drop.add(j)
     current = [m for i, m in enumerate(current) if i not in drop]
@@ -534,13 +572,13 @@ def test_filter_bridge_rule_removes_crossing_pairs_with_a_bifurcation():
 
 def test_filter_builds_one_crossing_number_map_per_call(monkeypatch):
     calls = []
-    real = fingerprint._cn_map
+    real = fingerprint.neighbour_codes
 
     def counting(bits):
         calls.append(bits.shape)
         return real(bits)
 
-    monkeypatch.setattr(fingerprint, "_cn_map", counting)
+    monkeypatch.setattr(fingerprint, "neighbour_codes", counting)
     thinned = skeleton_image(hline(10, 38, 24) + [(24, 23), (24, 22), (24, 21), (24, 20)]
                              + hline(10, 38, 34), 48)
     raw, mask = extract_all(thinned, 48)
@@ -1082,6 +1120,27 @@ def test_template_decode_rejects_bad_data():
     bad_kind[10 + 12] = 7
     with pytest.raises(TruncatedData):
         decode_template(bytes(bad_kind))
+
+
+@pytest.mark.parametrize("field", [0, 1, 2])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_template_decode_rejects_non_finite_fields(field, value):
+    data = bytearray(encode_template(ten_point_template()))
+    struct.pack_into("<f", data, 10 + 16 * 3 + 4 * field, value)
+    with pytest.raises(TruncatedData):
+        decode_template(bytes(data))
+
+
+def test_template_decode_rejects_counts_above_the_cap():
+    cap = fingerprint.MAX_MINUTIAE
+    record = struct.pack("<fffB3x", 1.0, 2.0, 0.0, 0)
+
+    def blob(count):
+        return fingerprint.TEMPLATE_MAGIC + struct.pack("<HHH", count, 256, 256) + record * count
+
+    assert len(decode_template(blob(cap))) == cap
+    with pytest.raises(TruncatedData):
+        decode_template(blob(cap + 1))
 
 
 # ---------------------------------------------------------------------------

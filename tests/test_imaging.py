@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from test_fingerprint import degraded_print
 from biolock import imaging
 from biolock.errors import (
     EvenKernel,
@@ -9,6 +12,7 @@ from biolock.errors import (
     TruncatedData,
     UnsupportedMaxval,
 )
+from biolock.fingerprint import KIND_BIFURCATION, KIND_ENDING, build_template
 from biolock.imaging import (
     BinaryImage,
     GrayImage,
@@ -54,6 +58,15 @@ def test_decode_pgm_rejects_wrong_maxval():
     data = make_pgm(2, 2, [0, 1, 2, 3], maxval=65535)
     with pytest.raises(UnsupportedMaxval):
         decode_pgm(data)
+
+
+@pytest.mark.parametrize("header", [
+    b"P5 abc 2 255\n", b"P5 2 2 2.5\n", b"P5 1_0 1 255\n", b"P5 +2 2 255\n",
+    b"P5 2 -2 255\n", b"P5 2 2 0x1\n", b"P5 \xd9\xa2 2 255\n",
+])
+def test_decode_pgm_rejects_non_numeric_header_fields(header):
+    with pytest.raises(MalformedHeader):
+        decode_pgm(header + bytes(64))
 
 
 def test_decode_pgm_skips_comments():
@@ -245,12 +258,104 @@ def test_adaptive_threshold_affine_invariant():
 
 
 # ---------------------------------------------------------------------------
-# Thinning
+# Neighbour codes and thinning
+
+def oracle_deletions(bits, phase):
+    """One subiteration's deletion mask, computed plane by plane over the
+    padded 8-neighbourhood P2..P9 (N, NE, E, SE, S, SW, W, NW)."""
+    p = np.pad(bits, 1, mode="constant", constant_values=False).astype(np.uint8)
+    h, w = bits.shape
+    offs = [(-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1)]
+    n = [p[1 + dy:1 + dy + h, 1 + dx:1 + dx + w] for dy, dx in offs]
+    p2, p3, p4, p5, p6, p7, p8, p9 = n
+    b = sum(plane.astype(np.int32) for plane in n)
+    seq = n + [n[0]]
+    a = sum(((seq[i] == 0) & (seq[i + 1] == 1)).astype(np.int32) for i in range(8))
+    adj_pairs = sum((seq[i] & seq[i + 1]).astype(np.int32) for i in range(8))
+    cond = bits & (b >= 2) & (b <= 6) & (a == 1)
+    cond &= ~((b == 2) & (adj_pairs >= 1))
+    if phase == 0:
+        cond &= (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
+    else:
+        cond &= (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
+    return cond
+
+
+def thin_oracle(bits):
+    bits = np.array(bits, dtype=bool)
+    while True:
+        changed = False
+        for phase in (0, 1):
+            cond = oracle_deletions(bits, phase)
+            if cond.any():
+                bits[cond] = False
+                changed = True
+        if not changed:
+            return bits
+
+
+def thin_checked(bits):
+    """thin(), asserted equal to the plane-formula oracle."""
+    out = thin(BinaryImage(bits))
+    assert np.array_equal(out.bits, thin_oracle(bits))
+    return out
+
+
+def code_window(code):
+    """A 3x3 window whose centre is set and whose neighbour i is bit i of code."""
+    win = np.zeros((3, 3), dtype=bool)
+    win[1, 1] = True
+    for i, (dx, dy) in enumerate(imaging.NEIGHBOUR_OFFSETS):
+        win[1 + dy, 1 + dx] = bool(code >> i & 1)
+    return win
+
+
+def test_neighbour_codes_read_every_window_and_clip_at_the_border():
+    for code in range(256):
+        win = code_window(code)
+        codes = imaging.neighbour_codes(win)
+        assert codes.dtype == np.uint8 and codes[1, 1] == code
+        assert imaging.CROSSING_NUMBERS[code] == imaging.crossing_number(
+            [win[1 + dy, 1 + dx] for dx, dy in imaging.NEIGHBOUR_OFFSETS])
+    # the only set pixel is each of its neighbours' only neighbour
+    codes = imaging.neighbour_codes(np.eye(1, 3, 1, dtype=bool))
+    assert codes.tolist() == [[4, 0, 64]]
+
+
+def test_deletion_tables_equal_the_plane_formula_on_all_codes():
+    for phase, table in enumerate(imaging._THIN_DELETE):
+        assert table.shape == (256,)
+        for code in range(256):
+            assert table[code] == oracle_deletions(code_window(code), phase)[1, 1]
+
+
+@st.composite
+def blobs(draw):
+    shape = draw(st.sampled_from([(1, 1), (1, 9), (9, 1), (2, 17)])
+                 | st.tuples(st.integers(1, 24), st.integers(1, 24)))
+    bits = draw(arrays(bool, shape))
+    from scipy import ndimage
+
+    return ndimage.binary_dilation(bits) if draw(st.booleans()) else bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=blobs())
+def test_thin_equals_plane_formula_on_drawn_blobs(bits):
+    thin_checked(bits)
+
+
+def test_thin_equals_plane_formula_on_a_degraded_print():
+    _, art = build_template(degraded_print([KIND_ENDING, KIND_BIFURCATION] * 4, seed=5),
+                            keep_artifacts=True)
+    ridges = art.binarized.bits & art.mask.bits
+    assert ridges.shape == (512, 512)
+    assert np.array_equal(thin_checked(ridges).bits, art.thinned.bits)
 
 def test_thin_horizontal_bar_centerline():
     bits = np.zeros((12, 30), dtype=bool)
     bits[5:8, 4:24] = True
-    out = thin(BinaryImage(bits))
+    out = thin_checked(bits)
     assert np.all(out.bits <= bits)
     assert out.count() >= 18
     # one-pixel wide: every column of the span holds at most one pixel
@@ -265,13 +370,13 @@ def test_thin_already_thin_diagonal_unchanged():
     bits = np.zeros((16, 16), dtype=bool)
     for i in range(3, 13):
         bits[i, i] = True
-    out = thin(BinaryImage(bits))
+    out = thin_checked(bits)
     assert np.array_equal(out.bits, bits)
 
 
 def test_thin_empty_image():
     bits = np.zeros((10, 10), dtype=bool)
-    out = thin(BinaryImage(bits))
+    out = thin_checked(bits)
     assert not out.bits.any()
 
 
@@ -281,8 +386,8 @@ def test_thin_idempotent_and_subset():
     from scipy import ndimage
 
     blob = ndimage.binary_dilation(blob, iterations=1)
-    once = thin(BinaryImage(blob))
-    twice = thin(once)
+    once = thin_checked(blob)
+    twice = thin_checked(once.bits)
     assert np.array_equal(once.bits, twice.bits)
     assert np.all(once.bits <= blob)
 
@@ -294,7 +399,7 @@ def test_thin_preserves_component_count_on_bars():
     bits[30:36, 10:14] = True
     from scipy import ndimage
 
-    out = thin(BinaryImage(bits))
+    out = thin_checked(bits)
     s = np.ones((3, 3))
     _, n_in = ndimage.label(bits, structure=s)
     _, n_out = ndimage.label(out.bits, structure=s)

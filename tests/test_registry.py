@@ -3,6 +3,7 @@
 import json
 import math
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from biolock.errors import (
     NoProbe,
     NoScores,
     PipelineFailure,
+    TruncatedData,
     UnknownSubject,
 )
 from biolock.fingerprint import build_template, encode_template, match_minutiae
@@ -552,6 +554,17 @@ def test_load_db_bad_magic_names_file(enrolled, tmp_path):
     with pytest.raises(BadMagic) as err:
         load_db(root)
     assert "carol_iris_0_haar.irc" in str(err.value)
+
+
+def test_load_db_non_finite_minutia_names_file(enrolled, tmp_path):
+    root = _copy_db(enrolled, tmp_path / "db")
+    victim = root / "bob_finger_0.fpt"
+    data = bytearray(victim.read_bytes())
+    struct.pack_into("<f", data, 10, math.nan)
+    victim.write_bytes(bytes(data))
+    with pytest.raises(TruncatedData) as err:
+        load_db(root)
+    assert "bob_finger_0.fpt" in str(err.value)
 
 
 def test_load_db_wrong_scheme_in_slot(enrolled, tmp_path):
