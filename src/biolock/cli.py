@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BiolockError, BoundaryNotFound, NoPupilFound
+from .errors import BiolockError, failed_stage
 from .fingerprint import KIND_ENDING, build_template
 from .fusion import FusionConfig, GENUINE, load_config
 from .imaging import GrayImage, decode_pgm, encode_pgm, encode_pgm_raster
@@ -226,11 +226,7 @@ def cmd_eval(args) -> int:
 
 
 def _inspect_finger(img: GrayImage, out: Path) -> int:
-    try:
-        template, artifacts = build_template(img, keep_artifacts=True)
-    except BiolockError as exc:
-        print(f"error: stage 'feature-extraction' failed: {exc}", file=sys.stderr)
-        return 2
+    template, artifacts = build_template(img, keep_artifacts=True)
     overlay = np.where(artifacts.thinned.bits, 0.25, 0.0)
     for m in template.minutiae:
         row, col = int(round(m.y)), int(round(m.x))
@@ -249,17 +245,7 @@ def _inspect_finger(img: GrayImage, out: Path) -> int:
 
 
 def _inspect_iris(img: GrayImage, out: Path) -> int:
-    try:
-        geometry, strip, haar, mellin = build_codes(img)
-    except NoPupilFound as exc:
-        print(f"error: stage 'pupil-localization' failed: {exc}", file=sys.stderr)
-        return 2
-    except BoundaryNotFound as exc:
-        print(f"error: stage 'iris-boundary' failed: {exc}", file=sys.stderr)
-        return 2
-    except BiolockError as exc:
-        print(f"error: stage 'feature-extraction' failed: {exc}", file=sys.stderr)
-        return 2
+    geometry, strip, haar, mellin = build_codes(img)
     (out / "strip.pgm").write_bytes(
         encode_pgm(GrayImage(np.clip(strip.values, 0.0, 1.0)))
     )
@@ -285,9 +271,11 @@ def cmd_inspect(args) -> int:
     except (BiolockError, OSError, ValueError) as exc:
         print(f"error: stage 'decode' failed: {exc}", file=sys.stderr)
         return 2
-    if args.finger:
-        return _inspect_finger(img, out)
-    return _inspect_iris(img, out)
+    try:
+        return _inspect_finger(img, out) if args.finger else _inspect_iris(img, out)
+    except BiolockError as exc:
+        print(f"error: stage '{failed_stage(exc)}' failed: {exc}", file=sys.stderr)
+        return 2
 
 
 # ---------------------------------------------------------------------------

@@ -128,3 +128,12 @@ class MissingTemplateFile(BiolockError):
 
 class BadMagic(BiolockError):
     """Template/code file does not start with the expected magic."""
+
+
+def failed_stage(exc: BaseException) -> str:
+    """The extraction stage an error names; a subclass names its base's."""
+    if isinstance(exc, NoPupilFound):
+        return "pupil-localization"
+    if isinstance(exc, BoundaryNotFound):
+        return "iris-boundary"
+    return "feature-extraction"

@@ -512,9 +512,14 @@ def filter_false_minutiae(minutiae: list[Minutia], thinned: BinaryImage,
     previous rule and removes them together, so re-filtering the output is a
     no-op for the pair rules.
     """
+    return _filter_minutiae(minutiae, thinned, _border_distance(mask), avg_ridge_gap)
+
+
+def _filter_minutiae(minutiae: list[Minutia], thinned: BinaryImage,
+                     border: np.ndarray, avg_ridge_gap: float) -> list[Minutia]:
+    """:func:`filter_false_minutiae` given the mask's `_border_distance`."""
     if avg_ridge_gap <= 0:
         raise ValueError("avg_ridge_gap must be positive")
-    border = _border_distance(mask)
     gap = avg_ridge_gap
     steps = max(1, int(math.ceil(gap)))
 
@@ -742,10 +747,10 @@ def build_template(img: GrayImage,
     thinned = thin(ridge_bits)
     raw = extract_minutiae(thinned, orientation, mask)
     gap = 1.0 / float(np.median(frequency.values))
-    kept = filter_false_minutiae(raw, thinned, mask, gap)
+    border = _border_distance(mask)
+    kept = _filter_minutiae(raw, thinned, border, gap)
 
     if len(kept) > MAX_MINUTIAE:
-        border = _border_distance(mask)
         scored = sorted(range(len(kept)),
                         key=lambda i: (-border[int(round(kept[i].y)), int(round(kept[i].x))], i))
         keep_idx = sorted(scored[:MAX_MINUTIAE])

@@ -7,8 +7,10 @@ decision thresholds onto one common threshold with a knot-preserving piecewise
 linear map (:func:`rescale_to_common_threshold`), combines classifiers within a
 trait and then traits with weighted sums (:func:`fuse_classifiers`,
 :func:`fuse_modalities`), and finally thresholds the fused score into a
-genuine/impostor decision (:func:`decide`).  :func:`fuse_pipeline` runs the
-whole chain over a list of :class:`ClassifierScore` values.
+genuine/impostor decision (:func:`decide`).  Each step takes a float or,
+elementwise, a float64 array with NaN for "no score": :func:`fuse_arrays` runs
+the one chain over a whole gallery, and :func:`fuse_row` and
+:func:`fuse_pipeline` are one-row calls of it.
 
 Weighted sums are evaluated term-by-term (``w1*s1/total + w2*s2/total``) so the
 documented reference values (for example ``fuse_classifiers(0.8, 0.6, 1, 1) ==
@@ -23,6 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import DegenerateRange, NoScores, ZeroWeights
 
@@ -42,6 +46,10 @@ TRAIT_CLASSIFIERS = {
     TRAIT_IRIS: (CLASSIFIER_HAAR, CLASSIFIER_MELLIN),
 }
 
+#: Each matcher's raw scale (is_distance, range_lo, range_hi), all on [0, 1].
+NATIVE_SCALES = MappingProxyType({name: (name in TRAIT_CLASSIFIERS[TRAIT_IRIS], 0.0, 1.0)
+                                  for name in CLASSIFIERS})
+
 GENUINE = "genuine"
 IMPOSTOR = "impostor"
 
@@ -59,13 +67,6 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
-def _check_unit(name: str, value: float) -> float:
-    value = _check_finite(name, value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-    return value
-
-
 def _check_open_unit(name: str, value: float) -> float:
     value = _check_finite(name, value)
     if not 0.0 < value < 1.0:
@@ -75,12 +76,8 @@ def _check_open_unit(name: str, value: float) -> float:
 
 @dataclass(frozen=True)
 class ClassifierScore:
-    """One matcher's raw output, tagged with everything fusion needs.
-
-    ``range_lo``/``range_hi`` give the raw scale for normalization; the
-    matchers shipped here (minutiae similarity, Hamming distances) already
-    live on [0, 1], so the defaults apply.
-    """
+    """One matcher's raw output, tagged with everything fusion needs; its raw
+    scale ``range_lo``..``range_hi`` defaults to the matchers' own [0, 1]."""
 
     trait: str
     classifier: str
@@ -165,10 +162,8 @@ class FusionConfig:
 
 @dataclass(frozen=True)
 class FusedScore:
-    """The pipeline's result: per-trait scores, final score, and decision.
-
-    A trait absent from the input leaves its per-trait score as ``None``.
-    """
+    """The pipeline's result: per-trait scores (``None`` for a trait absent
+    from the input), final score, and decision."""
 
     ms_finger: Optional[float]
     ms_iris: Optional[float]
@@ -185,47 +180,61 @@ class FusedScore:
             raise ValueError(f"decision must be {GENUINE!r} or {IMPOSTOR!r}, got {self.decision!r}")
 
 
-def normalize_score(raw: float, range_lo: float, range_hi: float) -> float:
+def _scores(name: str, value, unit: bool = False) -> np.ndarray:
+    """``value`` as float64 (0-d for a scalar); NaN passes the checks, an
+    infinite entry or, with ``unit``, one outside [0, 1] raises."""
+    value = np.asarray(value, dtype=np.float64)
+    bad = np.isinf(value)
+    if bad.any():
+        raise ValueError(f"{name} must be finite, got {float(value[bad][0])!r}")
+    if unit:
+        bad = (value < 0.0) | (value > 1.0)
+        if bad.any():
+            raise ValueError(f"{name} must be in [0, 1], got {float(value[bad][0])!r}")
+    return value
+
+
+def _result(value: np.ndarray):
+    return float(value) if value.ndim == 0 else value
+
+
+def normalize_score(raw, range_lo: float, range_hi: float):
     """Map ``raw`` linearly from [range_lo, range_hi] onto [0, 1], clamping."""
-    raw = _check_finite("raw", raw)
+    raw = _scores("raw", raw)
     lo = _check_finite("range_lo", range_lo)
     hi = _check_finite("range_hi", range_hi)
     if not lo < hi:
         raise DegenerateRange(f"range [{lo!r}, {hi!r}] has no extent")
-    return min(1.0, max(0.0, (raw - lo) / (hi - lo)))
+    return _result(np.minimum(1.0, np.maximum(0.0, (raw - lo) / (hi - lo))))
 
 
-def to_similarity(score: float, is_distance: bool) -> float:
+def to_similarity(score, is_distance: bool):
     """Return ``1 - score`` for distances, ``score`` unchanged for similarities."""
-    score = _check_unit("score", score)
-    return 1.0 - score if is_distance else score
+    score = _scores("score", score, unit=True)
+    return _result(1.0 - score if is_distance else score)
 
 
-def rescale_to_common_threshold(score: float, t_classifier: float, t_common: float) -> float:
+def rescale_to_common_threshold(score, t_classifier: float, t_common: float):
     """Piecewise-linear remap with knots (0, 0), (t_classifier, t_common), (1, 1).
 
     Every classifier's own threshold lands exactly on the common threshold, so
     a single decision boundary serves all of them: ``score >= t_classifier``
     holds if and only if the rescaled score is ``>= t_common``.
     """
-    score = _check_unit("score", score)
+    score = _scores("score", score, unit=True)
     t_classifier = _check_open_unit("t_classifier", t_classifier)
     t_common = _check_open_unit("t_common", t_common)
-    if score == 0.0:
-        return 0.0
-    if score == 1.0:
-        return 1.0
-    if score >= t_classifier:
-        rescaled = t_common + ((score - t_classifier) / (1.0 - t_classifier)) * (1.0 - t_common)
-    else:
-        rescaled = (score / t_classifier) * t_common
-    return min(1.0, max(0.0, rescaled))
+    above = t_common + ((score - t_classifier) / (1.0 - t_classifier)) * (1.0 - t_common)
+    below = (score / t_classifier) * t_common
+    rescaled = np.minimum(1.0, np.maximum(0.0, np.where(score >= t_classifier, above, below)))
+    return _result(np.where(score == 0.0, 0.0, np.where(score == 1.0, 1.0, rescaled)))
 
 
-def fuse_classifiers(s1: float, s2: float, w1: float, w2: float) -> float:
-    """Weighted sum rule over two classifier scores: (w1*s1 + w2*s2)/(w1 + w2)."""
-    s1 = _check_unit("s1", s1)
-    s2 = _check_unit("s2", s2)
+def fuse_classifiers(s1, s2, w1: float, w2: float):
+    """Weighted sum rule over two classifier scores: (w1*s1 + w2*s2)/(w1 + w2);
+    where one is NaN (absent) the other passes through unfused."""
+    s1 = _scores("s1", s1, unit=True)
+    s2 = _scores("s2", s2, unit=True)
     for name, weight in (("w1", w1), ("w2", w2)):
         weight = _check_finite(name, weight)
         if weight < 0.0:
@@ -233,84 +242,87 @@ def fuse_classifiers(s1: float, s2: float, w1: float, w2: float) -> float:
     total = w1 + w2
     if total <= 0.0:
         raise ZeroWeights("classifier weights sum to zero")
-    if s1 == s2:
-        return s1
-    return min(1.0, max(0.0, (w1 * s1) / total + (w2 * s2) / total))
+    fused = np.minimum(1.0, np.maximum(0.0, (w1 * s1) / total + (w2 * s2) / total))
+    return _result(np.where(np.isnan(s1), s2, np.where(np.isnan(s2) | (s1 == s2), s1, fused)))
 
 
-def fuse_modalities(ms_finger: float, ms_iris: float, cfg: FusionConfig) -> float:
+def fuse_modalities(ms_finger, ms_iris, cfg: FusionConfig):
     """Combine the two trait scores with the cross-trait sum rule.
 
     Normalized mode divides by ``a + b`` so the result stays in [0, 1];
     paper-faithful mode keeps the fixed factor ``0.25`` as printed, in which
-    case a perfect match under unit weights scores 0.5.
+    case a perfect match under unit weights scores 0.5.  Where one trait score
+    is NaN (absent) the other passes through with full weight.
     """
-    ms_finger = _check_unit("ms_finger", ms_finger)
-    ms_iris = _check_unit("ms_iris", ms_iris)
+    ms_finger = _scores("ms_finger", ms_finger, unit=True)
+    ms_iris = _scores("ms_iris", ms_iris, unit=True)
     total = cfg.a + cfg.b
     if total <= 0.0:
         raise ZeroWeights("trait weights sum to zero")
     if cfg.paper_faithful_final:
-        return 0.25 * (cfg.a * ms_finger + cfg.b * ms_iris)
-    if ms_finger == ms_iris:
-        return ms_finger
-    return min(1.0, max(0.0, (cfg.a * ms_finger) / total + (cfg.b * ms_iris) / total))
+        fused = 0.25 * (cfg.a * ms_finger + cfg.b * ms_iris)
+    else:
+        fused = np.minimum(1.0, np.maximum(0.0, (cfg.a * ms_finger) / total
+                                           + (cfg.b * ms_iris) / total))
+        fused = np.where(ms_finger == ms_iris, ms_finger, fused)
+    return _result(np.where(np.isnan(ms_finger), ms_iris,
+                            np.where(np.isnan(ms_iris), ms_finger, fused)))
 
 
-def decide(ms_final: float, threshold: float) -> str:
+def decide(ms_final, threshold: float):
     """Threshold the final score; a score exactly at the threshold is genuine."""
-    ms_final = _check_finite("ms_final", ms_final)
+    ms_final = _scores("ms_final", ms_final)
     threshold = _check_open_unit("threshold", threshold)
-    return GENUINE if ms_final >= threshold else IMPOSTOR
+    decision = np.where(ms_final >= threshold, GENUINE, IMPOSTOR)
+    return str(decision) if decision.ndim == 0 else decision
+
+
+def fuse_arrays(raw: Mapping[str, object], cfg: FusionConfig,
+                scales: Mapping[str, tuple] = NATIVE_SCALES) -> tuple:
+    """Run the fusion chain over rows of raw scores, one array per classifier.
+
+    A NaN, or a classifier left out of ``raw``, is no score, and a lone score
+    passes through unfused; ``scales`` gives each classifier's raw scale.
+    Returns the ``(ms_finger, ms_iris, ms_final)`` arrays, NaN where absent.
+    """
+    rescaled = {}
+    for name, values in raw.items():
+        t_classifier = cfg.threshold_for(name)
+        is_distance, lo, hi = scales[name]
+        similarity = to_similarity(normalize_score(values, lo, hi), is_distance)
+        rescaled[name] = rescale_to_common_threshold(similarity, t_classifier,
+                                                     cfg.common_threshold)
+    absent = np.full(np.broadcast_shapes(*map(np.shape, rescaled.values())), np.nan)
+    ms_finger, ms_iris = (
+        fuse_classifiers(*(rescaled.get(name, absent) for name in TRAIT_CLASSIFIERS[trait]),
+                         cfg.alpha, cfg.beta)
+        for trait in TRAITS)
+    ms_final = fuse_modalities(ms_finger, ms_iris, cfg)
+    return tuple(np.asarray(score) for score in (ms_finger, ms_iris, ms_final))
+
+
+def fuse_row(raw: Mapping[str, object], cfg: FusionConfig,
+             scales: Mapping[str, tuple] = NATIVE_SCALES) -> FusedScore:
+    """One row of :func:`fuse_arrays`, thresholded; NoScores if it holds none."""
+    ms_finger, ms_iris, ms_final = (
+        None if np.isnan(value) else value.item() for value in fuse_arrays(raw, cfg, scales))
+    if ms_final is None:
+        raise NoScores("no classifier scores to fuse")
+    return FusedScore(ms_finger, ms_iris, ms_final, decide(ms_final, cfg.common_threshold))
 
 
 def fuse_pipeline(scores: Sequence[ClassifierScore], cfg: FusionConfig) -> FusedScore:
-    """Run the full fusion chain over raw classifier scores.
-
-    Each score is normalized, converted to a similarity, and rescaled onto the
-    common threshold; classifiers are fused within each trait (a lone
-    classifier passes through unfused), traits are fused across (a lone trait
-    passes through with full weight), and the result is thresholded.
-    """
-    scores = list(scores)
-    if not scores:
-        raise NoScores("no classifier scores to fuse")
-    per_trait: dict = {}
+    """Run the full fusion chain over raw classifier scores: one row of
+    :func:`fuse_arrays`, each score read on its own range and direction."""
+    raw, scales = {}, {}
     for score in scores:
         if not isinstance(score, ClassifierScore):
             raise TypeError(f"expected ClassifierScore, got {type(score).__name__}")
-        normalized = normalize_score(score.value, score.range_lo, score.range_hi)
-        similarity = to_similarity(normalized, score.is_distance)
-        rescaled = rescale_to_common_threshold(
-            similarity, cfg.threshold_for(score.classifier), cfg.common_threshold
-        )
-        slot = per_trait.setdefault(score.trait, {})
-        if score.classifier in slot:
+        if score.classifier in raw:
             raise ValueError(f"duplicate {score.trait}/{score.classifier} score")
-        slot[score.classifier] = rescaled
-    trait_scores = {}
-    for trait, by_classifier in per_trait.items():
-        first, second = TRAIT_CLASSIFIERS[trait]
-        if len(by_classifier) == 2:
-            trait_scores[trait] = fuse_classifiers(
-                by_classifier[first], by_classifier[second], cfg.alpha, cfg.beta
-            )
-        else:
-            (trait_scores[trait],) = by_classifier.values()
-    ms_finger = trait_scores.get(TRAIT_FINGER)
-    ms_iris = trait_scores.get(TRAIT_IRIS)
-    if ms_finger is not None and ms_iris is not None:
-        ms_final = fuse_modalities(ms_finger, ms_iris, cfg)
-    elif ms_finger is not None:
-        ms_final = ms_finger
-    else:
-        ms_final = ms_iris
-    return FusedScore(
-        ms_finger=ms_finger,
-        ms_iris=ms_iris,
-        ms_final=ms_final,
-        decision=decide(ms_final, cfg.common_threshold),
-    )
+        raw[score.classifier] = score.value
+        scales[score.classifier] = (score.is_distance, score.range_lo, score.range_hi)
+    return fuse_row(raw, cfg, scales)
 
 
 def save_config(cfg: FusionConfig, path: Union[str, Path]) -> None:

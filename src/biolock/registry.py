@@ -5,9 +5,10 @@ A database is a directory holding one binary file per template or code plus a
 in-memory :class:`TemplateDB`; :func:`enroll` runs the feature pipelines and
 persists new records atomically (every file, and finally the manifest, is
 written to a temp name and renamed); :func:`verify`, :func:`identify`, and
-:func:`access` score probes against the stored records with the fusion
-pipeline.  Access decisions and enrollments append JSON-line events to an
-audit log whose timestamps are strictly increasing within the process.
+:func:`access` score probes against the stored records in one scoring core
+and one array-valued fusion pass (verify is a gallery of one).  Access
+decisions and enrollments append JSON-line events to an audit log whose
+timestamps are strictly increasing within the process.
 
 Multi-template rule: a subject may hold several fingerprint templates and iris
 code pairs; the per-trait score against that subject is the maximum over the
@@ -19,6 +20,7 @@ pair wins — so one eye's observation is never mixed with another's.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import threading
@@ -26,6 +28,8 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     BadMagic,
@@ -39,6 +43,7 @@ from .errors import (
     PipelineFailure,
     TruncatedData,
     UnknownSubject,
+    failed_stage,
 )
 from .fingerprint import (
     FingerprintTemplate,
@@ -52,12 +57,10 @@ from .fusion import (
     CLASSIFIER_MELLIN,
     CLASSIFIER_MINUTIAE,
     GENUINE,
-    TRAIT_FINGER,
-    TRAIT_IRIS,
-    ClassifierScore,
     FusedScore,
     FusionConfig,
-    fuse_pipeline,
+    fuse_arrays,
+    fuse_row,
 )
 from .imaging import GrayImage
 from .iris import (
@@ -137,7 +140,8 @@ class PersonRecord:
 
 @dataclass(frozen=True)
 class RankedMatch:
-    """One identification hit: subject, final score, per-trait scores."""
+    """One identification hit: subject, final score, per-trait scores
+    (``None`` for a trait the subject and probe do not share)."""
 
     subject_id: str
     ms_final: float
@@ -146,9 +150,10 @@ class RankedMatch:
     def __post_init__(self) -> None:
         _validate_subject_id(self.subject_id)
         object.__setattr__(self, "ms_final", float(self.ms_final))
-        per_trait = tuple(self.per_trait)
-        if len(per_trait) != 2:
-            raise ValueError("per_trait must be a (ms_finger, ms_iris) pair")
+        per_trait = tuple(None if s is None else float(s) for s in self.per_trait)
+        if len(per_trait) != 2 or not all(s is None or math.isfinite(s) for s in per_trait):
+            raise ValueError(f"per_trait must be a finite (ms_finger, ms_iris) pair, "
+                             f"got {per_trait!r}")
         object.__setattr__(self, "per_trait", per_trait)
 
 
@@ -405,12 +410,6 @@ def _persist_record(db: TemplateDB, record: PersonRecord) -> None:
 # ---------------------------------------------------------------------------
 # Enrollment
 
-_STAGE_BY_ERROR = {
-    "NoPupilFound": "pupil-localization",
-    "BoundaryNotFound": "iris-boundary",
-}
-
-
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="microseconds")
 
@@ -445,8 +444,7 @@ def enroll(
         try:
             _, _, haar, mellin = build_codes(img)
         except BiolockError as exc:
-            stage = _STAGE_BY_ERROR.get(type(exc).__name__, "feature-extraction")
-            raise PipelineFailure("iris", i, stage, exc) from exc
+            raise PipelineFailure("iris", i, failed_stage(exc), exc) from exc
         pairs.append(IrisPair(haar, mellin))
     record = PersonRecord(subject_id, tuple(templates), tuple(pairs), _utc_now())
     _persist_record(db, record)
@@ -464,51 +462,45 @@ def enroll(
 # ---------------------------------------------------------------------------
 # Matching
 
-def _probe_features(probe_finger, probe_iris):
-    probe_template = build_template(probe_finger) if probe_finger is not None else None
-    probe_pair = None
-    if probe_iris is not None:
-        _, _, haar, mellin = build_codes(probe_iris)
-        probe_pair = (haar, mellin)
-    return probe_template, probe_pair
+def _best_per_record(counts: list, key: np.ndarray, *values: np.ndarray) -> list:
+    """Per record owning ``counts[i]`` consecutive entries: each of ``values``
+    at the record's first maximum of ``key``, NaN for a record owning none."""
+    counts = np.array(counts, dtype=np.int64)
+    has = counts > 0
+    starts = (np.cumsum(counts) - counts)[has]
+    top = np.repeat(np.maximum.reduceat(key, starts), counts[has])
+    best = np.minimum.reduceat(np.where(key == top, np.arange(len(key)), len(key)), starts)
+    out = [np.full(len(counts), np.nan) for _ in values]
+    for array, value in zip(out, values):
+        array[has] = value[best]
+    return out
 
 
-def _score_records(records: Sequence[PersonRecord], probe_template, probe_pair,
-                   cfg: FusionConfig) -> list:
+def _score_records(records: Sequence[PersonRecord], probe_finger, probe_iris,
+                   cfg: FusionConfig) -> dict:
     """The scoring core of verify and identify: the probe against many records.
 
-    Returns, per record, the classifier scores to fuse (empty when record and
-    probe share no trait).  The iris codes of all records are scored in one
-    batched Hamming call per scheme; a record holding several pairs keeps the
-    pair with the best fused iris score, the first one on ties.  The
-    fingerprint templates of all records are scored in one batched minutiae
-    call; a record's minutiae score is the maximum over its templates.
+    Returns raw scores for :func:`fuse_arrays`, one entry per record, NaN where
+    record or probe lacks the trait.  All templates are scored in one batched
+    minutiae call and a record keeps its best; all iris codes in one batched
+    Hamming call per scheme, and a record keeps the pair with the best fused
+    iris score, the first one on ties.
     """
-    finger = [[] for _ in records]
-    if probe_template is not None:
-        templates = [(i, t) for i, record in enumerate(records) for t in record.fingerprints]
-        scores = match_minutiae_many([t for _, t in templates], probe_template)
-        for (i, _), score in zip(templates, scores):
-            finger[i].append(score)
-    iris = [[] for _ in records]
-    if probe_pair is not None:
-        pairs = [(i, pair) for i, record in enumerate(records) for pair in record.iris_codes]
-        d_haar = hamming_distances([pair.haar for _, pair in pairs], probe_pair[0])
-        d_mellin = hamming_distances([pair.mellin for _, pair in pairs], probe_pair[1])
-        for (i, _), dh, dm in zip(pairs, d_haar.tolist(), d_mellin.tolist()):
-            iris[i].append([ClassifierScore(TRAIT_IRIS, CLASSIFIER_HAAR, dh, is_distance=True),
-                            ClassifierScore(TRAIT_IRIS, CLASSIFIER_MELLIN, dm, is_distance=True)])
-    out = []
-    for matched, candidates in zip(finger, iris):
-        scores = []
-        if matched:
-            scores.append(ClassifierScore(TRAIT_FINGER, CLASSIFIER_MINUTIAE, max(matched),
-                                          is_distance=False))
-        if len(candidates) > 1:
-            values = [fuse_pipeline(c, cfg).ms_iris for c in candidates]
-            candidates = [candidates[values.index(max(values))]]
-        out.append(scores + candidates[0] if candidates else scores)
-    return out
+    raw = {}
+    if probe_finger is not None:
+        scores = np.array(match_minutiae_many(
+            [t for record in records for t in record.fingerprints], build_template(probe_finger)))
+        (raw[CLASSIFIER_MINUTIAE],) = _best_per_record(
+            [len(record.fingerprints) for record in records], scores, scores)
+    if probe_iris is not None:
+        _, _, haar, mellin = build_codes(probe_iris)
+        pairs = [pair for record in records for pair in record.iris_codes]
+        d_haar = hamming_distances([pair.haar for pair in pairs], haar)
+        d_mellin = hamming_distances([pair.mellin for pair in pairs], mellin)
+        _, ms_iris, _ = fuse_arrays({CLASSIFIER_HAAR: d_haar, CLASSIFIER_MELLIN: d_mellin}, cfg)
+        raw[CLASSIFIER_HAAR], raw[CLASSIFIER_MELLIN] = _best_per_record(
+            [len(record.iris_codes) for record in records], ms_iris, d_haar, d_mellin)
+    return raw
 
 
 def verify(
@@ -524,9 +516,7 @@ def verify(
     if probe_finger is None and probe_iris is None:
         raise NoProbe("verification needs at least one probe image")
     cfg = cfg if cfg is not None else FusionConfig()
-    probe_template, probe_pair = _probe_features(probe_finger, probe_iris)
-    (scores,) = _score_records([db.records[claimed_id]], probe_template, probe_pair, cfg)
-    return fuse_pipeline(scores, cfg)
+    return fuse_row(_score_records([db.records[claimed_id]], probe_finger, probe_iris, cfg), cfg)
 
 
 def identify(
@@ -536,12 +526,10 @@ def identify(
     cfg: Optional[FusionConfig] = None,
     top_k: int = 5,
 ) -> list:
-    """Score a probe against every subject (1:N) and rank the results.
+    """Score a probe against every subject (1:N) and rank the top_k.
 
-    All subjects go through the shared scoring core in one pass, then each
-    is fused on its own.  Subjects sharing no trait with the probe are
-    skipped (nothing to compare).  Ties in ms_final rank by subject id
-    ascending.
+    All subjects are scored and fused in one array pass.  Subjects sharing no
+    trait with the probe are skipped; ties in ms_final rank by subject id.
     """
     if not db.records:
         raise EmptyDatabase("no subjects enrolled")
@@ -551,17 +539,14 @@ def identify(
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     cfg = cfg if cfg is not None else FusionConfig()
-    probe_template, probe_pair = _probe_features(probe_finger, probe_iris)
-    all_scores = _score_records(list(db.records.values()), probe_template, probe_pair, cfg)
-    matches = []
-    for subject_id, scores in zip(db.records, all_scores):
-        if not scores:
-            continue
-        fused = fuse_pipeline(scores, cfg)
-        matches.append(RankedMatch(subject_id, fused.ms_final,
-                                   (fused.ms_finger, fused.ms_iris)))
-    matches.sort(key=lambda m: (-m.ms_final, m.subject_id))
-    return matches[:top_k]
+    raw = _score_records(list(db.records.values()), probe_finger, probe_iris, cfg)
+    ms_finger, ms_iris, ms_final = fuse_arrays(raw, cfg)
+    subject_ids = list(db.records)
+    rows = np.flatnonzero(~np.isnan(ms_final))
+    order = np.lexsort((np.array(subject_ids)[rows], -ms_final[rows]))
+    return [RankedMatch(subject_ids[i], ms_final[i],
+                        tuple(None if math.isnan(s) else s for s in (ms_finger[i], ms_iris[i])))
+            for i in rows[order[:top_k]].tolist()]
 
 
 def access(
@@ -592,8 +577,7 @@ def _access(db, claimed_id, probe_finger, probe_iris, cfg, audit_log) -> tuple:
         "-" if fused.ms_finger is None else f"{fused.ms_finger:.6f}",
         "-" if fused.ms_iris is None else f"{fused.ms_iris:.6f}",
     )
-    if fused.decision == GENUINE:
-        log.append(EVENT_ACCESS_GRANTED, claimed_id, fused.ms_final, detail)
-        return ACCESS_UNLOCK, fused
-    log.append(EVENT_ALARM, claimed_id, fused.ms_final, detail)
-    return ACCESS_ALARM, fused
+    granted = fused.decision == GENUINE
+    log.append(EVENT_ACCESS_GRANTED if granted else EVENT_ALARM, claimed_id, fused.ms_final,
+               detail)
+    return (ACCESS_UNLOCK if granted else ACCESS_ALARM), fused

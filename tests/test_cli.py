@@ -13,6 +13,7 @@ import synthgen
 import biolock
 from biolock import cli, registry
 from biolock.cli import EvalReport, read_probe_rows, sweep_rates
+from biolock.errors import BiolockError, BoundaryNotFound, NoPupilFound, PipelineFailure
 from biolock.fingerprint import KIND_ENDING, build_template
 from biolock.fusion import FusionConfig, save_config
 from biolock.imaging import decode_pgm, encode_pgm
@@ -420,6 +421,32 @@ def test_inspect_pipeline_failure_names_stage(tmp_path, env, capsys):
     )
     assert code == 2
     assert "stage 'pupil-localization'" in err
+
+
+@pytest.mark.parametrize("base, stage", [
+    (NoPupilFound, "pupil-localization"),
+    (BoundaryNotFound, "iris-boundary"),
+    (BiolockError, "feature-extraction"),
+])
+def test_enroll_and_inspect_name_the_same_stage_for_error_subclasses(
+        tmp_path, env, capsys, monkeypatch, base, stage):
+    class Narrower(base):
+        pass
+
+    def failing(img):
+        raise Narrower("no luck")
+
+    monkeypatch.setattr(registry, "build_codes", failing)
+    monkeypatch.setattr(cli, "build_codes", failing)
+    with pytest.raises(PipelineFailure) as exc:
+        registry.enroll(registry.load_db(tmp_path / "db"), "carol", [],
+                        [decode_pgm(env["alice_eye"].read_bytes())])
+    assert exc.value.stage == stage
+    code, _, err = run_cli(
+        capsys, "inspect", "--iris", env["alice_eye"], "--out", tmp_path / "dump"
+    )
+    assert code == 2
+    assert f"stage '{stage}' failed: no luck" in err
 
 
 def test_inspect_requires_exactly_one_source(env, capsys):

@@ -612,6 +612,26 @@ def test_filter_equals_oracle_on_degraded_prints():
         assert 0 < len(kept) < len(art.raw_minutiae)
 
 
+def test_build_template_runs_one_border_distance_per_print(monkeypatch):
+    img = degraded_print([KIND_ENDING, KIND_BIFURCATION] * 4, seed=5)
+    calls = []
+    real = fingerprint._border_distance
+    monkeypatch.setattr(fingerprint, "_border_distance",
+                        lambda mask: calls.append(mask.bits.shape) or real(mask))
+    template, art = build_template(img, keep_artifacts=True)
+    assert calls == [(512, 512)]
+    # The public filter, then the cap ranked by a second distance transform,
+    # as the pipeline did before filter and cap shared one.
+    kept = filter_false_minutiae(art.raw_minutiae, art.thinned, art.mask, art_gap(art))
+    assert len(kept) > fingerprint.MAX_MINUTIAE
+    border = real(art.mask)
+    ranked = sorted(range(len(kept)),
+                    key=lambda i: (-border[int(round(kept[i].y)), int(round(kept[i].x))], i))
+    capped = tuple(kept[i] for i in sorted(ranked[:fingerprint.MAX_MINUTIAE]))
+    expected = FingerprintTemplate(capped, img.width, img.height)
+    assert encode_template(template) == encode_template(expected)
+
+
 _TWO_PI = 2.0 * math.pi
 _KINDS = st.sampled_from([KIND_ENDING, KIND_BIFURCATION])
 

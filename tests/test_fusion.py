@@ -3,7 +3,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biolock.errors import DegenerateRange, NoScores, ZeroWeights
 from biolock.fusion import (
@@ -14,15 +16,19 @@ from biolock.fusion import (
     CLASSIFIERS,
     GENUINE,
     IMPOSTOR,
+    NATIVE_SCALES,
+    TRAIT_CLASSIFIERS,
     ClassifierScore,
     FusedScore,
     FusionConfig,
     TRAIT_FINGER,
     TRAIT_IRIS,
     decide,
+    fuse_arrays,
     fuse_classifiers,
     fuse_modalities,
     fuse_pipeline,
+    fuse_row,
     load_config,
     normalize_score,
     rescale_to_common_threshold,
@@ -426,6 +432,206 @@ def test_fuse_pipeline_normalizes_raw_ranges():
     )
     assert fused.ms_finger == 0.5
     assert fused.decision == GENUINE
+
+
+# ---------------------------------------------------------------------------
+# the array-valued chain against the scalar chain it replaced
+
+
+def _finite(name, value):
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _unit(name, value):
+    value = _finite(name, value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+    return value
+
+
+def oracle_normalize(raw, lo, hi):
+    return min(1.0, max(0.0, (_finite("raw", raw) - lo) / (hi - lo)))
+
+
+def oracle_similarity(score, is_distance):
+    score = _unit("score", score)
+    return 1.0 - score if is_distance else score
+
+
+def oracle_rescale(score, t_classifier, t_common):
+    score = _unit("score", score)
+    if score == 0.0:
+        return 0.0
+    if score == 1.0:
+        return 1.0
+    if score >= t_classifier:
+        rescaled = t_common + ((score - t_classifier) / (1.0 - t_classifier)) * (1.0 - t_common)
+    else:
+        rescaled = (score / t_classifier) * t_common
+    return min(1.0, max(0.0, rescaled))
+
+
+def oracle_fuse_classifiers(s1, s2, w1, w2):
+    s1 = _unit("s1", s1)
+    s2 = _unit("s2", s2)
+    if s1 == s2:
+        return s1
+    total = w1 + w2
+    return min(1.0, max(0.0, (w1 * s1) / total + (w2 * s2) / total))
+
+
+def oracle_fuse_modalities(ms_finger, ms_iris, cfg):
+    ms_finger = _unit("ms_finger", ms_finger)
+    ms_iris = _unit("ms_iris", ms_iris)
+    if cfg.paper_faithful_final:
+        return 0.25 * (cfg.a * ms_finger + cfg.b * ms_iris)
+    if ms_finger == ms_iris:
+        return ms_finger
+    total = cfg.a + cfg.b
+    return min(1.0, max(0.0, (cfg.a * ms_finger) / total + (cfg.b * ms_iris) / total))
+
+
+def oracle_decide(ms_final, threshold):
+    return GENUINE if _finite("ms_final", ms_final) >= threshold else IMPOSTOR
+
+
+def oracle_pipeline(scores, cfg):
+    """The scalar fuse_pipeline: one score at a time, lone classifiers and
+    traits passing through."""
+    per_trait = {}
+    for score in scores:
+        similarity = oracle_similarity(
+            oracle_normalize(score.value, score.range_lo, score.range_hi), score.is_distance)
+        per_trait.setdefault(score.trait, {})[score.classifier] = oracle_rescale(
+            similarity, cfg.threshold_for(score.classifier), cfg.common_threshold)
+    trait_scores = {}
+    for trait, by_classifier in per_trait.items():
+        first, second = TRAIT_CLASSIFIERS[trait]
+        if len(by_classifier) == 2:
+            trait_scores[trait] = oracle_fuse_classifiers(
+                by_classifier[first], by_classifier[second], cfg.alpha, cfg.beta)
+        else:
+            (trait_scores[trait],) = by_classifier.values()
+    ms_finger = trait_scores.get(TRAIT_FINGER)
+    ms_iris = trait_scores.get(TRAIT_IRIS)
+    if ms_finger is not None and ms_iris is not None:
+        ms_final = oracle_fuse_modalities(ms_finger, ms_iris, cfg)
+    else:
+        ms_final = ms_finger if ms_finger is not None else ms_iris
+    return FusedScore(ms_finger, ms_iris, ms_final, oracle_decide(ms_final, cfg.common_threshold))
+
+
+TRAIT_OF = {name: trait for trait, names in TRAIT_CLASSIFIERS.items() for name in names}
+_WEIGHTS = st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 5.0)
+_THRESHOLDS = st.sampled_from([0.5, 0.25, 0.75, 0.1]) | st.floats(0.01, 0.99)
+
+
+@st.composite
+def fusion_configs(draw):
+    alpha, beta, a, b = (draw(_WEIGHTS) for _ in range(4))
+    return FusionConfig(
+        alpha=alpha, beta=beta if alpha + beta > 0.0 else 1.0,
+        a=a, b=b if a + b > 0.0 else 1.0,
+        common_threshold=draw(_THRESHOLDS),
+        classifier_thresholds={name: draw(_THRESHOLDS) for name in CLASSIFIERS},
+        paper_faithful_final=draw(st.booleans()),
+    )
+
+
+@st.composite
+def fusion_rows(draw):
+    """A config and rows of raw scores on the matchers' native scales: NaN for
+    an absent classifier, the knots 0, 1 and the classifier threshold (and
+    its neighbouring floats), or anything in [0, 1]."""
+    cfg = draw(fusion_configs())
+    n = draw(st.integers(1, 10))
+    raw = {}
+    for name in draw(st.sets(st.sampled_from(CLASSIFIERS), min_size=1)):
+        t = cfg.threshold_for(name)
+        knot = 1.0 - t if NATIVE_SCALES[name][0] else t
+        values = (st.sampled_from([math.nan, 0.0, 1.0, knot, math.nextafter(knot, 0.0),
+                                   math.nextafter(knot, 1.0)])
+                  | st.floats(0.0, 1.0))
+        raw[name] = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    return cfg, n, raw
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=fusion_rows())
+def test_fuse_arrays_equals_the_scalar_chain_row_by_row(case):
+    cfg, n, raw = case
+    fused = fuse_arrays(raw, cfg)
+    assert all(values.shape == (n,) for values in fused)
+    for i in range(n):
+        got = [None if math.isnan(values[i]) else values[i] for values in fused]
+        scores = [ClassifierScore(TRAIT_OF[name], name, values[i],
+                                  is_distance=NATIVE_SCALES[name][0])
+                  for name, values in raw.items() if not math.isnan(values[i])]
+        if not scores:
+            assert got == [None, None, None]
+            with pytest.raises(NoScores):
+                fuse_row({name: values[i] for name, values in raw.items()}, cfg)
+            continue
+        want = oracle_pipeline(scores, cfg)
+        assert got == [want.ms_finger, want.ms_iris, want.ms_final]
+        assert fuse_pipeline(scores, cfg) == want
+
+
+@st.composite
+def scored_lists(draw):
+    """A config and one score per drawn classifier, each on its own range and
+    in its own direction."""
+    cfg = draw(fusion_configs())
+    scores = []
+    for name in draw(st.sets(st.sampled_from(CLASSIFIERS), min_size=1)):
+        lo = draw(st.sampled_from([0.0, -1.0]) | st.floats(-10.0, 10.0))
+        hi = lo + draw(st.sampled_from([1.0]) | st.floats(1e-3, 20.0))
+        value = draw(st.sampled_from([lo, hi, (lo + hi) / 2]) | st.floats(lo - 5.0, hi + 5.0))
+        scores.append(ClassifierScore(TRAIT_OF[name], name, value,
+                                      is_distance=draw(st.booleans()),
+                                      range_lo=lo, range_hi=hi))
+    return cfg, scores
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=scored_lists())
+def test_fuse_pipeline_equals_the_scalar_chain_on_any_scale(case):
+    cfg, scores = case
+    assert fuse_pipeline(scores, cfg) == oracle_pipeline(scores, cfg)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.25, math.inf, -math.inf])
+def test_array_steps_raise_the_scalar_errors(bad):
+    cfg = FusionConfig(paper_faithful_final=True)
+    steps = (
+        (lambda x: normalize_score(x, 0.0, 1.0), lambda x: oracle_normalize(x, 0.0, 1.0)),
+        (lambda x: to_similarity(x, True), lambda x: oracle_similarity(x, True)),
+        (lambda x: rescale_to_common_threshold(x, 0.4, 0.6),
+         lambda x: oracle_rescale(x, 0.4, 0.6)),
+        (lambda x: fuse_classifiers(x, 0.5, 1.0, 2.0),
+         lambda x: oracle_fuse_classifiers(x, 0.5, 1.0, 2.0)),
+        (lambda x: fuse_classifiers(0.5, x, 1.0, 2.0),
+         lambda x: oracle_fuse_classifiers(0.5, x, 1.0, 2.0)),
+        (lambda x: fuse_modalities(x, 0.5, cfg), lambda x: oracle_fuse_modalities(x, 0.5, cfg)),
+        (lambda x: fuse_modalities(0.5, x, cfg), lambda x: oracle_fuse_modalities(0.5, x, cfg)),
+        (lambda x: decide(x, 0.5), lambda x: oracle_decide(x, 0.5)),
+    )
+    column = [0.5, math.nan, bad, 0.25]
+    for step, oracle in steps:
+        try:
+            expected = [oracle(x) for x in column if not math.isnan(x)]
+        except ValueError as exc:
+            for value in (bad, np.array(column)):
+                with pytest.raises(ValueError) as got:
+                    step(value)
+                assert str(got.value) == str(exc)
+        else:
+            result = step(np.array(column))
+            assert [result[0], result[2], result[3]] == expected
+            assert step(bad) == expected[1]
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import synthgen
+from test_fusion import oracle_pipeline
 from test_iris import hamming_oracle
-from biolock import fingerprint, registry
+from biolock import fingerprint, fusion, registry
 from biolock.errors import (
     BadMagic,
     CorruptManifest,
@@ -35,7 +36,6 @@ from biolock.fusion import (
     TRAIT_IRIS,
     ClassifierScore,
     FusionConfig,
-    fuse_pipeline,
 )
 from biolock.imaging import GrayImage
 from biolock.iris import SCHEME_HAAR, SCHEME_MELLIN, build_codes, encode_code
@@ -309,7 +309,8 @@ def test_identify_errors(enrolled, tmp_path, corpus):
 
 
 def reference_score_record(record, probe_template, probe_pair, cfg):
-    """One record at a time, one pairwise Hamming call per code, as before."""
+    """One record at a time, one pairwise Hamming call per code, through the
+    scalar fusion chain, as before."""
     scores = []
     if probe_template is not None and record.fingerprints:
         best = max(match_minutiae(t, probe_template) for t in record.fingerprints)
@@ -320,7 +321,7 @@ def reference_score_record(record, probe_template, probe_pair, cfg):
         for pair in record.iris_codes:
             d_haar = hamming_oracle(pair.haar, probe_pair[0])
             d_mellin = hamming_oracle(pair.mellin, probe_pair[1])
-            value = fuse_pipeline([
+            value = oracle_pipeline([
                 ClassifierScore(TRAIT_IRIS, CLASSIFIER_HAAR, d_haar, is_distance=True),
                 ClassifierScore(TRAIT_IRIS, CLASSIFIER_MELLIN, d_mellin, is_distance=True),
             ], cfg).ms_iris
@@ -330,7 +331,9 @@ def reference_score_record(record, probe_template, probe_pair, cfg):
             ClassifierScore(TRAIT_IRIS, CLASSIFIER_HAAR, best_pair[0], is_distance=True),
             ClassifierScore(TRAIT_IRIS, CLASSIFIER_MELLIN, best_pair[1], is_distance=True),
         ]
-    return fuse_pipeline(scores, cfg)
+    if not scores:
+        raise NoScores("no classifier scores to fuse")
+    return oracle_pipeline(scores, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -428,6 +431,34 @@ def test_identify_makes_no_pairwise_registration_calls(mixed_db, corpus, monkeyp
     verify(mixed_db, "bob", corpus["bob"]["probe_finger"], None, CFG)
     assert len(matches) == len(mixed_db)
     assert calls == []
+
+
+def test_scoring_builds_no_classifier_scores_and_calls_no_fuse_pipeline(
+        mixed_db, corpus, monkeypatch):
+    calls = []
+    original = ClassifierScore.__post_init__
+    monkeypatch.setattr(ClassifierScore, "__post_init__",
+                        lambda self: calls.append("ClassifierScore") or original(self))
+    pipeline = fusion.fuse_pipeline
+    monkeypatch.setattr(fusion, "fuse_pipeline",
+                        lambda *a, **k: calls.append("fuse_pipeline") or pipeline(*a, **k))
+    probe_finger, probe_eye = corpus["bob"]["probe_finger"], corpus["bob"]["probe_eye"]
+    matches = identify(mixed_db, probe_finger, probe_eye, CFG, top_k=len(mixed_db))
+    verify(mixed_db, "twoeye", probe_finger, probe_eye, CFG)
+    access(mixed_db, "bob", probe_finger, probe_eye, CFG,
+           audit_log=mixed_db.path.parent / "audit.log")
+    assert len(matches) == len(mixed_db)
+    assert calls == []
+
+
+def test_identify_per_trait_scores_are_plain_floats(mixed_db, corpus):
+    matches = identify(mixed_db, corpus["bob"]["probe_finger"], None, CFG,
+                       top_k=len(mixed_db))
+    assert {m.per_trait[1] for m in matches} == {None}
+    for match in matches:
+        assert type(match.ms_final) is float
+        assert type(match.per_trait[0]) is float
+        assert "np." not in repr(match)
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +681,12 @@ def test_ranked_match_validation():
         RankedMatch("bad id!", 0.5, (0.5, 0.5))
     match = RankedMatch("ok", 0.5, (None, 0.5))
     assert match.per_trait == (None, 0.5)
+    match = RankedMatch("ok", np.float64(0.5), (np.float64(0.25), "0.75"))
+    assert match.per_trait == (0.25, 0.75)
+    assert repr(match) == "RankedMatch(subject_id='ok', ms_final=0.5, per_trait=(0.25, 0.75))"
+    for bad in (math.nan, math.inf, np.float64(-math.inf)):
+        with pytest.raises(ValueError):
+            RankedMatch("ok", 0.5, (0.5, bad))
 
 
 def test_audit_event_validation():
