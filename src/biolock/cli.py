@@ -13,7 +13,7 @@ import argparse
 import bisect
 import csv
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -43,8 +43,6 @@ class EvalReport:
     """
 
     rows: tuple
-    genuine_scores: tuple = field(default_factory=tuple)
-    impostor_scores: tuple = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         rows = tuple((float(t), float(far), float(frr)) for t, far, frr in self.rows)
@@ -61,8 +59,6 @@ class EvalReport:
             if frr1 < frr0:
                 raise ValueError("frr must be non-decreasing in threshold")
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "genuine_scores", tuple(float(s) for s in self.genuine_scores))
-        object.__setattr__(self, "impostor_scores", tuple(float(s) for s in self.impostor_scores))
 
     def eer_row(self) -> tuple:
         """The (threshold, far, frr) row minimizing |far - frr|, ties lowest."""
@@ -85,7 +81,7 @@ def sweep_rates(genuine_scores, impostor_scores) -> EvalReport:
         far = (len(impostor) - below_i) / len(impostor) if impostor else 0.0
         frr = below_g / len(genuine) if genuine else 0.0
         rows.append((t, far, frr))
-    return EvalReport(tuple(rows), tuple(genuine), tuple(impostor))
+    return EvalReport(tuple(rows))
 
 
 def read_probe_rows(path: Path) -> list:

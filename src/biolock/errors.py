@@ -38,7 +38,7 @@ class ImageTooSmall(BiolockError):
 
 
 class BlockTooSmall(BiolockError):
-    """Orientation/frequency block size below the minimum."""
+    """Image is smaller than one orientation/frequency block."""
 
 
 class EmptyTemplate(BiolockError):

@@ -45,7 +45,11 @@ DEFAULT_COHERENCE_WINDOW = 16   # W: window for per-pixel coherence sums
 DEFAULT_MASK_K = 0.0            # mask threshold offset: coh >= M_c + k*S_c
 DEFAULT_MORPH_RADIUS = 2        # mask cleanup element radius
 
-DEFAULT_BLOCK = 16              # block size for orientation/frequency grids
+# The one block grid: orientation and frequency are estimated on
+# h // DEFAULT_BLOCK by w // DEFAULT_BLOCK blocks of DEFAULT_BLOCK px, and
+# Gabor tiles and minutia orientations read the same blocks, the last block
+# row and column also covering the remainder of the image.
+DEFAULT_BLOCK = 16
 FREQ_MIN = 1.0 / 25.0           # plausible ridge frequency band (cycles/px)
 FREQ_MAX = 1.0 / 3.0
 FREQ_FALLBACK = 1.0 / 9.0       # used when no block yields a reliable estimate
@@ -73,19 +77,6 @@ TEMPLATE_MAGIC = b"FPT1"
 
 # ---------------------------------------------------------------------------
 # Domain types
-
-@dataclass(frozen=True)
-class SegmentationParams:
-    window: int = DEFAULT_COHERENCE_WINDOW
-    k: float = DEFAULT_MASK_K
-    morph_radius: int = DEFAULT_MORPH_RADIUS
-
-    def __post_init__(self):
-        if self.window < 8 or self.window % 2 != 0:
-            raise ValueError(f"coherence window must be even and >= 8, got {self.window}")
-        if self.morph_radius < 1:
-            raise ValueError(f"morph_radius must be >= 1, got {self.morph_radius}")
-
 
 @dataclass(frozen=True)
 class Minutia:
@@ -145,12 +136,12 @@ class RegistrationTransform:
 # ---------------------------------------------------------------------------
 # Segmentation
 
-def coherence_image(img: GrayImage, params: SegmentationParams = SegmentationParams()) -> FloatField:
+def coherence_image(img: GrayImage) -> FloatField:
     """Per-pixel structure-tensor coherence over a WxW window, in [0,1].
 
     Windows with zero gradient energy get coherence 0.
     """
-    w = params.window
+    w = DEFAULT_COHERENCE_WINDOW
     if img.width < w or img.height < w:
         raise ImageTooSmall(f"image must be at least {w}x{w}, got {img.width}x{img.height}")
     gx, gy = gradients(img)
@@ -174,18 +165,18 @@ def coherence_image(img: GrayImage, params: SegmentationParams = SegmentationPar
     return FloatField(np.clip(coh, 0.0, 1.0), kind="coherence")
 
 
-def segment(img: GrayImage, params: SegmentationParams = SegmentationParams()) -> tuple[BinaryImage, GrayImage]:
+def segment(img: GrayImage) -> tuple[BinaryImage, GrayImage]:
     """Foreground mask from block coherence, plus the masked image.
 
     Mask keeps pixels with coherence >= M_c + k*S_c (global mean/std of the
     coherence image), cleaned by closing-then-opening; mask-false pixels of
     the returned image are exactly 0.
     """
-    coh = coherence_image(img, params)
+    coh = coherence_image(img)
     m_c = float(coh.values.mean())
     s_c = float(coh.values.std())
-    raw = BinaryImage(coh.values >= m_c + params.k * s_c)
-    mask = morph_close_open(raw, params.morph_radius)
+    raw = BinaryImage(coh.values >= m_c + DEFAULT_MASK_K * s_c)
+    mask = morph_close_open(raw, DEFAULT_MORPH_RADIUS)
     segmented = GrayImage(np.where(mask.bits, img.pixels, 0.0))
     return mask, segmented
 
@@ -193,18 +184,18 @@ def segment(img: GrayImage, params: SegmentationParams = SegmentationParams()) -
 # ---------------------------------------------------------------------------
 # Orientation and frequency fields
 
-def estimate_orientation(img: GrayImage, block: int = DEFAULT_BLOCK) -> FloatField:
+def estimate_orientation(img: GrayImage) -> FloatField:
     """Per-block least-squares ridge orientation in [0, pi).
 
     Gradient orientation phi = atan2(sum 2*gx*gy, sum gx^2-gy^2) / 2; the
     ridge runs orthogonal to it.  Smoothed by averaging doubled-angle vectors
     over 3x3 block neighborhoods; blocks with no gradient energy stay 0.
     """
-    if block < 8 or block % 2 != 0:
-        raise BlockTooSmall(f"block must be even and >= 8, got {block}")
+    block = DEFAULT_BLOCK
     bw, bh = img.width // block, img.height // block
     if bw < 1 or bh < 1:
-        raise BlockTooSmall(f"image {img.width}x{img.height} too small for block {block}")
+        raise BlockTooSmall(
+            f"image {img.width}x{img.height} is smaller than one {block}-px block")
     gx, gy = gradients(img)
     gxx_m_gyy = gx * gx - gy * gy
     gxy2 = 2.0 * gx * gy
@@ -231,8 +222,7 @@ def estimate_orientation(img: GrayImage, block: int = DEFAULT_BLOCK) -> FloatFie
     return FloatField(np.where(out >= math.pi, 0.0, out), kind="orientation")
 
 
-def estimate_frequency(img: GrayImage, orientation: FloatField,
-                       block: int = DEFAULT_BLOCK) -> FloatField:
+def estimate_frequency(img: GrayImage, orientation: FloatField) -> FloatField:
     """Per-block ridge frequency from the signature across the ridge flow.
 
     Each block is sampled along the direction orthogonal to its orientation;
@@ -241,6 +231,7 @@ def estimate_frequency(img: GrayImage, orientation: FloatField,
     if no block at all yields an estimate the global fallback applies.
     """
     bh, bw = orientation.values.shape
+    block = DEFAULT_BLOCK
     pixels = img.pixels
     half = block  # samples run from -block to +block across the ridges
     t = np.arange(-half, half + 1, dtype=np.float64)
@@ -310,13 +301,16 @@ def gabor_enhance(img: GrayImage, orientation: FloatField, frequency: FloatField
     """Filter each pixel with the Gabor kernel of its block's (theta, freq).
 
     Returns the raw signed response raster; flat regions map to 0 because the
-    kernels carry no DC.
+    kernels carry no DC.  Both fields must hold one value per block of the
+    image's DEFAULT_BLOCK grid, else ValueError.
     """
-    bh, bw = orientation.values.shape
-    if frequency.values.shape != (bh, bw):
-        raise ValueError("orientation and frequency grids must agree")
-    block = img.height // bh
+    block = DEFAULT_BLOCK
     h, w = img.height, img.width
+    bh, bw = h // block, w // block
+    for grid in (orientation, frequency):
+        if grid.values.shape != (bh, bw):
+            raise ValueError(f"{grid.kind} grid {grid.values.shape} does not match the "
+                             f"{(bh, bw)} blocks of a {w}x{h} image")
     half = GABOR_HALF
     padded = np.pad(img.pixels, half, mode="edge")
     windows = np.lib.stride_tricks.sliding_window_view(padded, (2 * half + 1, 2 * half + 1))
@@ -374,10 +368,7 @@ def extract_minutiae(thinned: BinaryImage, orientation: FloatField,
     """Classify skeleton pixels by crossing number; report endings and
     bifurcations inside the mask, with directions lifted along their arms."""
     bits = thinned.bits
-    h, w = bits.shape
     bh, bw = orientation.values.shape
-    block_w = max(1, w // bw)
-    block_h = max(1, h // bh)
     codes = neighbour_codes(bits)
     cn = CROSSING_NUMBERS[codes]
     out: list[Minutia] = []
@@ -385,8 +376,8 @@ def extract_minutiae(thinned: BinaryImage, orientation: FloatField,
     for y, x in zip(ys.tolist(), xs.tolist()):
         if not mask.bits[y, x]:
             continue
-        bi = min(y // block_h, bh - 1)
-        bj = min(x // block_w, bw - 1)
+        bi = min(y // DEFAULT_BLOCK, bh - 1)
+        bj = min(x // DEFAULT_BLOCK, bw - 1)
         theta_base = float(orientation.values[bi, bj])
         neighbors = _skeleton_neighbors(codes, x, y)
         if cn[y, x] == 1:
@@ -720,7 +711,6 @@ def match_minutiae(template: FingerprintTemplate, probe: FingerprintTemplate,
 class PipelineArtifacts:
     """Intermediate rasters kept for inspection dumps."""
     mask: BinaryImage
-    segmented: GrayImage
     orientation: FloatField
     frequency: FloatField
     enhanced: np.ndarray
@@ -729,18 +719,15 @@ class PipelineArtifacts:
     raw_minutiae: list[Minutia]
 
 
-def build_template(img: GrayImage,
-                   seg_params: SegmentationParams = SegmentationParams(),
-                   block: int = DEFAULT_BLOCK,
-                   keep_artifacts: bool = False):
+def build_template(img: GrayImage, keep_artifacts: bool = False):
     """End-to-end extraction: segment, estimate fields, enhance, binarize,
     thin, extract and filter minutiae, cap to the template limit.
 
     Returns the template, or (template, PipelineArtifacts) when asked.
     """
-    mask, segmented = segment(img, seg_params)
-    orientation = estimate_orientation(img, block)
-    frequency = estimate_frequency(img, orientation, block)
+    mask, _ = segment(img)
+    orientation = estimate_orientation(img)
+    frequency = estimate_frequency(img, orientation)
     enhanced = gabor_enhance(img, orientation, frequency)
     binarized = adaptive_threshold(enhanced, BINARIZE_WINDOW)
     ridge_bits = BinaryImage(binarized.bits & mask.bits)
@@ -758,9 +745,8 @@ def build_template(img: GrayImage,
 
     template = FingerprintTemplate(tuple(kept), img.width, img.height)
     if keep_artifacts:
-        return template, PipelineArtifacts(mask, segmented, orientation,
-                                           frequency, enhanced, binarized,
-                                           thinned, raw)
+        return template, PipelineArtifacts(mask, orientation, frequency, enhanced,
+                                           binarized, thinned, raw)
     return template
 
 

@@ -98,8 +98,8 @@ class NormalizedStrip:
     """Polar unwrap of the iris annulus: rows = radius, columns = angle.
 
     Row 0 hugs the pupil boundary, the last row hugs the iris boundary.
-    ``valid`` marks cells that survived occlusion screening.  Both dimensions
-    must be divisible by 32 so a level-5 Haar analysis is well defined.
+    ``valid`` marks cells that survived occlusion screening.  Every strip is
+    DEFAULT_RADIAL x DEFAULT_ANGULAR, the one shape both code schemes take.
     """
 
     values: np.ndarray
@@ -108,27 +108,17 @@ class NormalizedStrip:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
         mask = np.asarray(self.valid)
-        if vals.ndim != 2 or vals.size == 0:
-            raise ValueError("strip values must form a non-empty 2-D array")
+        if vals.shape != (DEFAULT_RADIAL, DEFAULT_ANGULAR):
+            raise BadDimensions(
+                f"strip shape {vals.shape} must be {DEFAULT_RADIAL}x{DEFAULT_ANGULAR}")
         if mask.shape != vals.shape:
             raise ValueError("strip validity mask must match the value shape")
         if not np.all(np.isfinite(vals)):
             raise ValueError("strip values must be finite")
         if vals.min() < 0.0 or vals.max() > 1.0:
             raise ValueError("strip values must lie in [0, 1]")
-        if vals.shape[0] % 32 or vals.shape[1] % 32:
-            raise BadDimensions(
-                f"strip dimensions {vals.shape} must be divisible by 32")
         object.__setattr__(self, "values", _freeze(vals))
         object.__setattr__(self, "valid", _freeze(mask.astype(bool)))
-
-    @property
-    def radial(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def angular(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -203,13 +193,14 @@ def locate_pupil(img: GrayImage) -> tuple[float, float, float]:
     return cx, cy, pupil_r
 
 
-def _circle_samples(pixels: np.ndarray, cx: float, cy: float,
-                    radii: np.ndarray, samples: int) -> np.ndarray:
-    """Mean bilinear intensity around each circle, one row per radius."""
-    phi = 2.0 * math.pi * np.arange(samples) / samples
+def _polar_samples(pixels: np.ndarray, cx: float, cy: float,
+                   radii: np.ndarray, angular: int) -> np.ndarray:
+    """Bilinear samples on circles about (cx, cy): one row per radius, column
+    j at angle 2*pi*j / angular measured from the +x axis toward +y."""
+    phi = 2.0 * math.pi * np.arange(angular, dtype=np.float64) / angular
     x = cx + radii[:, None] * np.cos(phi)[None, :]
     y = cy + radii[:, None] * np.sin(phi)[None, :]
-    return _bilinear(pixels, x, y).mean(axis=1)
+    return _bilinear(pixels, x, y)
 
 
 def locate_iris_boundary(img: GrayImage, center_x: float, center_y: float,
@@ -231,8 +222,8 @@ def locate_iris_boundary(img: GrayImage, center_x: float, center_y: float,
             f"no room to search outward of radius {start:.1f} "
             f"within margin {margin:.1f}")
     radii = start + np.arange(steps, dtype=np.float64)
-    means = _circle_samples(img.pixels, center_x, center_y, radii,
-                            BOUNDARY_SAMPLES)
+    means = _polar_samples(img.pixels, center_x, center_y, radii,
+                           BOUNDARY_SAMPLES).mean(axis=1)
     jumps = np.abs(np.diff(means))
     return float(radii[int(jumps.argmax()) + 1])
 
@@ -240,27 +231,23 @@ def locate_iris_boundary(img: GrayImage, center_x: float, center_y: float,
 # ---------------------------------------------------------------------------
 # Normalization
 
-def normalize(img: GrayImage, geometry: IrisGeometry,
-              radial: int = DEFAULT_RADIAL,
-              angular: int = DEFAULT_ANGULAR) -> NormalizedStrip:
-    """Unwrap the iris annulus into a ``radial`` x ``angular`` polar strip.
+def normalize(img: GrayImage, geometry: IrisGeometry) -> NormalizedStrip:
+    """Unwrap the iris annulus into a DEFAULT_RADIAL x DEFAULT_ANGULAR polar
+    strip.
 
     Cell (i, j) samples the image bilinearly at radius
-    pupil_r + (i + 0.5) / radial * (iris_r - pupil_r) and angle
-    2*pi*j / angular measured from the +x axis toward +y.  All cells start
-    valid.
+    pupil_r + (i + 0.5) / DEFAULT_RADIAL * (iris_r - pupil_r) and angle
+    2*pi*j / DEFAULT_ANGULAR measured from the +x axis toward +y.  All cells
+    start valid.
     """
     cx, cy = geometry.center_x, geometry.center_y
     if (cx - geometry.iris_r < 0 or cx + geometry.iris_r > img.width - 1
             or cy - geometry.iris_r < 0 or cy + geometry.iris_r > img.height - 1):
         raise ValueError("iris circle extends beyond the image")
-    rows = np.arange(radial, dtype=np.float64)
-    r = geometry.pupil_r + (rows + 0.5) / radial * (geometry.iris_r - geometry.pupil_r)
-    phi = 2.0 * math.pi * np.arange(angular, dtype=np.float64) / angular
-    x = cx + r[:, None] * np.cos(phi)[None, :]
-    y = cy + r[:, None] * np.sin(phi)[None, :]
-    values = _bilinear(img.pixels, x, y)
-    return NormalizedStrip(values, np.ones((radial, angular), dtype=bool))
+    rows = np.arange(DEFAULT_RADIAL, dtype=np.float64)
+    r = geometry.pupil_r + (rows + 0.5) / DEFAULT_RADIAL * (geometry.iris_r - geometry.pupil_r)
+    values = _polar_samples(img.pixels, cx, cy, r, DEFAULT_ANGULAR)
+    return NormalizedStrip(values, np.ones(values.shape, dtype=bool))
 
 
 def detect_eyelids(strip: NormalizedStrip) -> NormalizedStrip:
@@ -269,21 +256,22 @@ def detect_eyelids(strip: NormalizedStrip) -> NormalizedStrip:
     A column is flagged when its angle falls in the upper (60-120 degree) or
     lower (240-300 degree) sector and its mean intensity deviates from the
     strip's global median by more than two global standard deviations.
-    Flagged columns lose validity for rows i >= radial/2; values are kept.
+    Flagged columns lose validity for rows i >= DEFAULT_RADIAL / 2; values
+    are kept.
     """
     vals = strip.values
     median = float(np.median(vals))
     spread = float(vals.std())
     col_mean = vals.mean(axis=0)
-    angles = 2.0 * math.pi * np.arange(strip.angular) / strip.angular
-    in_sector = np.zeros(strip.angular, dtype=bool)
+    angles = 2.0 * math.pi * np.arange(DEFAULT_ANGULAR) / DEFAULT_ANGULAR
+    in_sector = np.zeros(DEFAULT_ANGULAR, dtype=bool)
     for lo, hi in EYELID_SECTORS:
         in_sector |= (angles >= lo) & (angles <= hi)
     flagged = in_sector & (np.abs(col_mean - median) > EYELID_DEVIATION * spread)
     if not flagged.any():
         return strip
     valid = strip.valid.copy()
-    valid[strip.radial // 2:, flagged] = False
+    valid[DEFAULT_RADIAL // 2:, flagged] = False
     return NormalizedStrip(strip.values, valid)
 
 
@@ -350,9 +338,6 @@ def haar_code(strip: NormalizedStrip) -> IrisCode:
     then the level-5 approximation.  A bit's mask is 0 when any strip cell in
     the coefficient's support is invalid.
     """
-    if strip.radial % 32 or strip.angular % 32:
-        raise BadDimensions(
-            f"strip {strip.values.shape} must be divisible by 32 in both axes")
     approx, details = haar_decompose(strip.values, HAAR_LEVELS)
     invalid = ~strip.valid
     pieces = []
@@ -398,15 +383,11 @@ def mellin_code(strip: NormalizedStrip) -> IrisCode:
     and clamps in radius.  A bit is 1 when the response phase lies in (0, pi];
     its mask is 0 when more than half the window's cells are invalid.
     """
-    if strip.radial < MELLIN_WINDOW_ROWS or strip.angular < MELLIN_WINDOW_COLS:
-        raise BadDimensions(
-            f"strip {strip.values.shape} is smaller than the "
-            f"{MELLIN_WINDOW_ROWS}x{MELLIN_WINDOW_COLS} operator window")
     r_count, a_count = MELLIN_RADIAL_ANCHORS, MELLIN_ANGULAR_ANCHORS
-    centers = (np.arange(r_count) + 0.5) * strip.radial / r_count
+    centers = (np.arange(r_count) + 0.5) * DEFAULT_RADIAL / r_count
     tops = np.clip(np.round(centers - MELLIN_WINDOW_ROWS / 2).astype(int),
-                   0, strip.radial - MELLIN_WINDOW_ROWS)
-    stride = strip.angular // a_count
+                   0, DEFAULT_RADIAL - MELLIN_WINDOW_ROWS)
+    stride = DEFAULT_ANGULAR // a_count
     kernels = _mellin_kernels(np.unique(tops))
 
     # Wrap the strip so every angular window is a contiguous slice.
@@ -458,8 +439,8 @@ def hamming_distance(a: IrisCode, b: IrisCode,
     rotated by s within each subband/anchor row, and the fraction of jointly
     valid bits that disagree is computed.  Returns the minimum over shifts
     with at least 64 jointly valid bits; raises IncomparableCodes when no
-    shift reaches that, and SchemeMismatch when the codes' schemes or lengths
-    differ.  A gallery of one for :func:`hamming_distances`.
+    shift reaches that, and SchemeMismatch when the codes' schemes differ.
+    A gallery of one for :func:`hamming_distances`.
     """
     return float(hamming_distances([a], b, max_shift)[0])
 
@@ -480,10 +461,8 @@ def hamming_distances(gallery: list[IrisCode], probe: IrisCode,
     (a negative max_shift leaves no shift) or of another scheme.
     """
     for a in gallery:
-        if a.scheme != probe.scheme or len(a) != len(probe):
-            raise SchemeMismatch(
-                f"cannot compare {a.scheme}/{len(a)} against "
-                f"{probe.scheme}/{len(probe)}")
+        if a.scheme != probe.scheme:
+            raise SchemeMismatch(f"cannot compare {a.scheme} against {probe.scheme}")
     if not gallery:
         return np.empty(0)
     if max_shift < 0:

@@ -24,7 +24,7 @@ import math
 import os
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -225,15 +225,7 @@ class AuditLog:
             ms_final=float(ms_final),
             detail=str(detail),
         )
-        line = json.dumps(
-            {
-                "ts": event.ts,
-                "kind": event.kind,
-                "claimed_id": event.claimed_id,
-                "ms_final": event.ms_final,
-                "detail": event.detail,
-            }
-        )
+        line = json.dumps(asdict(event))
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
@@ -251,15 +243,7 @@ def read_audit_log(path: Union[str, Path]) -> list:
             continue
         try:
             data = json.loads(line)
-            events.append(
-                AuditEvent(
-                    ts=data["ts"],
-                    kind=data["kind"],
-                    claimed_id=data["claimed_id"],
-                    ms_final=data["ms_final"],
-                    detail=data["detail"],
-                )
-            )
+            events.append(AuditEvent(**{f.name: data[f.name] for f in fields(AuditEvent)}))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}: line {lineno}: bad audit record: {exc}") from exc
     return events
@@ -281,13 +265,19 @@ def _manifest_check(condition: bool, where: Path, message: str) -> None:
         raise CorruptManifest(f"{where}: {message}")
 
 
-def _load_bytes(db_path: Path, name: str) -> bytes:
-    _manifest_check(isinstance(name, str) and name, db_path / MANIFEST_NAME,
+def _load_file(manifest_path: Path, name, decode):
+    """Read and decode one file the manifest names; decode errors name it."""
+    _manifest_check(isinstance(name, str) and name, manifest_path,
                     f"bad file reference {name!r}")
-    full = db_path / name
-    if not full.is_file():
-        raise MissingTemplateFile(str(full))
-    return full.read_bytes()
+    full = manifest_path.parent / name
+    try:
+        blob = full.read_bytes()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise MissingTemplateFile(str(full)) from exc
+    try:
+        return decode(blob)
+    except (BadMagic, TruncatedData) as exc:
+        raise type(exc)(f"{full}: {exc}") from exc
 
 
 def load_db(path: Union[str, Path]) -> TemplateDB:
@@ -323,13 +313,7 @@ def load_db(path: Union[str, Path]) -> TemplateDB:
                         f"subject {subject_id!r}: fingers must be a list")
         _manifest_check(isinstance(iris_entry, list), manifest_path,
                         f"subject {subject_id!r}: iris must be a list")
-        templates = []
-        for name in fingers_entry:
-            blob = _load_bytes(db.path, name)
-            try:
-                templates.append(decode_template(blob))
-            except (BadMagic, TruncatedData) as exc:
-                raise type(exc)(f"{db.path / name}: {exc}") from exc
+        templates = [_load_file(manifest_path, name, decode_template) for name in fingers_entry]
         pairs = []
         for item in iris_entry:
             _manifest_check(isinstance(item, dict) and "haar" in item and "mellin" in item,
@@ -337,11 +321,7 @@ def load_db(path: Union[str, Path]) -> TemplateDB:
                             f"subject {subject_id!r}: iris entry needs haar and mellin files")
             codes = {}
             for scheme, key in ((SCHEME_HAAR, "haar"), (SCHEME_MELLIN, "mellin")):
-                blob = _load_bytes(db.path, item[key])
-                try:
-                    code = decode_code(blob)
-                except (BadMagic, TruncatedData) as exc:
-                    raise type(exc)(f"{db.path / item[key]}: {exc}") from exc
+                code = _load_file(manifest_path, item[key], decode_code)
                 _manifest_check(code.scheme == scheme, manifest_path,
                                 f"{item[key]}: manifest lists a {scheme} code but the file holds {code.scheme}")
                 codes[key] = code

@@ -25,7 +25,6 @@ from biolock.fingerprint import (
     MatchParams,
     Minutia,
     RegistrationTransform,
-    SegmentationParams,
     build_template,
     coherence_image,
     crossing_number,
@@ -199,13 +198,8 @@ def test_orientation_constant_image_is_zero():
 
 
 def test_orientation_rejects_bad_blocks():
-    img = ridge_image(64, 8)
     with pytest.raises(BlockTooSmall):
-        estimate_orientation(img, block=6)
-    with pytest.raises(BlockTooSmall):
-        estimate_orientation(img, block=9)
-    with pytest.raises(BlockTooSmall):
-        estimate_orientation(GrayImage(np.full((32, 32), 0.5)), block=64)
+        estimate_orientation(GrayImage(np.full((15, 32), 0.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +272,49 @@ def test_gabor_constant_image_zero_response():
     frequency = estimate_frequency(img, orientation)
     enhanced = gabor_enhance(img, orientation, frequency)
     assert np.max(np.abs(enhanced)) < 1e-12
+
+
+def gabor_oracle(img, orientation, frequency):
+    """Each pixel filtered with the kernel of the 16-px block it lies in,
+    the last block row and column taking the remainder of the image."""
+    half = fingerprint.GABOR_HALF
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(img.pixels, half, mode="edge"), (2 * half + 1, 2 * half + 1))
+    bh, bw = orientation.values.shape
+    row_block = np.minimum(np.arange(img.height) // 16, bh - 1)
+    col_block = np.minimum(np.arange(img.width) // 16, bw - 1)
+    out = np.full((img.height, img.width), np.nan)
+    for bi in range(bh):
+        rows = np.flatnonzero(row_block == bi)
+        for bj in range(bw):
+            cols = np.flatnonzero(col_block == bj)
+            kernel = fingerprint._gabor_kernel(orientation.values[bi, bj],
+                                               frequency.values[bi, bj])
+            out[np.ix_(rows, cols)] = np.tensordot(windows[np.ix_(rows, cols)], kernel,
+                                                   axes=([2, 3], [0, 1]))
+    return out
+
+
+@pytest.mark.parametrize("size", [120, 255])
+def test_gabor_tiles_follow_the_16px_block_grid(size):
+    # 120 // 7 and 255 // 15 are 17: tiles sized by height // blocks would
+    # drift away from the 16-px blocks the fields were estimated on.
+    img = synthgen.render_print([(size * 0.4, size * 0.55, 1.0)], beta=0.3, size=size)
+    orientation = estimate_orientation(img)
+    frequency = estimate_frequency(img, orientation)
+    assert orientation.values.shape == (size // 16, size // 16)
+    assert np.array_equal(gabor_enhance(img, orientation, frequency),
+                          gabor_oracle(img, orientation, frequency))
+
+
+def test_gabor_rejects_grids_off_the_block_grid():
+    img = ridge_image(128, 8)
+    orientation = FloatField(np.zeros((4, 4)), kind="orientation")
+    frequency = FloatField(np.full((4, 4), 1.0 / 8.0), kind="frequency")
+    with pytest.raises(ValueError):
+        gabor_enhance(img, orientation, frequency)
+    with pytest.raises(ValueError):
+        gabor_enhance(img, estimate_orientation(img), frequency)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +394,17 @@ def test_extract_skips_minutiae_outside_mask():
     found = extract_minutiae(thinned, zeros_field(2), BinaryImage(bits))
     assert len(found) == 1
     assert (found[0].x, found[0].y, found[0].kind) == (10.0, 16.0, KIND_ENDING)
+
+
+def test_extract_orients_minutiae_by_16px_blocks():
+    # 120 // 7 is 17, but row 16 is the first row of block row 1.
+    thinned = skeleton_image(hline(40, 60, 16), 120)
+    mask = BinaryImage(np.ones((120, 120), dtype=bool))
+    rows = np.repeat(0.1 * np.arange(7)[:, None], 7, axis=1)
+    found = extract_minutiae(thinned, FloatField(rows, kind="orientation"), mask)
+    # the ending at x = 60 departs leftward, against the block orientation
+    right = next(m for m in found if m.x == 60.0)
+    assert right.theta == pytest.approx(0.1 + math.pi)
 
 
 def test_extract_reports_only_cn_one_or_three():

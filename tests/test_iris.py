@@ -201,9 +201,6 @@ def test_normalize_dimensions():
     strip = normalize(synthgen.render_eye(7), IrisGeometry(128, 128, 28, 96))
     assert strip.values.shape == (DEFAULT_RADIAL, DEFAULT_ANGULAR)
     assert strip.valid.all()
-    small = normalize(synthgen.render_eye(7), IrisGeometry(128, 128, 28, 96),
-                      radial=32, angular=256)
-    assert small.values.shape == (32, 256)
 
 
 def test_normalize_radially_symmetric_rows_constant():
@@ -237,6 +234,13 @@ def test_strip_dimensions_divisible_by_32():
         NormalizedStrip(np.zeros((60, 512)), np.ones((60, 512), bool))
     with pytest.raises(BadDimensions):
         NormalizedStrip(np.zeros((64, 520)), np.ones((64, 520), bool))
+
+
+def test_strip_rejects_every_other_shape():
+    # both divide by 32, and neither codes to the fixed 512/1536-bit layouts
+    for shape in ((32, 256), (96, 512)):
+        with pytest.raises(BadDimensions):
+            NormalizedStrip(np.zeros(shape), np.ones(shape, bool))
 
 
 def test_strip_validation():

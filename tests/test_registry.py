@@ -1,5 +1,6 @@
 """Tests for the template database: enrollment, matching, audit, persistence."""
 
+import dataclasses
 import json
 import math
 import shutil
@@ -524,7 +525,8 @@ def test_audit_log_is_append_only(tmp_path):
     lines = combined.decode().splitlines()
     assert len(lines) == 2
     record = json.loads(lines[1])
-    assert set(record) == {"ts", "kind", "claimed_id", "ms_final", "detail"}
+    assert (list(record) == [f.name for f in dataclasses.fields(AuditEvent)]
+            == ["ts", "kind", "claimed_id", "ms_final", "detail"])
 
 
 def test_read_audit_log_errors(tmp_path):
@@ -573,6 +575,16 @@ def test_load_db_missing_template_file(enrolled, tmp_path):
     root = _copy_db(enrolled, tmp_path / "db")
     victim = root / "bob_finger_0.fpt"
     victim.unlink()
+    with pytest.raises(MissingTemplateFile) as err:
+        load_db(root)
+    assert "bob_finger_0.fpt" in str(err.value)
+
+
+def test_load_db_directory_in_place_of_file(enrolled, tmp_path):
+    root = _copy_db(enrolled, tmp_path / "db")
+    victim = root / "bob_finger_0.fpt"
+    victim.unlink()
+    victim.mkdir()
     with pytest.raises(MissingTemplateFile) as err:
         load_db(root)
     assert "bob_finger_0.fpt" in str(err.value)
