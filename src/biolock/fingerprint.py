@@ -165,6 +165,13 @@ def coherence_image(img: GrayImage) -> FloatField:
     return FloatField(np.clip(coh, 0.0, 1.0), kind="coherence")
 
 
+def _foreground_mask(img: GrayImage) -> BinaryImage:
+    """The mask of :func:`segment`, without the masked image."""
+    coh = coherence_image(img).values
+    raw = BinaryImage(coh >= float(coh.mean()) + DEFAULT_MASK_K * float(coh.std()))
+    return morph_close_open(raw, DEFAULT_MORPH_RADIUS)
+
+
 def segment(img: GrayImage) -> tuple[BinaryImage, GrayImage]:
     """Foreground mask from block coherence, plus the masked image.
 
@@ -172,13 +179,8 @@ def segment(img: GrayImage) -> tuple[BinaryImage, GrayImage]:
     coherence image), cleaned by closing-then-opening; mask-false pixels of
     the returned image are exactly 0.
     """
-    coh = coherence_image(img)
-    m_c = float(coh.values.mean())
-    s_c = float(coh.values.std())
-    raw = BinaryImage(coh.values >= m_c + DEFAULT_MASK_K * s_c)
-    mask = morph_close_open(raw, DEFAULT_MORPH_RADIUS)
-    segmented = GrayImage(np.where(mask.bits, img.pixels, 0.0))
-    return mask, segmented
+    mask = _foreground_mask(img)
+    return mask, GrayImage(np.where(mask.bits, img.pixels, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +199,13 @@ def estimate_orientation(img: GrayImage) -> FloatField:
         raise BlockTooSmall(
             f"image {img.width}x{img.height} is smaller than one {block}-px block")
     gx, gy = gradients(img)
-    gxx_m_gyy = gx * gx - gy * gy
-    gxy2 = 2.0 * gx * gy
 
     def block_sum(a):
         trimmed = a[:bh * block, :bw * block]
         return trimmed.reshape(bh, block, bw, block).sum(axis=(1, 3))
 
-    sx = block_sum(gxx_m_gyy)
-    sxy = block_sum(gxy2)
+    sx = block_sum(gx * gx - gy * gy)
+    sxy = block_sum(2.0 * gx * gy)
     phi = 0.5 * np.arctan2(sxy, sx)
     theta = np.mod(phi + 0.5 * math.pi, math.pi)
 
@@ -222,6 +222,47 @@ def estimate_orientation(img: GrayImage) -> FloatField:
     return FloatField(np.where(out >= math.pi, 0.0, out), kind="orientation")
 
 
+def _check_block_grid(img: GrayImage, *grids: FloatField) -> None:
+    """ValueError unless each grid holds one value per block of the image."""
+    shape = (img.height // DEFAULT_BLOCK, img.width // DEFAULT_BLOCK)
+    for grid in grids:
+        if grid.values.shape != shape:
+            raise ValueError(f"{grid.kind} grid {grid.values.shape} does not match the "
+                             f"{shape} blocks of a {img.width}x{img.height} image")
+
+
+def _cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``math.cos`` and ``math.sin`` of the flattened angles (numpy's may differ)."""
+    angles = angles.ravel().tolist()
+    return np.array([math.cos(a) for a in angles]), np.array([math.sin(a) for a in angles])
+
+
+def _block_frequencies(img: GrayImage, orientation: FloatField) -> np.ndarray:
+    """Per block, 1/mean spacing of the signature peaks clamped to the band, NaN
+    below two peaks: all blocks at once, with the per-block float operations in order."""
+    _check_block_grid(img, orientation)
+    bh, bw = orientation.values.shape
+    t = np.arange(-DEFAULT_BLOCK, DEFAULT_BLOCK + 1, dtype=np.float64)  # across the ridges
+    bi, bj = np.divmod(np.arange(bh * bw)[:, None], bw)
+    cx, cy = bj * DEFAULT_BLOCK + DEFAULT_BLOCK / 2.0, bi * DEFAULT_BLOCK + DEFAULT_BLOCK / 2.0
+    nx, ny = (c[:, None] for c in _cos_sin(orientation.values + 0.5 * math.pi))
+    rx, ry = (c[:, None] for c in _cos_sin(orientation.values))
+    offsets = (-3.0, 0.0, 3.0)
+    sig = np.zeros((bh * bw, len(t)))
+    for o in offsets:
+        sig += _bilinear(img.pixels, cx + o * rx + t * nx, cy + o * ry + t * ny)
+    sig /= len(offsets)
+    peaks = (sig[:, 1:-1] > sig[:, :-2]) & (sig[:, 1:-1] >= sig[:, 2:])
+    count = peaks.sum(axis=1)
+    ok = count >= 2
+    first = peaks[ok].argmax(axis=1)
+    last = peaks.shape[1] - 1 - peaks[ok, ::-1].argmax(axis=1)
+    freq = np.full(bh * bw, np.nan)
+    # integer gaps between peaks sum to last - first exactly: this is their mean
+    freq[ok] = np.minimum(np.maximum(1.0 / ((last - first) / (count[ok] - 1)), FREQ_MIN), FREQ_MAX)
+    return freq.reshape(bh, bw)
+
+
 def estimate_frequency(img: GrayImage, orientation: FloatField) -> FloatField:
     """Per-block ridge frequency from the signature across the ridge flow.
 
@@ -229,34 +270,10 @@ def estimate_frequency(img: GrayImage, orientation: FloatField) -> FloatField:
     frequency is 1/mean spacing of signature peaks, clamped to the plausible
     band.  Blocks without peaks take the median of estimated neighbors, and
     if no block at all yields an estimate the global fallback applies.
+    ValueError unless the orientation grid is the image's DEFAULT_BLOCK grid.
     """
-    bh, bw = orientation.values.shape
-    block = DEFAULT_BLOCK
-    pixels = img.pixels
-    half = block  # samples run from -block to +block across the ridges
-    t = np.arange(-half, half + 1, dtype=np.float64)
-    offsets = (-3.0, 0.0, 3.0)
-
-    freq = np.full((bh, bw), np.nan)
-    for bi in range(bh):
-        for bj in range(bw):
-            theta = orientation.values[bi, bj]
-            cx = bj * block + block / 2.0
-            cy = bi * block + block / 2.0
-            nx, ny = math.cos(theta + 0.5 * math.pi), math.sin(theta + 0.5 * math.pi)
-            rx, ry = math.cos(theta), math.sin(theta)
-            sig = np.zeros_like(t)
-            for o in offsets:
-                sx = cx + o * rx + t * nx
-                sy = cy + o * ry + t * ny
-                sig += _bilinear(pixels, sx, sy)
-            sig /= len(offsets)
-            peaks = [i for i in range(1, len(sig) - 1)
-                     if sig[i] > sig[i - 1] and sig[i] >= sig[i + 1]]
-            if len(peaks) >= 2:
-                gaps = np.diff(peaks)
-                f = 1.0 / float(gaps.mean())
-                freq[bi, bj] = min(max(f, FREQ_MIN), FREQ_MAX)
+    freq = _block_frequencies(img, orientation)
+    bh, bw = freq.shape
 
     # propagate estimates into empty blocks: simultaneous rounds of
     # median-of-known-neighbors until the grid stops changing
@@ -287,16 +304,6 @@ def estimate_frequency(img: GrayImage, orientation: FloatField) -> FloatField:
 # ---------------------------------------------------------------------------
 # Enhancement
 
-def _gabor_kernel(theta: float, freq: float) -> np.ndarray:
-    """Even-symmetric Gabor tuned across the ridge flow, mean-compensated."""
-    half = GABOR_HALF
-    v, u = np.mgrid[-half:half + 1, -half:half + 1].astype(np.float64)
-    phi = theta + 0.5 * math.pi  # direction of intensity variation
-    up = u * math.cos(phi) + v * math.sin(phi)
-    g = np.exp(-(u * u + v * v) / (2.0 * GABOR_SIGMA ** 2)) * np.cos(2.0 * math.pi * freq * up)
-    return g - g.mean()
-
-
 def gabor_enhance(img: GrayImage, orientation: FloatField, frequency: FloatField) -> np.ndarray:
     """Filter each pixel with the Gabor kernel of its block's (theta, freq).
 
@@ -304,25 +311,23 @@ def gabor_enhance(img: GrayImage, orientation: FloatField, frequency: FloatField
     kernels carry no DC.  Both fields must hold one value per block of the
     image's DEFAULT_BLOCK grid, else ValueError.
     """
-    block = DEFAULT_BLOCK
-    h, w = img.height, img.width
-    bh, bw = h // block, w // block
-    for grid in (orientation, frequency):
-        if grid.values.shape != (bh, bw):
-            raise ValueError(f"{grid.kind} grid {grid.values.shape} does not match the "
-                             f"{(bh, bw)} blocks of a {w}x{h} image")
+    _check_block_grid(img, orientation, frequency)
+    # per block, an even-symmetric kernel across the ridge flow less its own mean
     half = GABOR_HALF
-    padded = np.pad(img.pixels, half, mode="edge")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (2 * half + 1, 2 * half + 1))
-    out = np.zeros((h, w))
-    for bi in range(bh):
-        r0 = bi * block
-        r1 = (bi + 1) * block if bi < bh - 1 else h
-        for bj in range(bw):
-            c0 = bj * block
-            c1 = (bj + 1) * block if bj < bw - 1 else w
-            kernel = _gabor_kernel(orientation.values[bi, bj], frequency.values[bi, bj])
-            out[r0:r1, c0:c1] = np.tensordot(windows[r0:r1, c0:c1], kernel, axes=([2, 3], [0, 1]))
+    v, u = np.mgrid[-half:half + 1, -half:half + 1].astype(np.float64)
+    cos_phi, sin_phi = (c[:, None, None] for c in _cos_sin(orientation.values + 0.5 * math.pi))
+    g = (np.exp(-(u * u + v * v) / (2.0 * GABOR_SIGMA ** 2))
+         * np.cos(2.0 * math.pi * frequency.values.reshape(-1, 1, 1) * (u * cos_phi + v * sin_phi)))
+    kernels = g - g.mean(axis=(1, 2), keepdims=True)
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(img.pixels, half, mode="edge"),
+                                                       u.shape)
+    bh, bw = orientation.values.shape
+    rows = [DEFAULT_BLOCK * bi for bi in range(bh)] + [img.height]
+    cols = [DEFAULT_BLOCK * bj for bj in range(bw)] + [img.width]
+    out = np.zeros((img.height, img.width))
+    for k, (bi, bj) in enumerate(np.ndindex(bh, bw)):
+        tile = np.s_[rows[bi]:rows[bi + 1], cols[bj]:cols[bj + 1]]
+        out[tile] = np.tensordot(windows[tile], kernels[k], axes=([2, 3], [0, 1]))
     return out
 
 
@@ -356,11 +361,8 @@ def _walk_arm(codes: np.ndarray, start: tuple[int, int], first: tuple[int, int],
 
 def _lift_direction(theta_base: float, vx: float, vy: float) -> float:
     """Lift a [0,pi) ridge orientation to [0,2*pi) toward the vector (vx,vy)."""
-    if vx * math.cos(theta_base) + vy * math.sin(theta_base) >= 0.0:
-        lifted = theta_base
-    else:
-        lifted = theta_base + math.pi
-    return lifted % (2.0 * math.pi)
+    facing = vx * math.cos(theta_base) + vy * math.sin(theta_base) >= 0.0
+    return (theta_base if facing else theta_base + math.pi) % (2.0 * math.pi)
 
 
 def extract_minutiae(thinned: BinaryImage, orientation: FloatField,
@@ -396,10 +398,8 @@ def extract_minutiae(thinned: BinaryImage, orientation: FloatField,
                 if norm > 0:
                     vx += (fx - x) / norm
                     vy += (fy - y) / norm
-        if abs(vx) < 1e-12 and abs(vy) < 1e-12:
-            theta = theta_base
-        else:
-            theta = _lift_direction(theta_base, vx, vy)
+        still = abs(vx) < 1e-12 and abs(vy) < 1e-12
+        theta = theta_base if still else _lift_direction(theta_base, vx, vy)
         out.append(Minutia(float(x), float(y), theta, kind))
     return out
 
@@ -725,7 +725,7 @@ def build_template(img: GrayImage, keep_artifacts: bool = False):
 
     Returns the template, or (template, PipelineArtifacts) when asked.
     """
-    mask, _ = segment(img)
+    mask = _foreground_mask(img)
     orientation = estimate_orientation(img)
     frequency = estimate_frequency(img, orientation)
     enhanced = gabor_enhance(img, orientation, frequency)

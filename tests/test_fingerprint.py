@@ -42,6 +42,7 @@ from biolock.fingerprint import (
 )
 from biolock.imaging import (
     CROSSING_NUMBERS,
+    _bilinear,
     BinaryImage,
     FloatField,
     GrayImage,
@@ -221,8 +222,111 @@ def test_frequency_period_twelve():
 
 def test_frequency_constant_image_falls_back():
     img = GrayImage(np.full((64, 64), 0.6))
-    field = estimate_frequency(img, estimate_orientation(img))
+    orientation = estimate_orientation(img)
+    first_pass = fingerprint._block_frequencies(img, orientation)
+    assert np.isnan(first_pass).all()
+    assert np.array_equal(first_pass, frequency_oracle(img, orientation), equal_nan=True)
+    field = estimate_frequency(img, orientation)
     assert np.all(field.values == FREQ_FALLBACK)
+
+
+def test_frequency_rejects_grids_off_the_block_grid():
+    # A 12x12 grid on a 128x128 image would sample blocks 8-11 outside it.
+    img = ridge_image(128, 8)
+    frequency = FloatField(np.full((8, 8), 1.0 / 8.0), kind="frequency")
+    for blocks in (12, 4):
+        orientation = FloatField(np.zeros((blocks, blocks)), kind="orientation")
+        with pytest.raises(ValueError) as freq_error:
+            estimate_frequency(img, orientation)
+        with pytest.raises(ValueError) as gabor_error:
+            gabor_enhance(img, orientation, frequency)
+        assert str(freq_error.value) == str(gabor_error.value)
+
+
+def signature_oracle(pixels, theta, cx, cy):
+    """The signature of one block: samples across the ridge flow through its
+    centre, averaged over three lines 3 px apart along the flow."""
+    t = np.arange(-16, 17, dtype=np.float64)
+    nx, ny = math.cos(theta + 0.5 * math.pi), math.sin(theta + 0.5 * math.pi)
+    rx, ry = math.cos(theta), math.sin(theta)
+    offsets = (-3.0, 0.0, 3.0)
+    sig = np.zeros_like(t)
+    for o in offsets:
+        sx = cx + o * rx + t * nx
+        sy = cy + o * ry + t * ny
+        sig += _bilinear(pixels, sx, sy)
+    sig /= len(offsets)
+    return sig
+
+
+def signature_peaks(sig):
+    return [i for i in range(1, len(sig) - 1) if sig[i] > sig[i - 1] and sig[i] >= sig[i + 1]]
+
+
+def block_signatures(img, orientation):
+    bh, bw = orientation.values.shape
+    for bi in range(bh):
+        for bj in range(bw):
+            yield bi, bj, signature_oracle(img.pixels, orientation.values[bi, bj],
+                                           bj * 16 + 16 / 2.0, bi * 16 + 16 / 2.0)
+
+
+def frequency_oracle(img, orientation):
+    """The first frequency pass, block by block: 1/mean peak gap clamped to
+    the band, NaN where the signature has fewer than two peaks."""
+    freq = np.full(orientation.values.shape, np.nan)
+    for bi, bj, sig in block_signatures(img, orientation):
+        peaks = signature_peaks(sig)
+        if len(peaks) >= 2:
+            f = 1.0 / float(np.diff(peaks).mean())
+            freq[bi, bj] = min(max(f, fingerprint.FREQ_MIN), fingerprint.FREQ_MAX)
+    return freq
+
+
+def assert_frequency_matches_oracle(img, orientation):
+    got = fingerprint._block_frequencies(img, orientation)
+    assert np.array_equal(got, frequency_oracle(img, orientation), equal_nan=True)
+    return got
+
+
+def test_frequency_equals_oracle_on_zero_one_and_two_peak_blocks():
+    # Vertical ridges of long periods leave 0 or 1 peaks in a 33-sample
+    # signature; rounding the profile adds plateaus for the >/>= rule.
+    seen = set()
+    for period, phase in ((96, 0.0), (40, 0.3), (40, 2.0), (20, 1.0), (18, 0.0)):
+        coords = np.arange(96, dtype=np.float64)
+        profile = 0.5 + 0.4 * np.cos(2.0 * math.pi * coords / period + phase)
+        for pixels in (profile, np.round(profile * 8.0) / 8.0):
+            img = GrayImage(np.tile(pixels, (80, 1)))
+            for orientation in (estimate_orientation(img),
+                                FloatField(np.full((5, 6), math.pi / 2), kind="orientation")):
+                assert_frequency_matches_oracle(img, orientation)
+                seen.update(min(len(signature_peaks(sig)), 2)
+                            for *_, sig in block_signatures(img, orientation))
+    assert seen == {0, 1, 2}
+
+
+_THETAS = st.one_of(
+    st.sampled_from([0.0, math.nextafter(0.0, 1.0), math.pi / 4, math.pi / 2,
+                     math.nextafter(math.pi, 0.0), math.pi - 1e-9]),
+    st.floats(0.0, math.pi, exclude_max=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_frequency_and_gabor_equal_oracles_on_drawn_fields(data, seed):
+    # 90x70 px: 4x5 blocks whose last row and column take a remainder.
+    rng = np.random.default_rng(seed)
+    img = ridge_image(90, 9, angle=rng.uniform(0.0, math.pi))
+    img = GrayImage(np.clip(img.pixels[:70] + rng.normal(0.0, 0.1, (70, 90)), 0.0, 1.0))
+    theta = data.draw(st.lists(_THETAS, min_size=20, max_size=20))
+    freq = data.draw(st.lists(st.floats(fingerprint.FREQ_MIN, fingerprint.FREQ_MAX),
+                              min_size=20, max_size=20))
+    orientation = FloatField(np.reshape(theta, (4, 5)), kind="orientation")
+    frequency = FloatField(np.reshape(freq, (4, 5)), kind="frequency")
+    assert_frequency_matches_oracle(img, orientation)
+    assert np.array_equal(gabor_enhance(img, orientation, frequency),
+                          gabor_oracle(img, orientation, frequency))
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +378,18 @@ def test_gabor_constant_image_zero_response():
     assert np.max(np.abs(enhanced)) < 1e-12
 
 
+def kernel_oracle(theta, freq):
+    """Even-symmetric Gabor tuned across the ridge flow, mean-compensated,
+    built for one block."""
+    half = fingerprint.GABOR_HALF
+    v, u = np.mgrid[-half:half + 1, -half:half + 1].astype(np.float64)
+    phi = theta + 0.5 * math.pi  # direction of intensity variation
+    up = u * math.cos(phi) + v * math.sin(phi)
+    g = (np.exp(-(u * u + v * v) / (2.0 * fingerprint.GABOR_SIGMA ** 2))
+         * np.cos(2.0 * math.pi * freq * up))
+    return g - g.mean()
+
+
 def gabor_oracle(img, orientation, frequency):
     """Each pixel filtered with the kernel of the 16-px block it lies in,
     the last block row and column taking the remainder of the image."""
@@ -288,8 +404,7 @@ def gabor_oracle(img, orientation, frequency):
         rows = np.flatnonzero(row_block == bi)
         for bj in range(bw):
             cols = np.flatnonzero(col_block == bj)
-            kernel = fingerprint._gabor_kernel(orientation.values[bi, bj],
-                                               frequency.values[bi, bj])
+            kernel = kernel_oracle(orientation.values[bi, bj], frequency.values[bi, bj])
             out[np.ix_(rows, cols)] = np.tensordot(windows[np.ix_(rows, cols)], kernel,
                                                    axes=([2, 3], [0, 1]))
     return out
@@ -301,8 +416,9 @@ def test_gabor_tiles_follow_the_16px_block_grid(size):
     # drift away from the 16-px blocks the fields were estimated on.
     img = synthgen.render_print([(size * 0.4, size * 0.55, 1.0)], beta=0.3, size=size)
     orientation = estimate_orientation(img)
-    frequency = estimate_frequency(img, orientation)
     assert orientation.values.shape == (size // 16, size // 16)
+    assert_frequency_matches_oracle(img, orientation)
+    frequency = estimate_frequency(img, orientation)
     assert np.array_equal(gabor_enhance(img, orientation, frequency),
                           gabor_oracle(img, orientation, frequency))
 
@@ -647,6 +763,28 @@ def degraded_print(kinds, seed):
     up = np.kron(img.pixels, np.ones((2, 2)))
     noise = np.random.default_rng(seed).normal(0.0, 0.15, size=up.shape)
     return GrayImage(np.clip(up + noise, 0.0, 1.0))
+
+
+def test_frequency_and_gabor_equal_oracles_on_a_degraded_print():
+    img = degraded_print([KIND_ENDING, KIND_BIFURCATION] * 4, seed=7)
+    assert img.pixels.shape == (512, 512)
+    orientation = estimate_orientation(img)
+    assert_frequency_matches_oracle(img, orientation)
+    frequency = estimate_frequency(img, orientation)
+    assert np.array_equal(gabor_enhance(img, orientation, frequency),
+                          gabor_oracle(img, orientation, frequency))
+
+
+def test_build_template_takes_the_mask_without_the_masked_image(monkeypatch):
+    img = synthgen.render_print([(100.0, 140.0, 1.0)], beta=0.3)
+    mask, _ = segment(img)
+
+    def masked_image(*args):
+        raise AssertionError("build_template built the masked image")
+
+    monkeypatch.setattr(fingerprint, "segment", masked_image)
+    _, art = build_template(img, keep_artifacts=True)
+    assert np.array_equal(art.mask.bits, mask.bits)
 
 
 def test_filter_equals_oracle_on_degraded_prints():
