@@ -165,22 +165,26 @@ def coherence_image(img: GrayImage) -> FloatField:
     return FloatField(np.clip(coh, 0.0, 1.0), kind="coherence")
 
 
-def _foreground_mask(img: GrayImage) -> BinaryImage:
-    """The mask of :func:`segment`, without the masked image."""
-    coh = coherence_image(img).values
-    raw = BinaryImage(coh >= float(coh.mean()) + DEFAULT_MASK_K * float(coh.std()))
-    return morph_close_open(raw, DEFAULT_MORPH_RADIUS)
+def _border_distance(mask: BinaryImage) -> np.ndarray:
+    """Distance from each pixel to the nearest mask-false pixel, counting the
+    image frame itself as background."""
+    framed = np.pad(mask.bits, 1, mode="constant", constant_values=False)
+    dist = ndimage.distance_transform_edt(framed)
+    return dist[1:-1, 1:-1]
 
 
-def segment(img: GrayImage) -> tuple[BinaryImage, GrayImage]:
-    """Foreground mask from block coherence, plus the masked image.
+def segment(img: GrayImage) -> tuple[BinaryImage, np.ndarray]:
+    """Foreground mask from block coherence, plus its border distance.
 
     Mask keeps pixels with coherence >= M_c + k*S_c (global mean/std of the
-    coherence image), cleaned by closing-then-opening; mask-false pixels of
-    the returned image are exactly 0.
+    coherence image), cleaned by closing-then-opening.  The border raster
+    holds each pixel's distance to the nearest mask-false pixel or the image
+    frame, so it is 0 off the mask and at least 1 on it.
     """
-    mask = _foreground_mask(img)
-    return mask, GrayImage(np.where(mask.bits, img.pixels, 0.0))
+    coh = coherence_image(img).values
+    raw = BinaryImage(coh >= float(coh.mean()) + DEFAULT_MASK_K * float(coh.std()))
+    mask = morph_close_open(raw, DEFAULT_MORPH_RADIUS)
+    return mask, _border_distance(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +411,6 @@ def extract_minutiae(thinned: BinaryImage, orientation: FloatField,
 # ---------------------------------------------------------------------------
 # False-minutiae filtering
 
-def _border_distance(mask: BinaryImage) -> np.ndarray:
-    """Distance from each pixel to the nearest mask-false pixel, counting the
-    image frame itself as background."""
-    framed = np.pad(mask.bits, 1, mode="constant", constant_values=False)
-    dist = ndimage.distance_transform_edt(framed)
-    return dist[1:-1, 1:-1]
-
-
 def _angle_diff(a: float, b: float) -> float:
     """Absolute circular difference of two directions, in [0, pi]."""
     d = (a - b) % (2.0 * math.pi)
@@ -495,20 +491,16 @@ def _close_pairs(minutiae: list[Minutia], gap: float) -> list[tuple[int, int]]:
 
 
 def filter_false_minutiae(minutiae: list[Minutia], thinned: BinaryImage,
-                          mask: BinaryImage, avg_ridge_gap: float) -> list[Minutia]:
+                          border: np.ndarray, avg_ridge_gap: float) -> list[Minutia]:
     """Drop artifact minutiae: border effects, ridge breaks, spurs/spikes,
     holes, and bridges/ladders, in that order.
 
-    Each rule marks every qualifying minutia against the survivors of the
-    previous rule and removes them together, so re-filtering the output is a
-    no-op for the pair rules.
+    ``border`` is the border distance :func:`segment` returns with the mask;
+    the border rule drops minutiae closer than ``avg_ridge_gap`` to the mask
+    edge.  Each rule marks every qualifying minutia against the survivors of
+    the previous rule and removes them together, so re-filtering the output
+    is a no-op for the pair rules.
     """
-    return _filter_minutiae(minutiae, thinned, _border_distance(mask), avg_ridge_gap)
-
-
-def _filter_minutiae(minutiae: list[Minutia], thinned: BinaryImage,
-                     border: np.ndarray, avg_ridge_gap: float) -> list[Minutia]:
-    """:func:`filter_false_minutiae` given the mask's `_border_distance`."""
     if avg_ridge_gap <= 0:
         raise ValueError("avg_ridge_gap must be positive")
     gap = avg_ridge_gap
@@ -725,7 +717,7 @@ def build_template(img: GrayImage, keep_artifacts: bool = False):
 
     Returns the template, or (template, PipelineArtifacts) when asked.
     """
-    mask = _foreground_mask(img)
+    mask, border = segment(img)
     orientation = estimate_orientation(img)
     frequency = estimate_frequency(img, orientation)
     enhanced = gabor_enhance(img, orientation, frequency)
@@ -734,8 +726,7 @@ def build_template(img: GrayImage, keep_artifacts: bool = False):
     thinned = thin(ridge_bits)
     raw = extract_minutiae(thinned, orientation, mask)
     gap = 1.0 / float(np.median(frequency.values))
-    border = _border_distance(mask)
-    kept = _filter_minutiae(raw, thinned, border, gap)
+    kept = filter_false_minutiae(raw, thinned, border, gap)
 
     if len(kept) > MAX_MINUTIAE:
         scored = sorted(range(len(kept)),

@@ -8,9 +8,10 @@ linear map (:func:`rescale_to_common_threshold`), combines classifiers within a
 trait and then traits with weighted sums (:func:`fuse_classifiers`,
 :func:`fuse_modalities`), and finally thresholds the fused score into a
 genuine/impostor decision (:func:`decide`).  Each step takes a float or,
-elementwise, a float64 array with NaN for "no score": :func:`fuse_arrays` runs
-the one chain over a whole gallery, and :func:`fuse_row` and
-:func:`fuse_pipeline` are one-row calls of it.
+elementwise, a float64 array with NaN for "no score".  Raw scores come as a
+``{classifier: raw}`` mapping, read on the matchers' fixed [0, 1] scale with
+iris scores as distances: :func:`fuse_arrays` runs the one chain over a whole
+gallery, and :func:`fuse_pipeline` is its one-row call.
 
 Weighted sums are evaluated term-by-term (``w1*s1/total + w2*s2/total``) so the
 documented reference values (for example ``fuse_classifiers(0.8, 0.6, 1, 1) ==
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -45,10 +46,6 @@ TRAIT_CLASSIFIERS = {
     TRAIT_FINGER: (CLASSIFIER_REF, CLASSIFIER_MINUTIAE),
     TRAIT_IRIS: (CLASSIFIER_HAAR, CLASSIFIER_MELLIN),
 }
-
-#: Each matcher's raw scale (is_distance, range_lo, range_hi), all on [0, 1].
-NATIVE_SCALES = MappingProxyType({name: (name in TRAIT_CLASSIFIERS[TRAIT_IRIS], 0.0, 1.0)
-                                  for name in CLASSIFIERS})
 
 GENUINE = "genuine"
 IMPOSTOR = "impostor"
@@ -72,39 +69,6 @@ def _check_open_unit(name: str, value: float) -> float:
     if not 0.0 < value < 1.0:
         raise ValueError(f"{name} must be in (0, 1), got {value!r}")
     return value
-
-
-@dataclass(frozen=True)
-class ClassifierScore:
-    """One matcher's raw output, tagged with everything fusion needs; its raw
-    scale ``range_lo``..``range_hi`` defaults to the matchers' own [0, 1]."""
-
-    trait: str
-    classifier: str
-    value: float
-    is_distance: bool
-    range_lo: float = 0.0
-    range_hi: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.trait not in TRAITS:
-            raise ValueError(f"unknown trait {self.trait!r}; expected one of {TRAITS}")
-        if self.classifier not in CLASSIFIERS:
-            raise ValueError(
-                f"unknown classifier {self.classifier!r}; expected one of {CLASSIFIERS}"
-            )
-        if self.classifier not in TRAIT_CLASSIFIERS[self.trait]:
-            raise ValueError(
-                f"classifier {self.classifier!r} does not belong to trait {self.trait!r}"
-            )
-        object.__setattr__(self, "value", _check_finite("value", self.value))
-        object.__setattr__(self, "is_distance", bool(self.is_distance))
-        lo = _check_finite("range_lo", self.range_lo)
-        hi = _check_finite("range_hi", self.range_hi)
-        if not lo < hi:
-            raise DegenerateRange(f"range [{lo!r}, {hi!r}] has no extent")
-        object.__setattr__(self, "range_lo", lo)
-        object.__setattr__(self, "range_hi", hi)
 
 
 def _default_thresholds() -> Mapping[str, float]:
@@ -277,19 +241,19 @@ def decide(ms_final, threshold: float):
     return str(decision) if decision.ndim == 0 else decision
 
 
-def fuse_arrays(raw: Mapping[str, object], cfg: FusionConfig,
-                scales: Mapping[str, tuple] = NATIVE_SCALES) -> tuple:
+def fuse_arrays(raw: Mapping[str, object], cfg: FusionConfig) -> tuple:
     """Run the fusion chain over rows of raw scores, one array per classifier.
 
-    A NaN, or a classifier left out of ``raw``, is no score, and a lone score
-    passes through unfused; ``scales`` gives each classifier's raw scale.
-    Returns the ``(ms_finger, ms_iris, ms_final)`` arrays, NaN where absent.
+    Each raw score is clamped onto [0, 1]; iris scores are distances.  A NaN,
+    or a classifier left out of ``raw``, is no score, and a lone score passes
+    through unfused.  Returns the ``(ms_finger, ms_iris, ms_final)`` arrays,
+    NaN where absent.
     """
     rescaled = {}
     for name, values in raw.items():
         t_classifier = cfg.threshold_for(name)
-        is_distance, lo, hi = scales[name]
-        similarity = to_similarity(normalize_score(values, lo, hi), is_distance)
+        similarity = to_similarity(normalize_score(values, 0.0, 1.0),
+                                   name in TRAIT_CLASSIFIERS[TRAIT_IRIS])
         rescaled[name] = rescale_to_common_threshold(similarity, t_classifier,
                                                      cfg.common_threshold)
     absent = np.full(np.broadcast_shapes(*map(np.shape, rescaled.values())), np.nan)
@@ -301,28 +265,14 @@ def fuse_arrays(raw: Mapping[str, object], cfg: FusionConfig,
     return tuple(np.asarray(score) for score in (ms_finger, ms_iris, ms_final))
 
 
-def fuse_row(raw: Mapping[str, object], cfg: FusionConfig,
-             scales: Mapping[str, tuple] = NATIVE_SCALES) -> FusedScore:
-    """One row of :func:`fuse_arrays`, thresholded; NoScores if it holds none."""
+def fuse_pipeline(raw: Mapping[str, object], cfg: FusionConfig) -> FusedScore:
+    """One row of :func:`fuse_arrays`, thresholded: ``raw`` maps classifier
+    names to one raw score each, NaN for none; NoScores if the row holds none."""
     ms_finger, ms_iris, ms_final = (
-        None if np.isnan(value) else value.item() for value in fuse_arrays(raw, cfg, scales))
+        None if np.isnan(value) else value.item() for value in fuse_arrays(raw, cfg))
     if ms_final is None:
         raise NoScores("no classifier scores to fuse")
     return FusedScore(ms_finger, ms_iris, ms_final, decide(ms_final, cfg.common_threshold))
-
-
-def fuse_pipeline(scores: Sequence[ClassifierScore], cfg: FusionConfig) -> FusedScore:
-    """Run the full fusion chain over raw classifier scores: one row of
-    :func:`fuse_arrays`, each score read on its own range and direction."""
-    raw, scales = {}, {}
-    for score in scores:
-        if not isinstance(score, ClassifierScore):
-            raise TypeError(f"expected ClassifierScore, got {type(score).__name__}")
-        if score.classifier in raw:
-            raise ValueError(f"duplicate {score.trait}/{score.classifier} score")
-        raw[score.classifier] = score.value
-        scales[score.classifier] = (score.is_distance, score.range_lo, score.range_hi)
-    return fuse_row(raw, cfg, scales)
 
 
 def save_config(cfg: FusionConfig, path: Union[str, Path]) -> None:

@@ -135,6 +135,8 @@ def decode_pgm(data: bytes) -> GrayImage:
     """Decode a binary PGM (P5, maxval 255) into a GrayImage (v/255 mapping)."""
     if not data.startswith(b"P5"):
         raise MalformedHeader("not a binary PGM (P5) file")
+    if not (data[2:3].isspace() or data[2:3] == b"#"):
+        raise MalformedHeader("no whitespace after the PGM magic P5")
     tokens, pos = _read_tokens(data[2:], 3)
     if not all(t.isdigit() for t in tokens):
         raise MalformedHeader(f"non-numeric PGM header field in {tokens!r}")

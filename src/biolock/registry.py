@@ -60,7 +60,7 @@ from .fusion import (
     FusedScore,
     FusionConfig,
     fuse_arrays,
-    fuse_row,
+    fuse_pipeline,
 )
 from .imaging import GrayImage
 from .iris import (
@@ -244,7 +244,7 @@ def read_audit_log(path: Union[str, Path]) -> list:
         try:
             data = json.loads(line)
             events.append(AuditEvent(**{f.name: data[f.name] for f in fields(AuditEvent)}))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}: line {lineno}: bad audit record: {exc}") from exc
     return events
 
@@ -496,7 +496,8 @@ def verify(
     if probe_finger is None and probe_iris is None:
         raise NoProbe("verification needs at least one probe image")
     cfg = cfg if cfg is not None else FusionConfig()
-    return fuse_row(_score_records([db.records[claimed_id]], probe_finger, probe_iris, cfg), cfg)
+    raw = _score_records([db.records[claimed_id]], probe_finger, probe_iris, cfg)
+    return fuse_pipeline(raw, cfg)
 
 
 def identify(

@@ -17,7 +17,6 @@ import synthgen
 from biolock import cli
 from biolock.fingerprint import build_template, crossing_number, match_minutiae
 from biolock.fusion import (
-    ClassifierScore,
     FusionConfig,
     fuse_classifiers,
     fuse_modalities,
@@ -333,10 +332,7 @@ def test_criterion_07_iris_separation():
     def fused_distance(pair_a, pair_b):
         d_haar = hamming_distance(pair_a[0], pair_b[0])
         d_mellin = hamming_distance(pair_a[1], pair_b[1])
-        fused = fuse_pipeline([
-            ClassifierScore("iris", "haar", d_haar, is_distance=True),
-            ClassifierScore("iris", "mellin", d_mellin, is_distance=True),
-        ], cfg)
+        fused = fuse_pipeline({"haar": d_haar, "mellin": d_mellin}, cfg)
         return d_haar, d_mellin, 1.0 - fused.ms_iris
 
     genuine = [fused_distance(enrolled[i], probes[i]) for i in range(5)]

@@ -1,0 +1,37 @@
+"""The benchmark's tracer wraps program functions by name; these names must
+stay bound to callables, and tracing must leave them as it found them."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_tracer_target_names_a_callable_and_uninstall_restores_it():
+    tracer = load_tracer()
+    originals = [(owner, attr, vars(owner).get(attr)) for _, owner, attr, _ in tracer.TARGETS]
+    for owner, attr, fn in originals:
+        assert callable(fn), f"{getattr(owner, '__name__', owner)}.{attr} is not a callable"
+    # every module that imported a target by name, as the tracer rebinds those too
+    holders = [(mod, attr, fn) for _, attr, fn in originals for mod in list(sys.modules.values())
+               if getattr(mod, "__dict__", {}).get(attr) is fn]
+    run = tracer.Tracer()
+    run.install()
+    try:
+        for owner, attr, fn in originals:
+            assert vars(owner)[attr] is not fn
+            assert vars(owner)[attr].__wrapped__ is fn
+    finally:
+        run.uninstall()
+    for owner, attr, fn in originals:
+        assert vars(owner)[attr] is fn
+    for mod, attr, fn in holders:
+        assert vars(mod)[attr] is fn

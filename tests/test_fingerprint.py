@@ -159,11 +159,13 @@ def test_segment_covers_fully_ridged_image():
     assert interior.mean() >= 0.95
 
 
-def test_segment_zeroes_masked_pixels():
+def test_segment_border_is_zero_off_the_mask_and_positive_on_it():
     img = half_ridge_image()
-    mask, segmented = segment(img)
-    assert np.all(segmented.pixels[~mask.bits] == 0.0)
-    assert np.all(segmented.pixels[mask.bits] == img.pixels[mask.bits])
+    mask, border = segment(img)
+    assert border.shape == mask.bits.shape
+    assert mask.bits.any() and not mask.bits.all()
+    assert np.all(border[~mask.bits] == 0.0)
+    assert np.all(border[mask.bits] >= 1.0)
 
 
 def test_segment_mask_invariant_under_affine_rescale():
@@ -543,14 +545,15 @@ def test_extract_reports_only_cn_one_or_three():
 
 def extract_all(thinned, size):
     mask = BinaryImage(np.ones((size, size), dtype=bool))
-    return extract_minutiae(thinned, zeros_field(max(1, size // 16)), mask), mask
+    return (extract_minutiae(thinned, zeros_field(max(1, size // 16)), mask),
+            fingerprint._border_distance(mask))
 
 
 def test_filter_break_rule_removes_facing_pair():
     thinned = skeleton_image(hline(12, 22, 24) + hline(26, 36, 24), 48)
-    raw, mask = extract_all(thinned, 48)
+    raw, border = extract_all(thinned, 48)
     assert len(raw) == 4
-    kept = filter_false_minutiae(raw, thinned, mask, 9.0)
+    kept = filter_false_minutiae(raw, thinned, border, 9.0)
     assert {(m.x, m.y) for m in kept} == {(12.0, 24.0), (36.0, 24.0)}
     assert all(m.kind == KIND_ENDING for m in kept)
 
@@ -558,24 +561,24 @@ def test_filter_break_rule_removes_facing_pair():
 def test_filter_spur_rule_removes_ending_and_junction():
     spur = [(24, 23), (24, 22), (24, 21), (24, 20)]
     thinned = skeleton_image(hline(10, 38, 24) + spur, 48)
-    raw, mask = extract_all(thinned, 48)
+    raw, border = extract_all(thinned, 48)
     assert sum(m.kind == KIND_BIFURCATION for m in raw) == 1
-    kept = filter_false_minutiae(raw, thinned, mask, 9.0)
+    kept = filter_false_minutiae(raw, thinned, border, 9.0)
     assert {(m.x, m.y) for m in kept} == {(10.0, 24.0), (38.0, 24.0)}
     assert all(m.kind == KIND_ENDING for m in kept)
 
 
 def test_filter_clean_segment_unchanged():
     thinned = skeleton_image(hline(12, 27, 20), 40)
-    raw, mask = extract_all(thinned, 40)
-    kept = filter_false_minutiae(raw, thinned, mask, 9.0)
+    raw, border = extract_all(thinned, 40)
+    kept = filter_false_minutiae(raw, thinned, border, 9.0)
     assert kept == raw
 
 
 def test_filter_border_rule_drops_edge_minutiae():
     thinned = skeleton_image(hline(4, 30, 20), 40)
-    raw, mask = extract_all(thinned, 40)
-    kept = filter_false_minutiae(raw, thinned, mask, 9.0)
+    raw, border = extract_all(thinned, 40)
+    kept = filter_false_minutiae(raw, thinned, border, 9.0)
     assert [(m.x, m.y) for m in kept] == [(30.0, 20.0)]
 
 
@@ -584,10 +587,10 @@ def test_filter_output_subset_and_idempotent():
                 skeleton_image(hline(10, 38, 24)
                                + [(24, 23), (24, 22), (24, 21), (24, 20)], 48)]
     for thinned in fixtures:
-        raw, mask = extract_all(thinned, 48)
-        once = filter_false_minutiae(raw, thinned, mask, 9.0)
+        raw, border = extract_all(thinned, 48)
+        once = filter_false_minutiae(raw, thinned, border, 9.0)
         assert set(once) <= set(raw)
-        assert filter_false_minutiae(once, thinned, mask, 9.0) == once
+        assert filter_false_minutiae(once, thinned, border, 9.0) == once
 
 
 def test_filter_idempotent_on_synthetic_print():
@@ -595,17 +598,17 @@ def test_filter_idempotent_on_synthetic_print():
                                   seed=42)
     _, art = build_template(img, keep_artifacts=True)
     gap = 1.0 / float(np.median(art.frequency.values))
-    once = filter_false_minutiae(art.raw_minutiae, art.thinned, art.mask, gap)
+    border = art_border(art)
+    once = filter_false_minutiae(art.raw_minutiae, art.thinned, border, gap)
     assert set(once) <= set(art.raw_minutiae)
-    assert filter_false_minutiae(once, art.thinned, art.mask, gap) == once
+    assert filter_false_minutiae(once, art.thinned, border, gap) == once
 
 
-def filter_oracle(minutiae, thinned, mask, avg_ridge_gap):
+def filter_oracle(minutiae, thinned, border, avg_ridge_gap):
     """The filter as four hand-written loops: every pair of minutiae is
     enumerated for the break, hole and bridge rules, and the neighbour codes
     are rebuilt for every traced ending and every hole candidate."""
     bits = thinned.bits
-    border = fingerprint._border_distance(mask)
     gap = avg_ridge_gap
     steps = max(1, int(math.ceil(gap)))
     angle_diff = fingerprint._angle_diff
@@ -671,14 +674,18 @@ def filter_oracle(minutiae, thinned, mask, avg_ridge_gap):
     return [m for i, m in enumerate(current) if i not in drop]
 
 
-def assert_filter_matches_oracle(minutiae, thinned, mask, gap):
-    kept = filter_false_minutiae(minutiae, thinned, mask, gap)
-    assert kept == filter_oracle(minutiae, thinned, mask, gap)
+def assert_filter_matches_oracle(minutiae, thinned, border, gap):
+    kept = filter_false_minutiae(minutiae, thinned, border, gap)
+    assert kept == filter_oracle(minutiae, thinned, border, gap)
     return kept
 
 
 def art_gap(art):
     return 1.0 / float(np.median(art.frequency.values))
+
+
+def art_border(art):
+    return fingerprint._border_distance(art.mask)
 
 
 @functools.lru_cache(maxsize=None)
@@ -694,10 +701,10 @@ def test_filter_hole_rule_removes_loop_bifurcations():
     upper = [(21, 23), (22, 22), (23, 22), (24, 22), (25, 23)]
     lower = [(x, 48 - y) for x, y in upper]
     thinned = skeleton_image(hline(10, 20, 24) + upper + lower + hline(26, 44, 24), 56)
-    raw, mask = extract_all(thinned, 56)
+    raw, border = extract_all(thinned, 56)
     assert sorted((m.x, m.y, m.kind) for m in raw if m.kind == KIND_BIFURCATION) == [
         (20.0, 24.0, KIND_BIFURCATION), (26.0, 24.0, KIND_BIFURCATION)]
-    kept = assert_filter_matches_oracle(raw, thinned, mask, 9.0)
+    kept = assert_filter_matches_oracle(raw, thinned, border, 9.0)
     assert {(m.x, m.y) for m in kept} == {(10.0, 24.0), (44.0, 24.0)}
     assert all(m.kind == KIND_ENDING for m in kept)
     # the same bifurcations around a tall loop, whose 24-step paths exceed
@@ -706,8 +713,8 @@ def test_filter_hole_rule_removes_loop_bifurcations():
              + [(25, y) for y in range(14, 24)])
     lower = [(x, 48 - y) for x, y in upper]
     tall = skeleton_image(hline(10, 20, 24) + upper + lower + hline(26, 44, 24), 56)
-    raw, mask = extract_all(tall, 56)
-    kept = assert_filter_matches_oracle(raw, tall, mask, 9.0)
+    raw, border = extract_all(tall, 56)
+    kept = assert_filter_matches_oracle(raw, tall, border, 9.0)
     assert sorted((m.x, m.y) for m in kept if m.kind == KIND_BIFURCATION) == [
         (20.0, 24.0), (26.0, 24.0)]
 
@@ -715,7 +722,7 @@ def test_filter_hole_rule_removes_loop_bifurcations():
 def test_filter_bridge_rule_removes_crossing_pairs_with_a_bifurcation():
     # No skeleton pixels, so only the distance and direction rules can fire.
     thinned = BinaryImage(np.zeros((64, 64), dtype=bool))
-    mask = BinaryImage(np.ones((64, 64), dtype=bool))
+    border = fingerprint._border_distance(BinaryImage(np.ones((64, 64), dtype=bool)))
     bridge = [Minutia(20.0, 20.0, 0.0, KIND_BIFURCATION),
               Minutia(24.0, 20.0, math.pi / 2, KIND_ENDING)]          # 90 degrees
     shallow = [Minutia(20.0, 40.0, 0.0, KIND_BIFURCATION),
@@ -730,7 +737,7 @@ def test_filter_bridge_rule_removes_crossing_pairs_with_a_bifurcation():
     opposed = [Minutia(10.0, 10.0, 0.2, KIND_BIFURCATION),
                Minutia(10.0, 13.0, 0.2 + math.radians(150.0), KIND_BIFURCATION)]
     raw = bridge + shallow + far + endings + steep + opposed
-    kept = assert_filter_matches_oracle(raw, thinned, mask, 9.0)
+    kept = assert_filter_matches_oracle(raw, thinned, border, 9.0)
     assert kept == shallow + far + endings + opposed
 
 
@@ -745,14 +752,14 @@ def test_filter_builds_one_crossing_number_map_per_call(monkeypatch):
     monkeypatch.setattr(fingerprint, "neighbour_codes", counting)
     thinned = skeleton_image(hline(10, 38, 24) + [(24, 23), (24, 22), (24, 21), (24, 20)]
                              + hline(10, 38, 34), 48)
-    raw, mask = extract_all(thinned, 48)
+    raw, border = extract_all(thinned, 48)
     assert sum(m.kind == KIND_ENDING for m in raw) >= 4
     calls.clear()
-    filter_false_minutiae(raw, thinned, mask, 9.0)
+    filter_false_minutiae(raw, thinned, border, 9.0)
     assert calls == [(48, 48)]
     art = clean_print_artifacts()
     calls.clear()
-    filter_false_minutiae(art.raw_minutiae, art.thinned, art.mask, art_gap(art))
+    filter_false_minutiae(art.raw_minutiae, art.thinned, art_border(art), art_gap(art))
     assert len(calls) == 1
 
 
@@ -775,16 +782,24 @@ def test_frequency_and_gabor_equal_oracles_on_a_degraded_print():
                           gabor_oracle(img, orientation, frequency))
 
 
-def test_build_template_takes_the_mask_without_the_masked_image(monkeypatch):
+def test_build_template_takes_the_mask_without_the_masked_image():
     img = synthgen.render_print([(100.0, 140.0, 1.0)], beta=0.3)
-    mask, _ = segment(img)
-
-    def masked_image(*args):
-        raise AssertionError("build_template built the masked image")
-
-    monkeypatch.setattr(fingerprint, "segment", masked_image)
+    mask, border = segment(img)
+    assert isinstance(mask, BinaryImage) and not isinstance(border, GrayImage)
+    assert np.array_equal(border, fingerprint._border_distance(mask))
     _, art = build_template(img, keep_artifacts=True)
     assert np.array_equal(art.mask.bits, mask.bits)
+
+
+def test_build_template_runs_each_public_stage_once(monkeypatch):
+    img = synthgen.render_print([(100.0, 140.0, 1.0)], beta=0.3)
+    calls = []
+    for name in ("segment", "filter_false_minutiae", "_border_distance"):
+        real = getattr(fingerprint, name)
+        monkeypatch.setattr(fingerprint, name,
+                            lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+    build_template(img)
+    assert calls == ["segment", "_border_distance", "filter_false_minutiae"]
 
 
 def test_filter_equals_oracle_on_degraded_prints():
@@ -793,7 +808,7 @@ def test_filter_equals_oracle_on_degraded_prints():
         _, art = build_template(degraded_print(kinds, seed), keep_artifacts=True)
         assert art.thinned.bits.shape == (512, 512)
         assert len(art.raw_minutiae) > 1000
-        kept = assert_filter_matches_oracle(art.raw_minutiae, art.thinned, art.mask,
+        kept = assert_filter_matches_oracle(art.raw_minutiae, art.thinned, art_border(art),
                                             art_gap(art))
         assert 0 < len(kept) < len(art.raw_minutiae)
 
@@ -806,11 +821,11 @@ def test_build_template_runs_one_border_distance_per_print(monkeypatch):
                         lambda mask: calls.append(mask.bits.shape) or real(mask))
     template, art = build_template(img, keep_artifacts=True)
     assert calls == [(512, 512)]
-    # The public filter, then the cap ranked by a second distance transform,
-    # as the pipeline did before filter and cap shared one.
-    kept = filter_false_minutiae(art.raw_minutiae, art.thinned, art.mask, art_gap(art))
-    assert len(kept) > fingerprint.MAX_MINUTIAE
+    # The filter, then the cap ranked by the same border distance, rebuilt
+    # here from the mask.
     border = real(art.mask)
+    kept = filter_false_minutiae(art.raw_minutiae, art.thinned, border, art_gap(art))
+    assert len(kept) > fingerprint.MAX_MINUTIAE
     ranked = sorted(range(len(kept)),
                     key=lambda i: (-border[int(round(kept[i].y)), int(round(kept[i].x))], i))
     capped = tuple(kept[i] for i in sorted(ranked[:fingerprint.MAX_MINUTIAE]))
@@ -868,7 +883,7 @@ def near_pairs(draw):
 def test_filter_equals_oracle_on_pairs_at_the_gap(case):
     minutiae, gap = case
     art = clean_print_artifacts()
-    assert_filter_matches_oracle(minutiae, art.thinned, art.mask, gap)
+    assert_filter_matches_oracle(minutiae, art.thinned, art_border(art), gap)
 
 
 @settings(max_examples=200, deadline=None)

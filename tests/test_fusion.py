@@ -16,9 +16,7 @@ from biolock.fusion import (
     CLASSIFIERS,
     GENUINE,
     IMPOSTOR,
-    NATIVE_SCALES,
     TRAIT_CLASSIFIERS,
-    ClassifierScore,
     FusedScore,
     FusionConfig,
     TRAIT_FINGER,
@@ -28,7 +26,6 @@ from biolock.fusion import (
     fuse_classifiers,
     fuse_modalities,
     fuse_pipeline,
-    fuse_row,
     load_config,
     normalize_score,
     rescale_to_common_threshold,
@@ -37,44 +34,8 @@ from biolock.fusion import (
 )
 
 
-def minutiae_score(value, **kwargs):
-    return ClassifierScore(TRAIT_FINGER, CLASSIFIER_MINUTIAE, value, is_distance=False, **kwargs)
-
-
-def haar_score(value, **kwargs):
-    return ClassifierScore(TRAIT_IRIS, CLASSIFIER_HAAR, value, is_distance=True, **kwargs)
-
-
-def mellin_score(value, **kwargs):
-    return ClassifierScore(TRAIT_IRIS, CLASSIFIER_MELLIN, value, is_distance=True, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # domain types
-
-
-def test_classifier_score_validates_fields():
-    with pytest.raises(ValueError):
-        ClassifierScore("face", CLASSIFIER_MINUTIAE, 0.5, is_distance=False)
-    with pytest.raises(ValueError):
-        ClassifierScore(TRAIT_FINGER, "gabor", 0.5, is_distance=False)
-    with pytest.raises(ValueError):
-        ClassifierScore(TRAIT_FINGER, CLASSIFIER_HAAR, 0.5, is_distance=True)
-    with pytest.raises(ValueError):
-        ClassifierScore(TRAIT_IRIS, CLASSIFIER_MINUTIAE, 0.5, is_distance=False)
-    with pytest.raises(ValueError):
-        minutiae_score(float("nan"))
-    with pytest.raises(DegenerateRange):
-        minutiae_score(0.5, range_lo=1.0, range_hi=1.0)
-    with pytest.raises(DegenerateRange):
-        minutiae_score(0.5, range_lo=2.0, range_hi=1.0)
-
-
-def test_classifier_score_defaults():
-    score = haar_score(0.3)
-    assert score.range_lo == 0.0
-    assert score.range_hi == 1.0
-    assert score.is_distance is True
 
 
 def test_fusion_config_defaults():
@@ -330,7 +291,7 @@ def test_fuse_pipeline_knot_propagation():
     cfg = FusionConfig(
         common_threshold=0.6, classifier_thresholds={"haar": 0.25, "mellin": 0.75}
     )
-    fused = fuse_pipeline([haar_score(0.75), mellin_score(0.25)], cfg)
+    fused = fuse_pipeline({CLASSIFIER_HAAR: 0.75, CLASSIFIER_MELLIN: 0.25}, cfg)
     assert fused.ms_iris == 0.6
     assert fused.ms_final == 0.6
     assert fused.decision == GENUINE
@@ -339,7 +300,7 @@ def test_fuse_pipeline_knot_propagation():
 def test_fuse_pipeline_endpoint_propagation():
     cfg = FusionConfig()
     fused = fuse_pipeline(
-        [minutiae_score(1.0), haar_score(0.0), mellin_score(0.0)], cfg
+        {CLASSIFIER_MINUTIAE: 1.0, CLASSIFIER_HAAR: 0.0, CLASSIFIER_MELLIN: 0.0}, cfg
     )
     assert fused.ms_finger == 1.0
     assert fused.ms_iris == 1.0
@@ -349,18 +310,22 @@ def test_fuse_pipeline_endpoint_propagation():
 
 def test_fuse_pipeline_missing_trait_passes_through():
     cfg = FusionConfig()
-    finger_only = fuse_pipeline([minutiae_score(0.82)], cfg)
+    finger_only = fuse_pipeline({CLASSIFIER_MINUTIAE: 0.82}, cfg)
     assert finger_only.ms_iris is None
     assert finger_only.ms_final == finger_only.ms_finger
-    iris_only = fuse_pipeline([haar_score(0.1), mellin_score(0.2)], cfg)
+    iris_only = fuse_pipeline({CLASSIFIER_HAAR: 0.1, CLASSIFIER_MELLIN: 0.2}, cfg)
     assert iris_only.ms_finger is None
     assert iris_only.ms_final == iris_only.ms_iris
+    # NaN is no score, as a left-out classifier is
+    assert fuse_pipeline({CLASSIFIER_MINUTIAE: math.nan, CLASSIFIER_HAAR: 0.1,
+                          CLASSIFIER_MELLIN: 0.2}, cfg) == iris_only
 
 
 def test_fuse_pipeline_single_classifier_passes_through():
     cfg = FusionConfig(alpha=5.0, beta=0.25)
-    fused = fuse_pipeline([mellin_score(0.3)], cfg)
-    # 1 - 0.3 = 0.7 similarity, rescaled across (0.5 -> 0.5) stays 0.7.
+    fused = fuse_pipeline({CLASSIFIER_MELLIN: 0.3}, cfg)
+    # An iris score is a distance: 1 - 0.3 = 0.7 similarity, rescaled across
+    # (0.5 -> 0.5) stays 0.7.
     assert fused.ms_iris == pytest.approx(0.7, abs=1e-15)
     assert fused.ms_final == fused.ms_iris
 
@@ -368,11 +333,13 @@ def test_fuse_pipeline_single_classifier_passes_through():
 def test_fuse_pipeline_errors():
     cfg = FusionConfig()
     with pytest.raises(NoScores):
-        fuse_pipeline([], cfg)
+        fuse_pipeline({}, cfg)
+    with pytest.raises(NoScores):
+        fuse_pipeline({CLASSIFIER_MINUTIAE: math.nan, CLASSIFIER_HAAR: math.nan}, cfg)
     with pytest.raises(ValueError):
-        fuse_pipeline([minutiae_score(0.5), minutiae_score(0.6)], cfg)
-    with pytest.raises(TypeError):
-        fuse_pipeline([0.5], cfg)
+        fuse_pipeline({"gabor": 0.5}, cfg)
+    with pytest.raises(ValueError):
+        fuse_pipeline({CLASSIFIER_MINUTIAE: math.inf}, cfg)
 
 
 def test_fuse_pipeline_monotone_in_each_similarity():
@@ -393,12 +360,13 @@ def test_fuse_pipeline_monotone_in_each_similarity():
         sim = rng.random()
         d_haar, d_mellin = rng.random(), rng.random()
         base = fuse_pipeline(
-            [minutiae_score(sim), haar_score(d_haar), mellin_score(d_mellin)], cfg
+            {CLASSIFIER_MINUTIAE: sim, CLASSIFIER_HAAR: d_haar, CLASSIFIER_MELLIN: d_mellin}, cfg
         ).ms_final
         bumped_sim = min(1.0, sim + rng.uniform(0.0, 1.0 - sim))
         lowered_haar = max(0.0, d_haar - rng.uniform(0.0, d_haar))
         better = fuse_pipeline(
-            [minutiae_score(bumped_sim), haar_score(lowered_haar), mellin_score(d_mellin)],
+            {CLASSIFIER_MINUTIAE: bumped_sim, CLASSIFIER_HAAR: lowered_haar,
+             CLASSIFIER_MELLIN: d_mellin},
             cfg,
         ).ms_final
         assert better >= base
@@ -410,28 +378,24 @@ def test_fuse_pipeline_swap_symmetry():
     cfg = FusionConfig()  # alpha == beta, a == b, all thresholds equal
     for _ in range(200):
         d1, d2 = rng.random(), rng.random()
-        direct = fuse_pipeline([haar_score(d1), mellin_score(d2)], cfg).ms_final
-        swapped = fuse_pipeline([haar_score(d2), mellin_score(d1)], cfg).ms_final
+        direct = fuse_pipeline({CLASSIFIER_HAAR: d1, CLASSIFIER_MELLIN: d2}, cfg).ms_final
+        swapped = fuse_pipeline({CLASSIFIER_HAAR: d2, CLASSIFIER_MELLIN: d1}, cfg).ms_final
         assert direct == swapped
     for _ in range(200):
         u, w = rng.random(), rng.random()
-        one = fuse_pipeline(
-            [minutiae_score(u), haar_score(1.0 - w)], cfg
-        ).ms_final
-        other = fuse_pipeline(
-            [minutiae_score(w), haar_score(1.0 - u)], cfg
-        ).ms_final
+        one = fuse_pipeline({CLASSIFIER_MINUTIAE: u, CLASSIFIER_HAAR: 1.0 - w}, cfg).ms_final
+        other = fuse_pipeline({CLASSIFIER_MINUTIAE: w, CLASSIFIER_HAAR: 1.0 - u}, cfg).ms_final
         assert one == pytest.approx(other, abs=1e-12)
 
 
 def test_fuse_pipeline_normalizes_raw_ranges():
     cfg = FusionConfig()
-    # A raw similarity of 15 on a 10..20 scale is 0.5 normalized.
-    fused = fuse_pipeline(
-        [minutiae_score(15.0, range_lo=10.0, range_hi=20.0)], cfg
-    )
-    assert fused.ms_finger == 0.5
+    # Raw scores are read on the matchers' [0, 1] scale, clamping outside it.
+    fused = fuse_pipeline({CLASSIFIER_MINUTIAE: 1.5, CLASSIFIER_HAAR: -0.5}, cfg)
+    assert fused.ms_finger == 1.0
+    assert fused.ms_iris == 1.0
     assert fused.decision == GENUINE
+    assert fuse_pipeline({CLASSIFIER_MELLIN: 2.0}, cfg).ms_iris == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -498,15 +462,22 @@ def oracle_decide(ms_final, threshold):
     return GENUINE if _finite("ms_final", ms_final) >= threshold else IMPOSTOR
 
 
-def oracle_pipeline(scores, cfg):
-    """The scalar fuse_pipeline: one score at a time, lone classifiers and
-    traits passing through."""
+TRAIT_OF = {name: trait for trait, names in TRAIT_CLASSIFIERS.items() for name in names}
+
+
+def oracle_pipeline(raw, cfg):
+    """The scalar fuse_pipeline over a ``{classifier: raw}`` mapping: one score
+    at a time, NaN skipped, lone classifiers and traits passing through."""
     per_trait = {}
-    for score in scores:
-        similarity = oracle_similarity(
-            oracle_normalize(score.value, score.range_lo, score.range_hi), score.is_distance)
-        per_trait.setdefault(score.trait, {})[score.classifier] = oracle_rescale(
-            similarity, cfg.threshold_for(score.classifier), cfg.common_threshold)
+    for name, value in raw.items():
+        if math.isnan(value):
+            continue
+        trait = TRAIT_OF[name]
+        similarity = oracle_similarity(oracle_normalize(value, 0.0, 1.0), trait == TRAIT_IRIS)
+        per_trait.setdefault(trait, {})[name] = oracle_rescale(
+            similarity, cfg.threshold_for(name), cfg.common_threshold)
+    if not per_trait:
+        raise NoScores("no classifier scores to fuse")
     trait_scores = {}
     for trait, by_classifier in per_trait.items():
         first, second = TRAIT_CLASSIFIERS[trait]
@@ -524,7 +495,6 @@ def oracle_pipeline(scores, cfg):
     return FusedScore(ms_finger, ms_iris, ms_final, oracle_decide(ms_final, cfg.common_threshold))
 
 
-TRAIT_OF = {name: trait for trait, names in TRAIT_CLASSIFIERS.items() for name in names}
 _WEIGHTS = st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 5.0)
 _THRESHOLDS = st.sampled_from([0.5, 0.25, 0.75, 0.1]) | st.floats(0.01, 0.99)
 
@@ -543,18 +513,18 @@ def fusion_configs(draw):
 
 @st.composite
 def fusion_rows(draw):
-    """A config and rows of raw scores on the matchers' native scales: NaN for
-    an absent classifier, the knots 0, 1 and the classifier threshold (and
-    its neighbouring floats), or anything in [0, 1]."""
+    """A config and rows of raw scores: NaN for an absent classifier, the
+    knots 0, 1 and the classifier threshold (and its neighbouring floats),
+    anything in [0, 1], or a value off that scale, which clamps."""
     cfg = draw(fusion_configs())
     n = draw(st.integers(1, 10))
     raw = {}
     for name in draw(st.sets(st.sampled_from(CLASSIFIERS), min_size=1)):
         t = cfg.threshold_for(name)
-        knot = 1.0 - t if NATIVE_SCALES[name][0] else t
+        knot = 1.0 - t if TRAIT_OF[name] == TRAIT_IRIS else t
         values = (st.sampled_from([math.nan, 0.0, 1.0, knot, math.nextafter(knot, 0.0),
                                    math.nextafter(knot, 1.0)])
-                  | st.floats(0.0, 1.0))
+                  | st.floats(0.0, 1.0) | st.floats(-10.0, 10.0))
         raw[name] = np.array(draw(st.lists(values, min_size=n, max_size=n)))
     return cfg, n, raw
 
@@ -567,40 +537,16 @@ def test_fuse_arrays_equals_the_scalar_chain_row_by_row(case):
     assert all(values.shape == (n,) for values in fused)
     for i in range(n):
         got = [None if math.isnan(values[i]) else values[i] for values in fused]
-        scores = [ClassifierScore(TRAIT_OF[name], name, values[i],
-                                  is_distance=NATIVE_SCALES[name][0])
-                  for name, values in raw.items() if not math.isnan(values[i])]
-        if not scores:
+        row = {name: values[i] for name, values in raw.items()}
+        if all(math.isnan(value) for value in row.values()):
             assert got == [None, None, None]
-            with pytest.raises(NoScores):
-                fuse_row({name: values[i] for name, values in raw.items()}, cfg)
+            for fuse in (fuse_pipeline, oracle_pipeline):
+                with pytest.raises(NoScores):
+                    fuse(row, cfg)
             continue
-        want = oracle_pipeline(scores, cfg)
+        want = oracle_pipeline(row, cfg)
         assert got == [want.ms_finger, want.ms_iris, want.ms_final]
-        assert fuse_pipeline(scores, cfg) == want
-
-
-@st.composite
-def scored_lists(draw):
-    """A config and one score per drawn classifier, each on its own range and
-    in its own direction."""
-    cfg = draw(fusion_configs())
-    scores = []
-    for name in draw(st.sets(st.sampled_from(CLASSIFIERS), min_size=1)):
-        lo = draw(st.sampled_from([0.0, -1.0]) | st.floats(-10.0, 10.0))
-        hi = lo + draw(st.sampled_from([1.0]) | st.floats(1e-3, 20.0))
-        value = draw(st.sampled_from([lo, hi, (lo + hi) / 2]) | st.floats(lo - 5.0, hi + 5.0))
-        scores.append(ClassifierScore(TRAIT_OF[name], name, value,
-                                      is_distance=draw(st.booleans()),
-                                      range_lo=lo, range_hi=hi))
-    return cfg, scores
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=scored_lists())
-def test_fuse_pipeline_equals_the_scalar_chain_on_any_scale(case):
-    cfg, scores = case
-    assert fuse_pipeline(scores, cfg) == oracle_pipeline(scores, cfg)
+        assert fuse_pipeline(row, cfg) == want
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.25, math.inf, -math.inf])

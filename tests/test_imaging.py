@@ -62,7 +62,7 @@ def test_decode_pgm_rejects_wrong_maxval():
 
 @pytest.mark.parametrize("header", [
     b"P5 abc 2 255\n", b"P5 2 2 2.5\n", b"P5 1_0 1 255\n", b"P5 +2 2 255\n",
-    b"P5 2 -2 255\n", b"P5 2 2 0x1\n", b"P5 \xd9\xa2 2 255\n",
+    b"P5 2 -2 255\n", b"P5 2 2 0x1\n", b"P5 \xd9\xa2 2 255\n", b"P52 2 255\n",
 ])
 def test_decode_pgm_rejects_non_numeric_header_fields(header):
     with pytest.raises(MalformedHeader):

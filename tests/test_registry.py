@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import shutil
 import struct
 
@@ -33,9 +34,6 @@ from biolock.fusion import (
     CLASSIFIER_MINUTIAE,
     GENUINE,
     IMPOSTOR,
-    TRAIT_FINGER,
-    TRAIT_IRIS,
-    ClassifierScore,
     FusionConfig,
 )
 from biolock.imaging import GrayImage
@@ -312,29 +310,21 @@ def test_identify_errors(enrolled, tmp_path, corpus):
 def reference_score_record(record, probe_template, probe_pair, cfg):
     """One record at a time, one pairwise Hamming call per code, through the
     scalar fusion chain, as before."""
-    scores = []
+    raw = {}
     if probe_template is not None and record.fingerprints:
-        best = max(match_minutiae(t, probe_template) for t in record.fingerprints)
-        scores.append(ClassifierScore(TRAIT_FINGER, CLASSIFIER_MINUTIAE, best,
-                                      is_distance=False))
+        raw[CLASSIFIER_MINUTIAE] = max(match_minutiae(t, probe_template)
+                                       for t in record.fingerprints)
     if probe_pair is not None and record.iris_codes:
         best_pair, best_value = None, None
         for pair in record.iris_codes:
             d_haar = hamming_oracle(pair.haar, probe_pair[0])
             d_mellin = hamming_oracle(pair.mellin, probe_pair[1])
-            value = oracle_pipeline([
-                ClassifierScore(TRAIT_IRIS, CLASSIFIER_HAAR, d_haar, is_distance=True),
-                ClassifierScore(TRAIT_IRIS, CLASSIFIER_MELLIN, d_mellin, is_distance=True),
-            ], cfg).ms_iris
+            value = oracle_pipeline({CLASSIFIER_HAAR: d_haar, CLASSIFIER_MELLIN: d_mellin},
+                                    cfg).ms_iris
             if best_value is None or value > best_value:
                 best_pair, best_value = (d_haar, d_mellin), value
-        scores += [
-            ClassifierScore(TRAIT_IRIS, CLASSIFIER_HAAR, best_pair[0], is_distance=True),
-            ClassifierScore(TRAIT_IRIS, CLASSIFIER_MELLIN, best_pair[1], is_distance=True),
-        ]
-    if not scores:
-        raise NoScores("no classifier scores to fuse")
-    return oracle_pipeline(scores, cfg)
+        raw[CLASSIFIER_HAAR], raw[CLASSIFIER_MELLIN] = best_pair
+    return oracle_pipeline(raw, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -434,22 +424,22 @@ def test_identify_makes_no_pairwise_registration_calls(mixed_db, corpus, monkeyp
     assert calls == []
 
 
-def test_scoring_builds_no_classifier_scores_and_calls_no_fuse_pipeline(
+def test_verify_and_access_call_fuse_pipeline_once_and_identify_never(
         mixed_db, corpus, monkeypatch):
     calls = []
-    original = ClassifierScore.__post_init__
-    monkeypatch.setattr(ClassifierScore, "__post_init__",
-                        lambda self: calls.append("ClassifierScore") or original(self))
     pipeline = fusion.fuse_pipeline
-    monkeypatch.setattr(fusion, "fuse_pipeline",
+    monkeypatch.setattr(registry, "fuse_pipeline",
                         lambda *a, **k: calls.append("fuse_pipeline") or pipeline(*a, **k))
     probe_finger, probe_eye = corpus["bob"]["probe_finger"], corpus["bob"]["probe_eye"]
     matches = identify(mixed_db, probe_finger, probe_eye, CFG, top_k=len(mixed_db))
-    verify(mixed_db, "twoeye", probe_finger, probe_eye, CFG)
-    access(mixed_db, "bob", probe_finger, probe_eye, CFG,
-           audit_log=mixed_db.path.parent / "audit.log")
     assert len(matches) == len(mixed_db)
     assert calls == []
+    verify(mixed_db, "twoeye", probe_finger, probe_eye, CFG)
+    assert calls == ["fuse_pipeline"]
+    calls.clear()
+    access(mixed_db, "bob", probe_finger, probe_eye, CFG,
+           audit_log=mixed_db.path.parent / "audit.log")
+    assert calls == ["fuse_pipeline"]
 
 
 def test_identify_per_trait_scores_are_plain_floats(mixed_db, corpus):
@@ -539,6 +529,16 @@ def test_read_audit_log_errors(tmp_path):
     missing_key.write_text('{"ts": "2026-01-01T00:00:00+00:00", "kind": "alarm"}\n')
     with pytest.raises(ValueError):
         read_audit_log(missing_key)
+
+
+@pytest.mark.parametrize("field, value", [("kind", "opened"), ("ms_final", "x")])
+def test_read_audit_log_names_the_line_of_a_bad_field(tmp_path, field, value):
+    good = {"ts": "2026-01-01T00:00:00+00:00", "kind": "alarm", "claimed_id": "bob",
+            "ms_final": 0.25, "detail": ""}
+    log = tmp_path / "audit.log"
+    log.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(log))}: line 2: bad audit record: "):
+        read_audit_log(log)
 
 
 # ---------------------------------------------------------------------------
