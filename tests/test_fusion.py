@@ -38,6 +38,22 @@ from biolock.fusion import (
 # domain types
 
 
+def test_classifier_score_validates_fields():
+    cfg = FusionConfig()
+    for fuse in (fuse_pipeline, fuse_arrays):
+        # a score names one of the four classifiers ...
+        for name in ("face", "gabor", TRAIT_FINGER, TRAIT_IRIS):
+            with pytest.raises(ValueError, match="unknown classifier"):
+                fuse({name: 0.5}, cfg)
+        # ... and holds a finite value or NaN (no score)
+        for name in CLASSIFIERS:
+            for value in (math.inf, -math.inf):
+                with pytest.raises(ValueError, match="must be finite"):
+                    fuse({name: value}, cfg)
+        with pytest.raises(ValueError, match="must be finite"):
+            fuse({CLASSIFIER_MINUTIAE: 0.5, CLASSIFIER_HAAR: math.inf}, cfg)
+
+
 def test_fusion_config_defaults():
     cfg = FusionConfig()
     assert cfg.alpha == 1.0 and cfg.beta == 1.0
@@ -336,10 +352,6 @@ def test_fuse_pipeline_errors():
         fuse_pipeline({}, cfg)
     with pytest.raises(NoScores):
         fuse_pipeline({CLASSIFIER_MINUTIAE: math.nan, CLASSIFIER_HAAR: math.nan}, cfg)
-    with pytest.raises(ValueError):
-        fuse_pipeline({"gabor": 0.5}, cfg)
-    with pytest.raises(ValueError):
-        fuse_pipeline({CLASSIFIER_MINUTIAE: math.inf}, cfg)
 
 
 def test_fuse_pipeline_monotone_in_each_similarity():
@@ -547,6 +559,30 @@ def test_fuse_arrays_equals_the_scalar_chain_row_by_row(case):
         want = oracle_pipeline(row, cfg)
         assert got == [want.ms_finger, want.ms_iris, want.ms_final]
         assert fuse_pipeline(row, cfg) == want
+
+
+@st.composite
+def scored_rows(draw):
+    """A config and one raw score per drawn classifier, on any scale: the
+    ends 0 and 1, NaN (no score), or any finite float, far off [0, 1] too."""
+    cfg = draw(fusion_configs())
+    values = (st.sampled_from([0.0, 1.0, math.nan, -0.0, 5e-324, math.nextafter(1.0, 2.0)])
+              | st.floats(-10.0, 10.0) | st.floats(allow_nan=False, allow_infinity=False))
+    row = {name: draw(values)
+           for name in draw(st.sets(st.sampled_from(CLASSIFIERS), min_size=1))}
+    return cfg, row
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=scored_rows())
+def test_fuse_pipeline_equals_the_scalar_chain_on_any_scale(case):
+    cfg, row = case
+    if all(math.isnan(value) for value in row.values()):
+        for fuse in (fuse_pipeline, oracle_pipeline):
+            with pytest.raises(NoScores):
+                fuse(row, cfg)
+        return
+    assert fuse_pipeline(row, cfg) == oracle_pipeline(row, cfg)
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.25, math.inf, -math.inf])
