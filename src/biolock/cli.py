@@ -24,7 +24,7 @@ from .fingerprint import KIND_ENDING, build_template
 from .fusion import FusionConfig, GENUINE, load_config
 from .imaging import GrayImage, decode_pgm, encode_pgm, encode_pgm_raster
 from .iris import build_codes
-from .registry import ACCESS_UNLOCK, _access, enroll, identify, load_db, verify
+from .registry import ACCESS_UNLOCK, _access, _load_record, enroll, identify, load_db, verify
 
 ROC_THRESHOLDS = tuple(i / 100.0 for i in range(101))
 _PROBE_HEADER = ("true_subject_id", "finger_path", "iris_path")
@@ -162,7 +162,7 @@ def _load_probes(args):
 
 
 def cmd_verify(args) -> int:
-    db = load_db(args.db)
+    db = _load_record(args.db, args.claim)
     probe_finger, probe_iris = _load_probes(args)
     fused = verify(db, args.claim, probe_finger, probe_iris, _load_cfg(args))
     label = "GENUINE" if fused.decision == GENUINE else "IMPOSTOR"
@@ -171,7 +171,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_access(args) -> int:
-    db = load_db(args.db)
+    db = _load_record(args.db, args.claim)
     probe_finger, probe_iris = _load_probes(args)
     audit = Path(args.audit) if args.audit else None
     cfg = _load_cfg(args)

@@ -2,13 +2,14 @@
 
 A database is a directory holding one binary file per template or code plus a
 ``manifest.json`` that names them.  :func:`load_db` reads the directory into an
-in-memory :class:`TemplateDB`; :func:`enroll` runs the feature pipelines and
-persists new records atomically (every file, and finally the manifest, is
-written to a temp name and renamed); :func:`verify`, :func:`identify`, and
-:func:`access` score probes against the stored records in one scoring core
-and one array-valued fusion pass (verify is a gallery of one).  Access
-decisions and enrollments append JSON-line events to an audit log whose
-timestamps are strictly increasing within the process.
+in-memory :class:`TemplateDB`; the ``verify`` and ``access`` commands check the
+whole manifest the same way but decode only the claimed subject's files.
+:func:`enroll` runs the feature pipelines and persists new records atomically
+(every file, and finally the manifest, is written to a temp name and renamed);
+:func:`verify`, :func:`identify`, and :func:`access` score probes against the
+stored records in one scoring core and one array-valued fusion pass (verify is
+a gallery of one).  Access decisions and enrollments append JSON-line events to
+an audit log whose timestamps are strictly increasing within the process.
 
 Multi-template rule: a subject may hold several fingerprint templates and iris
 code pairs; the per-trait score against that subject is the maximum over the
@@ -170,6 +171,8 @@ class AuditEvent:
     def __post_init__(self) -> None:
         if self.kind not in EVENT_KINDS:
             raise ValueError(f"kind must be one of {EVENT_KINDS}, got {self.kind!r}")
+        if not all(isinstance(getattr(self, f), str) for f in ("ts", "claimed_id", "detail")):
+            raise ValueError(f"ts, claimed_id and detail must be strings: {self!r}")
         object.__setattr__(self, "ms_final", float(self.ms_final))
 
 
@@ -218,13 +221,8 @@ class AuditLog:
             if last is not None and now <= last:
                 now = last + timedelta(microseconds=1)
             _LAST_TS[key] = now
-        event = AuditEvent(
-            ts=now.isoformat(timespec="microseconds"),
-            kind=kind,
-            claimed_id=recorded_id,
-            ms_final=float(ms_final),
-            detail=str(detail),
-        )
+        event = AuditEvent(now.isoformat(timespec="microseconds"), kind, recorded_id,
+                           float(ms_final), str(detail))
         line = json.dumps(asdict(event))
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:
@@ -265,10 +263,8 @@ def _manifest_check(condition: bool, where: Path, message: str) -> None:
         raise CorruptManifest(f"{where}: {message}")
 
 
-def _load_file(manifest_path: Path, name, decode):
+def _load_file(manifest_path: Path, name: str, decode):
     """Read and decode one file the manifest names; decode errors name it."""
-    _manifest_check(isinstance(name, str) and name, manifest_path,
-                    f"bad file reference {name!r}")
     full = manifest_path.parent / name
     try:
         blob = full.read_bytes()
@@ -280,12 +276,11 @@ def _load_file(manifest_path: Path, name, decode):
         raise type(exc)(f"{full}: {exc}") from exc
 
 
-def load_db(path: Union[str, Path]) -> TemplateDB:
-    """Read a database directory; a missing manifest means an empty DB."""
-    db = TemplateDB(path)
-    manifest_path = db.path / MANIFEST_NAME
+def _parse_manifest(manifest_path: Path) -> dict:
+    """Check the whole manifest, reading no template file, and return its
+    entries by subject id in enrollment order; no manifest means no entries."""
     if not manifest_path.is_file():
-        return db
+        return {}
     try:
         data = json.loads(manifest_path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -295,6 +290,7 @@ def load_db(path: Union[str, Path]) -> TemplateDB:
                     f"unsupported version {data.get('version')!r}")
     subjects = data.get("subjects")
     _manifest_check(isinstance(subjects, list), manifest_path, "subjects must be a list")
+    entries = {}
     for entry in subjects:
         _manifest_check(isinstance(entry, dict), manifest_path, "subject entry must be an object")
         subject_id = entry.get("id")
@@ -302,41 +298,63 @@ def load_db(path: Union[str, Path]) -> TemplateDB:
             _validate_subject_id(subject_id)
         except ValueError as exc:
             raise CorruptManifest(f"{manifest_path}: {exc}") from exc
-        _manifest_check(subject_id not in db.records, manifest_path,
+        _manifest_check(subject_id not in entries, manifest_path,
                         f"duplicate subject {subject_id!r}")
         enrolled_at = entry.get("enrolled_at")
         _manifest_check(isinstance(enrolled_at, str) and bool(enrolled_at), manifest_path,
                         f"subject {subject_id!r}: bad enrolled_at")
         fingers_entry = entry.get("fingers", [])
         iris_entry = entry.get("iris", [])
-        _manifest_check(isinstance(fingers_entry, list), manifest_path,
-                        f"subject {subject_id!r}: fingers must be a list")
-        _manifest_check(isinstance(iris_entry, list), manifest_path,
-                        f"subject {subject_id!r}: iris must be a list")
-        templates = [_load_file(manifest_path, name, decode_template) for name in fingers_entry]
-        pairs = []
+        for key, value in (("fingers", fingers_entry), ("iris", iris_entry)):
+            _manifest_check(isinstance(value, list), manifest_path,
+                            f"subject {subject_id!r}: {key} must be a list")
+        names = list(fingers_entry)
         for item in iris_entry:
             _manifest_check(isinstance(item, dict) and "haar" in item and "mellin" in item,
                             manifest_path,
                             f"subject {subject_id!r}: iris entry needs haar and mellin files")
-            codes = {}
-            for scheme, key in ((SCHEME_HAAR, "haar"), (SCHEME_MELLIN, "mellin")):
-                code = _load_file(manifest_path, item[key], decode_code)
-                _manifest_check(code.scheme == scheme, manifest_path,
-                                f"{item[key]}: manifest lists a {scheme} code but the file holds {code.scheme}")
-                codes[key] = code
-            pairs.append(IrisPair(codes["haar"], codes["mellin"]))
-        try:
-            record = PersonRecord(subject_id, tuple(templates), tuple(pairs), enrolled_at)
-        except (TypeError, ValueError) as exc:
-            raise CorruptManifest(f"{manifest_path}: subject {subject_id!r}: {exc}") from exc
-        db.records[subject_id] = record
-        db._entries[subject_id] = {
-            "id": subject_id,
-            "enrolled_at": enrolled_at,
-            "fingers": list(fingers_entry),
-            "iris": [dict(item) for item in iris_entry],
-        }
+            names += [item["haar"], item["mellin"]]
+        for name in names:
+            _manifest_check(isinstance(name, str) and bool(name), manifest_path,
+                            f"bad file reference {name!r}")
+        _manifest_check(bool(names), manifest_path, f"subject {subject_id!r}: a record "
+                        "needs at least one fingerprint or iris pair")
+        entries[subject_id] = {"id": subject_id, "enrolled_at": enrolled_at,
+                               "fingers": list(fingers_entry),
+                               "iris": [dict(item) for item in iris_entry]}
+    return entries
+
+
+def _decode_record(manifest_path: Path, entry: dict) -> PersonRecord:
+    """Decode the files of one entry that :func:`_parse_manifest` returned."""
+    templates = [_load_file(manifest_path, name, decode_template) for name in entry["fingers"]]
+    pairs = []
+    for item in entry["iris"]:
+        codes = []
+        for scheme, key in ((SCHEME_HAAR, "haar"), (SCHEME_MELLIN, "mellin")):
+            codes.append(_load_file(manifest_path, item[key], decode_code))
+            _manifest_check(codes[-1].scheme == scheme, manifest_path,
+                            f"{item[key]}: manifest lists a {scheme} code but the file holds {codes[-1].scheme}")
+        pairs.append(IrisPair(*codes))
+    return PersonRecord(entry["id"], tuple(templates), tuple(pairs), entry["enrolled_at"])
+
+
+def load_db(path: Union[str, Path]) -> TemplateDB:
+    """Read a database directory; a missing manifest means an empty DB."""
+    db = TemplateDB(path)
+    db._entries = _parse_manifest(db.path / MANIFEST_NAME)
+    db.records = {sid: _decode_record(db.path / MANIFEST_NAME, e) for sid, e in db._entries.items()}
+    return db
+
+
+def _load_record(path: Union[str, Path], subject_id: str) -> TemplateDB:
+    """:func:`load_db` decoding only ``subject_id``'s files: a view holding at
+    most that record.  It serves verify and access; :func:`enroll` refuses it."""
+    db = TemplateDB(path)
+    db._entries = None
+    entry = _parse_manifest(db.path / MANIFEST_NAME).get(subject_id)
+    if entry is not None:
+        db.records[subject_id] = _decode_record(db.path / MANIFEST_NAME, entry)
     return db
 
 
@@ -406,6 +424,8 @@ def enroll(
     All feature extraction happens before anything is written, so a pipeline
     failure on any image leaves the database exactly as it was.
     """
+    if db._entries is None:
+        raise ValueError("a one-record view of the database takes no enrollment")
     _validate_subject_id(subject_id)
     if subject_id in db.records:
         raise DuplicateSubject(f"duplicate subject: {subject_id!r} is already enrolled")

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -245,6 +246,48 @@ def test_access_error_still_logs_event(tmp_path, env, capsys):
     assert "mallory" in err
     events = read_audit_log(audit)
     assert [e.kind for e in events] == ["error"]
+
+
+def _door(capsys, env, db, audit):
+    code, out, err = run_cli(capsys, "access", "--db", db, "--claim", "bob",
+                             "--finger", env["bob_probe_finger"],
+                             "--iris", env["bob_probe_eye"], "--audit", audit)
+    return code, out, err, [(e.kind, e.claimed_id, e.ms_final, e.detail)
+                            for e in read_audit_log(audit)]
+
+
+def test_access_ignores_another_subjects_broken_files(tmp_path, env, capsys):
+    intact = _door(capsys, env, env["db"], tmp_path / "intact.log")
+    db = shutil.copytree(env["db"], tmp_path / "db")
+    (db / "alice_finger_0.fpt").unlink()
+    victim = db / "alice_iris_0_haar.irc"
+    victim.write_bytes(b"XXXX" + victim.read_bytes()[4:])
+    assert _door(capsys, env, db, tmp_path / "broken.log") == intact
+    assert intact[0] == 0 and len(intact[3]) == 1
+    verified = [run_cli(capsys, "verify", "--db", root, "--claim", "bob",
+                        "--finger", env["bob_probe_finger"]) for root in (env["db"], db)]
+    assert verified[1] == verified[0] and verified[0][0] == 0
+
+
+def test_access_with_the_claimed_subjects_file_missing_exits_2(tmp_path, env, capsys):
+    db = shutil.copytree(env["db"], tmp_path / "db")
+    (db / "bob_finger_0.fpt").unlink()
+    code, out, err, events = _door(capsys, env, db, tmp_path / "door.log")
+    assert code == 2
+    assert out == ""
+    assert "bob_finger_0.fpt" in err
+    assert events == []
+
+
+def test_access_decodes_only_the_claimed_record(tmp_path, env, capsys, monkeypatch):
+    calls = []
+    for name in ("decode_template", "decode_code"):
+        original = getattr(registry, name)
+        monkeypatch.setattr(registry, name,
+                            lambda blob, _f=original, _n=name: calls.append(_n) or _f(blob))
+    code, _, _, _ = _door(capsys, env, env["db"], tmp_path / "door.log")
+    assert code == 0
+    assert sorted(calls) == ["decode_code", "decode_code", "decode_template"]
 
 
 @pytest.mark.parametrize("claim, expected_code", [("bob", 0), ("alice", 1)])

@@ -47,6 +47,7 @@ from biolock.registry import (
     PersonRecord,
     RankedMatch,
     TemplateDB,
+    _load_record,
     access,
     enroll,
     identify,
@@ -531,7 +532,9 @@ def test_read_audit_log_errors(tmp_path):
         read_audit_log(missing_key)
 
 
-@pytest.mark.parametrize("field, value", [("kind", "opened"), ("ms_final", "x")])
+@pytest.mark.parametrize("field, value", [
+    ("kind", "opened"), ("ms_final", "x"), ("ts", 5), ("claimed_id", ["x"]), ("detail", None),
+])
 def test_read_audit_log_names_the_line_of_a_bad_field(tmp_path, field, value):
     good = {"ts": "2026-01-01T00:00:00+00:00", "kind": "alarm", "claimed_id": "bob",
             "ms_final": 0.25, "detail": ""}
@@ -620,38 +623,131 @@ def test_load_db_wrong_scheme_in_slot(enrolled, tmp_path):
         load_db(root)
 
 
+CORRUPT_MANIFESTS = (
+    "{ not json",
+    json.dumps([1, 2, 3]),
+    json.dumps({"version": 2, "subjects": []}),
+    json.dumps({"version": 1, "subjects": {}}),
+    json.dumps({"version": 1, "subjects": [{"id": "bad id!", "enrolled_at": "t",
+                                            "fingers": [], "iris": []}]}),
+    json.dumps({"version": 1, "subjects": [{"id": "nobody", "enrolled_at": "t",
+                                            "fingers": [], "iris": []}]}),
+    json.dumps({"version": 1, "subjects": [{"id": "x", "enrolled_at": "",
+                                            "fingers": ["f"], "iris": []}]}),
+    json.dumps({"version": 1, "subjects": [{"id": "x", "enrolled_at": "t",
+                                            "fingers": [], "iris": [{"haar": "h"}]}]}),
+)
+
+
 def test_load_db_corrupt_manifests(tmp_path):
     root = tmp_path / "db"
     root.mkdir()
     manifest = root / "manifest.json"
-    cases = (
-        "{ not json",
-        json.dumps([1, 2, 3]),
-        json.dumps({"version": 2, "subjects": []}),
-        json.dumps({"version": 1, "subjects": {}}),
-        json.dumps({"version": 1, "subjects": [{"id": "bad id!", "enrolled_at": "t",
-                                                "fingers": [], "iris": []}]}),
-        json.dumps({"version": 1, "subjects": [{"id": "nobody", "enrolled_at": "t",
-                                                "fingers": [], "iris": []}]}),
-        json.dumps({"version": 1, "subjects": [{"id": "x", "enrolled_at": "",
-                                                "fingers": ["f"], "iris": []}]}),
-        json.dumps({"version": 1, "subjects": [{"id": "x", "enrolled_at": "t",
-                                                "fingers": [], "iris": [{"haar": "h"}]}]}),
-    )
-    for content in cases:
+    for content in CORRUPT_MANIFESTS:
         manifest.write_text(content)
         with pytest.raises(CorruptManifest):
             load_db(root)
 
 
-def test_load_db_duplicate_subject_in_manifest(enrolled, tmp_path):
-    root = _copy_db(enrolled, tmp_path / "db")
+def _duplicate_first_subject(enrolled, root):
+    _copy_db(enrolled, root)
     manifest = json.loads((root / "manifest.json").read_text())
     manifest["subjects"].append(manifest["subjects"][0])
     (root / "manifest.json").write_text(json.dumps(manifest))
+    return root
+
+
+def test_load_db_duplicate_subject_in_manifest(enrolled, tmp_path):
+    root = _duplicate_first_subject(enrolled, tmp_path / "db")
     with pytest.raises(CorruptManifest) as err:
         load_db(root)
     assert "alice" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# one-record reads: the door's view of the database
+
+
+def test_load_record_equals_load_db_for_every_subject(enrolled):
+    full = load_db(enrolled.path)
+    for sid, record in full.records.items():
+        view = _load_record(enrolled.path, sid)
+        assert list(view.records) == [sid]
+        other = view.records[sid]
+        assert other.enrolled_at == record.enrolled_at
+        assert [encode_template(t) for t in other.fingerprints] == [
+            encode_template(t) for t in record.fingerprints]
+        assert [(encode_code(p.haar), encode_code(p.mellin)) for p in other.iris_codes] == [
+            (encode_code(p.haar), encode_code(p.mellin)) for p in record.iris_codes]
+
+
+def test_load_record_of_an_absent_subject_is_empty(enrolled, corpus, tmp_path):
+    for sid in ("mallory", "not a token!"):
+        view = _load_record(enrolled.path, sid)
+        assert len(view) == 0
+        with pytest.raises(UnknownSubject):
+            verify(view, sid, None, corpus["alice"]["eye"], CFG)
+    assert len(_load_record(tmp_path / "never-created", "alice")) == 0
+
+
+@pytest.mark.parametrize("claim", ["x", "nobody", "absent"])
+def test_load_record_checks_the_whole_manifest(tmp_path, claim):
+    root = tmp_path / "db"
+    root.mkdir()
+    manifest = root / "manifest.json"
+    for content in CORRUPT_MANIFESTS:
+        manifest.write_text(content)
+        with pytest.raises(CorruptManifest):
+            _load_record(root, claim)
+
+
+@pytest.mark.parametrize("loader", [load_db, lambda root: _load_record(root, "other")],
+                         ids=["load_db", "_load_record"])
+@pytest.mark.parametrize("entry", [
+    {"fingers": [""]}, {"fingers": [5]}, {"iris": [{"haar": None, "mellin": "m.irc"}]},
+])
+def test_loaders_reject_a_bad_file_reference_before_reading_files(tmp_path, loader, entry):
+    (tmp_path / "manifest.json").write_text(json.dumps({"version": 1, "subjects": [
+        {"id": "other", "enrolled_at": "t", "fingers": ["absent.fpt"]},
+        {"id": "x", "enrolled_at": "t", **entry}]}))
+    with pytest.raises(CorruptManifest, match="bad file reference"):
+        loader(tmp_path)
+
+
+@pytest.mark.parametrize("claim", ["alice", "carol"])
+def test_load_record_rejects_a_duplicate_subject_in_manifest(enrolled, tmp_path, claim):
+    root = _duplicate_first_subject(enrolled, tmp_path / "db")
+    with pytest.raises(CorruptManifest) as err:
+        _load_record(root, claim)
+    assert "alice" in str(err.value)
+
+
+def test_load_record_reads_only_the_claimed_files(enrolled, tmp_path):
+    root = _copy_db(enrolled, tmp_path / "db")
+    (root / "alice_finger_0.fpt").unlink()
+    victim = root / "carol_iris_0_haar.irc"
+    victim.write_bytes(b"XXXX" + victim.read_bytes()[4:])
+    manifest = json.loads((root / "manifest.json").read_text())
+    item = manifest["subjects"][0]["iris"][0]
+    item["haar"], item["mellin"] = item["mellin"], item["haar"]
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    assert list(_load_record(root, "bob").records) == ["bob"]
+    with pytest.raises(MissingTemplateFile, match="alice_finger_0.fpt"):
+        _load_record(root, "alice")
+    with pytest.raises(BadMagic, match="carol_iris_0_haar.irc"):
+        _load_record(root, "carol")
+    (root / "alice_finger_0.fpt").write_bytes((enrolled.path / "alice_finger_0.fpt").read_bytes())
+    with pytest.raises(CorruptManifest, match="alice_iris_0_mellin.irc"):
+        _load_record(root, "alice")
+
+
+def test_load_record_view_takes_no_enrollment(enrolled, corpus, tmp_path):
+    root = _copy_db(enrolled, tmp_path / "db")
+    before = sorted((p.name, p.read_bytes()) for p in root.iterdir())
+    for sid in ("alice", "dave"):
+        with pytest.raises(ValueError, match="one-record view"):
+            enroll(_load_record(root, sid), "dave", [corpus["alice"]["finger"]])
+    assert sorted((p.name, p.read_bytes()) for p in root.iterdir()) == before
 
 
 def test_reloaded_db_verifies_identically(enrolled, corpus):
