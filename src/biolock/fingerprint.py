@@ -8,6 +8,7 @@ departing ridge.
 
 from __future__ import annotations
 
+import copy
 import math
 import struct
 from collections import deque
@@ -282,26 +283,19 @@ def estimate_frequency(img: GrayImage, orientation: FloatField) -> FloatField:
     # propagate estimates into empty blocks: simultaneous rounds of
     # median-of-known-neighbors until the grid stops changing
     while np.isnan(freq).any():
-        known = ~np.isnan(freq)
-        if not known.any():
+        if np.isnan(freq).all():
             freq[:] = FREQ_FALLBACK
             break
-        updated = freq.copy()
-        progress = False
-        for bi in range(bh):
-            for bj in range(bw):
-                if known[bi, bj]:
-                    continue
-                vals = [freq[bi + dy, bj + dx]
-                        for dx, dy in NEIGHBOUR_OFFSETS
-                        if 0 <= bi + dy < bh and 0 <= bj + dx < bw
-                        and known[bi + dy, bj + dx]]
-                if vals:
-                    updated[bi, bj] = float(np.median(vals))
-                    progress = True
-        if not progress:
-            updated[np.isnan(updated)] = FREQ_FALLBACK
-        freq = updated
+        framed = np.pad(freq, 1, constant_values=np.nan)
+        hood = np.sort([framed[1 + dy:1 + dy + bh, 1 + dx:1 + dx + bw]
+                        for dx, dy in NEIGHBOUR_OFFSETS], axis=0)  # unknowns last
+        n = np.count_nonzero(~np.isnan(hood), axis=0)
+        # np.median's mean of the middle pair; an odd count's one middle x is (x + x) / 2
+        lo, hi = np.take_along_axis(hood, np.stack([np.maximum(n - 1, 0) // 2, n // 2]), 0)
+        fill = np.isnan(freq) & (n > 0)
+        freq = np.where(fill, (lo + hi) / 2.0, freq)
+        if not fill.any():
+            freq[np.isnan(freq)] = FREQ_FALLBACK
     return FloatField(freq, kind="frequency")
 
 
@@ -345,7 +339,7 @@ _CODE_OFFSETS = tuple(tuple(off for i, off in enumerate(NEIGHBOUR_OFFSETS) if co
 
 
 def _skeleton_neighbors(codes: np.ndarray, x: int, y: int) -> list[tuple[int, int]]:
-    return [(x + dx, y + dy) for dx, dy in _CODE_OFFSETS[codes[y, x]]]
+    return [(x + dx, y + dy) for dx, dy in _CODE_OFFSETS[codes.item(y, x)]]
 
 
 def _walk_arm(codes: np.ndarray, start: tuple[int, int], first: tuple[int, int],
@@ -378,15 +372,13 @@ def extract_minutiae(thinned: BinaryImage, orientation: FloatField,
     codes = neighbour_codes(bits)
     cn = CROSSING_NUMBERS[codes]
     out: list[Minutia] = []
-    ys, xs = np.nonzero(bits & ((cn == 1) | (cn == 3)))
+    ys, xs = np.nonzero(bits & mask.bits & ((cn == 1) | (cn == 3)))
     for y, x in zip(ys.tolist(), xs.tolist()):
-        if not mask.bits[y, x]:
-            continue
         bi = min(y // DEFAULT_BLOCK, bh - 1)
         bj = min(x // DEFAULT_BLOCK, bw - 1)
-        theta_base = float(orientation.values[bi, bj])
+        theta_base = orientation.values.item(bi, bj)
         neighbors = _skeleton_neighbors(codes, x, y)
-        if cn[y, x] == 1:
+        if cn.item(y, x) == 1:
             kind = KIND_ENDING
             if neighbors:
                 fx, fy = _walk_arm(codes, (x, y), neighbors[0], TRACE_STEPS)
@@ -431,7 +423,7 @@ def _trace_to_junction(codes: np.ndarray, ending: tuple[int, int],
             return None, steps
         # the junction pixel itself may sit among a fan-out of continuations
         for q in nxt:
-            if CROSSING_NUMBERS[codes[q[1], q[0]]] >= 3:
+            if CROSSING_NUMBERS[codes.item(q[1], q[0])] >= 3:
                 return q, steps + 1
         if len(nxt) > 1:
             return None, steps
@@ -474,19 +466,22 @@ def _two_paths(codes: np.ndarray, a: tuple[int, int], b: tuple[int, int],
 
 
 def _close_pairs(minutiae: list[Minutia], gap: float) -> list[tuple[int, int]]:
-    """Index pairs (a, b), a < b, of minutiae less than `gap` apart: a sweep
-    in x order that ends each scan once the x offset alone reaches `gap`."""
-    order = sorted(range(len(minutiae)), key=lambda i: minutiae[i].x)
+    """Index pairs (a, b), a < b, of minutiae less than `gap` apart: one sweep over
+    x-order windows of offset under `gap`, each pair decided on ``math.hypot``."""
+    x, y = np.array([(m.x, m.y) for m in minutiae]).reshape(-1, 2).T
+    order = np.argsort(x, kind="stable")
+    x, y = x[order], y[order]
+    # x[t] - x[s] < gap needs x[t] < x[s] + gap exactly, so x[t] <= the rounded sum
+    ends = np.searchsorted(x, x + gap, side="right")
+    s = np.repeat(np.arange(len(x)), ends - np.arange(len(x)) - 1)
+    t = np.arange(len(s)) - np.searchsorted(s, s) + s + 1  # s + 1 .. ends[s] - 1
+    # np.hypot and math.hypot may differ in the last bit: keep a margin
+    near = np.hypot(x[t] - x[s], y[t] - y[s]) <= gap * (1.0 + 1e-9)
     pairs = []
-    for s, a in enumerate(order):
-        ma = minutiae[a]
-        for t in range(s + 1, len(order)):
-            b = order[t]
-            mb = minutiae[b]
-            if mb.x - ma.x >= gap:
-                break
-            if math.hypot(ma.x - mb.x, ma.y - mb.y) < gap:
-                pairs.append((min(a, b), max(a, b)))
+    for a, b in zip(order[s[near]].tolist(), order[t[near]].tolist()):
+        ma, mb = minutiae[a], minutiae[b]
+        if math.hypot(ma.x - mb.x, ma.y - mb.y) < gap:
+            pairs.append((min(a, b), max(a, b)))
     return pairs
 
 
@@ -717,6 +712,7 @@ def build_template(img: GrayImage, keep_artifacts: bool = False):
 
     Returns the template, or (template, PipelineArtifacts) when asked.
     """
+    img = copy.copy(img)  # the Sobel pair its stages share dies with this call
     mask, border = segment(img)
     orientation = estimate_orientation(img)
     frequency = estimate_frequency(img, orientation)

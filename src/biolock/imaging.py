@@ -181,12 +181,17 @@ def _correlate(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     order so the result is bit-identical to a naive nested-loop evaluation."""
     kh, kw = kernel.shape
     ry, rx = kh // 2, kw // 2
-    padded = np.pad(arr, ((ry, ry), (rx, rx)), mode="edge")
+    # a C-ordered pad keeps the tap slices of a transposed input contiguous
+    padded = np.pad(np.ascontiguousarray(arr), ((ry, ry), (rx, rx)), mode="edge")
     h, w = arr.shape
     out = np.zeros((h, w), dtype=np.float64)
+    # A sum that starts at +0.0 never becomes -0.0, so a zero tap adds no bit
+    # unless 0 * p is NaN, which needs an inf or NaN pixel.
+    finite = np.isfinite(arr).all()
     for i in range(kh):
         for j in range(kw):
-            out += kernel[i, j] * padded[i:i + h, j:j + w]
+            if kernel[i, j] != 0.0 or not finite:
+                out += kernel[i, j] * padded[i:i + h, j:j + w]
     return out
 
 
@@ -212,14 +217,18 @@ SOBEL_Y = SOBEL_X.T
 def gradients(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     """3x3 Sobel gradients; x increases rightward, y downward.
 
-    Raw signed responses, replicated edges.
+    Raw signed responses, replicated edges.  Computed once per image, which
+    keeps the read-only pair for as long as it lives.
     """
-    gx = _correlate(img.pixels, SOBEL_X)
-    # Correlating the transpose with SOBEL_X accumulates each kernel row in the
-    # order -c, +c, so constant regions cancel exactly; a direct SOBEL_Y pass
-    # sums -c-2c-c per column and leaves 1-ulp residue on constant input.
-    gy = _correlate(img.pixels.T, SOBEL_X).T
-    return gx, gy
+    if "_gradients" not in img.__dict__:
+        gx = _correlate(img.pixels, SOBEL_X)
+        # Correlating the transpose with SOBEL_X accumulates each kernel row in the
+        # order -c, +c, so constant regions cancel exactly; a direct SOBEL_Y pass
+        # sums -c-2c-c per column and leaves 1-ulp residue on constant input.
+        gy = _correlate(img.pixels.T, SOBEL_X).T
+        gx.flags.writeable = gy.flags.writeable = False
+        object.__setattr__(img, "_gradients", (gx, gy))
+    return img._gradients
 
 
 def _bilinear(pixels: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -333,13 +342,20 @@ def thin(img: BinaryImage) -> BinaryImage:
     without that guard the classic subiteration pair eats an extra pixel off
     stroke ends, shortening a 20-long bar below 18.
     """
-    bits = img.bits.copy()
-    while True:
-        changed = False
-        for delete in _THIN_DELETE:
-            cond = bits & delete[neighbour_codes(bits)]
-            if cond.any():
-                bits[cond] = False
-                changed = True
-        if not changed:
-            return BinaryImage(bits)
+    # the framed image, flat: a deletion clears its bit (i + 4) % 8 in neighbour
+    # i's code, and the frame absorbs the writes that leave the image
+    bits = np.pad(img.bits, 1)
+    codes = np.pad(neighbour_codes(img.bits), 1).ravel()
+    live = np.flatnonzero(bits)
+    steps = [(dy * bits.shape[1] + dx, np.uint8(0xFF ^ 1 << (i + 4) % 8))
+             for i, (dx, dy) in enumerate(NEIGHBOUR_OFFSETS)]
+    idle = phase = 0
+    while idle < 2:  # two subiterations in a row without a deletion: stable
+        gone = _THIN_DELETE[phase][codes[live]]
+        idle = 0 if gone.any() else idle + 1
+        bits.flat[live[gone]] = False
+        for step, keep in steps:
+            codes[live[gone] + step] &= keep
+        live = live[~gone]
+        phase ^= 1
+    return BinaryImage(bits[1:-1, 1:-1])

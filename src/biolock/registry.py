@@ -174,6 +174,8 @@ class AuditEvent:
         if not all(isinstance(getattr(self, f), str) for f in ("ts", "claimed_id", "detail")):
             raise ValueError(f"ts, claimed_id and detail must be strings: {self!r}")
         object.__setattr__(self, "ms_final", float(self.ms_final))
+        if not math.isfinite(self.ms_final):
+            raise ValueError(f"ms_final must be finite, got {self.ms_final}")
 
 
 class TemplateDB:

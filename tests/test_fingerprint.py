@@ -3,10 +3,12 @@ enhancement, minutiae extraction/filtering, registration, and matching."""
 import functools
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 import synthgen
 from biolock.errors import (
@@ -16,7 +18,7 @@ from biolock.errors import (
     ImageTooSmall,
     TruncatedData,
 )
-from biolock import fingerprint
+from biolock import fingerprint, imaging
 from biolock.fingerprint import (
     FREQ_FALLBACK,
     KIND_BIFURCATION,
@@ -230,6 +232,66 @@ def test_frequency_constant_image_falls_back():
     assert np.array_equal(first_pass, frequency_oracle(img, orientation), equal_nan=True)
     field = estimate_frequency(img, orientation)
     assert np.all(field.values == FREQ_FALLBACK)
+
+
+def propagation_oracle(freq):
+    """The block-by-block median propagation: simultaneous rounds in which
+    every empty block takes np.median of its known 8-neighbours."""
+    freq = freq.copy()
+    bh, bw = freq.shape
+    while np.isnan(freq).any():
+        known = ~np.isnan(freq)
+        if not known.any():
+            freq[:] = FREQ_FALLBACK
+            break
+        updated = freq.copy()
+        progress = False
+        for bi in range(bh):
+            for bj in range(bw):
+                if known[bi, bj]:
+                    continue
+                vals = [freq[bi + dy, bj + dx] for dx, dy in NEIGH
+                        if 0 <= bi + dy < bh and 0 <= bj + dx < bw and known[bi + dy, bj + dx]]
+                if vals:
+                    updated[bi, bj] = float(np.median(vals))
+                    progress = True
+        if not progress:
+            updated[np.isnan(updated)] = FREQ_FALLBACK
+        freq = updated
+    return freq
+
+
+def assert_propagation_matches_oracle(img, orientation, first_pass):
+    with mock.patch.object(fingerprint, "_block_frequencies", lambda *_: first_pass.copy()):
+        got = estimate_frequency(img, orientation).values
+    assert np.array_equal(got.view(np.int64), propagation_oracle(first_pass).view(np.int64))
+    return got
+
+
+_BAND = st.sampled_from([fingerprint.FREQ_MIN, 0.1, math.nextafter(0.1, 1.0), 1.0 / 9.0,
+                         fingerprint.FREQ_MAX]) | st.floats(fingerprint.FREQ_MIN,
+                                                            fingerprint.FREQ_MAX)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_frequency_propagation_equals_the_block_loop(data):
+    bh, bw = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    img = GrayImage(np.full((bh * 16, bw * 16), 0.5))
+    orientation = FloatField(np.zeros((bh, bw)), kind="orientation")
+    values = data.draw(st.lists(_BAND, min_size=bh * bw, max_size=bh * bw))
+    empty = data.draw(st.lists(st.booleans(), min_size=bh * bw, max_size=bh * bw))
+    first_pass = np.where(empty, np.nan, values).reshape(bh, bw)
+    assert_propagation_matches_oracle(img, orientation, first_pass)
+
+
+def test_frequency_propagation_equals_the_block_loop_on_a_probe():
+    img, _ = synthgen.plant_print([KIND_ENDING, KIND_BIFURCATION] * 4, seed=3)
+    orientation = estimate_orientation(img)
+    first_pass = fingerprint._block_frequencies(img, orientation)
+    assert 10 < np.isnan(first_pass).sum() < first_pass.size
+    got = assert_propagation_matches_oracle(img, orientation, first_pass)
+    assert np.array_equal(got, estimate_frequency(img, orientation).values)
 
 
 def test_frequency_rejects_grids_off_the_block_grid():
@@ -791,6 +853,81 @@ def test_build_template_takes_the_mask_without_the_masked_image():
     assert np.array_equal(art.mask.bits, mask.bits)
 
 
+def full_tap_gradients(pixels):
+    """The Sobel pair as array passes over all nine taps, zero taps included."""
+    def correlate(arr):
+        padded = np.pad(arr, 1, mode="edge")
+        h, w = arr.shape
+        out = np.zeros((h, w))
+        for i in range(3):
+            for j in range(3):
+                out += imaging.SOBEL_X[i, j] * padded[i:i + h, j:j + w]
+        return out
+    return correlate(pixels), correlate(pixels.T).T
+
+
+def coherence_oracle(pixels):
+    """coherence_image on its own Sobel pass, operation for operation."""
+    gx, gy = full_tap_gradients(pixels)
+    gxx, gyy, gxy = gx * gx, gy * gy, gx * gy
+
+    def wsum(a):
+        return ndimage.uniform_filter(a, size=fingerprint.DEFAULT_COHERENCE_WINDOW,
+                                      mode="nearest")
+
+    sx, sxy, denom = wsum(gxx - gyy), wsum(2.0 * gxy), wsum(gxx + gyy)
+    num = np.sqrt(sx * sx + sxy * sxy)
+    live = denom > 1e-12
+    return np.clip(np.where(live, num / np.where(live, denom, 1.0), 0.0), 0.0, 1.0)
+
+
+def orientation_oracle(pixels):
+    """estimate_orientation on its own Sobel pass, operation for operation."""
+    block = fingerprint.DEFAULT_BLOCK
+    bh, bw = pixels.shape[0] // block, pixels.shape[1] // block
+    gx, gy = full_tap_gradients(pixels)
+
+    def block_sum(a):
+        return a[:bh * block, :bw * block].reshape(bh, block, bw, block).sum(axis=(1, 3))
+
+    sx, sxy = block_sum(gx * gx - gy * gy), block_sum(2.0 * gx * gy)
+    theta = np.mod(0.5 * np.arctan2(sxy, sx) + 0.5 * math.pi, math.pi)
+    energy = (sx != 0.0) | (sxy != 0.0)
+    c_bar = ndimage.uniform_filter(np.where(energy, np.cos(2.0 * theta), 0.0), size=3,
+                                   mode="nearest")
+    s_bar = ndimage.uniform_filter(np.where(energy, np.sin(2.0 * theta), 0.0), size=3,
+                                   mode="nearest")
+    smooth = np.mod(0.5 * np.arctan2(s_bar, c_bar) + math.pi, math.pi)
+    degenerate = (np.abs(c_bar) < 1e-12) & (np.abs(s_bar) < 1e-12)
+    out = np.where(degenerate, 0.0, smooth)
+    return np.where(out >= math.pi, 0.0, out)
+
+
+def test_coherence_and_orientation_alone_equal_their_own_sobel_pass():
+    pixels = degraded_print([KIND_ENDING, KIND_BIFURCATION] * 4, seed=7).pixels
+    assert pixels.shape == (512, 512)
+    for stage, oracle in ((coherence_image, coherence_oracle),
+                          (estimate_orientation, orientation_oracle)):
+        got = stage(GrayImage(pixels.copy())).values
+        assert np.array_equal(got.view(np.int64), oracle(pixels).view(np.int64))
+
+
+def test_build_template_runs_one_sobel_pass_per_print(monkeypatch):
+    img = degraded_print([KIND_ENDING, KIND_BIFURCATION] * 4, seed=5)
+    calls = []
+    real = imaging._correlate
+    monkeypatch.setattr(imaging, "_correlate", lambda a, k: calls.append(a.shape) or real(a, k))
+    template, art = build_template(img, keep_artifacts=True)
+    assert calls == [(512, 512), (512, 512)]
+    # the pair dies with the call; the two stages called alone share their own
+    assert np.array_equal(art.mask.bits, segment(img)[0].bits)
+    assert np.array_equal(art.orientation.values, estimate_orientation(img).values)
+    assert len(calls) == 4
+    # and a later build reads the pair the image now holds
+    assert encode_template(build_template(img)) == encode_template(template)
+    assert len(calls) == 4
+
+
 def test_build_template_runs_each_public_stage_once(monkeypatch):
     img = synthgen.render_print([(100.0, 140.0, 1.0)], beta=0.3)
     calls = []
@@ -901,6 +1038,15 @@ def test_close_pairs_equal_every_pair_under_the_gap(data):
                 if math.hypot(minutiae[a].x - minutiae[b].x,
                               minutiae[a].y - minutiae[b].y) < gap]
     assert sorted(fingerprint._close_pairs(minutiae, gap)) == expected
+
+
+def test_close_pairs_decide_on_math_hypot_where_numpy_rounds_apart():
+    # On glibc, np.hypot reads these offsets one ulp above and below math.hypot.
+    for dx, dy, gap in ((13.627489236680702, 16.16820461340427, 21.14519575025863),
+                        (18.641193732267563, 4.256847192294828, 19.121057810238426)):
+        minutiae = [Minutia(dx, dy, 0.0, KIND_ENDING), Minutia(0.0, 0.0, 0.0, KIND_ENDING)]
+        expected = [(0, 1)] if math.hypot(dx, dy) < gap else []
+        assert fingerprint._close_pairs(minutiae, gap) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,68 @@ def test_gradients_cosine_matches_direct_convolution():
     img = GrayImage(np.tile(0.5 + 0.5 * np.cos(2 * np.pi * xs / 8), (h, 1)))
     gx, _ = gradients(img)
     oracle = naive_correlate(img.pixels, imaging.SOBEL_X)
-    assert np.max(np.abs(gx - oracle)) < 1e-6
+    assert np.array_equal(gx, oracle)
+
+
+def same_bits(a, b):
+    """Equal float arrays down to the sign of zero and the NaN positions."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@st.composite
+def runs_of_levels(draw):
+    """An image of k/255 levels laid out in constant runs, row by row or
+    column by column, so that Sobel taps cancel exactly and give signed zeros."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    level = st.sampled_from([0, 1, 2, 127, 128, 254, 255]) | st.integers(0, 255)
+    runs = draw(st.lists(st.tuples(level, st.integers(1, 2 * max(h, w))), min_size=1))
+    flat = np.repeat([k for k, _ in runs], [n for _, n in runs])
+    flat = np.resize(flat, h * w) / 255.0
+    return flat.reshape(h, w) if draw(st.booleans()) else flat.reshape(w, h).T
+
+
+@settings(max_examples=200, deadline=None)
+@given(pixels=runs_of_levels())
+def test_gradients_equal_the_full_nine_tap_loop_bit_for_bit(pixels):
+    gx, gy = gradients(GrayImage(pixels))
+    assert same_bits(gx, naive_correlate(pixels, imaging.SOBEL_X))
+    assert same_bits(gy, naive_correlate(np.ascontiguousarray(pixels.T), imaging.SOBEL_X).T)
+
+
+def test_convolve_keeps_zero_weight_taps_on_inf_and_nan():
+    kernel = np.array([[0.0, -1.0, 0.0], [2.0, 0.0, -0.0], [0.0, 0.5, 0.0]])
+    for bad in (np.inf, -np.inf, np.nan):
+        arr = np.linspace(0.0, 1.0, 42).reshape(6, 7)
+        arr[2, 3] = bad
+        arr[5, 0] = -arr[5, 0]
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            out = convolve(arr, kernel)
+            assert same_bits(out, naive_correlate(arr, kernel))
+            assert same_bits(convolve(arr, imaging.SOBEL_X),
+                             naive_correlate(arr, imaging.SOBEL_X))
+        # a window holding the bad pixel under a zero tap reads NaN, not 0
+        hit = out[1:4, 2:5].copy()
+        assert np.array_equal(np.isnan(hit), (kernel[::-1, ::-1] == 0.0) | np.isnan(bad))
+        assert not np.isfinite(hit).any()
+        out[1:4, 2:5] = 0.0
+        assert np.isfinite(out).all()
+
+
+def test_gradients_are_computed_once_per_image_and_read_only(monkeypatch):
+    calls = []
+    real = imaging._correlate
+    monkeypatch.setattr(imaging, "_correlate", lambda a, k: calls.append(k) or real(a, k))
+    img = GrayImage(np.linspace(0.0, 1.0, 80).reshape(8, 10))
+    gx, gy = gradients(img)
+    assert gradients(img)[0] is gx and gradients(img)[1] is gy
+    assert len(calls) == 2
+    for g in (gx, gy):
+        assert not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0, 0] = 1.0
+    # an equal image built afresh computes its own pair
+    gradients(GrayImage(img.pixels))
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +342,16 @@ def oracle_deletions(bits, phase):
     return cond
 
 
-def thin_oracle(bits):
+def thin_oracle(bits, trace=None):
+    """Thinning by the plane formulas, until a whole pass deletes nothing;
+    ``trace`` collects the deletion count of every subiteration."""
     bits = np.array(bits, dtype=bool)
     while True:
         changed = False
         for phase in (0, 1):
             cond = oracle_deletions(bits, phase)
+            if trace is not None:
+                trace.append(int(cond.sum()))
             if cond.any():
                 bits[cond] = False
                 changed = True
@@ -351,6 +416,54 @@ def test_thin_equals_plane_formula_on_a_degraded_print():
     ridges = art.binarized.bits & art.mask.bits
     assert ridges.shape == (512, 512)
     assert np.array_equal(thin_checked(ridges).bits, art.thinned.bits)
+
+def last_deleting_phase(bits):
+    trace = []
+    thin_oracle(bits, trace)
+    return [i % 2 for i, n in enumerate(trace) if n][-1], trace
+
+
+def test_thin_stops_the_same_whichever_subiteration_deletes_last():
+    second = np.zeros((7, 8), dtype=bool)
+    second[1:6, 1:7] = True
+    assert last_deleting_phase(second) == (1, [11, 8, 6, 3, 0, 0])
+    thin_checked(second)
+    first = np.zeros((6, 7), dtype=bool)
+    first[1:5, 1:6] = True
+    assert last_deleting_phase(first) == (0, [9, 6, 3, 0, 0, 0])
+    thin_checked(first)
+
+
+def test_thin_returns_an_undeletable_image_as_it_is():
+    checkerboard = np.indices((9, 11)).sum(axis=0) % 2 == 0
+    for case in (checkerboard, np.eye(6, dtype=bool), np.ones((1, 8), dtype=bool)):
+        trace = []
+        thin_oracle(case, trace)
+        assert trace == [0, 0]
+        assert np.array_equal(thin_checked(case).bits, case)
+
+
+def test_thin_an_all_foreground_block_on_the_border():
+    thin_checked(np.ones((7, 9), dtype=bool))
+    corner = np.zeros((12, 10), dtype=bool)
+    corner[:6, 4:] = True
+    out = thin_checked(corner)
+    assert out.bits[:6, 4:].any() and not out.bits[6:].any()
+
+
+def test_thin_codes_the_neighbourhoods_once(monkeypatch):
+    calls = []
+    real = imaging.neighbour_codes
+    monkeypatch.setattr(imaging, "neighbour_codes", lambda b: calls.append(b.shape) or real(b))
+    bits = np.zeros((40, 40), dtype=bool)
+    bits[5:20, 3:37] = True
+    bits[20:36, 10:16] = True
+    trace = []
+    expected = thin_oracle(bits, trace)
+    assert sum(n > 0 for n in trace) > 4
+    assert np.array_equal(thin(BinaryImage(bits)).bits, expected)
+    assert calls == [(40, 40)]
+
 
 def test_thin_horizontal_bar_centerline():
     bits = np.zeros((12, 30), dtype=bool)

@@ -534,6 +534,7 @@ def test_read_audit_log_errors(tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("kind", "opened"), ("ms_final", "x"), ("ts", 5), ("claimed_id", ["x"]), ("detail", None),
+    ("ms_final", math.inf), ("ms_final", -math.inf), ("ms_final", math.nan),
 ])
 def test_read_audit_log_names_the_line_of_a_bad_field(tmp_path, field, value):
     good = {"ts": "2026-01-01T00:00:00+00:00", "kind": "alarm", "claimed_id": "bob",
@@ -802,3 +803,6 @@ def test_audit_event_validation():
         AuditEvent("2026-01-01T00:00:00+00:00", "intrusion", "x", 0.0, "")
     event = AuditEvent("2026-01-01T00:00:00+00:00", "alarm", "x", "0.25", "")
     assert event.ms_final == 0.25
+    for bad in (math.inf, -math.inf, math.nan, "nan"):
+        with pytest.raises(ValueError, match="ms_final must be finite"):
+            AuditEvent("2026-01-01T00:00:00+00:00", "alarm", "x", bad, "")
