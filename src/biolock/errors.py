@@ -20,11 +20,7 @@ class UnsupportedMaxval(BiolockError):
 
 
 class TruncatedData(BiolockError):
-    """PGM payload is shorter than width*height."""
-
-
-class EvenKernel(BiolockError):
-    """Convolution kernel must be odd-sized in both dimensions."""
+    """PGM, template (FPT1) or iris code (IRC1) bytes are short or corrupt."""
 
 
 class EvenWindow(BiolockError):
@@ -60,7 +56,7 @@ class BadDimensions(BiolockError):
 
 
 class SchemeMismatch(BiolockError):
-    """Iris codes differ in scheme or length."""
+    """Iris codes of different schemes were compared; a scheme fixes the length."""
 
 
 class IncomparableCodes(BiolockError):

@@ -109,20 +109,6 @@ class FingerprintTemplate:
 
 
 @dataclass(frozen=True)
-class MatchParams:
-    theta0: float = DEFAULT_THETA0
-    theta1: float = DEFAULT_THETA1
-    hough_xy_bin: float = DEFAULT_XY_BIN
-    hough_angle_bin: float = DEFAULT_ANGLE_BIN
-
-    def __post_init__(self):
-        if min(self.theta0, self.theta1, self.hough_xy_bin, self.hough_angle_bin) <= 0:
-            raise ValueError("all match parameters must be strictly positive")
-        if self.theta1 >= math.pi:
-            raise ValueError("theta1 must be below pi")
-
-
-@dataclass(frozen=True)
 class RegistrationTransform:
     dx: float
     dy: float
@@ -577,7 +563,7 @@ def _minutiae_rows(templates) -> np.ndarray:
     return rows
 
 
-def _register_block(block, p: np.ndarray, params: MatchParams):
+def _register_block(block, p: np.ndarray):
     """Hough registration of probe rows ``p`` against each template of a
     block: the block's minutia rows, each row's template, the template
     centres, and per template the peak bin's (dtheta, dx, dy, support)."""
@@ -591,7 +577,7 @@ def _register_block(block, p: np.ndarray, params: MatchParams):
     ox, oy = t[:, 0, None] - cx, t[:, 1, None] - cy
     votes = [dtheta.ravel(), (p[:, 0] - (cx + c * ox - s * oy)).ravel(),
              (p[:, 1] - (cy + s * ox + c * oy)).ravel()]
-    bins = (params.hough_angle_bin, params.hough_xy_bin, params.hough_xy_bin)
+    bins = (DEFAULT_ANGLE_BIN, DEFAULT_XY_BIN, DEFAULT_XY_BIN)
     keys = [owner.repeat(len(p))] + [np.rint(v / b) for v, b in zip(votes, bins)]
     # Keys that fit in int16 take lexsort's radix path; the order is the same.
     keys = [k.astype(np.int16) if np.abs(k).max() < 2**15 else k for k in keys]
@@ -614,7 +600,7 @@ def _register_block(block, p: np.ndarray, params: MatchParams):
     return t, owner, centre, (dt[peak], dx[peak], dy[peak], n[peak])
 
 
-def _pair_block(t, owner, centre, p, reg, params: MatchParams) -> list[int]:
+def _pair_block(t, owner, centre, p, reg) -> list[int]:
     """Per template of a block, the greedy count of paired minutiae: probe
     rows mapped back into the template frame by its registration, candidate
     pairs of equal kind within the spatial and orientation thresholds taken
@@ -629,11 +615,11 @@ def _pair_block(t, owner, centre, p, reg, params: MatchParams) -> list[int]:
     # np.hypot may differ from math.hypot in the last bit: keep a little
     # slack here and decide on the exact distance below.
     near = ((t[:, 3, None] == p[:, 3])
-            & (np.hypot(ex, ey) <= params.theta0 * (1.0 + 1e-9))
-            & (np.minimum(turn, _TWO_PI - turn) <= params.theta1))
+            & (np.hypot(ex, ey) <= DEFAULT_THETA0 * (1.0 + 1e-9))
+            & (np.minimum(turn, _TWO_PI - turn) <= DEFAULT_THETA1))
     rows, cols = np.nonzero(near)
     dist = np.array([math.hypot(a, b) for a, b in zip(ex[near].tolist(), ey[near].tolist())])
-    keep = dist <= params.theta0
+    keep = dist <= DEFAULT_THETA0
     rows, cols, dist = rows[keep], cols[keep], dist[keep]
     order = np.lexsort((cols, rows, dist))
     rows, cols = rows[order], cols[order]
@@ -646,8 +632,8 @@ def _pair_block(t, owner, centre, p, reg, params: MatchParams) -> list[int]:
     return matched
 
 
-def register_minutiae(template: FingerprintTemplate, probe: FingerprintTemplate,
-                      params: MatchParams = MatchParams()) -> RegistrationTransform:
+def register_minutiae(template: FingerprintTemplate,
+                      probe: FingerprintTemplate) -> RegistrationTransform:
     """Vote (dtheta, dx, dy) over all minutia pairs in a quantized accumulator
     and return the peak bin's transform refined by averaging its raw votes.
 
@@ -656,13 +642,12 @@ def register_minutiae(template: FingerprintTemplate, probe: FingerprintTemplate,
     """
     if len(template) == 0 or len(probe) == 0:
         raise EmptyTemplate("registration needs non-empty minutiae sets")
-    *_, (dt, dx, dy, n) = _register_block([template], _minutiae_rows([probe]), params)
+    *_, (dt, dx, dy, n) = _register_block([template], _minutiae_rows([probe]))
     return RegistrationTransform(float(dx[0]), float(dy[0]), float(dt[0]), int(n[0]))
 
 
-def match_minutiae_many(templates, probe: FingerprintTemplate,
-                        params: MatchParams = MatchParams()) -> list[float]:
-    """``[match_minutiae(t, probe, params) for t in templates]``, computed in
+def match_minutiae_many(templates, probe: FingerprintTemplate) -> list[float]:
+    """``[match_minutiae(t, probe) for t in templates]``, computed in
     one pass over blocks of whole templates."""
     templates = list(templates)
     sizes = [len(t.minutiae) for t in templates]
@@ -677,18 +662,17 @@ def match_minutiae_many(templates, probe: FingerprintTemplate,
     start = (np.cumsum(votes) - votes)[live] // _BLOCK_VOTES
     for block in np.split(live, np.flatnonzero(np.diff(start)) + 1):
         block = block.tolist()
-        t, owner, centre, reg = _register_block([templates[i] for i in block], p, params)
-        for i, matched in zip(block, _pair_block(t, owner, centre, p, reg, params)):
+        t, owner, centre, reg = _register_block([templates[i] for i in block], p)
+        for i, matched in zip(block, _pair_block(t, owner, centre, p, reg)):
             scores[i] = matched / max(sizes[i], len(probe))
     return scores
 
 
-def match_minutiae(template: FingerprintTemplate, probe: FingerprintTemplate,
-                   params: MatchParams = MatchParams()) -> float:
+def match_minutiae(template: FingerprintTemplate, probe: FingerprintTemplate) -> float:
     """Similarity in [0,1]: greedily pair registered minutiae, closest pairs
     first, within the spatial/orientation thresholds and with equal kind;
     score = matched / max(|template|, |probe|), 0.0 when either is empty."""
-    return match_minutiae_many([template], probe, params)[0]
+    return match_minutiae_many([template], probe)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import (
-    EvenKernel,
     EvenWindow,
     MalformedHeader,
     TruncatedData,
@@ -177,8 +176,9 @@ def encode_pgm_raster(raster: np.ndarray) -> bytes:
 # Filtering
 
 def _correlate(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Replicated-edge correlation, accumulating kernel entries in row-major
-    order so the result is bit-identical to a naive nested-loop evaluation."""
+    """Replicated-edge correlation with an odd-sized kernel, accumulating
+    kernel entries in row-major order so the result is bit-identical to a
+    naive nested-loop evaluation."""
     kh, kw = kernel.shape
     ry, rx = kh // 2, kw // 2
     # a C-ordered pad keeps the tap slices of a transposed input contiguous
@@ -193,19 +193,6 @@ def _correlate(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
             if kernel[i, j] != 0.0 or not finite:
                 out += kernel[i, j] * padded[i:i + h, j:j + w]
     return out
-
-
-def convolve(img: GrayImage | np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Correlate an image with an odd-sized kernel (replicated edges).
-
-    Output is a raw real raster the same size as the input; values are not
-    renormalized.
-    """
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if kernel.ndim != 2 or kernel.shape[0] % 2 == 0 or kernel.shape[1] % 2 == 0:
-        raise EvenKernel(f"kernel must be odd-sized in both dimensions, got {kernel.shape}")
-    arr = img.pixels if isinstance(img, GrayImage) else np.asarray(img, dtype=np.float64)
-    return _correlate(arr, kernel)
 
 
 SOBEL_X = np.array([[-1.0, 0.0, 1.0],

@@ -136,10 +136,9 @@ class IrisCode:
         mask = np.asarray(self.mask)
         if bits.ndim != 1 or mask.shape != bits.shape:
             raise ValueError("bits and mask must be 1-D arrays of equal length")
-        expected = sum(r * w for r, w in _row_layout(self.scheme))
-        if bits.size != expected:
-            raise ValueError(
-                f"{self.scheme} code must have {expected} bits, got {bits.size}")
+        if bits.size != _CODE_BITS[self.scheme]:
+            raise ValueError(f"{self.scheme} code must have "
+                             f"{_CODE_BITS[self.scheme]} bits, got {bits.size}")
         object.__setattr__(self, "bits", _freeze(bits.astype(bool)))
         object.__setattr__(self, "mask", _freeze(mask.astype(bool)))
 
@@ -159,6 +158,10 @@ def _row_layout(scheme: str) -> tuple[tuple[int, int], ...]:
     # One row per (operator setting, radial anchor) pair.
     return ((len(MELLIN_SETTINGS) * MELLIN_RADIAL_ANCHORS,
              MELLIN_ANGULAR_ANCHORS),)
+
+
+# A scheme fixes its code length.
+_CODE_BITS = {s: sum(r * w for r, w in _row_layout(s)) for s in _SCHEME_CODE}
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +281,9 @@ def detect_eyelids(strip: NormalizedStrip) -> NormalizedStrip:
 # ---------------------------------------------------------------------------
 # Haar scheme
 
-def haar_decompose(values: np.ndarray,
-                   levels: int = HAAR_LEVELS,
+def haar_decompose(values: np.ndarray
                    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Unnormalized 2-D Haar analysis.
+    """Unnormalized HAAR_LEVELS-level 2-D Haar analysis.
 
     Each level turns the running approximation into a half-size approximation
     plus three detail subbands via pairwise sums and differences (no 1/2 or
@@ -290,11 +292,11 @@ def haar_decompose(values: np.ndarray,
     (angular, radial, diagonal) detail triple per level, coarsest last.
     """
     a = np.asarray(values, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] % (1 << levels) or a.shape[1] % (1 << levels):
+    if a.ndim != 2 or a.shape[0] % (1 << HAAR_LEVELS) or a.shape[1] % (1 << HAAR_LEVELS):
         raise BadDimensions(
-            f"shape {a.shape} does not support a level-{levels} analysis")
+            f"shape {a.shape} does not support a level-{HAAR_LEVELS} analysis")
     details = []
-    for _ in range(levels):
+    for _ in range(HAAR_LEVELS):
         col_sum = a[:, 0::2] + a[:, 1::2]
         col_diff = a[:, 0::2] - a[:, 1::2]
         approx = col_sum[0::2, :] + col_sum[1::2, :]
@@ -338,7 +340,7 @@ def haar_code(strip: NormalizedStrip) -> IrisCode:
     then the level-5 approximation.  A bit's mask is 0 when any strip cell in
     the coefficient's support is invalid.
     """
-    approx, details = haar_decompose(strip.values, HAAR_LEVELS)
+    approx, details = haar_decompose(strip.values)
     invalid = ~strip.valid
     pieces = []
     mask_pieces = []
@@ -431,18 +433,17 @@ def _shift_rows(flat: np.ndarray, layout: tuple[tuple[int, int], ...],
     return out
 
 
-def hamming_distance(a: IrisCode, b: IrisCode,
-                     max_shift: int = DEFAULT_MAX_SHIFT) -> float:
+def hamming_distance(a: IrisCode, b: IrisCode) -> float:
     """Masked Hamming distance minimized over small angular shifts.
 
-    For each shift s in [-max_shift, +max_shift], b's bits and mask are
-    rotated by s within each subband/anchor row, and the fraction of jointly
-    valid bits that disagree is computed.  Returns the minimum over shifts
-    with at least 64 jointly valid bits; raises IncomparableCodes when no
-    shift reaches that, and SchemeMismatch when the codes' schemes differ.
+    For each shift s in [-DEFAULT_MAX_SHIFT, +DEFAULT_MAX_SHIFT], b's bits and
+    mask are rotated by s within each subband/anchor row, and the fraction of
+    jointly valid bits that disagree is computed.  Returns the minimum over
+    shifts with at least 64 jointly valid bits; raises IncomparableCodes when
+    no shift reaches that, and SchemeMismatch when the codes' schemes differ.
     A gallery of one for :func:`hamming_distances`.
     """
-    return float(hamming_distances([a], b, max_shift)[0])
+    return float(hamming_distances([a], b)[0])
 
 
 def _pack_words(flags: np.ndarray) -> np.ndarray:
@@ -450,28 +451,24 @@ def _pack_words(flags: np.ndarray) -> np.ndarray:
     return np.packbits(flags, axis=-1).view(np.uint64)
 
 
-def hamming_distances(gallery: list[IrisCode], probe: IrisCode,
-                      max_shift: int = DEFAULT_MAX_SHIFT) -> np.ndarray:
+def hamming_distances(gallery: list[IrisCode], probe: IrisCode) -> np.ndarray:
     """:func:`hamming_distance` of each gallery code against one probe.
 
     Returns a float64 array in one pass: the probe is shifted and packed
     once per shift, the gallery is packed once, and jointly valid and
     disagreeing bits are counted by popcount over 64-bit words.  Raises
     IncomparableCodes or SchemeMismatch when any gallery code is incomparable
-    (a negative max_shift leaves no shift) or of another scheme.
+    or of another scheme.
     """
     for a in gallery:
         if a.scheme != probe.scheme:
             raise SchemeMismatch(f"cannot compare {a.scheme} against {probe.scheme}")
     if not gallery:
         return np.empty(0)
-    if max_shift < 0:
-        raise IncomparableCodes(
-            f"fewer than {MIN_COMPARABLE_BITS} jointly valid bits at every shift")
     layout = _row_layout(probe.scheme)
     order = np.arange(len(probe))
     shifted = np.stack([_shift_rows(order, layout, s)
-                        for s in range(-max_shift, max_shift + 1)])
+                        for s in range(-DEFAULT_MAX_SHIFT, DEFAULT_MAX_SHIFT + 1)])
     p_bits = _pack_words(probe.bits[shifted])
     p_mask = _pack_words(probe.mask[shifted])
     g_bits = _pack_words(np.stack([a.bits for a in gallery]))[:, None, :]
@@ -508,6 +505,9 @@ def decode_code(data: bytes) -> IrisCode:
     scheme_code, length = struct.unpack_from("<BI", data, 4)
     if scheme_code not in _CODE_SCHEME:
         raise TruncatedData(f"unknown iris code scheme byte {scheme_code}")
+    scheme = _CODE_SCHEME[scheme_code]
+    if length != _CODE_BITS[scheme]:
+        raise TruncatedData(f"{scheme} code must have {_CODE_BITS[scheme]} bits, got {length}")
     nbytes = (length + 7) // 8
     if len(data) < 9 + 2 * nbytes:
         raise TruncatedData(
@@ -516,7 +516,7 @@ def decode_code(data: bytes) -> IrisCode:
     raw_mask = np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=9 + nbytes)
     bits = np.unpackbits(raw_bits, count=length, bitorder="little").astype(bool)
     mask = np.unpackbits(raw_mask, count=length, bitorder="little").astype(bool)
-    return IrisCode(bits, mask, _CODE_SCHEME[scheme_code])
+    return IrisCode(bits, mask, scheme)
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,8 @@ class RankedMatch:
 
 @dataclass(frozen=True)
 class AuditEvent:
-    """One audit-log line: timestamp, event kind, claim, score, free text."""
+    """One audit-log line: ISO 8601 timestamp with a UTC offset, event kind,
+    claim (a subject id, or ``-`` for an invalid one), score, free text."""
 
     ts: str
     kind: str
@@ -173,6 +174,11 @@ class AuditEvent:
             raise ValueError(f"kind must be one of {EVENT_KINDS}, got {self.kind!r}")
         if not all(isinstance(getattr(self, f), str) for f in ("ts", "claimed_id", "detail")):
             raise ValueError(f"ts, claimed_id and detail must be strings: {self!r}")
+        if datetime.fromisoformat(self.ts).utcoffset() is None:
+            raise ValueError(f"ts must carry a UTC offset, got {self.ts!r}")
+        if self.claimed_id != "-" and not SUBJECT_ID_PATTERN.match(self.claimed_id):
+            raise ValueError(
+                f"claimed_id must be a subject id or '-', got {self.claimed_id!r}")
         object.__setattr__(self, "ms_final", float(self.ms_final))
         if not math.isfinite(self.ms_final):
             raise ValueError(f"ms_final must be finite, got {self.ms_final}")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import synthgen
-from biolock import cli
+from biolock import cli, iris
 from biolock.fingerprint import build_template, crossing_number, match_minutiae
 from biolock.fusion import (
     FusionConfig,
@@ -273,15 +273,17 @@ def _random_code(rng) -> IrisCode:
     return IrisCode(bits, np.ones(HAAR_CODE_LEN, dtype=bool), SCHEME_HAAR)
 
 
-def test_criterion_06_hamming_statistics():
+def test_criterion_06_hamming_statistics(monkeypatch):
     rng = np.random.default_rng(HAMMING_SEED)
     self_zero = all(
         hamming_distance(code, code) == 0.0
         for code in (_random_code(rng) for _ in range(10))
     )
+    # the remaining statistics compare codes at shift zero only
+    monkeypatch.setattr(iris, "DEFAULT_MAX_SHIFT", 0)
     deviations = []
     for _ in range(HAMMING_PAIRS):
-        d = hamming_distance(_random_code(rng), _random_code(rng), max_shift=0)
+        d = hamming_distance(_random_code(rng), _random_code(rng))
         deviations.append(abs(d - HAMMING_CENTER))
     max_dev = max(deviations)
 
@@ -290,7 +292,7 @@ def test_criterion_06_hamming_statistics():
     mask_a = rng.random(HAAR_CODE_LEN) < 0.85
     mask_b = rng.random(HAAR_CODE_LEN) < 0.85
     base = hamming_distance(IrisCode(bits_a, mask_a, SCHEME_HAAR),
-                            IrisCode(bits_b, mask_b, SCHEME_HAAR), max_shift=0)
+                            IrisCode(bits_b, mask_b, SCHEME_HAAR))
     dead = np.flatnonzero(~(mask_a & mask_b))
     independent = 0
     for _ in range(MASK_PERTURBATIONS):
@@ -299,14 +301,12 @@ def test_criterion_06_hamming_statistics():
             flipped = bits_a.copy()
             flipped[pos] = ~flipped[pos]
             value = hamming_distance(IrisCode(flipped, mask_a, SCHEME_HAAR),
-                                     IrisCode(bits_b, mask_b, SCHEME_HAAR),
-                                     max_shift=0)
+                                     IrisCode(bits_b, mask_b, SCHEME_HAAR))
         else:
             flipped = bits_b.copy()
             flipped[pos] = ~flipped[pos]
             value = hamming_distance(IrisCode(bits_a, mask_a, SCHEME_HAAR),
-                                     IrisCode(flipped, mask_b, SCHEME_HAAR),
-                                     max_shift=0)
+                                     IrisCode(flipped, mask_b, SCHEME_HAAR))
         if value == base:
             independent += 1
     ok = (self_zero and max_dev <= HAMMING_SLACK

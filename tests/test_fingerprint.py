@@ -24,7 +24,6 @@ from biolock.fingerprint import (
     KIND_BIFURCATION,
     KIND_ENDING,
     FingerprintTemplate,
-    MatchParams,
     Minutia,
     RegistrationTransform,
     build_template,
@@ -1065,11 +1064,12 @@ def ten_point_template(seed=5):
     return make_template(coords)
 
 
-def hough_oracle(template, probe, params=MatchParams()):
+def hough_oracle(template, probe):
     """The pairwise Hough registration, one vote per (template, probe) minutia
-    pair in a dict accumulator; the peak bin has the most votes, then the
-    smallest |dtheta|, then the smallest |dx|+|dy|, then the first key in
-    sorted order.  Bin means are summed left to right in vote order."""
+    pair in a dict accumulator of the module's bin sizes; the peak bin has the
+    most votes, then the smallest |dtheta|, then the smallest |dx|+|dy|, then
+    the first key in sorted order.  Bin means are summed left to right in vote
+    order."""
     if len(template) == 0 or len(probe) == 0:
         raise EmptyTemplate("registration needs non-empty minutiae sets")
     cx = template.image_width / 2.0
@@ -1084,9 +1084,9 @@ def hough_oracle(template, probe, params=MatchParams()):
             ox, oy = mt.x - cx, mt.y - cy
             dx = mp.x - (cx + ca * ox - sa * oy)
             dy = mp.y - (cy + sa * ox + ca * oy)
-            key = (int(round(d / params.hough_angle_bin)),
-                   int(round(dx / params.hough_xy_bin)),
-                   int(round(dy / params.hough_xy_bin)))
+            key = (int(round(d / fingerprint.DEFAULT_ANGLE_BIN)),
+                   int(round(dx / fingerprint.DEFAULT_XY_BIN)),
+                   int(round(dy / fingerprint.DEFAULT_XY_BIN)))
             votes.setdefault(key, []).append((d, dx, dy))
     best = None
     for key in sorted(votes):
@@ -1104,12 +1104,13 @@ def hough_oracle(template, probe, params=MatchParams()):
     return best[1]
 
 
-def match_oracle(template, probe, params=MatchParams()):
+def match_oracle(template, probe):
     """The pairwise matcher: register, map the probe back into the template
-    frame, then pair greedily over candidates sorted by (dist, ti, pi)."""
+    frame, then pair greedily over candidates sorted by (dist, ti, pi)
+    within the module's thresholds."""
     if len(template) == 0 or len(probe) == 0:
         return 0.0
-    reg = hough_oracle(template, probe, params)
+    reg = hough_oracle(template, probe)
     cx = template.image_width / 2.0
     cy = template.image_height / 2.0
     c, s = math.cos(-reg.dtheta), math.sin(-reg.dtheta)
@@ -1125,7 +1126,8 @@ def match_oracle(template, probe, params=MatchParams()):
                 continue
             dist = math.hypot(mt.x - x, mt.y - y)
             turn = (mt.theta - theta) % (2.0 * math.pi)
-            if dist > params.theta0 or min(turn, 2.0 * math.pi - turn) > params.theta1:
+            if (dist > fingerprint.DEFAULT_THETA0
+                    or min(turn, 2.0 * math.pi - turn) > fingerprint.DEFAULT_THETA1):
                 continue
             candidates.append((dist, ti, pi))
     candidates.sort()
@@ -1155,12 +1157,11 @@ def test_register_translation_within_half_bin():
 
 
 def test_register_rotation_matches_accumulator_oracle():
-    params = MatchParams()
     tpl = ten_point_template()
     probe = rigid_template(tpl, 0.0, 0.0, math.radians(15.0))
-    reg = register_minutiae(tpl, probe, params)
-    assert abs(reg.dtheta - math.radians(15.0)) <= params.hough_angle_bin / 2.0
-    assert reg == hough_oracle(tpl, probe, params)
+    reg = register_minutiae(tpl, probe)
+    assert abs(reg.dtheta - math.radians(15.0)) <= fingerprint.DEFAULT_ANGLE_BIN / 2.0
+    assert reg == hough_oracle(tpl, probe)
 
 
 def test_register_empty_template_raises():
@@ -1173,7 +1174,6 @@ def test_register_empty_template_raises():
 
 
 def test_register_recovers_random_rigid_transforms():
-    params = MatchParams()
     rng = np.random.default_rng(29)
     tpl = ten_point_template(seed=8)
     for _ in range(10):
@@ -1181,10 +1181,10 @@ def test_register_recovers_random_rigid_transforms():
         dy = float(rng.uniform(-20.0, 20.0))
         dtheta = float(rng.uniform(-math.radians(20.0), math.radians(20.0)))
         probe = rigid_template(tpl, dx, dy, dtheta)
-        reg = register_minutiae(tpl, probe, params)
-        assert abs(reg.dx - dx) <= params.hough_xy_bin / 2.0
-        assert abs(reg.dy - dy) <= params.hough_xy_bin / 2.0
-        assert abs(reg.dtheta - dtheta) <= params.hough_angle_bin / 2.0
+        reg = register_minutiae(tpl, probe)
+        assert abs(reg.dx - dx) <= fingerprint.DEFAULT_XY_BIN / 2.0
+        assert abs(reg.dy - dy) <= fingerprint.DEFAULT_XY_BIN / 2.0
+        assert abs(reg.dtheta - dtheta) <= fingerprint.DEFAULT_ANGLE_BIN / 2.0
         assert reg.support >= len(tpl)
 
 
@@ -1256,13 +1256,12 @@ def test_match_invariant_under_common_rigid_transform():
 # ---------------------------------------------------------------------------
 # the batched kernel against the pairwise loops (exact equality)
 
-def assert_kernel_matches_oracle(gallery, probe, params=MatchParams()):
-    assert match_minutiae_many(gallery, probe, params) == [
-        match_oracle(t, probe, params) for t in gallery]
+def assert_kernel_matches_oracle(gallery, probe):
+    assert match_minutiae_many(gallery, probe) == [match_oracle(t, probe) for t in gallery]
     for t in gallery:
-        assert match_minutiae(t, probe, params) == match_oracle(t, probe, params)
+        assert match_minutiae(t, probe) == match_oracle(t, probe)
         if len(t) and len(probe):
-            assert register_minutiae(t, probe, params) == hough_oracle(t, probe, params)
+            assert register_minutiae(t, probe) == hough_oracle(t, probe)
 
 
 def jittered(tpl, rng, sigma=2.0, size=None):
@@ -1303,8 +1302,10 @@ def templates(draw, max_size=14):
        xy_bin=st.sampled_from([8.0, 3.0, 0.5, 1e-6]),
        angle_bin=st.sampled_from([math.radians(10.0), 0.05, math.pi]))
 def test_kernel_equals_pairwise_loops_on_random_templates(gallery, probe, xy_bin, angle_bin):
-    params = MatchParams(hough_xy_bin=xy_bin, hough_angle_bin=angle_bin)
-    assert_kernel_matches_oracle(gallery + [gallery[0], probe], probe, params)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fingerprint, "DEFAULT_XY_BIN", xy_bin)
+        mp.setattr(fingerprint, "DEFAULT_ANGLE_BIN", angle_bin)
+        assert_kernel_matches_oracle(gallery + [gallery[0], probe], probe)
 
 
 def test_kernel_equals_pairwise_loops_on_near_copies():
@@ -1346,7 +1347,7 @@ def test_kernel_breaks_equal_support_ties_like_the_sorted_accumulator():
     assert_kernel_matches_oracle([grid, make_template(coords[:4])], grid)
 
 
-def test_kernel_decides_the_distance_threshold_on_the_exact_distance():
+def test_kernel_decides_the_distance_threshold_on_the_exact_distance(monkeypatch):
     # Five anchors register the pair at the identity; A and B sit one bin
     # apart at a distance where np.hypot and math.hypot differ in the last
     # bit, and theta0 is set to the smaller of the two.
@@ -1358,19 +1359,20 @@ def test_kernel_decides_the_distance_threshold_on_the_exact_distance():
             break
     tpl = make_template(anchors + [(100.0, 100.0, 1.0, KIND_BIFURCATION)])
     probe = make_template(anchors + [(100.0 + u, 100.0 + v, 1.0, KIND_BIFURCATION)])
-    params = MatchParams(theta0=min(float(np.hypot(ex, ey)), math.hypot(ex, ey)))
-    assert register_minutiae(tpl, probe, params) == RegistrationTransform(0.0, 0.0, 0.0, 5)
-    expected = 1.0 if params.theta0 == math.hypot(ex, ey) else 5 / 6
-    assert match_oracle(tpl, probe, params) == expected
-    assert_kernel_matches_oracle([tpl], probe, params)
+    theta0 = min(float(np.hypot(ex, ey)), math.hypot(ex, ey))
+    monkeypatch.setattr(fingerprint, "DEFAULT_THETA0", theta0)
+    assert register_minutiae(tpl, probe) == RegistrationTransform(0.0, 0.0, 0.0, 5)
+    expected = 1.0 if theta0 == math.hypot(ex, ey) else 5 / 6
+    assert match_oracle(tpl, probe) == expected
+    assert_kernel_matches_oracle([tpl], probe)
 
 
-def test_kernel_keeps_bins_apart_whose_keys_differ_by_two_to_the_sixteen():
-    params = MatchParams(hough_xy_bin=1e-3)
+def test_kernel_keeps_bins_apart_whose_keys_differ_by_two_to_the_sixteen(monkeypatch):
+    monkeypatch.setattr(fingerprint, "DEFAULT_XY_BIN", 1e-3)
     tpl = make_template([(128, 128, 0.0, KIND_ENDING)])
     probe = make_template([(128, 128, 0.0, KIND_ENDING), (193.536, 128, 0.0, KIND_ENDING)])
-    assert register_minutiae(tpl, probe, params) == RegistrationTransform(0.0, 0.0, 0.0, 1)
-    assert_kernel_matches_oracle([tpl], probe, params)
+    assert register_minutiae(tpl, probe) == RegistrationTransform(0.0, 0.0, 0.0, 1)
+    assert_kernel_matches_oracle([tpl], probe)
 
 
 def test_kernel_mixes_templates_of_different_image_sizes():

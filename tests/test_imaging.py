@@ -6,7 +6,6 @@ from hypothesis.extra.numpy import arrays
 from test_fingerprint import degraded_print
 from biolock import imaging
 from biolock.errors import (
-    EvenKernel,
     EvenWindow,
     MalformedHeader,
     TruncatedData,
@@ -17,7 +16,6 @@ from biolock.imaging import (
     BinaryImage,
     GrayImage,
     adaptive_threshold,
-    convolve,
     decode_pgm,
     encode_pgm,
     gradients,
@@ -160,9 +158,9 @@ def test_convolve_keeps_zero_weight_taps_on_inf_and_nan():
         arr[2, 3] = bad
         arr[5, 0] = -arr[5, 0]
         with np.errstate(invalid="ignore"):  # 0 * inf
-            out = convolve(arr, kernel)
+            out = imaging._correlate(arr, kernel)
             assert same_bits(out, naive_correlate(arr, kernel))
-            assert same_bits(convolve(arr, imaging.SOBEL_X),
+            assert same_bits(imaging._correlate(arr, imaging.SOBEL_X),
                              naive_correlate(arr, imaging.SOBEL_X))
         # a window holding the bad pixel under a zero tap reads NaN, not 0
         hit = out[1:4, 2:5].copy()
@@ -190,33 +188,27 @@ def test_gradients_are_computed_once_per_image_and_read_only(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Convolution
+# Correlation (the private kernel behind gradients)
 
 def test_convolve_identity_kernel():
     rng = np.random.default_rng(0)
     img = GrayImage(rng.random((9, 11)))
-    out = convolve(img, np.array([[1.0]]))
+    out = imaging._correlate(img.pixels, np.array([[1.0]]))
     assert np.array_equal(out, img.pixels)
 
 
 def test_convolve_constant_linearity():
     img = GrayImage(np.full((8, 8), 0.25))
     kernel = np.full((3, 3), 0.5)
-    out = convolve(img, kernel)
+    out = imaging._correlate(img.pixels, kernel)
     assert np.allclose(out, 0.25 * 4.5)
-
-
-def test_convolve_rejects_even_kernel():
-    img = GrayImage(np.zeros((8, 8)))
-    with pytest.raises(EvenKernel):
-        convolve(img, np.ones((2, 3)))
 
 
 def test_convolve_equals_naive_oracle_exactly():
     rng = np.random.default_rng(42)
     img = rng.random((16, 16))
     kernel = rng.standard_normal((5, 5))
-    out = convolve(GrayImage(img), kernel)
+    out = imaging._correlate(GrayImage(img).pixels, kernel)
     assert np.array_equal(out, naive_correlate(img, kernel))
 
 
@@ -229,7 +221,7 @@ def test_convolve_oracle_property_random_sizes():
         kw = int(rng.integers(0, 3)) * 2 + 1
         img = rng.random((h, w))
         kernel = rng.standard_normal((kh, kw))
-        assert np.array_equal(convolve(GrayImage(img), kernel),
+        assert np.array_equal(imaging._correlate(GrayImage(img).pixels, kernel),
                               naive_correlate(img, kernel))
 
 

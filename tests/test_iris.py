@@ -1,6 +1,7 @@
 """Tests for the iris pipeline: pupil/iris localization, polar normalization,
 eyelid screening, the two iris-code schemes, and masked Hamming matching."""
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from biolock.errors import (
     SchemeMismatch,
     TruncatedData,
 )
+from biolock import iris
 from biolock.imaging import GrayImage
 from biolock.iris import (
     DEFAULT_ANGULAR,
@@ -58,12 +60,12 @@ def disk_image(width, height, cx, cy, r, fg=0.05, bg=0.8):
     return GrayImage(img)
 
 
-def ring_image(levels, size=256, center=128.0):
-    """Concentric zones: levels = [(radius, value), ...] outermost first."""
+def ring_image(zones, size=256, center=128.0):
+    """Concentric zones: zones = [(radius, value), ...] outermost first."""
     yy, xx = np.mgrid[0:size, 0:size].astype(float)
     r = np.hypot(xx - center, yy - center)
-    img = np.full((size, size), levels[0][1])
-    for radius, value in levels[1:]:
+    img = np.full((size, size), zones[0][1])
+    for radius, value in zones[1:]:
         img[r <= radius] = value
     return GrayImage(img)
 
@@ -92,15 +94,15 @@ def roll_code_rows(code, shift):
     return IrisCode(np.concatenate(out_bits), np.concatenate(out_mask), code.scheme)
 
 
-def hamming_oracle(a, b, max_shift=8):
+def hamming_oracle(a, b):
     """The pairwise shift loop the batched kernel replaced: b is rotated by
-    each shift, and the least disagreeing fraction of at least
-    MIN_COMPARABLE_BITS jointly valid bits wins."""
+    each shift up to iris.DEFAULT_MAX_SHIFT, and the least disagreeing
+    fraction of at least MIN_COMPARABLE_BITS jointly valid bits wins."""
     if a.scheme != b.scheme or len(a) != len(b):
         raise SchemeMismatch(
             f"cannot compare {a.scheme}/{len(a)} against {b.scheme}/{len(b)}")
     best = None
-    for shift in range(-max_shift, max_shift + 1):
+    for shift in range(-iris.DEFAULT_MAX_SHIFT, iris.DEFAULT_MAX_SHIFT + 1):
         rolled = roll_code_rows(b, shift)
         joint = a.mask & rolled.mask
         valid_count = int(joint.sum())
@@ -311,8 +313,10 @@ def test_haar_constant_strip_bits():
 def test_haar_pair_sum_difference_convention():
     rng = np.random.default_rng(11)
     v = rng.uniform(0, 1, (32, 32))
-    approx, details = haar_decompose(v, levels=1)
+    coarse, details = haar_decompose(v)
     h, vd, d = details[0]
+    # levels 2 and up invert back to the level-1 approximation
+    approx = haar_reconstruct(coarse, details[1:])
     a, b, c, e = v[0, 0], v[0, 1], v[1, 0], v[1, 1]
     assert approx[0, 0] == pytest.approx(a + b + c + e)
     assert h[0, 0] == pytest.approx((a - b) + (c - e))
@@ -414,22 +418,25 @@ def test_hamming_identity_zero():
         assert hamming_distance(code, code) == 0.0
 
 
-def test_hamming_complement_at_shift_zero():
+def test_hamming_complement_at_shift_zero(monkeypatch):
+    monkeypatch.setattr(iris, "DEFAULT_MAX_SHIFT", 0)
     rng = np.random.default_rng(52)
     code = random_code(rng, SCHEME_HAAR)
     flipped = IrisCode(~code.bits, code.mask, SCHEME_HAAR)
-    assert hamming_distance(code, flipped, max_shift=0) == 1.0
+    assert hamming_distance(code, flipped) == 1.0
 
 
-def test_hamming_random_pairs_near_half():
+def test_hamming_random_pairs_near_half(monkeypatch):
+    monkeypatch.setattr(iris, "DEFAULT_MAX_SHIFT", 0)
     rng = np.random.default_rng(34)
     for _ in range(100):
         a = random_code(rng, SCHEME_HAAR)
         b = random_code(rng, SCHEME_HAAR)
-        assert abs(hamming_distance(a, b, max_shift=0) - 0.5) <= 0.07
+        assert abs(hamming_distance(a, b) - 0.5) <= 0.07
 
 
-def test_hamming_symmetric_at_shift_zero():
+def test_hamming_symmetric_at_shift_zero(monkeypatch):
+    monkeypatch.setattr(iris, "DEFAULT_MAX_SHIFT", 0)
     rng = np.random.default_rng(53)
     for scheme in (SCHEME_HAAR, SCHEME_MELLIN):
         for _ in range(10):
@@ -437,8 +444,7 @@ def test_hamming_symmetric_at_shift_zero():
             b = random_code(rng, scheme)
             masked_a = IrisCode(a.bits, rng.integers(0, 2, len(a)).astype(bool),
                                 scheme)
-            assert (hamming_distance(masked_a, b, max_shift=0)
-                    == hamming_distance(b, masked_a, max_shift=0))
+            assert hamming_distance(masked_a, b) == hamming_distance(b, masked_a)
 
 
 def test_hamming_recovers_row_rotations():
@@ -509,13 +515,13 @@ def test_hamming_skips_shifts_below_quorum():
 
 # --- batched hamming distance -----------------------------------------------
 
-def assert_matches_oracle(gallery, probe, max_shift=8):
-    batched = hamming_distances(gallery, probe, max_shift)
+def assert_matches_oracle(gallery, probe):
+    batched = hamming_distances(gallery, probe)
     assert batched.dtype == np.float64 and batched.shape == (len(gallery),)
     for a, value in zip(gallery, batched.tolist()):
-        expected = hamming_oracle(a, probe, max_shift)
+        expected = hamming_oracle(a, probe)
         assert value == expected
-        assert hamming_distance(a, probe, max_shift) == expected
+        assert hamming_distance(a, probe) == expected
 
 
 def masked_random_code(rng, scheme, valid_fraction):
@@ -524,15 +530,16 @@ def masked_random_code(rng, scheme, valid_fraction):
                     rng.random(n) < valid_fraction, scheme)
 
 
-def test_hamming_distances_match_oracle_on_random_codes():
+def test_hamming_distances_match_oracle_on_random_codes(monkeypatch):
     rng = np.random.default_rng(71)
     for scheme in (SCHEME_HAAR, SCHEME_MELLIN):
         gallery = [masked_random_code(rng, scheme, 0.8) for _ in range(30)]
         probe = masked_random_code(rng, scheme, 0.8)
         gallery.append(roll_code_rows(probe, 3))
         gallery.append(probe)
-        for max_shift in (0, 1, 8):
-            assert_matches_oracle(gallery, probe, max_shift)
+        for shift in (0, 1, 8):
+            monkeypatch.setattr(iris, "DEFAULT_MAX_SHIFT", shift)
+            assert_matches_oracle(gallery, probe)
 
 
 def test_hamming_distances_match_oracle_on_occluded_codes():
@@ -571,19 +578,6 @@ def test_hamming_distances_incomparable_gallery_code_raises():
         hamming_distance(thin, gallery[0])
     with pytest.raises(IncomparableCodes):
         hamming_distances(gallery, gallery[0])
-
-
-def test_negative_max_shift_is_incomparable_in_every_form():
-    # No shift lies in [-max_shift, max_shift], so no shift reaches the quorum.
-    code = random_code(np.random.default_rng(75), SCHEME_HAAR)
-    for max_shift in (-1, -5):
-        raised = []
-        for score in (hamming_oracle, hamming_distance,
-                      lambda a, b, s: hamming_distances([a, a], b, s)):
-            with pytest.raises(IncomparableCodes) as info:
-                score(code, code, max_shift)
-            raised.append(str(info.value))
-        assert len(set(raised)) == 1
 
 
 def test_hamming_distances_scheme_mismatch_and_empty_gallery():
@@ -633,6 +627,11 @@ def test_decode_code_errors():
         decode_code(blob[:-1])
     with pytest.raises(TruncatedData):
         decode_code(blob[:4] + bytes([9]) + blob[5:])
+    # a header whose bit count is not its scheme's fixed length
+    with pytest.raises(TruncatedData, match="^haar code must have 512 bits, got 8$"):
+        decode_code(blob[:5] + struct.pack("<I", 8) + blob[9:])
+    with pytest.raises(TruncatedData, match="^mellin code must have 1536 bits, got 512$"):
+        decode_code(blob[:4] + bytes([1]) + blob[5:])
 
 
 def test_iris_code_validation():

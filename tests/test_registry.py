@@ -535,6 +535,8 @@ def test_read_audit_log_errors(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("kind", "opened"), ("ms_final", "x"), ("ts", 5), ("claimed_id", ["x"]), ("detail", None),
     ("ms_final", math.inf), ("ms_final", -math.inf), ("ms_final", math.nan),
+    ("claimed_id", "bad id!"), ("claimed_id", ""), ("ts", "t"),
+    ("ts", "2026-01-01T00:00:00"),
 ])
 def test_read_audit_log_names_the_line_of_a_bad_field(tmp_path, field, value):
     good = {"ts": "2026-01-01T00:00:00+00:00", "kind": "alarm", "claimed_id": "bob",
@@ -601,6 +603,18 @@ def test_load_db_bad_magic_names_file(enrolled, tmp_path):
     with pytest.raises(BadMagic) as err:
         load_db(root)
     assert "carol_iris_0_haar.irc" in str(err.value)
+
+
+def test_load_db_bad_code_length_names_file(enrolled, tmp_path):
+    root = _copy_db(enrolled, tmp_path / "db")
+    victim = root / "carol_iris_0_haar.irc"
+    data = bytearray(victim.read_bytes())
+    struct.pack_into("<I", data, 5, 8)
+    victim.write_bytes(bytes(data))
+    with pytest.raises(TruncatedData) as err:
+        load_db(root)
+    assert "carol_iris_0_haar.irc" in str(err.value)
+    assert "haar code must have 512 bits, got 8" in str(err.value)
 
 
 def test_load_db_non_finite_minutia_names_file(enrolled, tmp_path):
