@@ -11,7 +11,6 @@ from __future__ import annotations
 import copy
 import math
 import struct
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -318,35 +317,56 @@ def gabor_enhance(img: GrayImage, orientation: FloatField, frequency: FloatField
 # ---------------------------------------------------------------------------
 # Minutiae extraction
 
-# the (dx, dy) offsets of the foreground neighbours of every neighbour code;
+# per neighbour code, which neighbours of NEIGHBOUR_OFFSETS are foreground;
 # codes count pixels beyond the border as background, so none leaves the image
-_CODE_OFFSETS = tuple(tuple(off for i, off in enumerate(NEIGHBOUR_OFFSETS) if code >> i & 1)
-                      for code in range(256))
+_NEIGHBOURS = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(bool)
 
 
-def _skeleton_neighbors(codes: np.ndarray, x: int, y: int) -> list[tuple[int, int]]:
-    return [(x + dx, y + dy) for dx, dy in _CODE_OFFSETS[codes.item(y, x)]]
+# math.hypot of every offset an arm walk of TRACE_STEPS pixels can reach
+_ARM_HYPOT = np.array([[math.hypot(dx, dy) for dy in range(-TRACE_STEPS, TRACE_STEPS + 1)]
+                       for dx in range(-TRACE_STEPS, TRACE_STEPS + 1)])
 
 
-def _walk_arm(codes: np.ndarray, start: tuple[int, int], first: tuple[int, int],
-              max_steps: int) -> tuple[int, int]:
-    """Follow a skeleton arm from `start` through `first`; return the farthest
-    pixel reached within max_steps (stops early at junctions or arm ends)."""
-    visited = {start, first}
-    cur = first
-    for _ in range(max_steps - 1):
-        nxt = [q for q in _skeleton_neighbors(codes, *cur) if q not in visited]
-        if len(nxt) != 1:
+def _flat_offsets(width: int) -> np.ndarray:
+    """NEIGHBOUR_OFFSETS as steps between flat indices of a raster `width` wide."""
+    return np.array([dy * width + dx for dx, dy in NEIGHBOUR_OFFSETS])
+
+
+def _skeleton_codes(skeleton: BinaryImage) -> np.ndarray:
+    """The skeleton's neighbour codes: the ones build_template keeps on its own
+    copy of the skeleton, else new ones."""
+    codes = skeleton.__dict__.get("_codes")
+    return neighbour_codes(skeleton.bits) if codes is None else codes
+
+
+def _walk(codes: np.ndarray, paths: np.ndarray, steps: int,
+          stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walk every path on by at most `steps` skeleton steps, all in lockstep.
+
+    Each column of `paths` holds a path's pixels so far, as flat indices.  A
+    path steps to its last pixel's one unvisited neighbour and ends where
+    there is none or more than one; when `stop`, a table over neighbour
+    codes, marks an unvisited neighbour's code, the path steps onto the first
+    such in NEIGHBOUR_OFFSETS order and ends there.  Returns each path's last
+    pixel and the steps it took.
+    """
+    flat, offsets = codes.ravel(), _flat_offsets(codes.shape[1])
+    last, taken = paths[-1].copy(), np.zeros(paths.shape[1], dtype=np.int64)
+    live = np.arange(paths.shape[1])
+    for step in range(1, steps + 1):
+        if not len(live):
             break
-        cur = nxt[0]
-        visited.add(cur)
-    return cur
-
-
-def _lift_direction(theta_base: float, vx: float, vy: float) -> float:
-    """Lift a [0,pi) ridge orientation to [0,2*pi) toward the vector (vx,vy)."""
-    facing = vx * math.cos(theta_base) + vy * math.sin(theta_base) >= 0.0
-    return (theta_base if facing else theta_base + math.pi) % (2.0 * math.pi)
+        q = paths[-1][:, None] + offsets
+        fresh = _NEIGHBOURS[flat[paths[-1]]] & ~(q == paths[:, :, None]).any(axis=0)
+        hit = fresh & stop[flat.take(q, mode="clip")]  # clips only pixels not fresh
+        ends = hit.any(axis=1)
+        move = ends | (fresh.sum(axis=1) == 1)
+        # the first stop if any, else the first unvisited neighbour
+        nxt = q[np.arange(len(q)), (fresh.view(np.uint8) + hit).argmax(axis=1)]
+        last[live[move]], taken[live[move]] = nxt[move], step
+        go = move & ~ends
+        paths, live = np.concatenate([paths[:, go], nxt[None, go]]), live[go]
+    return last, taken
 
 
 def extract_minutiae(thinned: BinaryImage, orientation: FloatField,
@@ -355,120 +375,118 @@ def extract_minutiae(thinned: BinaryImage, orientation: FloatField,
     bifurcations inside the mask, with directions lifted along their arms."""
     bits = thinned.bits
     bh, bw = orientation.values.shape
-    codes = neighbour_codes(bits)
-    cn = CROSSING_NUMBERS[codes]
-    out: list[Minutia] = []
-    ys, xs = np.nonzero(bits & mask.bits & ((cn == 1) | (cn == 3)))
-    for y, x in zip(ys.tolist(), xs.tolist()):
-        bi = min(y // DEFAULT_BLOCK, bh - 1)
-        bj = min(x // DEFAULT_BLOCK, bw - 1)
-        theta_base = orientation.values.item(bi, bj)
-        neighbors = _skeleton_neighbors(codes, x, y)
-        if cn.item(y, x) == 1:
-            kind = KIND_ENDING
-            if neighbors:
-                fx, fy = _walk_arm(codes, (x, y), neighbors[0], TRACE_STEPS)
-                vx, vy = fx - x, fy - y
-            else:
-                vx, vy = math.cos(theta_base), math.sin(theta_base)
-        else:
-            kind = KIND_BIFURCATION
-            vx = vy = 0.0
-            for nb in neighbors:
-                fx, fy = _walk_arm(codes, (x, y), nb, TRACE_STEPS)
-                norm = math.hypot(fx - x, fy - y)
-                if norm > 0:
-                    vx += (fx - x) / norm
-                    vy += (fy - y) / norm
-        still = abs(vx) < 1e-12 and abs(vy) < 1e-12
-        theta = theta_base if still else _lift_direction(theta_base, vx, vy)
-        out.append(Minutia(float(x), float(y), theta, kind))
-    return out
+    codes = _skeleton_codes(thinned)
+    ys, xs = np.nonzero(bits & mask.bits)
+    cn = CROSSING_NUMBERS[codes[ys, xs]]
+    pick = (cn == 1) | (cn == 3)
+    ys, xs, ending = ys[pick], xs[pick], cn[pick] == 1
+    theta_base = orientation.values[np.minimum(ys // DEFAULT_BLOCK, bh - 1),
+                                    np.minimum(xs // DEFAULT_BLOCK, bw - 1)]
+    # an ending walks its first arm and a bifurcation every arm, TRACE_STEPS
+    # pixels at most, stopping early at junctions and arm ends
+    arms = _NEIGHBOURS[codes[ys, xs]]
+    arms[ending] &= np.cumsum(arms[ending], axis=1) == 1
+    owner, k = np.nonzero(arms)
+    start = ys[owner] * bits.shape[1] + xs[owner]
+    paths = np.stack([start, start + _flat_offsets(bits.shape[1])[k]])
+    far, _ = _walk(codes, paths, TRACE_STEPS - 1, np.zeros(256, dtype=bool))
+    dy, dx = np.divmod(far, bits.shape[1])
+    dx, dy = dx - xs[owner], dy - ys[owner]
+    # an ending points along its arm, a bifurcation along the sum of its arms'
+    # unit vectors, added in arm order (a zero arm adds 0 / 1)
+    norm = _ARM_HYPOT[dx + TRACE_STEPS, dy + TRACE_STEPS]
+    norm = np.where(ending[owner] | (norm == 0.0), 1.0, norm)
+    vx, vy = np.zeros(len(ys)), np.zeros(len(ys))
+    rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    for r in range(8):
+        vx[owner[rank == r]] += dx[rank == r] / norm[rank == r]
+        vy[owner[rank == r]] += dy[rank == r] / norm[rank == r]
+    # lift the ridge orientation to the side the vector points to
+    cos, sin = _cos_sin(theta_base)
+    still = (np.abs(vx) < 1e-12) & (np.abs(vy) < 1e-12)
+    away = ~still & (vx * cos + vy * sin < 0.0)
+    theta = np.where(away, np.mod(theta_base + math.pi, 2.0 * math.pi), theta_base)
+    return [Minutia(float(x), float(y), t, KIND_ENDING if e else KIND_BIFURCATION)
+            for x, y, t, e in zip(xs.tolist(), ys.tolist(), theta.tolist(), ending.tolist())]
 
 
 # ---------------------------------------------------------------------------
 # False-minutiae filtering
 
-def _angle_diff(a: float, b: float) -> float:
-    """Absolute circular difference of two directions, in [0, pi]."""
-    d = (a - b) % (2.0 * math.pi)
-    return min(d, 2.0 * math.pi - d)
+def _angle_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Absolute circular difference of directions, in [0, pi], elementwise."""
+    d = np.mod(a - b, 2.0 * math.pi)
+    return np.minimum(d, 2.0 * math.pi - d)
 
 
-def _trace_to_junction(codes: np.ndarray, ending: tuple[int, int],
-                       max_steps: int) -> tuple[tuple[int, int] | None, int]:
-    """Walk from an ending along its arm; return (junction pixel, steps) if a
-    pixel of crossing number >= 3 is reached within max_steps, else
-    (None, steps)."""
-    visited = {ending}
-    cur = ending
-    steps = 0
-    while steps < max_steps:
-        nxt = [q for q in _skeleton_neighbors(codes, *cur) if q not in visited]
-        if not nxt:
-            return None, steps
-        # the junction pixel itself may sit among a fan-out of continuations
-        for q in nxt:
-            if CROSSING_NUMBERS[codes.item(q[1], q[0])] >= 3:
-                return q, steps + 1
-        if len(nxt) > 1:
-            return None, steps
-        cur = nxt[0]
-        visited.add(cur)
-        steps += 1
-    return None, steps
+def _search(codes: np.ndarray, a: np.ndarray, b: np.ndarray, steps: int,
+            blocked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair i, whether a breadth-first search from pixel a[i] reaches b[i]
+    within `steps` skeleton steps, and the inner pixels of the paths found.
+
+    All pairs search level by level, pixels keyed ``i * codes.size + pixel``;
+    keys in `blocked` are never entered.  A pixel's predecessor is the first
+    node to discover it in the order of one FIFO queue that scans
+    NEIGHBOUR_OFFSETS, so each path is the one such a queue finds.  A
+    neighbour of a level-d pixel lies on level d - 1, d or d + 1, so only the
+    last two levels are checked for pixels already seen.  Pixels farther from
+    b than the steps left are dropped: they cannot discover a pixel of a path
+    found, since all its discoverers lie within reach of b.
+    """
+    size, flat, offsets = codes.size, codes.ravel(), _flat_offsets(codes.shape[1])
+    blocked = np.append(np.sort(blocked), np.iinfo(np.int64).max)  # ends above every key
+    pair = np.arange(len(a))
+    source, goal = pair * size + a, pair * size + b
+    goal_row, goal_col = np.divmod(b, codes.shape[1])
+    found = a == b
+    before, frontier = source[:0], source[~found]
+    nodes, parents = [source], [source]
+    for left in range(steps - 1, -1, -1):  # the steps left after this one
+        if not len(frontier):
+            break
+        fresh = _NEIGHBOURS[flat[frontier % size]]
+        cand, par = (frontier[:, None] + offsets)[fresh], np.repeat(frontier, fresh.sum(axis=1))
+        row, col = np.divmod(cand % size, codes.shape[1])
+        near = np.maximum(np.abs(row - goal_row[cand // size]),
+                          np.abs(col - goal_col[cand // size])) <= left
+        cand, par = cand[near], par[near]
+        known = len(before) + len(frontier)
+        first = np.unique(np.concatenate([before, frontier, cand]), return_index=True)[1]
+        new = np.sort(first[first >= known]) - known
+        new = new[blocked[np.searchsorted(blocked, cand[new])] != cand[new]]
+        nodes.append(cand[new])
+        parents.append(par[new])
+        found[nodes[-1][nodes[-1] == goal[nodes[-1] // size]] // size] = True
+        before, frontier = frontier, nodes[-1][~found[nodes[-1] // size]]
+    nodes, parents = np.concatenate(nodes), np.concatenate(parents)
+    order = np.argsort(nodes)
+    nodes, parents = nodes[order], parents[order]
+    inner, cur = [], goal[found]
+    while len(cur):
+        cur = parents[np.searchsorted(nodes, cur)]
+        cur = cur[cur != source[cur // size]]
+        inner.append(cur)
+    return found, np.concatenate([source[:0], *inner])
 
 
-def _two_paths(codes: np.ndarray, a: tuple[int, int], b: tuple[int, int],
-               max_steps: int) -> bool:
-    """True when two skeleton paths no longer than max_steps join a and b."""
-
-    def shortest(blocked: set[tuple[int, int]]) -> list[tuple[int, int]] | None:
-        prev: dict[tuple[int, int], tuple[int, int]] = {}
-        seen = {a}
-        queue = deque([(a, 0)])
-        while queue:
-            cur, d = queue.popleft()
-            if cur == b:
-                path = [cur]
-                while path[-1] != a:
-                    path.append(prev[path[-1]])
-                return path
-            if d == max_steps:
-                continue
-            for q in _skeleton_neighbors(codes, *cur):
-                if q in seen or q in blocked:
-                    continue
-                seen.add(q)
-                prev[q] = cur
-                queue.append((q, d + 1))
-        return None
-
-    first = shortest(set())
-    if first is None:
-        return False
-    interior = set(first) - {a, b}
-    return shortest(interior) is not None
-
-
-def _close_pairs(minutiae: list[Minutia], gap: float) -> list[tuple[int, int]]:
-    """Index pairs (a, b), a < b, of minutiae less than `gap` apart: one sweep over
-    x-order windows of offset under `gap`, each pair decided on ``math.hypot``."""
-    x, y = np.array([(m.x, m.y) for m in minutiae]).reshape(-1, 2).T
+def _close_pairs(x: np.ndarray, y: np.ndarray, gap: float) -> np.ndarray:
+    """Rows (a, b), a < b, of the indices of points less than `gap` apart: one
+    sweep over x-order windows of offset under `gap`, each pair decided as
+    ``math.hypot`` decides it."""
     order = np.argsort(x, kind="stable")
-    x, y = x[order], y[order]
     # x[t] - x[s] < gap needs x[t] < x[s] + gap exactly, so x[t] <= the rounded sum
-    ends = np.searchsorted(x, x + gap, side="right")
+    ends = np.searchsorted(x[order], x[order] + gap, side="right")
     s = np.repeat(np.arange(len(x)), ends - np.arange(len(x)) - 1)
     t = np.arange(len(s)) - np.searchsorted(s, s) + s + 1  # s + 1 .. ends[s] - 1
-    # np.hypot and math.hypot may differ in the last bit: keep a margin
-    near = np.hypot(x[t] - x[s], y[t] - y[s]) <= gap * (1.0 + 1e-9)
-    pairs = []
-    for a, b in zip(order[s[near]].tolist(), order[t[near]].tolist()):
-        ma, mb = minutiae[a], minutiae[b]
-        if math.hypot(ma.x - mb.x, ma.y - mb.y) < gap:
-            pairs.append((min(a, b), max(a, b)))
-    return pairs
+    s, t = order[s], order[t]
+    # np.hypot and math.hypot may differ in the last bit: math.hypot decides
+    # the pairs in a margin around the gap
+    dx, dy = x[t] - x[s], y[t] - y[s]
+    dist = np.hypot(dx, dy)
+    near = dist < gap * (1.0 - 1e-9)
+    band = np.flatnonzero(~near & (dist <= gap * (1.0 + 1e-9)))
+    near[band] = [math.hypot(u, v) < gap for u, v in zip(dx[band].tolist(), dy[band].tolist())]
+    return np.sort(np.stack([s[near], t[near]], axis=1), axis=1)
 
 
 def filter_false_minutiae(minutiae: list[Minutia], thinned: BinaryImage,
@@ -486,60 +504,55 @@ def filter_false_minutiae(minutiae: list[Minutia], thinned: BinaryImage,
         raise ValueError("avg_ridge_gap must be positive")
     gap = avg_ridge_gap
     steps = max(1, int(math.ceil(gap)))
+    x, y, theta = (np.array([getattr(m, f) for m in minutiae], dtype=np.float64)
+                   for f in ("x", "y", "theta"))
+    ending = np.array([m.kind == KIND_ENDING for m in minutiae], dtype=bool)
+    row, col = np.rint(y).astype(np.int64), np.rint(x).astype(np.int64)  # round() of each
+    kept = border[row, col] >= gap
 
-    current = [m for m in minutiae
-               if border[int(round(m.y)), int(round(m.x))] >= gap]
+    live = np.flatnonzero(kept)
+    close = live[_close_pairs(x[live], y[live], gap)].reshape(-1, 2)
+
+    def pairs():  # the close pairs of minutiae kept so far
+        return close[kept[close].all(axis=1)]
 
     # ridge break: facing ending pairs across a small gap
-    drop: set[int] = set()
-    for a, b in _close_pairs(current, gap):
-        ma, mb = current[a], current[b]
-        if ma.kind != KIND_ENDING or mb.kind != KIND_ENDING:
-            continue
-        if abs(_angle_diff(ma.theta, mb.theta) - math.pi) < math.radians(30.0):
-            drop.update((a, b))
-    current = [m for i, m in enumerate(current) if i not in drop]
+    a, b = pairs().T
+    hit = ending[a] & ending[b] & (np.abs(_angle_diff(theta[a], theta[b]) - math.pi)
+                                   < math.radians(30.0))
+    kept[a[hit]] = kept[b[hit]] = False
 
     # spur/spike: an ending hanging off a nearby junction takes the junction
-    # minutia down with it
-    drop = set()
-    codes = neighbour_codes(thinned.bits)
-    bif_at = {(int(round(m.x)), int(round(m.y))): i
-              for i, m in enumerate(current) if m.kind == KIND_BIFURCATION}
-    for i, m in enumerate(current):
-        if m.kind != KIND_ENDING:
-            continue
-        junction, n_steps = _trace_to_junction(codes, (int(round(m.x)), int(round(m.y))), steps)
-        if junction is not None and n_steps < gap:
-            drop.add(i)
-            if junction in bif_at:
-                drop.add(bif_at[junction])
-    current = [m for i, m in enumerate(current) if i not in drop]
+    # minutia down with it; all endings walk toward their junctions at once
+    codes = _skeleton_codes(thinned)
+    at = row * codes.shape[1] + col
+    ends, bifs = np.flatnonzero(kept & ending), np.flatnonzero(kept & ~ending)
+    junction = CROSSING_NUMBERS >= 3
+    last, taken = _walk(codes, at[ends][None], steps, junction)
+    hit = (taken > 0) & junction[codes.ravel()[last]] & (taken < gap)
+    kept[ends[hit]] = False
+    bif_at = dict(zip(at[bifs].tolist(), bifs.tolist()))
+    for j in last[hit].tolist():
+        if j in bif_at:
+            kept[bif_at[j]] = False
 
-    # hole: twin bifurcations joined by two short paths (a loop)
-    drop = set()
-    for a, b in _close_pairs(current, gap):
-        ma, mb = current[a], current[b]
-        if ma.kind != KIND_BIFURCATION or mb.kind != KIND_BIFURCATION:
-            continue
-        pa = (int(round(ma.x)), int(round(ma.y)))
-        pb = (int(round(mb.x)), int(round(mb.y)))
-        if _two_paths(codes, pa, pb, 2 * steps):
-            drop.update((a, b))
-    current = [m for i, m in enumerate(current) if i not in drop]
+    # hole: twin bifurcations joined by two short paths (a loop): the first
+    # path found, then one that avoids its inner pixels, which a pair with no
+    # first path cannot have; all pairs at once
+    twins = pairs()
+    twins = twins[~ending[twins].any(axis=1)]
+    _, inner = _search(codes, at[twins[:, 0]], at[twins[:, 1]], 2 * steps,
+                       np.empty(0, dtype=np.int64))
+    twice, _ = _search(codes, at[twins[:, 0]], at[twins[:, 1]], 2 * steps, inner)
+    kept[twins[twice]] = False
 
     # bridge/ladder: close pairs with near-orthogonal ridge directions where
     # at least one member is a bifurcation
-    drop = set()
-    for a, b in _close_pairs(current, gap):
-        ma, mb = current[a], current[b]
-        if ma.kind == KIND_ENDING and mb.kind == KIND_ENDING:
-            continue
-        fold = _angle_diff(ma.theta, mb.theta) % math.pi
-        fold = min(fold, math.pi - fold)
-        if fold >= math.radians(60.0):
-            drop.update((a, b))
-    return [m for i, m in enumerate(current) if i not in drop]
+    a, b = pairs().T
+    fold = np.mod(_angle_diff(theta[a], theta[b]), math.pi)
+    hit = ~(ending[a] & ending[b]) & (np.minimum(fold, math.pi - fold) >= math.radians(60.0))
+    kept[a[hit]] = kept[b[hit]] = False
+    return [minutiae[i] for i in np.flatnonzero(kept).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -704,9 +717,11 @@ def build_template(img: GrayImage, keep_artifacts: bool = False):
     binarized = adaptive_threshold(enhanced, BINARIZE_WINDOW)
     ridge_bits = BinaryImage(binarized.bits & mask.bits)
     thinned = thin(ridge_bits)
-    raw = extract_minutiae(thinned, orientation, mask)
+    skeleton = copy.copy(thinned)  # extract and filter share its codes, which die with this call
+    object.__setattr__(skeleton, "_codes", neighbour_codes(thinned.bits))
+    raw = extract_minutiae(skeleton, orientation, mask)
     gap = 1.0 / float(np.median(frequency.values))
-    kept = filter_false_minutiae(raw, thinned, border, gap)
+    kept = filter_false_minutiae(raw, skeleton, border, gap)
 
     if len(kept) > MAX_MINUTIAE:
         scored = sorted(range(len(kept)),

@@ -19,6 +19,7 @@ against a whole gallery at once with masked XOR and popcount over packed
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -359,8 +360,10 @@ def haar_code(strip: NormalizedStrip) -> IrisCode:
 # ---------------------------------------------------------------------------
 # Mellin scheme
 
-def _mellin_kernels(window_tops: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    """Complex operator per (radial anchor, setting), keyed by (top, index)."""
+@functools.cache
+def _mellin_kernels(window_tops: tuple[int, ...]) -> dict[tuple[int, int], np.ndarray]:
+    """Complex operator per (radial anchor, setting), keyed by (top, index);
+    built once per set of window tops, read-only."""
     taper = np.outer(np.hanning(MELLIN_WINDOW_ROWS), np.hanning(MELLIN_WINDOW_COLS))
     cols = np.arange(MELLIN_WINDOW_COLS, dtype=np.float64)
     kernels = {}
@@ -372,7 +375,7 @@ def _mellin_kernels(window_tops: np.ndarray) -> dict[tuple[int, int], np.ndarray
         for idx, (p, q) in enumerate(MELLIN_SETTINGS):
             phase = (p * 2.0 * math.pi * cols[None, :] / MELLIN_WINDOW_COLS
                      + q * 2.0 * math.pi * s[:, None])
-            kernels[(int(top), idx)] = taper * np.exp(1j * phase)
+            kernels[(int(top), idx)] = _freeze(taper * np.exp(1j * phase))
     return kernels
 
 
@@ -390,7 +393,7 @@ def mellin_code(strip: NormalizedStrip) -> IrisCode:
     tops = np.clip(np.round(centers - MELLIN_WINDOW_ROWS / 2).astype(int),
                    0, DEFAULT_RADIAL - MELLIN_WINDOW_ROWS)
     stride = DEFAULT_ANGULAR // a_count
-    kernels = _mellin_kernels(np.unique(tops))
+    kernels = _mellin_kernels(tuple(np.unique(tops).tolist()))
 
     # Wrap the strip so every angular window is a contiguous slice.
     vals = np.concatenate([strip.values, strip.values[:, :MELLIN_WINDOW_COLS]],
@@ -433,6 +436,15 @@ def _shift_rows(flat: np.ndarray, layout: tuple[tuple[int, int], ...],
     return out
 
 
+@functools.cache
+def _shift_table(scheme: str, max_shift: int) -> np.ndarray:
+    """Per shift s in [-max_shift, max_shift], the bit order of a code rotated
+    by s within each layout row; built once per (scheme, max_shift), read-only."""
+    order = np.arange(_CODE_BITS[scheme])
+    return _freeze(np.stack([_shift_rows(order, _row_layout(scheme), s)
+                             for s in range(-max_shift, max_shift + 1)]))
+
+
 def hamming_distance(a: IrisCode, b: IrisCode) -> float:
     """Masked Hamming distance minimized over small angular shifts.
 
@@ -465,10 +477,7 @@ def hamming_distances(gallery: list[IrisCode], probe: IrisCode) -> np.ndarray:
             raise SchemeMismatch(f"cannot compare {a.scheme} against {probe.scheme}")
     if not gallery:
         return np.empty(0)
-    layout = _row_layout(probe.scheme)
-    order = np.arange(len(probe))
-    shifted = np.stack([_shift_rows(order, layout, s)
-                        for s in range(-DEFAULT_MAX_SHIFT, DEFAULT_MAX_SHIFT + 1)])
+    shifted = _shift_table(probe.scheme, DEFAULT_MAX_SHIFT)
     p_bits = _pack_words(probe.bits[shifted])
     p_mask = _pack_words(probe.mask[shifted])
     g_bits = _pack_words(np.stack([a.bits for a in gallery]))[:, None, :]

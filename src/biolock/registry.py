@@ -74,7 +74,7 @@ from .iris import (
     hamming_distances,
 )
 
-SUBJECT_ID_PATTERN = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
+SUBJECT_ID_PATTERN = re.compile(r"[A-Za-z0-9_-]{1,64}")  # match whole ids: fullmatch
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
@@ -91,7 +91,7 @@ ACCESS_ALARM = "alarm"
 
 
 def _validate_subject_id(subject_id: str) -> str:
-    if not isinstance(subject_id, str) or not SUBJECT_ID_PATTERN.match(subject_id):
+    if not isinstance(subject_id, str) or not SUBJECT_ID_PATTERN.fullmatch(subject_id):
         raise ValueError(
             f"subject id must match [A-Za-z0-9_-]{{1,64}}, got {subject_id!r}"
         )
@@ -176,7 +176,7 @@ class AuditEvent:
             raise ValueError(f"ts, claimed_id and detail must be strings: {self!r}")
         if datetime.fromisoformat(self.ts).utcoffset() is None:
             raise ValueError(f"ts must carry a UTC offset, got {self.ts!r}")
-        if self.claimed_id != "-" and not SUBJECT_ID_PATTERN.match(self.claimed_id):
+        if self.claimed_id != "-" and not SUBJECT_ID_PATTERN.fullmatch(self.claimed_id):
             raise ValueError(
                 f"claimed_id must be a subject id or '-', got {self.claimed_id!r}")
         object.__setattr__(self, "ms_final", float(self.ms_final))
@@ -218,7 +218,7 @@ class AuditLog:
         self.path = Path(path)
 
     def append(self, kind: str, claimed_id: str, ms_final: float, detail: str) -> AuditEvent:
-        if isinstance(claimed_id, str) and SUBJECT_ID_PATTERN.match(claimed_id):
+        if isinstance(claimed_id, str) and SUBJECT_ID_PATTERN.fullmatch(claimed_id):
             recorded_id = claimed_id
         else:
             recorded_id = "-"
@@ -397,11 +397,9 @@ def _persist_record(db: TemplateDB, record: PersonRecord) -> None:
             "fingers": finger_names,
             "iris": iris_items,
         }
-        manifest = {
-            "version": MANIFEST_VERSION,
-            "subjects": list(db._entries.values()) + [entry],
-        }
-        text = json.dumps(manifest, indent=2) + "\n"
+        # one subject per line, each on json's C encoder (indent= takes the Python one)
+        subjects = ",\n".join(map(json.dumps, [*db._entries.values(), entry]))
+        text = f'{{"version": {MANIFEST_VERSION}, "subjects": [\n{subjects}\n]}}\n'
         _write_atomic(db.path / MANIFEST_NAME, text.encode("utf-8"))
         db._entries[record.subject_id] = entry
     except BaseException:

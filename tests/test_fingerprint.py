@@ -1,5 +1,6 @@
 """Tests for the fingerprint pipeline: segmentation, field estimation,
 enhancement, minutiae extraction/filtering, registration, and matching."""
+import collections
 import functools
 import math
 import struct
@@ -529,6 +530,133 @@ def skeleton_neighbors_oracle(bits, x, y):
             if 0 <= x + dx < w and 0 <= y + dy < h and bits[y + dy, x + dx]]
 
 
+# the (dx, dy) offsets of the foreground neighbours of every neighbour code
+_CODE_OFFSETS = tuple(tuple(off for i, off in enumerate(NEIGH) if code >> i & 1)
+                      for code in range(256))
+
+
+def skeleton_neighbors(codes, x, y):
+    """The foreground neighbours of (x, y) that its code lists, in NEIGH order."""
+    return [(x + dx, y + dy) for dx, dy in _CODE_OFFSETS[codes.item(y, x)]]
+
+
+def walk_arm_oracle(codes, start, first, max_steps):
+    """Follow a skeleton arm from `start` through `first`; return the farthest
+    pixel reached within max_steps (stops early at junctions or arm ends)."""
+    visited = {start, first}
+    cur = first
+    for _ in range(max_steps - 1):
+        nxt = [q for q in skeleton_neighbors(codes, *cur) if q not in visited]
+        if len(nxt) != 1:
+            break
+        cur = nxt[0]
+        visited.add(cur)
+    return cur
+
+
+def lift_direction_oracle(theta_base, vx, vy):
+    """Lift a [0,pi) ridge orientation to [0,2*pi) toward the vector (vx,vy)."""
+    facing = vx * math.cos(theta_base) + vy * math.sin(theta_base) >= 0.0
+    return (theta_base if facing else theta_base + math.pi) % (2.0 * math.pi)
+
+
+def extract_oracle(thinned, orientation, mask):
+    """extract_minutiae as one Python walk per arm of every minutia."""
+    bits = thinned.bits
+    bh, bw = orientation.values.shape
+    codes = neighbour_codes(bits)
+    cn = CROSSING_NUMBERS[codes]
+    out = []
+    ys, xs = np.nonzero(bits & mask.bits & ((cn == 1) | (cn == 3)))
+    for y, x in zip(ys.tolist(), xs.tolist()):
+        bi = min(y // fingerprint.DEFAULT_BLOCK, bh - 1)
+        bj = min(x // fingerprint.DEFAULT_BLOCK, bw - 1)
+        theta_base = orientation.values.item(bi, bj)
+        neighbors = skeleton_neighbors(codes, x, y)
+        if cn.item(y, x) == 1:
+            kind = KIND_ENDING
+            if neighbors:
+                fx, fy = walk_arm_oracle(codes, (x, y), neighbors[0], fingerprint.TRACE_STEPS)
+                vx, vy = fx - x, fy - y
+            else:
+                vx, vy = math.cos(theta_base), math.sin(theta_base)
+        else:
+            kind = KIND_BIFURCATION
+            vx = vy = 0.0
+            for nb in neighbors:
+                fx, fy = walk_arm_oracle(codes, (x, y), nb, fingerprint.TRACE_STEPS)
+                norm = math.hypot(fx - x, fy - y)
+                if norm > 0:
+                    vx += (fx - x) / norm
+                    vy += (fy - y) / norm
+        still = abs(vx) < 1e-12 and abs(vy) < 1e-12
+        theta = theta_base if still else lift_direction_oracle(theta_base, vx, vy)
+        out.append(Minutia(float(x), float(y), theta, kind))
+    return out
+
+
+def trace_to_junction_oracle(codes, ending, max_steps):
+    """Walk from an ending along its arm; return (junction pixel, steps) if a
+    pixel of crossing number >= 3 is reached within max_steps, else
+    (None, steps)."""
+    visited = {ending}
+    cur = ending
+    steps = 0
+    while steps < max_steps:
+        nxt = [q for q in skeleton_neighbors(codes, *cur) if q not in visited]
+        if not nxt:
+            return None, steps
+        # the junction pixel itself may sit among a fan-out of continuations
+        for q in nxt:
+            if CROSSING_NUMBERS[codes.item(q[1], q[0])] >= 3:
+                return q, steps + 1
+        if len(nxt) > 1:
+            return None, steps
+        cur = nxt[0]
+        visited.add(cur)
+        steps += 1
+    return None, steps
+
+
+def two_paths_oracle(codes, a, b, max_steps):
+    """True when two skeleton paths no longer than max_steps join a and b: a
+    FIFO breadth-first search's first path, then a search blocked by its
+    inner pixels."""
+
+    def shortest(blocked):
+        prev = {}
+        seen = {a}
+        queue = collections.deque([(a, 0)])
+        while queue:
+            cur, d = queue.popleft()
+            if cur == b:
+                path = [cur]
+                while path[-1] != a:
+                    path.append(prev[path[-1]])
+                return path
+            if d == max_steps:
+                continue
+            for q in skeleton_neighbors(codes, *cur):
+                if q in seen or q in blocked:
+                    continue
+                seen.add(q)
+                prev[q] = cur
+                queue.append((q, d + 1))
+        return None
+
+    first = shortest(set())
+    if first is None:
+        return False
+    interior = set(first) - {a, b}
+    return shortest(interior) is not None
+
+
+def angle_diff_oracle(a, b):
+    """Absolute circular difference of two directions, in [0, pi]."""
+    d = (a - b) % (2.0 * math.pi)
+    return min(d, 2.0 * math.pi - d)
+
+
 def test_neighbour_codes_equal_bounds_checked_scans_at_every_pixel():
     rng = np.random.default_rng(23)
     for shape in ((1, 1), (1, 7), (6, 1), (2, 2), (9, 13), (32, 32)):
@@ -539,8 +667,10 @@ def test_neighbour_codes_equal_bounds_checked_scans_at_every_pixel():
             assert np.array_equal(np.where(bits, cn, 0), cn_map_oracle(bits))
             for y in range(shape[0]):
                 for x in range(shape[1]):
-                    assert (fingerprint._skeleton_neighbors(codes, x, y)
-                            == skeleton_neighbors_oracle(bits, x, y))
+                    assert (skeleton_neighbors(codes, x, y)
+                            == skeleton_neighbors_oracle(bits, x, y)
+                            == [(x + dx, y + dy) for (dx, dy), on
+                                in zip(NEIGH, fingerprint._NEIGHBOURS[codes[y, x]]) if on])
 
 
 def test_extract_segment_reports_two_endings():
@@ -584,6 +714,22 @@ def test_extract_orients_minutiae_by_16px_blocks():
     # the ending at x = 60 departs leftward, against the block orientation
     right = next(m for m in found if m.x == 60.0)
     assert right.theta == pytest.approx(0.1 + math.pi)
+
+
+def test_extract_adds_a_bifurcations_unit_vectors_in_neighbour_order():
+    # Three arms from (12, 12), first pixels NE, SE and W.  Their unit vectors
+    # summed W, SE, NE round to a vector whose sign against this orientation
+    # (with glibc's cos and sin) differs from the NE, SE, W sum's.
+    arms = [[(1, -1), (1, -2), (1, -3), (1, -4), (1, -5), (2, -6), (3, -7), (4, -8)],
+            [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 2)],
+            [(-1, 0), (-2, 1), (-3, 2), (-4, 3), (-3, 4), (-2, 5), (-1, 6)]]
+    thinned = skeleton_image([(12, 12)] + [(12 + dx, 12 + dy) for arm in arms for dx, dy in arm],
+                             24)
+    orientation = FloatField(np.full((1, 1), 1.8908615464098646), kind="orientation")
+    mask = BinaryImage(np.ones((24, 24), dtype=bool))
+    found = extract_minutiae(thinned, orientation, mask)
+    assert [(m.x, m.y) for m in found if m.kind == KIND_BIFURCATION] == [(12.0, 12.0)]
+    assert found == extract_oracle(thinned, orientation, mask)
 
 
 def test_extract_reports_only_cn_one_or_three():
@@ -672,7 +818,7 @@ def filter_oracle(minutiae, thinned, border, avg_ridge_gap):
     bits = thinned.bits
     gap = avg_ridge_gap
     steps = max(1, int(math.ceil(gap)))
-    angle_diff = fingerprint._angle_diff
+    angle_diff = angle_diff_oracle
 
     current = [m for m in minutiae
                if border[int(round(m.y)), int(round(m.x))] >= gap]
@@ -696,7 +842,7 @@ def filter_oracle(minutiae, thinned, border, avg_ridge_gap):
     for i, m in enumerate(current):
         if m.kind != KIND_ENDING:
             continue
-        junction, n_steps = fingerprint._trace_to_junction(
+        junction, n_steps = trace_to_junction_oracle(
             neighbour_codes(bits), (int(round(m.x)), int(round(m.y))), steps)
         if junction is not None and n_steps < gap:
             drop.add(i)
@@ -714,7 +860,7 @@ def filter_oracle(minutiae, thinned, border, avg_ridge_gap):
                 continue
             pa = (int(round(ma.x)), int(round(ma.y)))
             pb = (int(round(mb.x)), int(round(mb.y)))
-            if fingerprint._two_paths(neighbour_codes(bits), pa, pb, 2 * steps):
+            if two_paths_oracle(neighbour_codes(bits), pa, pb, 2 * steps):
                 drop.add(i)
                 drop.add(j)
     current = [m for i, m in enumerate(current) if i not in drop]
@@ -778,6 +924,20 @@ def test_filter_hole_rule_removes_loop_bifurcations():
     kept = assert_filter_matches_oracle(raw, tall, border, 9.0)
     assert sorted((m.x, m.y) for m in kept if m.kind == KIND_BIFURCATION) == [
         (20.0, 24.0), (26.0, 24.0)]
+
+
+def test_filter_hole_rule_blocks_the_first_path_a_fifo_search_finds():
+    # From a = (10, 10), W (9, 10) and NW (9, 9) both reach c = (8, 10).  A FIFO
+    # search scanning NEIGHBOUR_OFFSETS meets W first, so its path to b = (6, 10)
+    # runs a, W, c, (7, 10), b; blocking those inner pixels leaves the detour
+    # through NW, so the pair is a hole.  A first path through NW would leave
+    # none.
+    detour = [(9, 9), (8, 8), (7, 8), (6, 9)]
+    thinned = skeleton_image([(10, 10), (9, 10), (8, 10), (7, 10), (6, 10)] + detour, 24)
+    border = fingerprint._border_distance(BinaryImage(np.ones((24, 24), dtype=bool)))
+    twins = [Minutia(10.0, 10.0, 0.0, KIND_BIFURCATION), Minutia(6.0, 10.0, 0.0, KIND_BIFURCATION)]
+    assert two_paths_oracle(neighbour_codes(thinned.bits), (10, 10), (6, 10), 10)
+    assert assert_filter_matches_oracle(twins, thinned, border, 4.5) == []
 
 
 def test_filter_bridge_rule_removes_crossing_pairs_with_a_bifurcation():
@@ -938,15 +1098,59 @@ def test_build_template_runs_each_public_stage_once(monkeypatch):
     assert calls == ["segment", "_border_distance", "filter_false_minutiae"]
 
 
+@functools.lru_cache(maxsize=None)
+def degraded_artifacts(n, seed):
+    kinds = [KIND_ENDING if j % 2 == 0 else KIND_BIFURCATION for j in range(n)]
+    return build_template(degraded_print(kinds, seed), keep_artifacts=True)[1]
+
+
+def test_extract_equals_oracle_on_degraded_prints():
+    for n, seed in ((8, 5), (11, 9)):
+        art = degraded_artifacts(n, seed)
+        assert art.thinned.bits.shape == (512, 512)
+        assert len(art.raw_minutiae) > 1000
+        assert art.raw_minutiae == extract_oracle(art.thinned, art.orientation, art.mask)
+
+
 def test_filter_equals_oracle_on_degraded_prints():
     for n, seed in ((8, 5), (11, 9)):
-        kinds = [KIND_ENDING if j % 2 == 0 else KIND_BIFURCATION for j in range(n)]
-        _, art = build_template(degraded_print(kinds, seed), keep_artifacts=True)
+        art = degraded_artifacts(n, seed)
         assert art.thinned.bits.shape == (512, 512)
         assert len(art.raw_minutiae) > 1000
         kept = assert_filter_matches_oracle(art.raw_minutiae, art.thinned, art_border(art),
                                             art_gap(art))
         assert 0 < len(kept) < len(art.raw_minutiae)
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.sampled_from([8, 17, 32, 40]), density=st.sampled_from([0.3, 0.5, 0.6, 0.8]),
+       masked=st.booleans(), gap=st.sampled_from([1.5, 3.0, 4.5, 9.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_extract_and_filter_equal_oracles_on_random_skeletons(size, density, masked, gap, seed):
+    # Thinned noise: short arms, junction clusters, loops and isolated pixels.
+    rng = np.random.default_rng(seed)
+    thinned = thin(BinaryImage(rng.random((size, size)) < density))
+    blocks = max(1, size // 16)
+    orientation = FloatField(rng.random((blocks, blocks)) * math.pi, kind="orientation")
+    mask = BinaryImage(rng.random((size, size)) < 0.8 if masked else np.ones((size, size)))
+    raw = extract_minutiae(thinned, orientation, mask)
+    assert raw == extract_oracle(thinned, orientation, mask)
+    border = fingerprint._border_distance(BinaryImage(np.ones((size, size), dtype=bool)))
+    assert_filter_matches_oracle(raw, thinned, border, gap)
+
+
+def test_build_template_builds_one_neighbour_code_raster_per_print(monkeypatch):
+    img, _ = synthgen.plant_print([KIND_ENDING, KIND_BIFURCATION, KIND_ENDING], seed=42)
+    calls = []
+    real = fingerprint.neighbour_codes
+    monkeypatch.setattr(fingerprint, "neighbour_codes",
+                        lambda bits: calls.append(bits.shape) or real(bits))
+    _, art = build_template(img, keep_artifacts=True)
+    assert calls == [img.pixels.shape]
+    # extract and filter shared it on a copy of the skeleton: the kept one has none
+    assert "_codes" not in art.thinned.__dict__
+    assert extract_minutiae(art.thinned, art.orientation, art.mask) == art.raw_minutiae
+    assert len(calls) == 2
 
 
 def test_build_template_runs_one_border_distance_per_print(monkeypatch):
@@ -1022,6 +1226,13 @@ def test_filter_equals_oracle_on_pairs_at_the_gap(case):
     assert_filter_matches_oracle(minutiae, art.thinned, art_border(art), gap)
 
 
+def close_pairs(minutiae, gap):
+    """fingerprint._close_pairs over the minutiae's positions, as (a, b) tuples."""
+    pairs = fingerprint._close_pairs(np.array([m.x for m in minutiae]),
+                                     np.array([m.y for m in minutiae]), gap)
+    return [tuple(p) for p in pairs.tolist()]
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_close_pairs_equal_every_pair_under_the_gap(data):
@@ -1036,7 +1247,7 @@ def test_close_pairs_equal_every_pair_under_the_gap(data):
     expected = [(a, b) for a in range(len(minutiae)) for b in range(a + 1, len(minutiae))
                 if math.hypot(minutiae[a].x - minutiae[b].x,
                               minutiae[a].y - minutiae[b].y) < gap]
-    assert sorted(fingerprint._close_pairs(minutiae, gap)) == expected
+    assert sorted(close_pairs(minutiae, gap)) == expected
 
 
 def test_close_pairs_decide_on_math_hypot_where_numpy_rounds_apart():
@@ -1045,7 +1256,7 @@ def test_close_pairs_decide_on_math_hypot_where_numpy_rounds_apart():
                         (18.641193732267563, 4.256847192294828, 19.121057810238426)):
         minutiae = [Minutia(dx, dy, 0.0, KIND_ENDING), Minutia(0.0, 0.0, 0.0, KIND_ENDING)]
         expected = [(0, 1)] if math.hypot(dx, dy) < gap else []
-        assert fingerprint._close_pairs(minutiae, gap) == expected
+        assert close_pairs(minutiae, gap) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,20 @@ def test_mellin_mask_majority_invalid_rule():
     assert mellin_code(NormalizedStrip(v, valid)).mask.all()
 
 
+def test_mellin_kernels_are_built_once_and_read_only(monkeypatch):
+    strip = full_strip(np.random.default_rng(43).uniform(0, 1, (64, 512)))
+    iris._mellin_kernels.cache_clear()
+    first = encode_code(mellin_code(strip))
+    assert encode_code(mellin_code(strip)) == first
+    info = iris._mellin_kernels.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    tables = []
+    real = iris._mellin_kernels
+    monkeypatch.setattr(iris, "_mellin_kernels", lambda tops: tables.append(real(tops)) or tables[-1])
+    assert encode_code(mellin_code(strip)) == first
+    assert len(tables) == 1 and not any(k.flags.writeable for k in tables[0].values())
+
+
 def test_mellin_rejects_narrow_strip():
     with pytest.raises(BadDimensions):
         mellin_code(full_strip(np.zeros((32, 32))))
@@ -540,6 +554,20 @@ def test_hamming_distances_match_oracle_on_random_codes(monkeypatch):
         for shift in (0, 1, 8):
             monkeypatch.setattr(iris, "DEFAULT_MAX_SHIFT", shift)
             assert_matches_oracle(gallery, probe)
+
+
+def test_shift_table_is_built_once_per_scheme_and_max_shift(monkeypatch):
+    code = random_code(np.random.default_rng(73), SCHEME_HAAR)
+    rolled = roll_code_rows(code, 2)
+    iris._shift_table.cache_clear()
+    distances = []
+    for shift in (8, 8, 1, 2):
+        monkeypatch.setattr(iris, "DEFAULT_MAX_SHIFT", shift)
+        distances.append(hamming_distance(code, rolled))
+    assert distances[0] == distances[1] == distances[3] == 0.0 < distances[2]
+    assert iris._shift_table.cache_info().misses == 3
+    assert iris._shift_table(SCHEME_HAAR, 2).shape == (5, len(code))
+    assert not iris._shift_table(SCHEME_HAAR, 2).flags.writeable
 
 
 def test_hamming_distances_match_oracle_on_occluded_codes():

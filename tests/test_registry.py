@@ -150,6 +150,55 @@ def test_enroll_validates_inputs(tmp_path, corpus):
         enroll(db, "empty", [], [])
 
 
+def test_subject_ids_with_a_trailing_newline_are_refused():
+    # "$" also matches before a final newline; ids must match whole
+    for bad in ("bob\n", "bob\n\n", "\nbob"):
+        with pytest.raises(ValueError):
+            registry._validate_subject_id(bad)
+    assert registry._validate_subject_id("bob") == "bob"
+
+
+def test_audit_log_records_an_id_with_a_trailing_newline_as_dash(tmp_path):
+    log = AuditLog(tmp_path / "audit.log")
+    assert log.append("alarm", "bob\n", 0.5, "").claimed_id == "-"
+    assert [e.claimed_id for e in read_audit_log(tmp_path / "audit.log")] == ["-"]
+    with pytest.raises(ValueError):
+        AuditEvent("2026-01-01T00:00:00+00:00", "alarm", "bob\n", 0.5, "")
+
+
+def test_manifest_entry_with_a_trailing_newline_id_is_corrupt(tmp_path):
+    root = tmp_path / "db"
+    root.mkdir()
+    (root / "manifest.json").write_text(json.dumps({"version": 1, "subjects": [
+        {"id": "bob\n", "enrolled_at": "t", "fingers": ["f"], "iris": []}]}))
+    with pytest.raises(CorruptManifest):
+        load_db(root)
+    with pytest.raises(CorruptManifest):
+        _load_record(root, "bob")
+
+
+def test_enroll_refuses_a_trailing_newline_id_before_extraction(tmp_path, corpus, monkeypatch):
+    def fail(*_):
+        raise AssertionError("extraction ran")
+
+    monkeypatch.setattr(registry, "build_template", fail)
+    monkeypatch.setattr(registry, "build_codes", fail)
+    db = load_db(tmp_path / "db")
+    with pytest.raises(ValueError):
+        enroll(db, "bob\n", [corpus["alice"]["finger"]], [corpus["alice"]["eye"]])
+    assert len(db) == 0 and not (tmp_path / "db").exists()
+
+
+def test_manifest_holds_one_subject_per_line(enrolled):
+    text = (enrolled.path / "manifest.json").read_text()
+    lines = text.splitlines()
+    assert text.endswith("\n") and len(lines) == 2 + len(enrolled)
+    assert lines[0] == '{"version": 1, "subjects": [' and lines[-1] == "]}"
+    entries = [json.loads(line.rstrip(",")) for line in lines[1:-1]]
+    assert [e["id"] for e in entries] == list(enrolled.records)
+    assert json.loads(text) == {"version": 1, "subjects": entries}
+
+
 def test_enroll_pipeline_failure_is_atomic(enrolled, corpus):
     files_before = sorted(p.name for p in enrolled.path.iterdir())
     blank = GrayImage(np.full((64, 64), 0.9))
