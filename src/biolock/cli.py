@@ -147,7 +147,7 @@ def _binary_pgm(bits: np.ndarray) -> bytes:
 
 
 def cmd_enroll(args) -> int:
-    db = load_db(args.db)
+    db = _load_record(args.db, args.subject)
     fingers = [_read_image(p) for p in args.finger]
     irises = [_read_image(p) for p in args.iris]
     enroll(db, args.subject, fingers, irises)

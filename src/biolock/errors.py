@@ -65,10 +65,6 @@ class IncomparableCodes(BiolockError):
 
 # --- fusion ----------------------------------------------------------------
 
-class DegenerateRange(BiolockError):
-    """Score normalization range has range_lo >= range_hi."""
-
-
 class ZeroWeights(BiolockError):
     """Fusion weights sum to zero."""
 

@@ -29,7 +29,7 @@ from typing import Mapping, Optional, Union
 
 import numpy as np
 
-from .errors import DegenerateRange, NoScores, ZeroWeights
+from .errors import NoScores, ZeroWeights
 
 TRAIT_FINGER = "finger"
 TRAIT_IRIS = "iris"
@@ -162,14 +162,9 @@ def _result(value: np.ndarray):
     return float(value) if value.ndim == 0 else value
 
 
-def normalize_score(raw, range_lo: float, range_hi: float):
-    """Map ``raw`` linearly from [range_lo, range_hi] onto [0, 1], clamping."""
-    raw = _scores("raw", raw)
-    lo = _check_finite("range_lo", range_lo)
-    hi = _check_finite("range_hi", range_hi)
-    if not lo < hi:
-        raise DegenerateRange(f"range [{lo!r}, {hi!r}] has no extent")
-    return _result(np.minimum(1.0, np.maximum(0.0, (raw - lo) / (hi - lo))))
+def normalize_score(raw):
+    """Clamp ``raw``, read on the matchers' fixed [0, 1] scale, onto [0, 1]."""
+    return _result(np.minimum(1.0, np.maximum(0.0, _scores("raw", raw))))
 
 
 def to_similarity(score, is_distance: bool):
@@ -213,22 +208,17 @@ def fuse_classifiers(s1, s2, w1: float, w2: float):
 def fuse_modalities(ms_finger, ms_iris, cfg: FusionConfig):
     """Combine the two trait scores with the cross-trait sum rule.
 
-    Normalized mode divides by ``a + b`` so the result stays in [0, 1];
-    paper-faithful mode keeps the fixed factor ``0.25`` as printed, in which
-    case a perfect match under unit weights scores 0.5.  Where one trait score
-    is NaN (absent) the other passes through with full weight.
+    Normalized mode is :func:`fuse_classifiers` with weights ``a`` and ``b``,
+    so the result stays in [0, 1]; paper-faithful mode keeps the fixed factor
+    ``0.25`` as printed, in which case a perfect match under unit weights
+    scores 0.5.  Where one trait score is NaN (absent) the other passes through
+    with full weight.
     """
     ms_finger = _scores("ms_finger", ms_finger, unit=True)
     ms_iris = _scores("ms_iris", ms_iris, unit=True)
-    total = cfg.a + cfg.b
-    if total <= 0.0:
-        raise ZeroWeights("trait weights sum to zero")
-    if cfg.paper_faithful_final:
-        fused = 0.25 * (cfg.a * ms_finger + cfg.b * ms_iris)
-    else:
-        fused = np.minimum(1.0, np.maximum(0.0, (cfg.a * ms_finger) / total
-                                           + (cfg.b * ms_iris) / total))
-        fused = np.where(ms_finger == ms_iris, ms_finger, fused)
+    if not cfg.paper_faithful_final:
+        return fuse_classifiers(ms_finger, ms_iris, cfg.a, cfg.b)
+    fused = 0.25 * (cfg.a * ms_finger + cfg.b * ms_iris)
     return _result(np.where(np.isnan(ms_finger), ms_iris,
                             np.where(np.isnan(ms_iris), ms_finger, fused)))
 
@@ -252,7 +242,7 @@ def fuse_arrays(raw: Mapping[str, object], cfg: FusionConfig) -> tuple:
     rescaled = {}
     for name, values in raw.items():
         t_classifier = cfg.threshold_for(name)
-        similarity = to_similarity(normalize_score(values, 0.0, 1.0),
+        similarity = to_similarity(normalize_score(values),
                                    name in TRAIT_CLASSIFIERS[TRAIT_IRIS])
         rescaled[name] = rescale_to_common_threshold(similarity, t_classifier,
                                                      cfg.common_threshold)

@@ -198,7 +198,6 @@ def _correlate(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 SOBEL_X = np.array([[-1.0, 0.0, 1.0],
                     [-2.0, 0.0, 2.0],
                     [-1.0, 0.0, 1.0]])
-SOBEL_Y = SOBEL_X.T
 
 
 def gradients(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
@@ -210,8 +209,9 @@ def gradients(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     if "_gradients" not in img.__dict__:
         gx = _correlate(img.pixels, SOBEL_X)
         # Correlating the transpose with SOBEL_X accumulates each kernel row in the
-        # order -c, +c, so constant regions cancel exactly; a direct SOBEL_Y pass
-        # sums -c-2c-c per column and leaves 1-ulp residue on constant input.
+        # order -c, +c, so constant regions cancel exactly; correlating with
+        # SOBEL_X.T directly sums -c-2c-c per column and leaves 1-ulp residue on
+        # constant input.
         gy = _correlate(img.pixels.T, SOBEL_X).T
         gx.flags.writeable = gy.flags.writeable = False
         object.__setattr__(img, "_gradients", (gx, gy))

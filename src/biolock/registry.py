@@ -1,9 +1,10 @@
 """Template database: enrollment, verification, identification, audit log.
 
 A database is a directory holding one binary file per template or code plus a
-``manifest.json`` that names them.  :func:`load_db` reads the directory into an
-in-memory :class:`TemplateDB`; the ``verify`` and ``access`` commands check the
-whole manifest the same way but decode only the claimed subject's files.
+``manifest.json`` that names them.  Every :class:`TemplateDB` reads and checks
+the whole manifest when it is opened; :func:`load_db` then decodes every
+subject's files, while the ``enroll``, ``verify`` and ``access`` commands decode
+only the named subject's.
 :func:`enroll` runs the feature pipelines and persists new records atomically
 (every file, and finally the manifest, is written to a temp name and renamed);
 :func:`verify`, :func:`identify`, and :func:`access` score probes against the
@@ -187,21 +188,20 @@ class AuditEvent:
 class TemplateDB:
     """In-memory view of a database directory.
 
-    ``records`` maps subject id to :class:`PersonRecord` in enrollment order;
-    the manifest entries (file names per subject) are kept alongside so new
-    enrollments re-write the manifest without renaming existing files.
+    Opening one reads and checks ``manifest.json``: ``_entries`` holds every
+    manifest entry (file names per subject) in enrollment order, so enrollment
+    checks ids against the whole database and re-writes the manifest without
+    renaming existing files.  ``records`` maps the subjects whose files were
+    decoded to :class:`PersonRecord`; it starts empty.
     """
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self.records: dict = {}
-        self._entries: dict = {}
+        self._entries: dict = _parse_manifest(self.path / MANIFEST_NAME)
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def __contains__(self, subject_id: str) -> bool:
-        return subject_id in self.records
 
 
 # ---------------------------------------------------------------------------
@@ -350,19 +350,16 @@ def _decode_record(manifest_path: Path, entry: dict) -> PersonRecord:
 def load_db(path: Union[str, Path]) -> TemplateDB:
     """Read a database directory; a missing manifest means an empty DB."""
     db = TemplateDB(path)
-    db._entries = _parse_manifest(db.path / MANIFEST_NAME)
     db.records = {sid: _decode_record(db.path / MANIFEST_NAME, e) for sid, e in db._entries.items()}
     return db
 
 
 def _load_record(path: Union[str, Path], subject_id: str) -> TemplateDB:
     """:func:`load_db` decoding only ``subject_id``'s files: a view holding at
-    most that record.  It serves verify and access; :func:`enroll` refuses it."""
+    most that record, and every manifest entry to enroll against."""
     db = TemplateDB(path)
-    db._entries = None
-    entry = _parse_manifest(db.path / MANIFEST_NAME).get(subject_id)
-    if entry is not None:
-        db.records[subject_id] = _decode_record(db.path / MANIFEST_NAME, entry)
+    if subject_id in db._entries:
+        db.records[subject_id] = _decode_record(db.path / MANIFEST_NAME, db._entries[subject_id])
     return db
 
 
@@ -430,10 +427,8 @@ def enroll(
     All feature extraction happens before anything is written, so a pipeline
     failure on any image leaves the database exactly as it was.
     """
-    if db._entries is None:
-        raise ValueError("a one-record view of the database takes no enrollment")
     _validate_subject_id(subject_id)
-    if subject_id in db.records:
+    if subject_id in db._entries:
         raise DuplicateSubject(f"duplicate subject: {subject_id!r} is already enrolled")
     finger_images = list(finger_images)
     iris_images = list(iris_images)

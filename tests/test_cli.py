@@ -80,13 +80,39 @@ def test_enroll_prints_summary(tmp_path, env, capsys):
     assert out.strip() == "enrolled carol: 1 finger, 0 iris"
 
 
-def test_enroll_duplicate_exits_2(env, capsys):
+def test_enroll_duplicate_exits_2(env, capsys, monkeypatch):
+    def fail(*_):
+        raise AssertionError("extraction ran")
+
+    monkeypatch.setattr(registry, "build_template", fail)
+    monkeypatch.setattr(registry, "build_codes", fail)
+    before = {p.name: p.read_bytes() for p in env["db"].iterdir()}
     code, _, err = run_cli(
         capsys, "enroll", "--db", env["db"], "--subject", "alice",
-        "--finger", env["alice_finger"],
+        "--finger", env["alice_finger"], "--iris", env["alice_eye"],
     )
     assert code == 2
     assert "duplicate" in err
+    assert {p.name: p.read_bytes() for p in env["db"].iterdir()} == before
+
+
+def test_enroll_decodes_no_gallery_file(tmp_path, env, capsys, monkeypatch):
+    root = tmp_path / "db"
+    shutil.copytree(env["db"], root)
+    decoded = []
+    load_file = registry._load_file
+    monkeypatch.setattr(registry, "_load_file",
+                        lambda *args: decoded.append(args[1]) or load_file(*args))
+    code, _, _ = run_cli(capsys, "enroll", "--db", root, "--subject", "carol",
+                         "--finger", env["alice_finger"])
+    assert code == 0 and decoded == []
+    # another subject's broken file does not stand in the way of a new one
+    (root / "alice_finger_0.fpt").unlink()
+    code, out, _ = run_cli(capsys, "enroll", "--db", root, "--subject", "dave",
+                           "--iris", env["bob_eye"])
+    assert code == 0 and out.strip() == "enrolled dave: 0 finger, 1 iris"
+    assert decoded == []
+    assert list(registry.TemplateDB(root)._entries) == ["alice", "bob", "carol", "dave"]
 
 
 def test_enroll_missing_db_is_usage_error(env, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biolock.errors import DegenerateRange, NoScores, ZeroWeights
+from biolock.errors import NoScores, ZeroWeights
 from biolock.fusion import (
     CLASSIFIER_HAAR,
     CLASSIFIER_MELLIN,
@@ -105,30 +105,19 @@ def test_fused_score_validates_decision():
 
 
 def test_normalize_score_examples():
-    assert normalize_score(2.0, 2.0, 3.0) == 0.0
-    assert normalize_score(2.5, 2.0, 3.0) == 0.5
-    assert normalize_score(5.0, 2.0, 3.0) == 1.0
-    assert normalize_score(-1.0, 2.0, 3.0) == 0.0
-    assert normalize_score(0.25, 0.0, 1.0) == 0.25
-
-
-def test_normalize_score_degenerate_range():
-    with pytest.raises(DegenerateRange):
-        normalize_score(0.5, 1.0, 1.0)
-    with pytest.raises(DegenerateRange):
-        normalize_score(0.5, 2.0, 1.0)
+    assert normalize_score(0.25) == 0.25
+    assert normalize_score(0.0) == 0.0 and normalize_score(1.0) == 1.0
+    assert normalize_score(5.0) == 1.0
+    assert normalize_score(-1.0) == 0.0
 
 
 def test_normalize_score_stays_in_unit_interval():
     rng = random.Random(101)
     for _ in range(500):
-        lo = rng.uniform(-10.0, 10.0)
-        hi = lo + rng.uniform(1e-3, 20.0)
-        raw = rng.uniform(-30.0, 30.0)
-        result = normalize_score(raw, lo, hi)
+        raw = rng.uniform(-0.5, 1.5)
+        result = normalize_score(raw)
         assert 0.0 <= result <= 1.0
-        expected = min(1.0, max(0.0, (raw - lo) / (hi - lo)))
-        assert result == expected
+        assert result == oracle_normalize(raw, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +578,7 @@ def test_fuse_pipeline_equals_the_scalar_chain_on_any_scale(case):
 def test_array_steps_raise_the_scalar_errors(bad):
     cfg = FusionConfig(paper_faithful_final=True)
     steps = (
-        (lambda x: normalize_score(x, 0.0, 1.0), lambda x: oracle_normalize(x, 0.0, 1.0)),
+        (normalize_score, lambda x: oracle_normalize(x, 0.0, 1.0)),
         (lambda x: to_similarity(x, True), lambda x: oracle_similarity(x, True)),
         (lambda x: rescale_to_common_threshold(x, 0.4, 0.6),
          lambda x: oracle_rescale(x, 0.4, 0.6)),

@@ -207,7 +207,7 @@ def test_enroll_pipeline_failure_is_atomic(enrolled, corpus):
     assert err.value.modality == "iris"
     assert err.value.index == 1
     assert "iris image 1" in str(err.value)
-    assert "dave" not in enrolled
+    assert "dave" not in enrolled.records and "dave" not in enrolled._entries
     assert sorted(p.name for p in enrolled.path.iterdir()) == files_before
 
 
@@ -805,13 +805,45 @@ def test_load_record_reads_only_the_claimed_files(enrolled, tmp_path):
         _load_record(root, "alice")
 
 
-def test_load_record_view_takes_no_enrollment(enrolled, corpus, tmp_path):
+def _files(root):
+    return {p.name: p.read_bytes() for p in root.iterdir()}
+
+
+def _assert_enrolled_dave_beside_the_others(root, before):
+    after = _files(root)
+    assert list(load_db(root).records) == ["alice", "bob", "carol", "dave"]
+    # the others' entries are re-written byte for byte, their files untouched
+    assert after["manifest.json"].startswith(before["manifest.json"][:-len(b"\n]}\n")])
+    for name, blob in before.items():
+        if name.endswith((".fpt", ".irc")):
+            assert after[name] == blob
+
+
+def test_bare_database_enrollment_keeps_every_subject(enrolled, corpus, tmp_path):
     root = _copy_db(enrolled, tmp_path / "db")
-    before = sorted((p.name, p.read_bytes()) for p in root.iterdir())
-    for sid in ("alice", "dave"):
-        with pytest.raises(ValueError, match="one-record view"):
-            enroll(_load_record(root, sid), "dave", [corpus["alice"]["finger"]])
-    assert sorted((p.name, p.read_bytes()) for p in root.iterdir()) == before
+    before = _files(root)
+    db = TemplateDB(root)
+    assert len(db) == 0
+    enroll(db, "dave", [corpus["alice"]["finger"]])
+    assert list(db.records) == ["dave"]
+    _assert_enrolled_dave_beside_the_others(root, before)
+
+
+def test_load_record_view_is_a_complete_enrollment_target(enrolled, corpus, tmp_path):
+    for view in ("alice", "dave"):
+        root = _copy_db(enrolled, tmp_path / view)
+        before = _files(root)
+        enroll(_load_record(root, view), "dave", [corpus["alice"]["finger"]])
+        _assert_enrolled_dave_beside_the_others(root, before)
+
+
+def test_load_record_view_refuses_a_duplicate(enrolled, corpus, tmp_path):
+    root = _copy_db(enrolled, tmp_path / "db")
+    before = _files(root)
+    for view in ("alice", "bob", "dave"):
+        with pytest.raises(DuplicateSubject):
+            enroll(_load_record(root, view), "alice", [corpus["alice"]["finger"]])
+    assert _files(root) == before
 
 
 def test_reloaded_db_verifies_identically(enrolled, corpus):
