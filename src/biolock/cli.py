@@ -24,7 +24,7 @@ from .fingerprint import KIND_ENDING, build_template
 from .fusion import FusionConfig, GENUINE, load_config
 from .imaging import GrayImage, decode_pgm, encode_pgm, encode_pgm_raster
 from .iris import build_codes
-from .registry import ACCESS_UNLOCK, _access, _load_record, enroll, identify, load_db, verify
+from .registry import _load_record, access, enroll, identify, load_db, verify
 
 ROC_THRESHOLDS = tuple(i / 100.0 for i in range(101))
 _PROBE_HEADER = ("true_subject_id", "finger_path", "iris_path")
@@ -173,14 +173,10 @@ def cmd_verify(args) -> int:
 def cmd_access(args) -> int:
     db = _load_record(args.db, args.claim)
     probe_finger, probe_iris = _load_probes(args)
-    audit = Path(args.audit) if args.audit else None
-    cfg = _load_cfg(args)
-    # The access path owns the audit trail (one event per call, errors
-    # included) and hands back the score it decided on for the printed line.
-    result, fused = _access(db, args.claim, probe_finger, probe_iris, cfg, audit)
-    label = "UNLOCK" if result == ACCESS_UNLOCK else "ALARM"
+    fused = access(db, args.claim, probe_finger, probe_iris, _load_cfg(args), args.audit)
+    label = "UNLOCK" if fused.decision == GENUINE else "ALARM"
     print(f"{_score_line(fused)} {label}")
-    return 0 if result == ACCESS_UNLOCK else 1
+    return 0 if fused.decision == GENUINE else 1
 
 
 def cmd_identify(args) -> int:

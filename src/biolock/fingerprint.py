@@ -397,10 +397,8 @@ def extract_minutiae(thinned: BinaryImage, orientation: FloatField,
     norm = _ARM_HYPOT[dx + TRACE_STEPS, dy + TRACE_STEPS]
     norm = np.where(ending[owner] | (norm == 0.0), 1.0, norm)
     vx, vy = np.zeros(len(ys)), np.zeros(len(ys))
-    rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
-    for r in range(8):
-        vx[owner[rank == r]] += dx[rank == r] / norm[rank == r]
-        vy[owner[rank == r]] += dy[rank == r] / norm[rank == r]
+    np.add.at(vx, owner, dx / norm)
+    np.add.at(vy, owner, dy / norm)
     # lift the ridge orientation to the side the vector points to
     cos, sin = _cos_sin(theta_base)
     still = (np.abs(vx) < 1e-12) & (np.abs(vy) < 1e-12)
@@ -758,8 +756,8 @@ def decode_template(data: bytes) -> FingerprintTemplate:
     if count > MAX_MINUTIAE:
         raise TruncatedData(f"template holds {count} minutiae, at most {MAX_MINUTIAE} allowed")
     need = 10 + 16 * count
-    if len(data) < need:
-        raise TruncatedData(f"template payload needs {need} bytes, got {len(data)}")
+    if len(data) != need:
+        raise TruncatedData(f"template of {count} minutiae must be {need} bytes, got {len(data)}")
     minutiae = []
     for i in range(count):
         x, y, theta, code = struct.unpack_from("<fffB", data, 10 + 16 * i)

@@ -518,9 +518,8 @@ def decode_code(data: bytes) -> IrisCode:
     if length != _CODE_BITS[scheme]:
         raise TruncatedData(f"{scheme} code must have {_CODE_BITS[scheme]} bits, got {length}")
     nbytes = (length + 7) // 8
-    if len(data) < 9 + 2 * nbytes:
-        raise TruncatedData(
-            f"iris code payload needs {2 * nbytes} bytes, got {len(data) - 9}")
+    if len(data) != 9 + 2 * nbytes:
+        raise TruncatedData(f"{scheme} code must be {9 + 2 * nbytes} bytes, got {len(data)}")
     raw_bits = np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=9)
     raw_mask = np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=9 + nbytes)
     bits = np.unpackbits(raw_bits, count=length, bitorder="little").astype(bool)

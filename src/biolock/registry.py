@@ -9,8 +9,11 @@ only the named subject's.
 (every file, and finally the manifest, is written to a temp name and renamed);
 :func:`verify`, :func:`identify`, and :func:`access` score probes against the
 stored records in one scoring core and one array-valued fusion pass (verify is
-a gallery of one).  Access decisions and enrollments append JSON-line events to
-an audit log whose timestamps are strictly increasing within the process.
+a gallery of one).  :func:`access` is :func:`verify` plus the door's audit
+event: it returns the :class:`FusedScore` it decided on, and the door unlocks
+exactly when that score's decision is genuine.  Access decisions and
+enrollments append JSON-line events to an audit log whose timestamps are
+strictly increasing within the process.
 
 Multi-template rule: a subject may hold several fingerprint templates and iris
 code pairs; the per-trait score against that subject is the maximum over the
@@ -86,9 +89,6 @@ EVENT_ALARM = "alarm"
 EVENT_ENROLL = "enroll"
 EVENT_ERROR = "error"
 EVENT_KINDS = (EVENT_ACCESS_GRANTED, EVENT_ALARM, EVENT_ENROLL, EVENT_ERROR)
-
-ACCESS_UNLOCK = "unlock"
-ACCESS_ALARM = "alarm"
 
 
 def _validate_subject_id(subject_id: str) -> str:
@@ -253,14 +253,6 @@ def read_audit_log(path: Union[str, Path]) -> list:
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}: line {lineno}: bad audit record: {exc}") from exc
     return events
-
-
-def _audit_log_for(db: TemplateDB, audit_log) -> AuditLog:
-    if audit_log is None:
-        return AuditLog(db.path / AUDIT_LOG_NAME)
-    if isinstance(audit_log, AuditLog):
-        return audit_log
-    return AuditLog(audit_log)
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +442,8 @@ def enroll(
     record = PersonRecord(subject_id, tuple(templates), tuple(pairs), _utc_now())
     _persist_record(db, record)
     db.records[subject_id] = record
-    log = _audit_log_for(db, audit_log)
-    log.append(
-        EVENT_ENROLL,
-        subject_id,
-        -1.0,
-        f"{len(templates)} finger, {len(pairs)} iris",
-    )
+    AuditLog(db.path / AUDIT_LOG_NAME if audit_log is None else audit_log).append(
+        EVENT_ENROLL, subject_id, -1.0, f"{len(templates)} finger, {len(pairs)} iris")
     return record
 
 
@@ -558,18 +545,15 @@ def access(
     probe_iris: Optional[GrayImage] = None,
     cfg: Optional[FusionConfig] = None,
     audit_log=None,
-) -> str:
-    """Verify a claim and gate the door: unlock or alarm, always logged.
+) -> FusedScore:
+    """Verify a claim and gate the door, always logged: the door unlocks when
+    the returned score's decision is genuine and raises the alarm otherwise.
 
     The audit event is appended before the result is returned; errors append
-    an ``error`` event and re-raise.
+    an ``error`` event and re-raise.  ``audit_log`` is a path, or ``None`` for
+    the database's own log.
     """
-    return _access(db, claimed_id, probe_finger, probe_iris, cfg, audit_log)[0]
-
-
-def _access(db, claimed_id, probe_finger, probe_iris, cfg, audit_log) -> tuple:
-    """:func:`access`, returning ``(outcome, FusedScore)`` of the decision."""
-    log = _audit_log_for(db, audit_log)
+    log = AuditLog(db.path / AUDIT_LOG_NAME if audit_log is None else audit_log)
     try:
         fused = verify(db, claimed_id, probe_finger, probe_iris, cfg)
     except Exception as exc:
@@ -579,7 +563,6 @@ def _access(db, claimed_id, probe_finger, probe_iris, cfg, audit_log) -> tuple:
         "-" if fused.ms_finger is None else f"{fused.ms_finger:.6f}",
         "-" if fused.ms_iris is None else f"{fused.ms_iris:.6f}",
     )
-    granted = fused.decision == GENUINE
-    log.append(EVENT_ACCESS_GRANTED if granted else EVENT_ALARM, claimed_id, fused.ms_final,
-               detail)
-    return (ACCESS_UNLOCK if granted else ACCESS_ALARM), fused
+    log.append(EVENT_ACCESS_GRANTED if fused.decision == GENUINE else EVENT_ALARM,
+               claimed_id, fused.ms_final, detail)
+    return fused

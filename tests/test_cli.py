@@ -16,9 +16,10 @@ from biolock import cli, registry
 from biolock.cli import EvalReport, read_probe_rows, sweep_rates
 from biolock.errors import BiolockError, BoundaryNotFound, NoPupilFound, PipelineFailure
 from biolock.fingerprint import KIND_ENDING, build_template
-from biolock.fusion import FusionConfig, save_config
+from biolock.fusion import GENUINE, FusionConfig, save_config
 from biolock.imaging import decode_pgm, encode_pgm
 from biolock.registry import read_audit_log
+from test_benchmark_hooks import load_tracer
 
 
 @pytest.fixture(scope="module")
@@ -319,15 +320,15 @@ def test_access_decodes_only_the_claimed_record(tmp_path, env, capsys, monkeypat
 @pytest.mark.parametrize("claim, expected_code", [("bob", 0), ("alice", 1)])
 def test_access_extracts_once_and_reports_what_access_then_verify_did(
         tmp_path, env, capsys, monkeypatch, claim, expected_code):
-    # The earlier door path: access() for the decision and audit line, then
-    # verify() on the same probe for the printed score.
+    # Reference: access() on the whole database gives the audit line and the
+    # printed score, which must be verify()'s score for the same probe.
     db = registry.load_db(env["db"])
     finger = decode_pgm(env["bob_probe_finger"].read_bytes())
     eye = decode_pgm(env["bob_probe_eye"].read_bytes())
     expected_log = tmp_path / "expected.log"
-    outcome = registry.access(db, claim, finger, eye, FusionConfig(), audit_log=expected_log)
-    fused = registry.verify(db, claim, finger, eye, FusionConfig())
-    label = "UNLOCK" if outcome == registry.ACCESS_UNLOCK else "ALARM"
+    fused = registry.access(db, claim, finger, eye, FusionConfig(), audit_log=expected_log)
+    assert fused == registry.verify(db, claim, finger, eye, FusionConfig())
+    label = "UNLOCK" if fused.decision == GENUINE else "ALARM"
 
     calls = []
     for name in ("build_template", "build_codes"):
@@ -344,6 +345,24 @@ def test_access_extracts_once_and_reports_what_access_then_verify_did(
     fields = lambda e: (e.kind, e.claimed_id, e.ms_final, e.detail)
     assert [fields(e) for e in read_audit_log(audit)] == [
         fields(e) for e in read_audit_log(expected_log)]
+
+
+def test_access_runs_the_public_registry_access_once(tmp_path, env):
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["access", "--db", str(env["db"]), "--claim", "bob",
+                         "--finger", str(env["bob_probe_finger"]),
+                         "--iris", str(env["bob_probe_eye"]),
+                         "--audit", str(tmp_path / "door.log")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = [span[0] for span in tracer.spans]
+    assert names.count("registry.access") == 1
+    door = names.index("registry.access")
+    assert [name for name, _, _, parent, _ in tracer.spans if parent == door] == [
+        "registry.verify", "registry.audit_append"]
 
 
 # ---------------------------------------------------------------------------

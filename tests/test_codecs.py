@@ -1,17 +1,19 @@
-"""Property tests for the three byte formats: binary PGM, fingerprint
-templates (FPT1) and iris codes (IRC1).
+"""Property tests for the three byte formats, binary PGM, fingerprint
+templates (FPT1) and iris codes (IRC1), and for the fusion config file.
 
 Each codec round-trips every field, and any damage to valid bytes (changed
 bytes, a cut tail, or both) either still decodes or raises a BiolockError,
-never another exception."""
+never another exception; a damaged config file may also raise ValueError.
+FPT1 and IRC1 values must fill their bytes exactly: trailing bytes raise
+TruncatedData."""
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from biolock.errors import BiolockError
+from biolock.errors import BiolockError, TruncatedData
 from biolock.fingerprint import (
     KIND_BIFURCATION,
     KIND_ENDING,
@@ -20,6 +22,7 @@ from biolock.fingerprint import (
     decode_template,
     encode_template,
 )
+from biolock.fusion import CLASSIFIERS, FusionConfig, load_config, save_config
 from biolock.imaging import GrayImage, decode_pgm, encode_pgm
 from biolock.iris import SCHEME_HAAR, SCHEME_MELLIN, IrisCode, decode_code, encode_code
 
@@ -131,3 +134,51 @@ def test_every_header_byte_value_and_every_cut_decodes_or_raises_a_biolock_error
                 decodes_or_raises_a_biolock_error(decode, blob[:i] + bytes([byte]) + blob[i + 1:])
         for cut in range(len(blob)):
             decodes_or_raises_a_biolock_error(decode, blob[:cut])
+
+
+@pytest.mark.parametrize("name", ["fpt1", "irc1"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_trailing_bytes_raise_truncated_data(name, data):
+    values, encode, decode = CODECS[name]
+    with pytest.raises(TruncatedData):
+        decode(encode(data.draw(values)) + data.draw(st.binary(min_size=1)))
+
+
+@st.composite
+def configs(draw):
+    weight = st.floats(min_value=-0.0, allow_nan=False, allow_infinity=False)
+    alpha, beta, a, b, c, d = (draw(weight) for _ in range(6))
+    assume(alpha + beta > 0.0 and a + b > 0.0)
+    threshold = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    return FusionConfig(alpha, beta, a, b, c, d, draw(threshold),
+                        {name: draw(threshold) for name in CLASSIFIERS}, draw(st.booleans()))
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "fusion.cfg"
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=configs())
+def test_config_round_trips_every_setting(config_path, cfg):
+    save_config(cfg, config_path)
+    back = load_config(config_path)
+    assert back == cfg
+    assert repr(back) == repr(cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_damaged_config_loads_or_raises_a_value_or_biolock_error(config_path, data):
+    save_config(data.draw(configs()), config_path)
+    blob = bytearray(config_path.read_bytes())
+    index = st.integers(0, len(blob) - 1)
+    for i, byte in data.draw(st.lists(st.tuples(index, st.integers(0, 255)), max_size=4)):
+        blob[i] = byte
+    config_path.write_bytes(bytes(blob[:data.draw(st.integers(0, len(blob)))]))
+    try:
+        load_config(config_path)
+    except (ValueError, BiolockError):
+        pass

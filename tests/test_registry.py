@@ -39,8 +39,6 @@ from biolock.fusion import (
 from biolock.imaging import GrayImage
 from biolock.iris import SCHEME_HAAR, SCHEME_MELLIN, build_codes, encode_code
 from biolock.registry import (
-    ACCESS_ALARM,
-    ACCESS_UNLOCK,
     AuditEvent,
     AuditLog,
     IrisPair,
@@ -508,14 +506,16 @@ def test_identify_per_trait_scores_are_plain_floats(mixed_db, corpus):
 
 def test_access_unlock_and_alarm(tmp_path, enrolled, corpus):
     log_path = tmp_path / "door.log"
-    result = access(enrolled, "bob", corpus["bob"]["probe_finger"],
-                    corpus["bob"]["probe_eye"], CFG, audit_log=log_path)
-    assert result == ACCESS_UNLOCK
-    result = access(enrolled, "bob", corpus["carol"]["finger"],
-                    corpus["carol"]["eye"], CFG, audit_log=log_path)
-    assert result == ACCESS_ALARM
+    results = []
+    for probe in ((corpus["bob"]["probe_finger"], corpus["bob"]["probe_eye"]),
+                  (corpus["carol"]["finger"], corpus["carol"]["eye"])):
+        result = access(enrolled, "bob", *probe, CFG, audit_log=log_path)
+        assert result == verify(enrolled, "bob", *probe, CFG)
+        results.append(result)
+    assert [r.decision for r in results] == [GENUINE, IMPOSTOR]
     events = read_audit_log(log_path)
     assert [e.kind for e in events] == ["access_granted", "alarm"]
+    assert [e.ms_final for e in events] == [r.ms_final for r in results]
     assert events[0].claimed_id == "bob"
     assert events[0].ms_final > 0.8
     assert events[1].ms_final < 0.5
