@@ -73,6 +73,7 @@ _KIND_CODE = {KIND_ENDING: 0, KIND_BIFURCATION: 1}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
 TEMPLATE_MAGIC = b"FPT1"
+TEMPLATE_MAX_BYTES = 10 + 16 * MAX_MINUTIAE  # header, then 16 bytes per minutia
 
 
 # ---------------------------------------------------------------------------
@@ -92,19 +93,37 @@ class Minutia:
             raise ValueError(f"kind must be one of {sorted(_KIND_CODE)}, got {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class FingerprintTemplate:
-    minutiae: tuple[Minutia, ...]
+    """The minutiae of one print as ``rows``, a read-only (n, 4) float64 array
+    of x, y, theta and kind code, one row per minutia, and the image size;
+    ``minutiae`` builds the :class:`Minutia` tuple from the rows on each call."""
+
+    rows: np.ndarray
     image_width: int
     image_height: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "minutiae", tuple(self.minutiae))
-        if len(self.minutiae) > MAX_MINUTIAE:
+    def __init__(self, minutiae, image_width: int, image_height: int):
+        rows = np.array([(m.x, m.y, m.theta, _KIND_CODE[m.kind]) for m in minutiae],
+                        dtype=np.float64).reshape(-1, 4)
+        if len(rows) > MAX_MINUTIAE:
             raise ValueError(f"template holds at most {MAX_MINUTIAE} minutiae")
+        rows.setflags(write=False)
+        self.__dict__.update(rows=rows, image_width=image_width, image_height=image_height)
+
+    @property
+    def minutiae(self) -> tuple[Minutia, ...]:
+        return tuple(Minutia(x, y, t, _CODE_KIND[k]) for x, y, t, k in self.rows.tolist())
 
     def __len__(self) -> int:
-        return len(self.minutiae)
+        return len(self.rows)
+
+    def __eq__(self, other):
+        return (isinstance(other, FingerprintTemplate) and np.array_equal(self.rows, other.rows)
+                and (self.image_width, self.image_height) == (other.image_width, other.image_height))
+
+    def __hash__(self) -> int:  # + 0.0 maps -0.0 to 0.0, which compares equal to it
+        return hash((self.image_width, self.image_height, (self.rows + 0.0).tobytes()))
 
 
 @dataclass(frozen=True)
@@ -567,8 +586,7 @@ _BLOCK_VOTES = 1 << 14  # votes per block of whole templates; bounds scratch mem
 
 def _minutiae_rows(templates) -> np.ndarray:
     """(n, 4) array of x, y, theta, kind code over the templates' minutiae."""
-    rows = [(m.x, m.y, m.theta, _KIND_CODE[m.kind]) for t in templates for m in t.minutiae]
-    rows = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    rows = np.concatenate([np.empty((0, 4)), *(t.rows for t in templates)])
     if not np.isfinite(rows).all():
         raise ValueError("minutia positions must be finite")
     return rows
@@ -579,7 +597,7 @@ def _register_block(block, p: np.ndarray):
     block: the block's minutia rows, each row's template, the template
     centres, and per template the peak bin's (dtheta, dx, dy, support)."""
     t = _minutiae_rows(block)
-    owner = np.repeat(np.arange(len(block)), [len(x.minutiae) for x in block])
+    owner = np.repeat(np.arange(len(block)), [len(x) for x in block])
     centre = np.array([(x.image_width / 2.0, x.image_height / 2.0) for x in block])
     cx, cy = centre[owner, 0, None], centre[owner, 1, None]
     dtheta = np.mod(p[:, 2] - t[:, 2, None] + math.pi, _TWO_PI) - math.pi
@@ -661,7 +679,7 @@ def match_minutiae_many(templates, probe: FingerprintTemplate) -> list[float]:
     """``[match_minutiae(t, probe) for t in templates]``, computed in
     one pass over blocks of whole templates."""
     templates = list(templates)
-    sizes = [len(t.minutiae) for t in templates]
+    sizes = [len(t) for t in templates]
     scores = [0.0] * len(templates)
     votes = np.array(sizes, dtype=np.int64) * len(probe)
     live = np.flatnonzero(votes)
@@ -740,11 +758,12 @@ def build_template(img: GrayImage, keep_artifacts: bool = False):
 def encode_template(template: FingerprintTemplate) -> bytes:
     """Serialize: magic, LE u16 count/width/height, then per minutia
     (f32 x, f32 y, f32 theta, u8 kind, 3 pad bytes)."""
-    parts = [TEMPLATE_MAGIC,
-             struct.pack("<HHH", len(template), template.image_width, template.image_height)]
-    for m in template.minutiae:
-        parts.append(struct.pack("<fffB3x", m.x, m.y, m.theta, _KIND_CODE[m.kind]))
-    return b"".join(parts)
+    records = np.zeros((len(template), 4), dtype="<f4")
+    with np.errstate(over="raise"):  # a field past the float32 range fails, as struct does
+        records[:, :3] = template.rows[:, :3]
+    records.view(np.uint8)[:, 12] = template.rows[:, 3]
+    head = struct.pack("<HHH", len(template), template.image_width, template.image_height)
+    return TEMPLATE_MAGIC + head + records.tobytes()
 
 
 def decode_template(data: bytes) -> FingerprintTemplate:
@@ -758,13 +777,19 @@ def decode_template(data: bytes) -> FingerprintTemplate:
     need = 10 + 16 * count
     if len(data) != need:
         raise TruncatedData(f"template of {count} minutiae must be {need} bytes, got {len(data)}")
-    minutiae = []
-    for i in range(count):
-        x, y, theta, code = struct.unpack_from("<fffB", data, 10 + 16 * i)
-        if code not in _CODE_KIND:
-            raise TruncatedData(f"unknown minutia kind code {code}")
-        if not math.isfinite(x + y + theta):
-            raise TruncatedData(f"minutia {i} has a non-finite field")
-        theta = min(max(float(theta), 0.0), math.nextafter(2.0 * math.pi, 0.0))
-        minutiae.append(Minutia(float(x), float(y), theta, _CODE_KIND[code]))
-    return FingerprintTemplate(tuple(minutiae), width, height)
+    records = np.frombuffer(data, dtype="<f4", count=4 * count, offset=10).reshape(count, 4)
+    kinds = records.view(np.uint8)[:, 12]
+    if kinds.max(initial=0) >= len(_CODE_KIND):
+        raise TruncatedData(f"unknown minutia kind code {kinds.max()}")
+    # test before the float64 cast, which warns on a signalling NaN
+    if not np.isfinite(records[:, :3]).all():
+        raise TruncatedData("a minutia has a non-finite field")
+    rows = np.empty((count, 4))
+    rows[:, :3], rows[:, 3] = records[:, :3], kinds
+    theta = rows[:, 2]  # clamped as min(max(theta, 0.0), below_2pi) would: -0.0 stays
+    np.copyto(theta, 0.0, where=theta < 0.0)
+    np.minimum(theta, math.nextafter(2.0 * math.pi, 0.0), out=theta)
+    rows.setflags(write=False)
+    template = object.__new__(FingerprintTemplate)  # owns the fresh rows: no checks, no copy
+    template.__dict__.update(rows=rows, image_width=width, image_height=height)
+    return template

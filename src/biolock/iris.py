@@ -163,6 +163,7 @@ def _row_layout(scheme: str) -> tuple[tuple[int, int], ...]:
 
 # A scheme fixes its code length.
 _CODE_BITS = {s: sum(r * w for r, w in _row_layout(s)) for s in _SCHEME_CODE}
+CODE_MAX_BYTES = 9 + 2 * ((max(_CODE_BITS.values()) + 7) // 8)  # header, packed bits and mask
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +521,12 @@ def decode_code(data: bytes) -> IrisCode:
     nbytes = (length + 7) // 8
     if len(data) != 9 + 2 * nbytes:
         raise TruncatedData(f"{scheme} code must be {9 + 2 * nbytes} bytes, got {len(data)}")
-    raw_bits = np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=9)
-    raw_mask = np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=9 + nbytes)
-    bits = np.unpackbits(raw_bits, count=length, bitorder="little").astype(bool)
-    mask = np.unpackbits(raw_mask, count=length, bitorder="little").astype(bool)
-    return IrisCode(bits, mask, scheme)
+    packed = np.frombuffer(data, dtype=np.uint8, count=2 * nbytes, offset=9).reshape(2, nbytes)
+    planes = np.unpackbits(packed, axis=1, count=length, bitorder="little").view(bool)
+    planes.setflags(write=False)
+    code = object.__new__(IrisCode)  # owns the fresh planes: no checks, no copies
+    code.__dict__.update(bits=planes[0], mask=planes[1], scheme=scheme)
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ import json
 import math
 import os
 import re
+import stat
 import threading
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timedelta, timezone
@@ -51,6 +52,7 @@ from .errors import (
     failed_stage,
 )
 from .fingerprint import (
+    TEMPLATE_MAX_BYTES,
     FingerprintTemplate,
     build_template,
     decode_template,
@@ -69,6 +71,7 @@ from .fusion import (
 )
 from .imaging import GrayImage
 from .iris import (
+    CODE_MAX_BYTES,
     IrisCode,
     SCHEME_HAAR,
     SCHEME_MELLIN,
@@ -263,14 +266,23 @@ def _manifest_check(condition: bool, where: Path, message: str) -> None:
         raise CorruptManifest(f"{where}: {message}")
 
 
-def _load_file(manifest_path: Path, name: str, decode):
-    """Read and decode one file the manifest names; decode errors name it."""
-    full = manifest_path.parent / name
+def _load_file(directory: str, name: str, decode, cap: int):
+    """Read and decode one file the manifest names; errors name it.  Only a
+    regular file is read, without blocking, and at most ``cap`` bytes of it."""
+    full = os.path.join(directory, name)
     try:
-        blob = full.read_bytes()
+        fd = os.open(full, os.O_RDONLY | os.O_NONBLOCK)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
-        raise MissingTemplateFile(str(full)) from exc
+        raise MissingTemplateFile(full) from exc
     try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise MissingTemplateFile(f"{full}: not a regular file")
+        blob = os.read(fd, cap + 1)
+    finally:
+        os.close(fd)
+    try:
+        if len(blob) > cap:
+            raise TruncatedData(f"longer than the format's {cap} bytes")
         return decode(blob)
     except (BadMagic, TruncatedData) as exc:
         raise type(exc)(f"{full}: {exc}") from exc
@@ -314,9 +326,10 @@ def _parse_manifest(manifest_path: Path) -> dict:
                             manifest_path,
                             f"subject {subject_id!r}: iris entry needs haar and mellin files")
             names += [item["haar"], item["mellin"]]
-        for name in names:
-            _manifest_check(isinstance(name, str) and bool(name), manifest_path,
-                            f"bad file reference {name!r}")
+        for name in names:  # a plain name in the database directory
+            _manifest_check(isinstance(name, str) and name not in ("", ".", "..") and "/" not in name
+                            and os.sep not in name and "\0" not in name,
+                            manifest_path, f"bad file reference {name!r}")
         _manifest_check(bool(names), manifest_path, f"subject {subject_id!r}: a record "
                         "needs at least one fingerprint or iris pair")
         entries[subject_id] = {"id": subject_id, "enrolled_at": enrolled_at,
@@ -325,16 +338,18 @@ def _parse_manifest(manifest_path: Path) -> dict:
     return entries
 
 
-def _decode_record(manifest_path: Path, entry: dict) -> PersonRecord:
+def _decode_record(directory: str, entry: dict) -> PersonRecord:
     """Decode the files of one entry that :func:`_parse_manifest` returned."""
-    templates = [_load_file(manifest_path, name, decode_template) for name in entry["fingers"]]
+    templates = [_load_file(directory, name, decode_template, TEMPLATE_MAX_BYTES)
+                 for name in entry["fingers"]]
     pairs = []
     for item in entry["iris"]:
         codes = []
         for scheme, key in ((SCHEME_HAAR, "haar"), (SCHEME_MELLIN, "mellin")):
-            codes.append(_load_file(manifest_path, item[key], decode_code))
-            _manifest_check(codes[-1].scheme == scheme, manifest_path,
-                            f"{item[key]}: manifest lists a {scheme} code but the file holds {codes[-1].scheme}")
+            codes.append(_load_file(directory, item[key], decode_code, CODE_MAX_BYTES))
+            if codes[-1].scheme != scheme:
+                raise CorruptManifest(f"{os.path.join(directory, MANIFEST_NAME)}: {item[key]}: "
+                                      f"manifest lists a {scheme} code but the file holds {codes[-1].scheme}")
         pairs.append(IrisPair(*codes))
     return PersonRecord(entry["id"], tuple(templates), tuple(pairs), entry["enrolled_at"])
 
@@ -342,7 +357,8 @@ def _decode_record(manifest_path: Path, entry: dict) -> PersonRecord:
 def load_db(path: Union[str, Path]) -> TemplateDB:
     """Read a database directory; a missing manifest means an empty DB."""
     db = TemplateDB(path)
-    db.records = {sid: _decode_record(db.path / MANIFEST_NAME, e) for sid, e in db._entries.items()}
+    directory = os.fspath(db.path)
+    db.records = {sid: _decode_record(directory, e) for sid, e in db._entries.items()}
     return db
 
 
@@ -351,7 +367,7 @@ def _load_record(path: Union[str, Path], subject_id: str) -> TemplateDB:
     most that record, and every manifest entry to enroll against."""
     db = TemplateDB(path)
     if subject_id in db._entries:
-        db.records[subject_id] = _decode_record(db.path / MANIFEST_NAME, db._entries[subject_id])
+        db.records[subject_id] = _decode_record(os.fspath(db.path), db._entries[subject_id])
     return db
 
 
@@ -428,8 +444,8 @@ def enroll(
         raise EmptyEnrollment("enrollment needs at least one finger or iris image")
     templates = []
     for i, img in enumerate(finger_images):
-        try:
-            templates.append(build_template(img))
+        try:  # keep what the file will hold: FPT1 stores float32 fields
+            templates.append(decode_template(encode_template(build_template(img))))
         except BiolockError as exc:
             raise PipelineFailure("finger", i, "feature-extraction", exc) from exc
     pairs = []
@@ -438,7 +454,7 @@ def enroll(
             _, _, haar, mellin = build_codes(img)
         except BiolockError as exc:
             raise PipelineFailure("iris", i, failed_stage(exc), exc) from exc
-        pairs.append(IrisPair(haar, mellin))
+        pairs.append(IrisPair(decode_code(encode_code(haar)), decode_code(encode_code(mellin))))
     record = PersonRecord(subject_id, tuple(templates), tuple(pairs), _utc_now())
     _persist_record(db, record)
     db.records[subject_id] = record

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import contextlib
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -14,10 +16,18 @@ import synthgen
 import biolock
 from biolock import cli, registry
 from biolock.cli import EvalReport, read_probe_rows, sweep_rates
-from biolock.errors import BiolockError, BoundaryNotFound, NoPupilFound, PipelineFailure
-from biolock.fingerprint import KIND_ENDING, build_template
+from biolock.errors import (
+    BiolockError,
+    BoundaryNotFound,
+    MissingTemplateFile,
+    NoPupilFound,
+    PipelineFailure,
+    TruncatedData,
+)
+from biolock.fingerprint import KIND_ENDING, TEMPLATE_MAX_BYTES, build_template
 from biolock.fusion import GENUINE, FusionConfig, save_config
 from biolock.imaging import decode_pgm, encode_pgm
+from biolock.iris import CODE_MAX_BYTES
 from biolock.registry import read_audit_log
 from test_benchmark_hooks import load_tracer
 
@@ -234,6 +244,48 @@ def test_identify_empty_db_exits_2(tmp_path, env, capsys):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+def _finishes(call, seconds=20.0):
+    """Run ``call`` in a daemon thread and return what it returned or raised;
+    fail if it is still running after ``seconds``, as a blocking read would be."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append(call())
+        except Exception as exc:
+            outcome.append(exc)
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    return None if worker.is_alive() else outcome[0]
+
+
+@pytest.mark.parametrize("name, make, error", [
+    ("alice_finger_0.fpt", lambda p: p.write_bytes(bytes(TEMPLATE_MAX_BYTES + 1)), TruncatedData),
+    ("bob_iris_0_haar.irc", lambda p: p.write_bytes(bytes(CODE_MAX_BYTES + 1)), TruncatedData),
+    ("alice_finger_0.fpt", lambda p: p.mkdir(), MissingTemplateFile),
+    ("bob_iris_0_mellin.irc", os.mkfifo, MissingTemplateFile),
+], ids=["fpt_over_its_size", "irc_over_its_size", "directory", "fifo"])
+def test_unreadable_gallery_files_fail_bounded_and_exit_2(tmp_path, env, capsys, name, make,
+                                                         error):
+    root = tmp_path / "db"
+    shutil.copytree(env["db"], root)
+    (root / name).unlink()
+    make(root / name)
+    try:
+        raised = _finishes(lambda: registry.load_db(root))
+        assert isinstance(raised, error) and name in str(raised)
+        code = _finishes(lambda: cli.main(["identify", "--db", str(root),
+                                           "--iris", str(env["alice_eye"])]))
+        _, err = capsys.readouterr()
+        assert code == 2 and name in err
+    finally:
+        if (root / name).is_fifo():  # end a read still blocked on the FIFO, if any
+            with contextlib.suppress(OSError):  # ENXIO: no reader is waiting
+                os.close(os.open(root / name, os.O_WRONLY | os.O_NONBLOCK))
 
 
 # ---------------------------------------------------------------------------

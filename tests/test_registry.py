@@ -209,6 +209,24 @@ def test_enroll_pipeline_failure_is_atomic(enrolled, corpus):
     assert sorted(p.name for p in enrolled.path.iterdir()) == files_before
 
 
+def test_enroll_keeps_the_record_its_files_hold(tmp_path, corpus):
+    finger, eye = corpus["bob"]["finger"], corpus["bob"]["eye"]
+    built = build_template(finger).rows
+    assert not np.array_equal(built, built.astype(np.float32))  # FPT1 rounds this print
+    db = load_db(tmp_path / "db")
+    record = enroll(db, "bob", [finger], [eye])
+    probes = [(corpus["bob"]["probe_finger"], None), (corpus["bob"]["probe_finger"], eye)]
+    right_after = [verify(db, "bob", *probe, CFG) for probe in probes]
+    reopened = load_db(tmp_path / "db")
+    assert db.records["bob"] is record
+    assert reopened.records["bob"].fingerprints == record.fingerprints
+    for kept, read in zip(record.iris_codes, reopened.records["bob"].iris_codes):
+        for scheme in ("haar", "mellin"):
+            assert np.array_equal(getattr(kept, scheme).bits, getattr(read, scheme).bits)
+            assert np.array_equal(getattr(kept, scheme).mask, getattr(read, scheme).mask)
+    assert right_after == [verify(reopened, "bob", *probe, CFG) for probe in probes]
+
+
 def test_enroll_is_deterministic(tmp_path, corpus):
     db1 = load_db(tmp_path / "one")
     db2 = load_db(tmp_path / "two")
@@ -769,6 +787,10 @@ def test_load_record_checks_the_whole_manifest(tmp_path, claim):
                          ids=["load_db", "_load_record"])
 @pytest.mark.parametrize("entry", [
     {"fingers": [""]}, {"fingers": [5]}, {"iris": [{"haar": None, "mellin": "m.irc"}]},
+    # only a plain name in the database directory
+    {"iris": [{"haar": "../x.irc", "mellin": "m.irc"}]}, {"fingers": ["/abs/x.fpt"]},
+    {"fingers": ["a/b.fpt"]}, {"fingers": ["."]}, {"fingers": [".."]},
+    {"fingers": ["a\0b.fpt"]},
 ])
 def test_loaders_reject_a_bad_file_reference_before_reading_files(tmp_path, loader, entry):
     (tmp_path / "manifest.json").write_text(json.dumps({"version": 1, "subjects": [
@@ -776,6 +798,22 @@ def test_loaders_reject_a_bad_file_reference_before_reading_files(tmp_path, load
         {"id": "x", "enrolled_at": "t", **entry}]}))
     with pytest.raises(CorruptManifest, match="bad file reference"):
         loader(tmp_path)
+
+
+def test_loaders_read_no_file_outside_the_directory(enrolled, tmp_path, monkeypatch):
+    root = _copy_db(enrolled, tmp_path / "db")
+    (tmp_path / "outside.irc").write_bytes((root / "alice_iris_0_mellin.irc").read_bytes())
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["subjects"][0]["iris"][0]["mellin"] = "../outside.irc"
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    read = []
+    load_file = registry._load_file
+    monkeypatch.setattr(registry, "_load_file",
+                        lambda *args: read.append(args[1]) or load_file(*args))
+    for loader in (load_db, lambda root: _load_record(root, "alice")):
+        with pytest.raises(CorruptManifest, match=re.escape("'../outside.irc'")):
+            loader(root)
+    assert read == []
 
 
 @pytest.mark.parametrize("claim", ["alice", "carol"])
