@@ -20,11 +20,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import BiolockError, failed_stage
-from .fingerprint import KIND_ENDING, build_template
-from .fusion import FusionConfig, GENUINE, load_config
+from .fingerprint import _KIND_CODE, KIND_ENDING, build_template
+from .fusion import FusionConfig, GENUINE, fuse_arrays, load_config
 from .imaging import GrayImage, decode_pgm, encode_pgm, encode_pgm_raster
 from .iris import build_codes
-from .registry import _load_record, access, enroll, identify, load_db, verify
+from .registry import _load_record, _score_records, access, enroll, identify, load_db, verify
 
 ROC_THRESHOLDS = tuple(i / 100.0 for i in range(101))
 _PROBE_HEADER = ("true_subject_id", "finger_path", "iris_path")
@@ -155,15 +155,13 @@ def cmd_enroll(args) -> int:
     return 0
 
 
-def _load_probes(args):
-    probe_finger = _read_image(args.finger) if args.finger else None
-    probe_iris = _read_image(args.iris) if args.iris else None
-    return probe_finger, probe_iris
+def _load_probes(finger_path, iris_path):
+    return tuple(_read_image(p) if p else None for p in (finger_path, iris_path))
 
 
 def cmd_verify(args) -> int:
     db = _load_record(args.db, args.claim)
-    probe_finger, probe_iris = _load_probes(args)
+    probe_finger, probe_iris = _load_probes(args.finger, args.iris)
     fused = verify(db, args.claim, probe_finger, probe_iris, _load_cfg(args))
     label = "GENUINE" if fused.decision == GENUINE else "IMPOSTOR"
     print(f"{_score_line(fused)} {label}")
@@ -172,7 +170,7 @@ def cmd_verify(args) -> int:
 
 def cmd_access(args) -> int:
     db = _load_record(args.db, args.claim)
-    probe_finger, probe_iris = _load_probes(args)
+    probe_finger, probe_iris = _load_probes(args.finger, args.iris)
     fused = access(db, args.claim, probe_finger, probe_iris, _load_cfg(args), args.audit)
     label = "UNLOCK" if fused.decision == GENUINE else "ALARM"
     print(f"{_score_line(fused)} {label}")
@@ -181,7 +179,7 @@ def cmd_access(args) -> int:
 
 def cmd_identify(args) -> int:
     db = load_db(args.db)
-    probe_finger, probe_iris = _load_probes(args)
+    probe_finger, probe_iris = _load_probes(args.finger, args.iris)
     matches = identify(db, probe_finger, probe_iris, _load_cfg(args),
                        top_k=args.top)
     for rank, match in enumerate(matches, start=1):
@@ -194,16 +192,15 @@ def cmd_eval(args) -> int:
     if not db.records:
         raise BiolockError("no subjects enrolled")
     cfg = _load_cfg(args)
-    rows = read_probe_rows(Path(args.probes))
+    records = list(db.records.values())
+    subject_ids = np.array(list(db.records), dtype=object)  # so == is str equality
     genuine, impostor = [], []
-    for true_id, finger_path, iris_path in rows:
-        probe_finger = _read_image(finger_path) if finger_path else None
-        probe_iris = _read_image(iris_path) if iris_path else None
-        for match in identify(db, probe_finger, probe_iris, cfg, top_k=len(db)):
-            if match.subject_id == true_id:
-                genuine.append(match.ms_final)
-            else:
-                impostor.append(match.ms_final)
+    for true_id, finger_path, iris_path in read_probe_rows(Path(args.probes)):
+        probes = _load_probes(finger_path, iris_path)
+        _, _, ms_final = fuse_arrays(_score_records(records, *probes, cfg), cfg)
+        scored, own = ~np.isnan(ms_final), subject_ids == true_id
+        genuine += ms_final[scored & own].tolist()
+        impostor += ms_final[scored & ~own].tolist()
     report = sweep_rates(genuine, impostor)
     with open("roc.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -220,16 +217,15 @@ def cmd_eval(args) -> int:
 def _inspect_finger(img: GrayImage, out: Path) -> int:
     template, artifacts = build_template(img, keep_artifacts=True)
     overlay = np.where(artifacts.thinned.bits, 0.25, 0.0)
-    for m in template.minutiae:
-        row, col = int(round(m.y)), int(round(m.x))
-        shade = 1.0 if m.kind == KIND_ENDING else 0.6
+    ending = template.rows[:, 3] == _KIND_CODE[KIND_ENDING]
+    for (x, y), shade in zip(template.rows[:, :2].tolist(), np.where(ending, 1.0, 0.6).tolist()):
+        row, col = int(round(y)), int(round(x))
         overlay[max(0, row - 1):row + 2, max(0, col - 1):col + 2] = shade
     (out / "mask.pgm").write_bytes(_binary_pgm(artifacts.mask.bits))
     (out / "enhanced.pgm").write_bytes(encode_pgm_raster(artifacts.enhanced))
     (out / "thin.pgm").write_bytes(_binary_pgm(artifacts.thinned.bits))
     (out / "minutiae.pgm").write_bytes(encode_pgm(GrayImage(overlay)))
-    endings = sum(1 for m in template.minutiae if m.kind == KIND_ENDING)
-    total = len(template.minutiae)
+    endings, total = int(ending.sum()), len(template)
     print(f"minutiae: {total} total, {endings} endings, "
           f"{total - endings} bifurcations")
     print(f"quality: {float(artifacts.mask.bits.mean()):.4f}")

@@ -126,6 +126,14 @@ class FingerprintTemplate:
         return hash((self.image_width, self.image_height, (self.rows + 0.0).tobytes()))
 
 
+def _template(rows: np.ndarray, width: int, height: int) -> FingerprintTemplate:
+    """A template owning ``rows``, fresh valid template rows: no checks, no copy."""
+    rows.setflags(write=False)
+    template = object.__new__(FingerprintTemplate)
+    template.__dict__.update(rows=rows, image_width=width, image_height=height)
+    return template
+
+
 @dataclass(frozen=True)
 class RegistrationTransform:
     dx: float
@@ -389,9 +397,10 @@ def _walk(codes: np.ndarray, paths: np.ndarray, steps: int,
 
 
 def extract_minutiae(thinned: BinaryImage, orientation: FloatField,
-                     mask: BinaryImage) -> list[Minutia]:
+                     mask: BinaryImage) -> np.ndarray:
     """Classify skeleton pixels by crossing number; report endings and
-    bifurcations inside the mask, with directions lifted along their arms."""
+    bifurcations inside the mask, with directions lifted along their arms, as
+    template rows (x, y, theta, kind code) in raster order."""
     bits = thinned.bits
     bh, bw = orientation.values.shape
     codes = _skeleton_codes(thinned)
@@ -423,8 +432,8 @@ def extract_minutiae(thinned: BinaryImage, orientation: FloatField,
     still = (np.abs(vx) < 1e-12) & (np.abs(vy) < 1e-12)
     away = ~still & (vx * cos + vy * sin < 0.0)
     theta = np.where(away, np.mod(theta_base + math.pi, 2.0 * math.pi), theta_base)
-    return [Minutia(float(x), float(y), t, KIND_ENDING if e else KIND_BIFURCATION)
-            for x, y, t, e in zip(xs.tolist(), ys.tolist(), theta.tolist(), ending.tolist())]
+    kind = np.where(ending, _KIND_CODE[KIND_ENDING], _KIND_CODE[KIND_BIFURCATION])
+    return np.stack([xs, ys, theta, kind], axis=1, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +515,11 @@ def _close_pairs(x: np.ndarray, y: np.ndarray, gap: float) -> np.ndarray:
     return np.sort(np.stack([s[near], t[near]], axis=1), axis=1)
 
 
-def filter_false_minutiae(minutiae: list[Minutia], thinned: BinaryImage,
-                          border: np.ndarray, avg_ridge_gap: float) -> list[Minutia]:
-    """Drop artifact minutiae: border effects, ridge breaks, spurs/spikes,
-    holes, and bridges/ladders, in that order.
+def filter_false_minutiae(minutiae: np.ndarray, thinned: BinaryImage,
+                          border: np.ndarray, avg_ridge_gap: float) -> np.ndarray:
+    """Drop artifact minutiae, rows as :func:`extract_minutiae` returns them:
+    border effects, ridge breaks, spurs/spikes, holes, and bridges/ladders, in
+    that order.  The kept rows are returned in input order.
 
     ``border`` is the border distance :func:`segment` returns with the mask;
     the border rule drops minutiae closer than ``avg_ridge_gap`` to the mask
@@ -521,9 +531,8 @@ def filter_false_minutiae(minutiae: list[Minutia], thinned: BinaryImage,
         raise ValueError("avg_ridge_gap must be positive")
     gap = avg_ridge_gap
     steps = max(1, int(math.ceil(gap)))
-    x, y, theta = (np.array([getattr(m, f) for m in minutiae], dtype=np.float64)
-                   for f in ("x", "y", "theta"))
-    ending = np.array([m.kind == KIND_ENDING for m in minutiae], dtype=bool)
+    x, y, theta, kind = minutiae.T
+    ending = kind == _KIND_CODE[KIND_ENDING]
     row, col = np.rint(y).astype(np.int64), np.rint(x).astype(np.int64)  # round() of each
     kept = border[row, col] >= gap
 
@@ -569,7 +578,7 @@ def filter_false_minutiae(minutiae: list[Minutia], thinned: BinaryImage,
     fold = np.mod(_angle_diff(theta[a], theta[b]), math.pi)
     hit = ~(ending[a] & ending[b]) & (np.minimum(fold, math.pi - fold) >= math.radians(60.0))
     kept[a[hit]] = kept[b[hit]] = False
-    return [minutiae[i] for i in np.flatnonzero(kept).tolist()]
+    return minutiae[kept]
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +725,7 @@ class PipelineArtifacts:
     enhanced: np.ndarray
     binarized: BinaryImage
     thinned: BinaryImage
-    raw_minutiae: list[Minutia]
+    raw_minutiae: np.ndarray  # rows as extract_minutiae returns them
 
 
 def build_template(img: GrayImage, keep_artifacts: bool = False):
@@ -738,14 +747,10 @@ def build_template(img: GrayImage, keep_artifacts: bool = False):
     raw = extract_minutiae(skeleton, orientation, mask)
     gap = 1.0 / float(np.median(frequency.values))
     kept = filter_false_minutiae(raw, skeleton, border, gap)
-
-    if len(kept) > MAX_MINUTIAE:
-        scored = sorted(range(len(kept)),
-                        key=lambda i: (-border[int(round(kept[i].y)), int(round(kept[i].x))], i))
-        keep_idx = sorted(scored[:MAX_MINUTIAE])
-        kept = [kept[i] for i in keep_idx]
-
-    template = FingerprintTemplate(tuple(kept), img.width, img.height)
+    if len(kept) > MAX_MINUTIAE:  # the deepest inside the mask, ties in input order
+        depth = border[np.rint(kept[:, 1]).astype(np.int64), np.rint(kept[:, 0]).astype(np.int64)]
+        kept = kept[np.sort(np.argsort(-depth, kind="stable")[:MAX_MINUTIAE])]
+    template = _template(kept, img.width, img.height)
     if keep_artifacts:
         return template, PipelineArtifacts(mask, orientation, frequency, enhanced,
                                            binarized, thinned, raw)
@@ -789,7 +794,4 @@ def decode_template(data: bytes) -> FingerprintTemplate:
     theta = rows[:, 2]  # clamped as min(max(theta, 0.0), below_2pi) would: -0.0 stays
     np.copyto(theta, 0.0, where=theta < 0.0)
     np.minimum(theta, math.nextafter(2.0 * math.pi, 0.0), out=theta)
-    rows.setflags(write=False)
-    template = object.__new__(FingerprintTemplate)  # owns the fresh rows: no checks, no copy
-    template.__dict__.update(rows=rows, image_width=width, image_height=height)
-    return template
+    return _template(rows, width, height)

@@ -21,6 +21,7 @@ from .errors import (
 )
 
 FIELD_KINDS = ("orientation", "frequency", "coherence")
+MAX_PGM_PIXELS = 2048 * 2048  # decode_pgm refuses larger rasters before allocating them
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -66,14 +67,6 @@ class BinaryImage:
             raise ValueError("BinaryImage needs a non-empty 2-D array")
         object.__setattr__(self, "bits", _freeze(arr.astype(bool)))
 
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
     def count(self) -> int:
         return int(self.bits.sum())
 
@@ -101,14 +94,6 @@ class FloatField:
             if arr.min() < 0.0 or arr.max() > 1.0 + 1e-12:
                 raise ValueError("coherence values must lie in [0, 1]")
         object.__setattr__(self, "values", _freeze(arr))
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +127,8 @@ def decode_pgm(data: bytes) -> GrayImage:
     width, height, maxval = (int(t) for t in tokens)
     if width <= 0 or height <= 0:
         raise MalformedHeader("non-positive dimensions")
+    if width * height > MAX_PGM_PIXELS:
+        raise MalformedHeader(f"{width}x{height} exceeds the {MAX_PGM_PIXELS}-pixel PGM cap")
     if maxval != 255:
         raise UnsupportedMaxval(f"maxval {maxval} unsupported (need 255)")
     # exactly one whitespace byte separates the header from the payload

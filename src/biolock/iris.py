@@ -122,7 +122,7 @@ class NormalizedStrip:
         object.__setattr__(self, "valid", _freeze(mask.astype(bool)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IrisCode:
     """Binary iris code plus a per-bit validity mask."""
 
@@ -142,6 +142,13 @@ class IrisCode:
                              f"{_CODE_BITS[self.scheme]} bits, got {bits.size}")
         object.__setattr__(self, "bits", _freeze(bits.astype(bool)))
         object.__setattr__(self, "mask", _freeze(mask.astype(bool)))
+
+    def __eq__(self, other):
+        return (isinstance(other, IrisCode) and self.scheme == other.scheme
+                and np.array_equal(self.bits, other.bits) and np.array_equal(self.mask, other.mask))
+
+    def __hash__(self) -> int:
+        return hash((self.scheme, self.bits.tobytes(), self.mask.tobytes()))
 
     def __len__(self) -> int:
         return self.bits.size

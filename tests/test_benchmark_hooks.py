@@ -5,6 +5,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import synthgen
+from biolock import fingerprint
+from biolock.fingerprint import KIND_BIFURCATION, KIND_ENDING
+
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -35,3 +39,19 @@ def test_every_tracer_target_names_a_callable_and_uninstall_restores_it():
         assert vars(owner)[attr] is fn
     for mod, attr, fn in holders:
         assert vars(mod)[attr] is fn
+
+
+def test_minutiae_counters_read_the_raw_and_kept_rows_of_one_print():
+    img, _ = synthgen.plant_print([KIND_ENDING, KIND_BIFURCATION, KIND_ENDING], seed=42)
+    assert img.pixels.shape == (256, 256)
+    run = load_tracer().Tracer()
+    run.install()
+    try:
+        template, art = fingerprint.build_template(img, keep_artifacts=True)
+    finally:
+        run.uninstall()
+    names = [span[0] for span in run.spans]
+    assert names.count("fingerprint.extract_minutiae") == 1
+    assert names.count("fingerprint.filter_false_minutiae") == 1
+    assert run.counts["minutiae_raw"] == len(art.raw_minutiae) > 0
+    assert run.counts["minutiae_kept"] == len(template) > 0

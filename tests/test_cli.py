@@ -553,6 +553,15 @@ def test_inspect_unreadable_names_decode_stage(tmp_path, env, capsys):
     assert "stage 'decode'" in err
 
 
+def test_pgm_header_over_the_pixel_cap_exits_2(tmp_path, env, capsys):
+    huge = tmp_path / "huge.pgm"
+    huge.write_bytes(b"P5\n100000 100000\n255\n" + bytes(64))
+    code, _, err = run_cli(capsys, "verify", "--db", env["db"], "--claim", "bob",
+                           "--finger", huge)
+    assert code == 2
+    assert "100000x100000 exceeds" in err and "PGM cap" in err
+
+
 def test_inspect_pipeline_failure_names_stage(tmp_path, env, capsys):
     flat = tmp_path / "flat.pgm"
     flat.write_bytes(b"P5\n64 64\n255\n" + bytes([230]) * (64 * 64))

@@ -83,6 +83,18 @@ def circ_diff_pi(a, b):
     return min(d, math.pi - d)
 
 
+def as_minutiae(rows):
+    """The Minutia list of (n, 4) rows of x, y, theta and kind code, as the
+    oracles take and return them; :func:`as_rows` is its inverse."""
+    return [Minutia(x, y, t, fingerprint._CODE_KIND[k]) for x, y, t, k in rows.tolist()]
+
+
+def as_rows(minutiae):
+    """The (n, 4) rows of a Minutia list, as the extraction stages pass them."""
+    return np.array([(m.x, m.y, m.theta, fingerprint._KIND_CODE[m.kind]) for m in minutiae],
+                    dtype=np.float64).reshape(-1, 4)
+
+
 def make_template(coords, size=256):
     minutiae = tuple(Minutia(float(x), float(y), theta, kind)
                      for x, y, theta, kind in coords)
@@ -676,7 +688,7 @@ def test_neighbour_codes_equal_bounds_checked_scans_at_every_pixel():
 def test_extract_segment_reports_two_endings():
     thinned = skeleton_image(hline(10, 19, 16), 32)
     mask = BinaryImage(np.ones((32, 32), dtype=bool))
-    found = extract_minutiae(thinned, zeros_field(2), mask)
+    found = as_minutiae(extract_minutiae(thinned, zeros_field(2), mask))
     assert len(found) == 2
     assert all(m.kind == KIND_ENDING for m in found)
     assert {(m.x, m.y) for m in found} == {(10.0, 16.0), (19.0, 16.0)}
@@ -689,7 +701,7 @@ def test_extract_y_reports_bifurcation_and_three_endings():
               (7, 7), (6, 6), (5, 5)]            # north-west arm
     thinned = skeleton_image(points, 16)
     mask = BinaryImage(np.ones((16, 16), dtype=bool))
-    found = extract_minutiae(thinned, zeros_field(1), mask)
+    found = as_minutiae(extract_minutiae(thinned, zeros_field(1), mask))
     bifs = [m for m in found if m.kind == KIND_BIFURCATION]
     ends = [m for m in found if m.kind == KIND_ENDING]
     assert len(bifs) == 1 and (bifs[0].x, bifs[0].y) == (8.0, 8.0)
@@ -700,7 +712,7 @@ def test_extract_skips_minutiae_outside_mask():
     thinned = skeleton_image(hline(10, 19, 16), 32)
     bits = np.ones((32, 32), dtype=bool)
     bits[:, 16:] = False
-    found = extract_minutiae(thinned, zeros_field(2), BinaryImage(bits))
+    found = as_minutiae(extract_minutiae(thinned, zeros_field(2), BinaryImage(bits)))
     assert len(found) == 1
     assert (found[0].x, found[0].y, found[0].kind) == (10.0, 16.0, KIND_ENDING)
 
@@ -710,7 +722,7 @@ def test_extract_orients_minutiae_by_16px_blocks():
     thinned = skeleton_image(hline(40, 60, 16), 120)
     mask = BinaryImage(np.ones((120, 120), dtype=bool))
     rows = np.repeat(0.1 * np.arange(7)[:, None], 7, axis=1)
-    found = extract_minutiae(thinned, FloatField(rows, kind="orientation"), mask)
+    found = as_minutiae(extract_minutiae(thinned, FloatField(rows, kind="orientation"), mask))
     # the ending at x = 60 departs leftward, against the block orientation
     right = next(m for m in found if m.x == 60.0)
     assert right.theta == pytest.approx(0.1 + math.pi)
@@ -727,7 +739,7 @@ def test_extract_adds_a_bifurcations_unit_vectors_in_neighbour_order():
                              24)
     orientation = FloatField(np.full((1, 1), 1.8908615464098646), kind="orientation")
     mask = BinaryImage(np.ones((24, 24), dtype=bool))
-    found = extract_minutiae(thinned, orientation, mask)
+    found = as_minutiae(extract_minutiae(thinned, orientation, mask))
     assert [(m.x, m.y) for m in found if m.kind == KIND_BIFURCATION] == [(12.0, 12.0)]
     assert found == extract_oracle(thinned, orientation, mask)
 
@@ -738,7 +750,7 @@ def test_extract_reports_only_cn_one_or_three():
         blobs = rng.random((64, 64)) < 0.55
         thinned = thin(BinaryImage(blobs))
         mask = BinaryImage(np.ones((64, 64), dtype=bool))
-        found = extract_minutiae(thinned, zeros_field(4), mask)
+        found = as_minutiae(extract_minutiae(thinned, zeros_field(4), mask))
         padded = np.pad(thinned.bits, 1)
         for m in found:
             x, y = int(m.x), int(m.y)
@@ -751,6 +763,7 @@ def test_extract_reports_only_cn_one_or_three():
 # false-minutiae filtering
 
 def extract_all(thinned, size):
+    """The raw rows of a skeleton under a full mask, and the mask's border distance."""
     mask = BinaryImage(np.ones((size, size), dtype=bool))
     return (extract_minutiae(thinned, zeros_field(max(1, size // 16)), mask),
             fingerprint._border_distance(mask))
@@ -760,7 +773,7 @@ def test_filter_break_rule_removes_facing_pair():
     thinned = skeleton_image(hline(12, 22, 24) + hline(26, 36, 24), 48)
     raw, border = extract_all(thinned, 48)
     assert len(raw) == 4
-    kept = filter_false_minutiae(raw, thinned, border, 9.0)
+    kept = as_minutiae(filter_false_minutiae(raw, thinned, border, 9.0))
     assert {(m.x, m.y) for m in kept} == {(12.0, 24.0), (36.0, 24.0)}
     assert all(m.kind == KIND_ENDING for m in kept)
 
@@ -769,8 +782,8 @@ def test_filter_spur_rule_removes_ending_and_junction():
     spur = [(24, 23), (24, 22), (24, 21), (24, 20)]
     thinned = skeleton_image(hline(10, 38, 24) + spur, 48)
     raw, border = extract_all(thinned, 48)
-    assert sum(m.kind == KIND_BIFURCATION for m in raw) == 1
-    kept = filter_false_minutiae(raw, thinned, border, 9.0)
+    assert sum(m.kind == KIND_BIFURCATION for m in as_minutiae(raw)) == 1
+    kept = as_minutiae(filter_false_minutiae(raw, thinned, border, 9.0))
     assert {(m.x, m.y) for m in kept} == {(10.0, 24.0), (38.0, 24.0)}
     assert all(m.kind == KIND_ENDING for m in kept)
 
@@ -779,13 +792,13 @@ def test_filter_clean_segment_unchanged():
     thinned = skeleton_image(hline(12, 27, 20), 40)
     raw, border = extract_all(thinned, 40)
     kept = filter_false_minutiae(raw, thinned, border, 9.0)
-    assert kept == raw
+    assert np.array_equal(kept, raw)
 
 
 def test_filter_border_rule_drops_edge_minutiae():
     thinned = skeleton_image(hline(4, 30, 20), 40)
     raw, border = extract_all(thinned, 40)
-    kept = filter_false_minutiae(raw, thinned, border, 9.0)
+    kept = as_minutiae(filter_false_minutiae(raw, thinned, border, 9.0))
     assert [(m.x, m.y) for m in kept] == [(30.0, 20.0)]
 
 
@@ -796,8 +809,8 @@ def test_filter_output_subset_and_idempotent():
     for thinned in fixtures:
         raw, border = extract_all(thinned, 48)
         once = filter_false_minutiae(raw, thinned, border, 9.0)
-        assert set(once) <= set(raw)
-        assert filter_false_minutiae(once, thinned, border, 9.0) == once
+        assert set(as_minutiae(once)) <= set(as_minutiae(raw))
+        assert np.array_equal(filter_false_minutiae(once, thinned, border, 9.0), once)
 
 
 def test_filter_idempotent_on_synthetic_print():
@@ -807,8 +820,8 @@ def test_filter_idempotent_on_synthetic_print():
     gap = 1.0 / float(np.median(art.frequency.values))
     border = art_border(art)
     once = filter_false_minutiae(art.raw_minutiae, art.thinned, border, gap)
-    assert set(once) <= set(art.raw_minutiae)
-    assert filter_false_minutiae(once, art.thinned, border, gap) == once
+    assert set(as_minutiae(once)) <= set(as_minutiae(art.raw_minutiae))
+    assert np.array_equal(filter_false_minutiae(once, art.thinned, border, gap), once)
 
 
 def filter_oracle(minutiae, thinned, border, avg_ridge_gap):
@@ -882,7 +895,9 @@ def filter_oracle(minutiae, thinned, border, avg_ridge_gap):
 
 
 def assert_filter_matches_oracle(minutiae, thinned, border, gap):
-    kept = filter_false_minutiae(minutiae, thinned, border, gap)
+    """The filter on the rows of a Minutia list equals the oracle; returns
+    the kept minutiae."""
+    kept = as_minutiae(filter_false_minutiae(as_rows(minutiae), thinned, border, gap))
     assert kept == filter_oracle(minutiae, thinned, border, gap)
     return kept
 
@@ -909,6 +924,7 @@ def test_filter_hole_rule_removes_loop_bifurcations():
     lower = [(x, 48 - y) for x, y in upper]
     thinned = skeleton_image(hline(10, 20, 24) + upper + lower + hline(26, 44, 24), 56)
     raw, border = extract_all(thinned, 56)
+    raw = as_minutiae(raw)
     assert sorted((m.x, m.y, m.kind) for m in raw if m.kind == KIND_BIFURCATION) == [
         (20.0, 24.0, KIND_BIFURCATION), (26.0, 24.0, KIND_BIFURCATION)]
     kept = assert_filter_matches_oracle(raw, thinned, border, 9.0)
@@ -921,7 +937,7 @@ def test_filter_hole_rule_removes_loop_bifurcations():
     lower = [(x, 48 - y) for x, y in upper]
     tall = skeleton_image(hline(10, 20, 24) + upper + lower + hline(26, 44, 24), 56)
     raw, border = extract_all(tall, 56)
-    kept = assert_filter_matches_oracle(raw, tall, border, 9.0)
+    kept = assert_filter_matches_oracle(as_minutiae(raw), tall, border, 9.0)
     assert sorted((m.x, m.y) for m in kept if m.kind == KIND_BIFURCATION) == [
         (20.0, 24.0), (26.0, 24.0)]
 
@@ -974,7 +990,7 @@ def test_filter_builds_one_crossing_number_map_per_call(monkeypatch):
     thinned = skeleton_image(hline(10, 38, 24) + [(24, 23), (24, 22), (24, 21), (24, 20)]
                              + hline(10, 38, 34), 48)
     raw, border = extract_all(thinned, 48)
-    assert sum(m.kind == KIND_ENDING for m in raw) >= 4
+    assert sum(m.kind == KIND_ENDING for m in as_minutiae(raw)) >= 4
     calls.clear()
     filter_false_minutiae(raw, thinned, border, 9.0)
     assert calls == [(48, 48)]
@@ -1109,7 +1125,8 @@ def test_extract_equals_oracle_on_degraded_prints():
         art = degraded_artifacts(n, seed)
         assert art.thinned.bits.shape == (512, 512)
         assert len(art.raw_minutiae) > 1000
-        assert art.raw_minutiae == extract_oracle(art.thinned, art.orientation, art.mask)
+        assert as_minutiae(art.raw_minutiae) == extract_oracle(art.thinned, art.orientation,
+                                                               art.mask)
 
 
 def test_filter_equals_oracle_on_degraded_prints():
@@ -1117,8 +1134,8 @@ def test_filter_equals_oracle_on_degraded_prints():
         art = degraded_artifacts(n, seed)
         assert art.thinned.bits.shape == (512, 512)
         assert len(art.raw_minutiae) > 1000
-        kept = assert_filter_matches_oracle(art.raw_minutiae, art.thinned, art_border(art),
-                                            art_gap(art))
+        kept = assert_filter_matches_oracle(as_minutiae(art.raw_minutiae), art.thinned,
+                                            art_border(art), art_gap(art))
         assert 0 < len(kept) < len(art.raw_minutiae)
 
 
@@ -1133,7 +1150,7 @@ def test_extract_and_filter_equal_oracles_on_random_skeletons(size, density, mas
     blocks = max(1, size // 16)
     orientation = FloatField(rng.random((blocks, blocks)) * math.pi, kind="orientation")
     mask = BinaryImage(rng.random((size, size)) < 0.8 if masked else np.ones((size, size)))
-    raw = extract_minutiae(thinned, orientation, mask)
+    raw = as_minutiae(extract_minutiae(thinned, orientation, mask))
     assert raw == extract_oracle(thinned, orientation, mask)
     border = fingerprint._border_distance(BinaryImage(np.ones((size, size), dtype=bool)))
     assert_filter_matches_oracle(raw, thinned, border, gap)
@@ -1149,7 +1166,8 @@ def test_build_template_builds_one_neighbour_code_raster_per_print(monkeypatch):
     assert calls == [img.pixels.shape]
     # extract and filter shared it on a copy of the skeleton: the kept one has none
     assert "_codes" not in art.thinned.__dict__
-    assert extract_minutiae(art.thinned, art.orientation, art.mask) == art.raw_minutiae
+    assert np.array_equal(extract_minutiae(art.thinned, art.orientation, art.mask),
+                          art.raw_minutiae)
     assert len(calls) == 2
 
 
@@ -1164,13 +1182,29 @@ def test_build_template_runs_one_border_distance_per_print(monkeypatch):
     # The filter, then the cap ranked by the same border distance, rebuilt
     # here from the mask.
     border = real(art.mask)
-    kept = filter_false_minutiae(art.raw_minutiae, art.thinned, border, art_gap(art))
+    kept = as_minutiae(filter_false_minutiae(art.raw_minutiae, art.thinned, border,
+                                             art_gap(art)))
     assert len(kept) > fingerprint.MAX_MINUTIAE
     ranked = sorted(range(len(kept)),
                     key=lambda i: (-border[int(round(kept[i].y)), int(round(kept[i].x))], i))
     capped = tuple(kept[i] for i in sorted(ranked[:fingerprint.MAX_MINUTIAE]))
     expected = FingerprintTemplate(capped, img.width, img.height)
     assert encode_template(template) == encode_template(expected)
+
+
+def test_build_template_builds_and_reads_no_minutia(monkeypatch):
+    img = degraded_print([KIND_ENDING, KIND_BIFURCATION] * 4, seed=7)
+    assert img.pixels.shape == (512, 512)
+    expected = build_template(img)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline built a Minutia")
+
+    monkeypatch.setattr(fingerprint, "Minutia", refuse)
+    template, art = build_template(img, keep_artifacts=True)
+    assert template == expected and encode_template(template) == encode_template(expected)
+    assert art.raw_minutiae.dtype == np.float64 and art.raw_minutiae.shape[1] == 4
+    assert len(art.raw_minutiae) > len(template) == fingerprint.MAX_MINUTIAE
 
 
 _TWO_PI = 2.0 * math.pi
@@ -1205,7 +1239,8 @@ def near_pairs(draw):
                  | st.floats(0.0, _TWO_PI, exclude_max=True))
     turn = (st.sampled_from([0.0, math.pi, math.radians(150.0), math.radians(60.0)])
             .flatmap(_edge) | st.floats(0.0, _TWO_PI))
-    anchors = draw(st.lists(st.sampled_from(art.raw_minutiae), min_size=1, max_size=10))
+    anchors = draw(st.lists(st.sampled_from(as_minutiae(art.raw_minutiae)), min_size=1,
+                            max_size=10))
     out = []
     for m in anchors:
         out.append(Minutia(m.x, m.y, draw(direction), draw(_KINDS)) if draw(st.booleans())

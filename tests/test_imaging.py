@@ -46,6 +46,15 @@ def test_decode_pgm_truncated_payload():
         decode_pgm(data)
 
 
+def test_decode_pgm_refuses_a_raster_over_the_cap_before_reading_it():
+    # 10^10 pixels would be an 80 GB float64 raster; the short payload is never read
+    with pytest.raises(MalformedHeader, match=f"{imaging.MAX_PGM_PIXELS}-pixel PGM cap"):
+        decode_pgm(make_pgm(100000, 100000, range(16)))
+    side = int(imaging.MAX_PGM_PIXELS ** 0.5)
+    with pytest.raises(TruncatedData):  # at the cap, the payload length decides
+        decode_pgm(make_pgm(side, side, range(16)))
+
+
 def test_decode_pgm_rejects_color():
     data = make_pgm(2, 2, [0, 1, 2, 3], magic=b"P6")
     with pytest.raises(MalformedHeader):

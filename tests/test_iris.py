@@ -633,6 +633,22 @@ def test_code_roundtrip_both_schemes():
         assert np.array_equal(back.mask, code.mask)
 
 
+def test_codes_compare_and_hash_by_scheme_and_planes():
+    rng = np.random.default_rng(67)
+    bits, mask = rng.random(512) < 0.5, rng.random(512) < 0.9
+    code = IrisCode(bits, mask, SCHEME_HAAR)
+    same = IrisCode(bits.copy(), mask.copy(), SCHEME_HAAR)
+    assert code == same and hash(code) == hash(same)
+    assert decode_code(encode_code(code)) == code
+    assert hash(decode_code(encode_code(code))) == hash(code)
+    assert code != IrisCode(~bits, mask, SCHEME_HAAR)
+    assert code != IrisCode(bits, ~mask, SCHEME_HAAR)
+    triple = np.tile(bits, 3)
+    assert IrisCode(triple, np.tile(mask, 3), SCHEME_MELLIN) != code
+    assert code != (bits, mask, SCHEME_HAAR)
+    assert len({code, same}) == 1
+
+
 def test_code_bit_packing_is_lsb_first():
     bits = np.zeros(512, bool)
     bits[0] = True
