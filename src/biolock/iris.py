@@ -122,36 +122,56 @@ class NormalizedStrip:
         object.__setattr__(self, "valid", _freeze(mask.astype(bool)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class IrisCode:
-    """Binary iris code plus a per-bit validity mask."""
+    """Binary iris code plus a per-bit validity mask, held as ``words``: a
+    read-only (2, bits / 64) little-endian uint64 array of the bit plane then
+    the mask, bit i of a plane at bit i % 64 of word i // 64.  These are the
+    words ``IRC1`` stores and the Hamming kernel XORs; ``bits`` and ``mask``
+    unpack one plane on each call."""
 
-    bits: np.ndarray
-    mask: np.ndarray
+    words: np.ndarray
     scheme: str
 
-    def __post_init__(self):
-        if self.scheme not in _SCHEME_CODE:
-            raise ValueError(f"unknown iris code scheme {self.scheme!r}")
-        bits = np.asarray(self.bits)
-        mask = np.asarray(self.mask)
+    def __init__(self, bits, mask, scheme: str):
+        if scheme not in _SCHEME_CODE:
+            raise ValueError(f"unknown iris code scheme {scheme!r}")
+        bits, mask = np.asarray(bits), np.asarray(mask)
         if bits.ndim != 1 or mask.shape != bits.shape:
             raise ValueError("bits and mask must be 1-D arrays of equal length")
-        if bits.size != _CODE_BITS[self.scheme]:
-            raise ValueError(f"{self.scheme} code must have "
-                             f"{_CODE_BITS[self.scheme]} bits, got {bits.size}")
-        object.__setattr__(self, "bits", _freeze(bits.astype(bool)))
-        object.__setattr__(self, "mask", _freeze(mask.astype(bool)))
+        if bits.size != _CODE_BITS[scheme]:
+            raise ValueError(f"{scheme} code must have {_CODE_BITS[scheme]} bits, got {bits.size}")
+        self.__dict__.update(words=_pack(np.stack((bits.astype(bool), mask.astype(bool)))),
+                             scheme=scheme)
+
+    @property
+    def bits(self) -> np.ndarray:
+        return _unpack(self.words[0])
+
+    @property
+    def mask(self) -> np.ndarray:
+        return _unpack(self.words[1])
 
     def __eq__(self, other):
         return (isinstance(other, IrisCode) and self.scheme == other.scheme
-                and np.array_equal(self.bits, other.bits) and np.array_equal(self.mask, other.mask))
+                and np.array_equal(self.words, other.words))
 
     def __hash__(self) -> int:
-        return hash((self.scheme, self.bits.tobytes(), self.mask.tobytes()))
+        return hash((self.scheme, self.words.tobytes()))
 
     def __len__(self) -> int:
-        return self.bits.size
+        return _CODE_BITS[self.scheme]
+
+
+def _pack(planes: np.ndarray) -> np.ndarray:
+    """Read-only little-endian uint64 words of boolean rows of a multiple of 64
+    bits: bit i of a row is bit i % 64 of word i // 64."""
+    return _freeze(np.packbits(planes, axis=-1, bitorder="little")).view("<u8")
+
+
+def _unpack(words: np.ndarray) -> np.ndarray:
+    """Read-only boolean rows of :func:`_pack`'s words."""
+    return _freeze(np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little").view(bool))
 
 
 def _row_layout(scheme: str) -> tuple[tuple[int, int], ...]:
@@ -170,7 +190,7 @@ def _row_layout(scheme: str) -> tuple[tuple[int, int], ...]:
 
 # A scheme fixes its code length.
 _CODE_BITS = {s: sum(r * w for r, w in _row_layout(s)) for s in _SCHEME_CODE}
-CODE_MAX_BYTES = 9 + 2 * ((max(_CODE_BITS.values()) + 7) // 8)  # header, packed bits and mask
+CODE_MAX_BYTES = 9 + 2 * (max(_CODE_BITS.values()) // 8)  # header, bit and mask words
 
 
 # ---------------------------------------------------------------------------
@@ -430,27 +450,16 @@ def mellin_code(strip: NormalizedStrip) -> IrisCode:
 # ---------------------------------------------------------------------------
 # Matching
 
-def _shift_rows(flat: np.ndarray, layout: tuple[tuple[int, int], ...],
-                shift: int) -> np.ndarray:
-    """Circularly shift a flat code by ``shift`` within each layout row."""
-    if shift == 0:
-        return flat
-    out = np.empty_like(flat)
-    pos = 0
-    for rows, width in layout:
-        seg = flat[pos:pos + rows * width].reshape(rows, width)
-        out[pos:pos + rows * width] = np.roll(seg, shift, axis=1).ravel()
-        pos += rows * width
-    return out
-
-
 @functools.cache
 def _shift_table(scheme: str, max_shift: int) -> np.ndarray:
     """Per shift s in [-max_shift, max_shift], the bit order of a code rotated
     by s within each layout row; built once per (scheme, max_shift), read-only."""
-    order = np.arange(_CODE_BITS[scheme])
-    return _freeze(np.stack([_shift_rows(order, _row_layout(scheme), s)
-                             for s in range(-max_shift, max_shift + 1)]))
+    pieces, pos = [], 0
+    for rows, width in _row_layout(scheme):
+        seg = np.arange(pos, pos + rows * width).reshape(rows, width)
+        pieces.append([np.roll(seg, s, axis=1).ravel() for s in range(-max_shift, max_shift + 1)])
+        pos += rows * width
+    return _freeze(np.concatenate(pieces, axis=1))
 
 
 def hamming_distance(a: IrisCode, b: IrisCode) -> float:
@@ -466,17 +475,12 @@ def hamming_distance(a: IrisCode, b: IrisCode) -> float:
     return float(hamming_distances([a], b)[0])
 
 
-def _pack_words(flags: np.ndarray) -> np.ndarray:
-    """Pack boolean rows of a multiple of 64 bits into uint64 words."""
-    return np.packbits(flags, axis=-1).view(np.uint64)
-
-
 def hamming_distances(gallery: list[IrisCode], probe: IrisCode) -> np.ndarray:
     """:func:`hamming_distance` of each gallery code against one probe.
 
     Returns a float64 array in one pass: the probe is shifted and packed
-    once per shift, the gallery is packed once, and jointly valid and
-    disagreeing bits are counted by popcount over 64-bit words.  Raises
+    once per shift, the gallery's words are stacked once, and jointly valid
+    and disagreeing bits are counted by popcount over 64-bit words.  Raises
     IncomparableCodes or SchemeMismatch when any gallery code is incomparable
     or of another scheme.
     """
@@ -486,10 +490,9 @@ def hamming_distances(gallery: list[IrisCode], probe: IrisCode) -> np.ndarray:
     if not gallery:
         return np.empty(0)
     shifted = _shift_table(probe.scheme, DEFAULT_MAX_SHIFT)
-    p_bits = _pack_words(probe.bits[shifted])
-    p_mask = _pack_words(probe.mask[shifted])
-    g_bits = _pack_words(np.stack([a.bits for a in gallery]))[:, None, :]
-    g_mask = _pack_words(np.stack([a.mask for a in gallery]))[:, None, :]
+    p_bits, p_mask = _pack(_unpack(probe.words)[:, shifted])
+    g_words = np.stack([a.words for a in gallery])
+    g_bits, g_mask = g_words[:, 0, None], g_words[:, 1, None]
     joint = g_mask & p_mask
     valid = np.bitwise_count(joint).sum(axis=2, dtype=np.int64)
     differ = np.bitwise_count((g_bits ^ p_bits) & joint).sum(axis=2, dtype=np.int64)
@@ -506,11 +509,9 @@ def hamming_distances(gallery: list[IrisCode], probe: IrisCode) -> np.ndarray:
 # Serialization
 
 def encode_code(code: IrisCode) -> bytes:
-    """Serialize an iris code: magic, scheme byte, bit count, packed bits+mask."""
+    """Serialize an iris code: magic, scheme byte, bit count, bit and mask words."""
     head = CODE_MAGIC + struct.pack("<BI", _SCHEME_CODE[code.scheme], len(code))
-    packed_bits = np.packbits(code.bits.astype(np.uint8), bitorder="little")
-    packed_mask = np.packbits(code.mask.astype(np.uint8), bitorder="little")
-    return head + packed_bits.tobytes() + packed_mask.tobytes()
+    return head + code.words.tobytes()
 
 
 def decode_code(data: bytes) -> IrisCode:
@@ -525,14 +526,13 @@ def decode_code(data: bytes) -> IrisCode:
     scheme = _CODE_SCHEME[scheme_code]
     if length != _CODE_BITS[scheme]:
         raise TruncatedData(f"{scheme} code must have {_CODE_BITS[scheme]} bits, got {length}")
-    nbytes = (length + 7) // 8
-    if len(data) != 9 + 2 * nbytes:
-        raise TruncatedData(f"{scheme} code must be {9 + 2 * nbytes} bytes, got {len(data)}")
-    packed = np.frombuffer(data, dtype=np.uint8, count=2 * nbytes, offset=9).reshape(2, nbytes)
-    planes = np.unpackbits(packed, axis=1, count=length, bitorder="little").view(bool)
-    planes.setflags(write=False)
-    code = object.__new__(IrisCode)  # owns the fresh planes: no checks, no copies
-    code.__dict__.update(bits=planes[0], mask=planes[1], scheme=scheme)
+    count = length // 64
+    if len(data) != 9 + 16 * count:
+        raise TruncatedData(f"{scheme} code must be {9 + 16 * count} bytes, got {len(data)}")
+    # a copy: aligned, and never a view of the caller's buffer
+    words = _freeze(np.frombuffer(data, "<u8", 2 * count, offset=9).reshape(2, count).copy())
+    code = object.__new__(IrisCode)  # owns the fresh words: no checks, no second copy
+    code.__dict__.update(words=words, scheme=scheme)
     return code
 
 

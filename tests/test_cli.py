@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import contextlib
+import io
 import json
 import math
 import os
@@ -8,9 +9,12 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import synthgen
 import biolock
@@ -286,6 +290,61 @@ def test_unreadable_gallery_files_fail_bounded_and_exit_2(tmp_path, env, capsys,
         if (root / name).is_fifo():  # end a read still blocked on the FIFO, if any
             with contextlib.suppress(OSError):  # ENXIO: no reader is waiting
                 os.close(os.open(root / name, os.O_WRONLY | os.O_NONBLOCK))
+
+
+DAMAGE = ("header_byte", "body_byte", "truncation", "trailing_bytes", "other_scheme",
+          "directory")
+
+
+def damaged(data, db, name):
+    """Damage ``db / name`` in place as drawn: one byte of the header or the
+    body set, the file cut short or extended, another format's bytes in its
+    place (the other scheme's code for a code, a code for a template), or a
+    directory where the file was."""
+    path = db / name
+    blob = path.read_bytes()
+    kind = data.draw(st.sampled_from(DAMAGE))
+    head = 9 if name.endswith(".irc") else 10
+    if kind == "directory":
+        path.unlink()
+        path.mkdir()
+        return
+    if kind in ("header_byte", "body_byte"):
+        at = data.draw(st.integers(0, head - 1) if kind == "header_byte"
+                       else st.integers(head, len(blob) - 1))
+        blob = blob[:at] + bytes([data.draw(st.integers(0, 255))]) + blob[at + 1:]
+    elif kind == "truncation":
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    elif kind == "trailing_bytes":
+        blob += data.draw(st.binary(min_size=1, max_size=16))
+    else:
+        subject = name.split("_")[0]
+        other = "mellin" if name.endswith("_haar.irc") else "haar"
+        blob = (db / f"{subject}_iris_0_{other}.irc").read_bytes()
+    path.write_bytes(blob)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_damaged_template_and_code_files_exit_0_1_or_2_on_every_command(env, data):
+    names = sorted(p.name for p in env["db"].iterdir() if p.suffix in (".fpt", ".irc"))
+    name = data.draw(st.sampled_from(names))
+    probe = ["--finger", env["bob_probe_finger"], "--iris", env["bob_probe_eye"]]
+    with tempfile.TemporaryDirectory(dir=env["root"]) as tmp, \
+            pytest.MonkeyPatch.context() as mp:
+        db = shutil.copytree(env["db"], Path(tmp) / "db")
+        damaged(data, db, name)
+        probes = Path(tmp) / "probes.csv"
+        probes.write_text(f"bob,{env['bob_probe_finger']},{env['bob_probe_eye']}\n")
+        claim = ["--claim", name.split("_")[0]]
+        mp.chdir(tmp)  # eval writes roc.csv to the working directory
+        for argv in (["verify", "--db", db, *claim, *probe],
+                     ["access", "--db", db, *claim, *probe, "--audit", Path(tmp) / "audit.log"],
+                     ["identify", "--db", db, *probe],
+                     ["eval", "--db", db, "--probes", probes]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main([str(a) for a in argv]) in (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1030,13 +1030,15 @@ def test_build_template_takes_the_mask_without_the_masked_image():
 
 def full_tap_gradients(pixels):
     """The Sobel pair as array passes over all nine taps, zero taps included."""
+    from test_imaging import SOBEL_X  # not at the top: test_imaging imports this module
+
     def correlate(arr):
         padded = np.pad(arr, 1, mode="edge")
         h, w = arr.shape
         out = np.zeros((h, w))
         for i in range(3):
             for j in range(3):
-                out += imaging.SOBEL_X[i, j] * padded[i:i + h, j:j + w]
+                out += SOBEL_X[i, j] * padded[i:i + h, j:j + w]
         return out
     return correlate(pixels), correlate(pixels.T).T
 
@@ -1090,8 +1092,8 @@ def test_coherence_and_orientation_alone_equal_their_own_sobel_pass():
 def test_build_template_runs_one_sobel_pass_per_print(monkeypatch):
     img = degraded_print([KIND_ENDING, KIND_BIFURCATION] * 4, seed=5)
     calls = []
-    real = imaging._correlate
-    monkeypatch.setattr(imaging, "_correlate", lambda a, k: calls.append(a.shape) or real(a, k))
+    real = imaging._sobel_x
+    monkeypatch.setattr(imaging, "_sobel_x", lambda a: calls.append(a.shape) or real(a))
     template, art = build_template(img, keep_artifacts=True)
     assert calls == [(512, 512), (512, 512)]
     # the pair dies with the call; the two stages called alone share their own

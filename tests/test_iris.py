@@ -1,5 +1,6 @@
 """Tests for the iris pipeline: pupil/iris localization, polar normalization,
 eyelid screening, the two iris-code schemes, and masked Hamming matching."""
+import dataclasses
 import math
 import struct
 
@@ -658,6 +659,88 @@ def test_code_bit_packing_is_lsb_first():
     assert payload[0] == 0x01
     assert payload[1] == 0x80
     assert all(b == 0xFF for b in payload[64:128])  # full mask packs to ones
+
+
+def test_code_words_hold_bit_i_at_bit_i_mod_64_of_word_i_div_64():
+    for scheme, n in ((SCHEME_HAAR, 512), (SCHEME_MELLIN, 1536)):
+        for i in range(n):
+            one = np.arange(n) == i
+            code = IrisCode(one, ~one, scheme)
+            expect = np.zeros((2, n // 64), np.uint64)
+            expect[0, i // 64] = 1 << (i % 64)
+            expect[1] = ~expect[0]
+            assert code.words.dtype == np.dtype("<u8") and not code.words.flags.writeable
+            assert np.array_equal(code.words, expect)
+
+
+def irc1_oracle(bits, mask, scheme):
+    """IRC1 as it was first written: the header, then each plane packed
+    bit-order little by np.packbits."""
+    head = b"IRC1" + struct.pack("<BI", {SCHEME_HAAR: 0, SCHEME_MELLIN: 1}[scheme], bits.size)
+    return (head + np.packbits(bits, bitorder="little").tobytes()
+            + np.packbits(mask, bitorder="little").tobytes())
+
+
+def test_encode_code_equals_the_packbits_oracle_for_both_schemes():
+    rng = np.random.default_rng(64)
+    for scheme, n in ((SCHEME_HAAR, 512), (SCHEME_MELLIN, 1536)):
+        for _ in range(5):
+            bits, mask = rng.random(n) < 0.5, rng.random(n) < 0.8
+            blob = encode_code(IrisCode(bits, mask, scheme))
+            assert blob == irc1_oracle(bits, mask, scheme)
+            assert encode_code(decode_code(blob)) == blob
+
+
+def test_a_code_holds_only_its_words_and_scheme(monkeypatch):
+    assert [f.name for f in dataclasses.fields(IrisCode)] == ["words", "scheme"]
+    code = random_code(np.random.default_rng(65), SCHEME_MELLIN)
+    blob = encode_code(code)
+
+    def unpack(*args, **kwargs):
+        raise AssertionError("decode_code unpacked a plane")
+    monkeypatch.setattr(np, "unpackbits", unpack)
+    back = decode_code(blob)
+    monkeypatch.undo()
+    for c in (code, back):
+        assert set(vars(c)) == {"words", "scheme"}
+        assert c.words.shape == (2, 24) and not c.words.flags.writeable
+    assert back == code
+
+
+def test_a_code_decoded_from_a_bytearray_keeps_its_words_when_the_buffer_changes():
+    code = random_code(np.random.default_rng(66), SCHEME_HAAR)
+    buf = bytearray(encode_code(code))
+    back = decode_code(buf)
+    buf[9:] = bytes(len(buf) - 9)
+    assert back == code and back.words.flags.aligned
+    assert decode_code(buf) != code
+
+
+class WordsOnlyCode(IrisCode):
+    """A code whose unpacked planes cannot be read."""
+
+    @property
+    def bits(self):
+        raise AssertionError("bits read")
+
+    @property
+    def mask(self):
+        raise AssertionError("mask read")
+
+
+def test_hamming_distances_read_the_gallery_only_through_its_words():
+    rng = np.random.default_rng(68)
+    for scheme in (SCHEME_HAAR, SCHEME_MELLIN):
+        gallery = [masked_random_code(rng, scheme, 0.8) for _ in range(12)]
+        probe = masked_random_code(rng, scheme, 0.8)
+        sealed = []
+        for a in gallery:
+            sealed.append(object.__new__(WordsOnlyCode))
+            sealed[-1].__dict__.update(vars(a))
+        with pytest.raises(AssertionError):
+            sealed[0].bits
+        assert hamming_distances(sealed, probe).tolist() == [
+            hamming_oracle(a, probe) for a in gallery]
 
 
 def test_decode_code_errors():
