@@ -74,7 +74,7 @@ class BinaryImage:
 
 @dataclass(frozen=True)
 class FloatField:
-    """Per-pixel or per-block real-valued field (orientation/frequency/coherence)."""
+    """Per-pixel or per-block field of finite reals (orientation/frequency/coherence)."""
 
     values: np.ndarray
     kind: str
@@ -85,6 +85,8 @@ class FloatField:
             raise ValueError("FloatField needs a non-empty 2-D array")
         if self.kind not in FIELD_KINDS:
             raise ValueError(f"unknown field kind {self.kind!r}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{self.kind} values must be finite")
         if self.kind == "orientation":
             if arr.min() < 0.0 or arr.max() >= np.pi:
                 raise ValueError("orientation values must lie in [0, pi)")

@@ -14,6 +14,7 @@ from biolock.errors import (
 from biolock.fingerprint import KIND_BIFURCATION, KIND_ENDING, build_template
 from biolock.imaging import (
     BinaryImage,
+    FloatField,
     GrayImage,
     adaptive_threshold,
     decode_pgm,
@@ -101,6 +102,18 @@ def test_pgm_round_trip_payload_identical():
     again = encode_pgm(decode_pgm(data))
     assert again[-len(payload):] == payload.tobytes()
     assert decode_pgm(again).pixels.shape == (16, 24)
+
+
+# ---------------------------------------------------------------------------
+# Float fields
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", sorted(imaging.FIELD_KINDS))
+def test_float_field_rejects_non_finite_values(kind, bad):
+    # NaN fails every range comparison, and a frequency has no upper bound.
+    with pytest.raises(ValueError, match="finite"):
+        FloatField(np.array([[0.1, bad]]), kind=kind)
+    FloatField(np.array([[0.1, 0.2]]), kind=kind)
 
 
 # ---------------------------------------------------------------------------
