@@ -4,14 +4,16 @@ Each matcher (minutiae similarity, iris code distances) produces a raw score on
 its own scale.  Fusion brings every score onto a common [0, 1] similarity scale
 (:func:`normalize_score`, :func:`to_similarity`), aligns the per-classifier
 decision thresholds onto one common threshold with a knot-preserving piecewise
-linear map (:func:`rescale_to_common_threshold`), combines classifiers within a
-trait and then traits with weighted sums (:func:`fuse_classifiers`,
-:func:`fuse_modalities`), and finally thresholds the fused score into a
-genuine/impostor decision (:func:`decide`).  Each step takes a float or,
-elementwise, a float64 array with NaN for "no score".  Raw scores come as a
-``{classifier: raw}`` mapping, read on the matchers' fixed [0, 1] scale with
-iris scores as distances: :func:`fuse_arrays` runs the one chain over a whole
-gallery, and :func:`fuse_pipeline` is its one-row call.
+linear map (:func:`rescale_to_common_threshold`), fuses the two iris
+classifiers and then the finger and iris traits with weighted sums
+(:func:`fuse_classifiers`, :func:`fuse_modalities`), and finally thresholds
+the fused score into a genuine/impostor decision (:func:`decide`).  The finger
+trait has one classifier, minutiae, so its rescaled score is the trait score.
+Each step takes a float or, elementwise, a float64 array with NaN for "no
+score".  Raw scores come as a ``{classifier: raw}`` mapping, read on the
+matchers' fixed [0, 1] scale with iris scores as distances: :func:`fuse_arrays`
+runs the one chain over a whole gallery, and :func:`fuse_pipeline` is its
+one-row call.
 
 Weighted sums are evaluated term-by-term (``w1*s1/total + w2*s2/total``) so the
 documented reference values (for example ``fuse_classifiers(0.8, 0.6, 1, 1) ==
@@ -31,29 +33,20 @@ import numpy as np
 
 from .errors import NoScores, ZeroWeights
 
-TRAIT_FINGER = "finger"
-TRAIT_IRIS = "iris"
-TRAITS = (TRAIT_FINGER, TRAIT_IRIS)
-
 CLASSIFIER_MINUTIAE = "minutiae"
-CLASSIFIER_REF = "ref"
 CLASSIFIER_HAAR = "haar"
 CLASSIFIER_MELLIN = "mellin"
-CLASSIFIERS = (CLASSIFIER_MINUTIAE, CLASSIFIER_REF, CLASSIFIER_HAAR, CLASSIFIER_MELLIN)
-
-#: Classifiers feeding each trait, ordered (alpha-weighted, beta-weighted).
-TRAIT_CLASSIFIERS = {
-    TRAIT_FINGER: (CLASSIFIER_REF, CLASSIFIER_MINUTIAE),
-    TRAIT_IRIS: (CLASSIFIER_HAAR, CLASSIFIER_MELLIN),
-}
+CLASSIFIERS = (CLASSIFIER_MINUTIAE, CLASSIFIER_HAAR, CLASSIFIER_MELLIN)
 
 GENUINE = "genuine"
 IMPOSTOR = "impostor"
 
 DEFAULT_THRESHOLD = 0.5
 
-_FLOAT_KEYS = ("alpha", "beta", "a", "b", "c", "d", "common_threshold")
+_FLOAT_KEYS = ("alpha", "beta", "a", "b", "common_threshold")
 _THRESHOLD_PREFIX = "threshold."
+#: Keys that config files of earlier versions hold; loading skips them.
+_RETIRED_KEYS = ("c", "d", "threshold.ref")
 _BOOL_WORDS = {"true": True, "false": False}
 
 
@@ -71,33 +64,28 @@ def _check_open_unit(name: str, value: float) -> float:
     return value
 
 
-def _default_thresholds() -> Mapping[str, float]:
-    return MappingProxyType({name: DEFAULT_THRESHOLD for name in CLASSIFIERS})
-
-
 @dataclass(frozen=True)
 class FusionConfig:
     """Weights and thresholds for the fusion pipeline.
 
-    ``alpha``/``beta`` weight the two classifiers within a trait, ``a``/``b``
-    weight the two traits.  ``c`` and ``d`` are accepted for config-file
-    compatibility but take part in no computation.  ``paper_faithful_final``
-    switches the cross-trait sum from the normalized mean to the fixed
-    one-quarter form ``0.25 * (a*ms_finger + b*ms_iris)``.
+    ``alpha``/``beta`` weight the two iris classifiers, haar and mellin;
+    ``a``/``b`` weight the finger and iris traits.  ``classifier_thresholds``
+    maps some of :data:`CLASSIFIERS` to their thresholds, the rest taking
+    :data:`DEFAULT_THRESHOLD`.  ``paper_faithful_final`` switches the
+    cross-trait sum from the normalized mean to the fixed one-quarter form
+    ``0.25 * (a*ms_finger + b*ms_iris)``.
     """
 
     alpha: float = 1.0
     beta: float = 1.0
     a: float = 1.0
     b: float = 1.0
-    c: float = 1.0
-    d: float = 1.0
     common_threshold: float = DEFAULT_THRESHOLD
-    classifier_thresholds: Mapping[str, float] = field(default_factory=_default_thresholds)
+    classifier_thresholds: Mapping[str, float] = field(default_factory=dict)
     paper_faithful_final: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "a", "b", "c", "d"):
+        for name in ("alpha", "beta", "a", "b"):
             weight = _check_finite(name, getattr(self, name))
             if weight < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {weight!r}")
@@ -242,15 +230,13 @@ def fuse_arrays(raw: Mapping[str, object], cfg: FusionConfig) -> tuple:
     rescaled = {}
     for name, values in raw.items():
         t_classifier = cfg.threshold_for(name)
-        similarity = to_similarity(normalize_score(values),
-                                   name in TRAIT_CLASSIFIERS[TRAIT_IRIS])
+        similarity = to_similarity(normalize_score(values), name != CLASSIFIER_MINUTIAE)
         rescaled[name] = rescale_to_common_threshold(similarity, t_classifier,
                                                      cfg.common_threshold)
     absent = np.full(np.broadcast_shapes(*map(np.shape, rescaled.values())), np.nan)
-    ms_finger, ms_iris = (
-        fuse_classifiers(*(rescaled.get(name, absent) for name in TRAIT_CLASSIFIERS[trait]),
-                         cfg.alpha, cfg.beta)
-        for trait in TRAITS)
+    ms_finger = np.broadcast_to(rescaled.get(CLASSIFIER_MINUTIAE, absent), absent.shape).copy()
+    ms_iris = fuse_classifiers(rescaled.get(CLASSIFIER_HAAR, absent),
+                               rescaled.get(CLASSIFIER_MELLIN, absent), cfg.alpha, cfg.beta)
     ms_final = fuse_modalities(ms_finger, ms_iris, cfg)
     return tuple(np.asarray(score) for score in (ms_finger, ms_iris, ms_final))
 
@@ -276,8 +262,9 @@ def save_config(cfg: FusionConfig, path: Union[str, Path]) -> None:
 def load_config(path: Union[str, Path]) -> FusionConfig:
     """Parse a flat ``key = value`` config file written by :func:`save_config`.
 
-    Blank lines and ``#`` comments are ignored.  Unknown keys, repeated keys,
-    and unparsable values are errors.
+    Blank lines and whole-line ``#`` comments are ignored, and so are the
+    retired keys ``c``, ``d`` and ``threshold.ref`` of earlier files, whatever
+    their value.  Unknown keys, repeated keys, and unparsable values are errors.
     """
     text = Path(path).read_text(encoding="utf-8")
     raw: dict = {}
@@ -305,6 +292,8 @@ def load_config(path: Union[str, Path]) -> FusionConfig:
     kwargs: dict = {}
     thresholds: dict = {}
     for key, (lineno, value) in raw.items():
+        if key in _RETIRED_KEYS:
+            continue
         if key in _FLOAT_KEYS:
             kwargs[key] = parse_float(key, lineno, value)
         elif key == "paper_faithful_final":

@@ -253,7 +253,8 @@ def read_audit_log(path: Union[str, Path]) -> list:
         try:
             data = json.loads(line)
             events.append(AuditEvent(**{f.name: data[f.name] for f in fields(AuditEvent)}))
-        except (ValueError, KeyError, TypeError) as exc:
+        # RecursionError: JSON nested past the parser's recursion limit
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ValueError(f"{path}: line {lineno}: bad audit record: {exc}") from exc
     return events
 
@@ -295,7 +296,8 @@ def _parse_manifest(manifest_path: Path) -> dict:
         return {}
     try:
         data = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    # RecursionError: JSON nested past the parser's recursion limit
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise CorruptManifest(f"{manifest_path}: {exc}") from exc
     _manifest_check(isinstance(data, dict), manifest_path, "top level must be an object")
     _manifest_check(data.get("version") == MANIFEST_VERSION, manifest_path,

@@ -294,13 +294,52 @@ def test_unreadable_gallery_files_fail_bounded_and_exit_2(tmp_path, env, capsys,
 
 DAMAGE = ("header_byte", "body_byte", "truncation", "trailing_bytes", "other_scheme",
           "directory")
+MANIFEST_DAMAGE = ("byte", "truncation", "nested", "wrong_type", "missing_file")
+NESTED_JSON = "[" * 200_000  # past the JSON parser's recursion limit
+WRONG_TYPES = (None, 7, 1.5, True, "x", [], {})
+
+
+def damaged_manifest(data, db):
+    """Damage ``db / manifest.json`` in place as drawn: one byte set, the file
+    cut short, JSON nested past the parser's limit, one field replaced by a
+    value of another type, or a file name changed to one that is not there."""
+    path = db / registry.MANIFEST_NAME
+    blob = path.read_bytes()
+    kind = data.draw(st.sampled_from(MANIFEST_DAMAGE))
+    if kind == "byte":
+        at = data.draw(st.integers(0, len(blob) - 1))
+        path.write_bytes(blob[:at] + bytes([data.draw(st.integers(0, 255))]) + blob[at + 1:])
+        return
+    if kind == "truncation":
+        path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+        return
+    if kind == "nested":
+        path.write_text(NESTED_JSON)
+        return
+    manifest = json.loads(blob)
+    entry = data.draw(st.sampled_from(manifest["subjects"]))
+    # (object, key) of every field: the top level's, an entry's, and each file name
+    slots = [(manifest, "version"), (manifest, "subjects"), *((entry, key) for key in entry),
+             (entry["fingers"], 0), (entry["iris"][0], "haar"), (entry["iris"][0], "mellin")]
+    if kind == "wrong_type":
+        parent, key = data.draw(st.sampled_from(slots))
+        parent[key] = data.draw(st.sampled_from(
+            [value for value in WRONG_TYPES if type(value) is not type(parent[key])]))
+    else:
+        parent, key = data.draw(st.sampled_from(slots[-3:]))
+        parent[key] = "absent" + parent[key][-4:]
+    path.write_text(json.dumps(manifest))
 
 
 def damaged(data, db, name):
-    """Damage ``db / name`` in place as drawn: one byte of the header or the
-    body set, the file cut short or extended, another format's bytes in its
-    place (the other scheme's code for a code, a code for a template), or a
-    directory where the file was."""
+    """Damage ``db / name`` in place as drawn: for a template or code, one byte
+    of the header or the body set, the file cut short or extended, another
+    format's bytes in its place (the other scheme's code for a code, a code
+    for a template), or a directory where the file was; for the manifest, as
+    :func:`damaged_manifest` does."""
+    if name == registry.MANIFEST_NAME:
+        damaged_manifest(data, db)
+        return
     path = db / name
     blob = path.read_bytes()
     kind = data.draw(st.sampled_from(DAMAGE))
@@ -324,27 +363,47 @@ def damaged(data, db, name):
     path.write_bytes(blob)
 
 
+def every_command(db, tmp, env, claim):
+    """The argv of each command that opens ``db``, ``enroll`` (which writes)
+    last; probes are bob's."""
+    probe = ["--finger", env["bob_probe_finger"], "--iris", env["bob_probe_eye"]]
+    probes = Path(tmp) / "probes.csv"
+    probes.write_text(f"bob,{env['bob_probe_finger']},{env['bob_probe_eye']}\n")
+    return [[str(a) for a in argv] for argv in (
+        ["verify", "--db", db, "--claim", claim, *probe],
+        ["access", "--db", db, "--claim", claim, *probe, "--audit", Path(tmp) / "audit.log"],
+        ["identify", "--db", db, *probe],
+        ["eval", "--db", db, "--probes", probes],
+        ["enroll", "--db", db, "--subject", "carol", *probe])]
+
+
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_damaged_template_and_code_files_exit_0_1_or_2_on_every_command(env, data):
+    # the manifest in about half the examples, one of the six codec files otherwise
     names = sorted(p.name for p in env["db"].iterdir() if p.suffix in (".fpt", ".irc"))
-    name = data.draw(st.sampled_from(names))
-    probe = ["--finger", env["bob_probe_finger"], "--iris", env["bob_probe_eye"]]
+    name = data.draw(st.just(registry.MANIFEST_NAME) | st.sampled_from(names))
+    claim = data.draw(st.sampled_from(["alice", "bob"])) if name == registry.MANIFEST_NAME \
+        else name.split("_")[0]
     with tempfile.TemporaryDirectory(dir=env["root"]) as tmp, \
             pytest.MonkeyPatch.context() as mp:
         db = shutil.copytree(env["db"], Path(tmp) / "db")
         damaged(data, db, name)
-        probes = Path(tmp) / "probes.csv"
-        probes.write_text(f"bob,{env['bob_probe_finger']},{env['bob_probe_eye']}\n")
-        claim = ["--claim", name.split("_")[0]]
         mp.chdir(tmp)  # eval writes roc.csv to the working directory
-        for argv in (["verify", "--db", db, *claim, *probe],
-                     ["access", "--db", db, *claim, *probe, "--audit", Path(tmp) / "audit.log"],
-                     ["identify", "--db", db, *probe],
-                     ["eval", "--db", db, "--probes", probes]):
+        for argv in every_command(db, tmp, env, claim):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
-                assert cli.main([str(a) for a in argv]) in (0, 1, 2)
+                assert cli.main(argv) in (0, 1, 2)
+
+
+def test_nested_json_manifest_exits_2_on_every_command(tmp_path, env, monkeypatch, capsys):
+    db = shutil.copytree(env["db"], tmp_path / "db")
+    (db / registry.MANIFEST_NAME).write_text(NESTED_JSON)
+    monkeypatch.chdir(tmp_path)
+    for argv in every_command(db, tmp_path, env, "bob"):
+        assert cli.main(argv) == 2
+        assert "maximum recursion depth" in capsys.readouterr().err
+    assert (db / registry.MANIFEST_NAME).read_text() == NESTED_JSON
 
 
 # ---------------------------------------------------------------------------

@@ -172,10 +172,10 @@ def test_trailing_bytes_raise_truncated_data(name, data):
 @st.composite
 def configs(draw):
     weight = st.floats(min_value=-0.0, allow_nan=False, allow_infinity=False)
-    alpha, beta, a, b, c, d = (draw(weight) for _ in range(6))
+    alpha, beta, a, b = (draw(weight) for _ in range(4))
     assume(alpha + beta > 0.0 and a + b > 0.0)
     threshold = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-    return FusionConfig(alpha, beta, a, b, c, d, draw(threshold),
+    return FusionConfig(alpha, beta, a, b, draw(threshold),
                         {name: draw(threshold) for name in CLASSIFIERS}, draw(st.booleans()))
 
 

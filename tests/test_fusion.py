@@ -2,6 +2,7 @@
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,15 +13,11 @@ from biolock.fusion import (
     CLASSIFIER_HAAR,
     CLASSIFIER_MELLIN,
     CLASSIFIER_MINUTIAE,
-    CLASSIFIER_REF,
     CLASSIFIERS,
     GENUINE,
     IMPOSTOR,
-    TRAIT_CLASSIFIERS,
     FusedScore,
     FusionConfig,
-    TRAIT_FINGER,
-    TRAIT_IRIS,
     decide,
     fuse_arrays,
     fuse_classifiers,
@@ -41,8 +38,9 @@ from biolock.fusion import (
 def test_classifier_score_validates_fields():
     cfg = FusionConfig()
     for fuse in (fuse_pipeline, fuse_arrays):
-        # a score names one of the four classifiers ...
-        for name in ("face", "gabor", TRAIT_FINGER, TRAIT_IRIS):
+        # a score names one of the three classifiers; the retired ref slot is
+        # unknown too ...
+        for name in ("face", "gabor", "finger", "iris", "ref"):
             with pytest.raises(ValueError, match="unknown classifier"):
                 fuse({name: 0.5}, cfg)
         # ... and holds a finite value or NaN (no score)
@@ -58,10 +56,9 @@ def test_fusion_config_defaults():
     cfg = FusionConfig()
     assert cfg.alpha == 1.0 and cfg.beta == 1.0
     assert cfg.a == 1.0 and cfg.b == 1.0
-    assert cfg.c == 1.0 and cfg.d == 1.0
     assert cfg.common_threshold == 0.5
-    for name in (CLASSIFIER_MINUTIAE, CLASSIFIER_REF, CLASSIFIER_HAAR, CLASSIFIER_MELLIN):
-        assert cfg.threshold_for(name) == 0.5
+    assert CLASSIFIERS == (CLASSIFIER_MINUTIAE, CLASSIFIER_HAAR, CLASSIFIER_MELLIN)
+    assert dict(cfg.classifier_thresholds) == {name: 0.5 for name in CLASSIFIERS}
     assert cfg.paper_faithful_final is False
 
 
@@ -78,11 +75,13 @@ def test_fusion_config_validation():
         FusionConfig(common_threshold=1.0)
     with pytest.raises(ValueError):
         FusionConfig(classifier_thresholds={"minutiae": 1.0})
-    with pytest.raises(ValueError):
-        FusionConfig(classifier_thresholds={"voice": 0.5})
-    # c and d are accepted (and ignored) for config compatibility.
-    cfg = FusionConfig(c=7.0, d=0.0)
-    assert cfg.c == 7.0 and cfg.d == 0.0
+    for name in ("voice", "ref"):
+        with pytest.raises(ValueError, match="unknown classifier"):
+            FusionConfig(classifier_thresholds={name: 0.5})
+    # c and d took part in no computation and are gone.
+    for name in ("c", "d"):
+        with pytest.raises(TypeError):
+            FusionConfig(**{name: 1.0})
 
 
 def test_fusion_config_partial_thresholds_fill_defaults():
@@ -463,6 +462,9 @@ def oracle_decide(ms_final, threshold):
     return GENUINE if _finite("ms_final", ms_final) >= threshold else IMPOSTOR
 
 
+#: Classifiers feeding each trait; the iris pair is ordered (alpha-weighted, beta-weighted).
+TRAIT_CLASSIFIERS = {"finger": (CLASSIFIER_MINUTIAE,),
+                     "iris": (CLASSIFIER_HAAR, CLASSIFIER_MELLIN)}
 TRAIT_OF = {name: trait for trait, names in TRAIT_CLASSIFIERS.items() for name in names}
 
 
@@ -474,21 +476,21 @@ def oracle_pipeline(raw, cfg):
         if math.isnan(value):
             continue
         trait = TRAIT_OF[name]
-        similarity = oracle_similarity(oracle_normalize(value, 0.0, 1.0), trait == TRAIT_IRIS)
+        similarity = oracle_similarity(oracle_normalize(value, 0.0, 1.0), trait == "iris")
         per_trait.setdefault(trait, {})[name] = oracle_rescale(
             similarity, cfg.threshold_for(name), cfg.common_threshold)
     if not per_trait:
         raise NoScores("no classifier scores to fuse")
     trait_scores = {}
     for trait, by_classifier in per_trait.items():
-        first, second = TRAIT_CLASSIFIERS[trait]
         if len(by_classifier) == 2:
+            first, second = TRAIT_CLASSIFIERS[trait]
             trait_scores[trait] = oracle_fuse_classifiers(
                 by_classifier[first], by_classifier[second], cfg.alpha, cfg.beta)
         else:
             (trait_scores[trait],) = by_classifier.values()
-    ms_finger = trait_scores.get(TRAIT_FINGER)
-    ms_iris = trait_scores.get(TRAIT_IRIS)
+    ms_finger = trait_scores.get("finger")
+    ms_iris = trait_scores.get("iris")
     if ms_finger is not None and ms_iris is not None:
         ms_final = oracle_fuse_modalities(ms_finger, ms_iris, cfg)
     else:
@@ -522,7 +524,7 @@ def fusion_rows(draw):
     raw = {}
     for name in draw(st.sets(st.sampled_from(CLASSIFIERS), min_size=1)):
         t = cfg.threshold_for(name)
-        knot = 1.0 - t if TRAIT_OF[name] == TRAIT_IRIS else t
+        knot = 1.0 - t if TRAIT_OF[name] == "iris" else t
         values = (st.sampled_from([math.nan, 0.0, 1.0, knot, math.nextafter(knot, 0.0),
                                    math.nextafter(knot, 1.0)])
                   | st.floats(0.0, 1.0) | st.floats(-10.0, 10.0))
@@ -615,8 +617,6 @@ def test_config_roundtrip(tmp_path):
         beta=0.5,
         a=1.5,
         b=2.5,
-        c=3.0,
-        d=4.0,
         common_threshold=0.45,
         classifier_thresholds={"minutiae": 0.3, "haar": 0.55, "mellin": 0.6},
         paper_faithful_final=True,
@@ -624,47 +624,39 @@ def test_config_roundtrip(tmp_path):
     path = tmp_path / "fusion.conf"
     save_config(cfg, path)
     assert load_config(path) == cfg
-    text = path.read_text()
-    for key in (
+    keys = [line.split(" = ")[0] for line in path.read_text().splitlines()]
+    assert keys == [
         "alpha",
         "beta",
         "a",
         "b",
-        "c",
-        "d",
         "common_threshold",
         "threshold.minutiae",
         "threshold.haar",
         "threshold.mellin",
         "paper_faithful_final",
-    ):
-        assert any(line.startswith(key + " ") for line in text.splitlines())
+    ]
 
 
 def test_config_roundtrip_keeps_every_key(tmp_path):
-    # Every key away from its default, the ref threshold included.
+    # Every key away from its default.
     cfg = FusionConfig(
         alpha=0.25,
         beta=3.5,
         a=0.75,
         b=1.25,
-        c=0.1,
-        d=7.0,
         common_threshold=0.35,
-        classifier_thresholds={"minutiae": 0.2, "ref": 0.3, "haar": 0.65, "mellin": 0.7},
+        classifier_thresholds={"minutiae": 0.2, "haar": 0.65, "mellin": 0.7},
         paper_faithful_final=True,
     )
     default = FusionConfig()
-    for name in ("alpha", "beta", "a", "b", "c", "d", "common_threshold",
-                 "paper_faithful_final"):
+    for name in ("alpha", "beta", "a", "b", "common_threshold", "paper_faithful_final"):
         assert getattr(cfg, name) != getattr(default, name)
     for name in CLASSIFIERS:
         assert cfg.threshold_for(name) != default.threshold_for(name)
     path = tmp_path / "fusion.conf"
     save_config(cfg, path)
-    loaded = load_config(path)
-    assert loaded == cfg
-    assert loaded.threshold_for(CLASSIFIER_REF) == 0.3
+    assert load_config(path) == cfg
 
 
 def test_config_partial_file_uses_defaults(tmp_path):
@@ -683,9 +675,55 @@ def test_config_comments_and_blank_lines(tmp_path):
 
 
 def test_config_accepts_ref_threshold(tmp_path):
+    # threshold.ref, c and d are retired: loading skips them, whatever their
+    # value, and the ref slot stays unknown.
     path = tmp_path / "fusion.conf"
-    path.write_text("threshold.ref = 0.4\n")
-    assert load_config(path).threshold_for(CLASSIFIER_REF) == 0.4
+    for text in ("threshold.ref = 0.4\n", "c = 7.0\nd = 0.0\n",
+                 "c = fast\nd = -1\nthreshold.ref = 1.5\n"):
+        path.write_text(text)
+        assert load_config(path) == FusionConfig()
+    with pytest.raises(ValueError, match="unknown classifier"):
+        FusionConfig().threshold_for("ref")
+
+
+# The file the previous save_config wrote for these settings: it held the
+# retired keys c, d and threshold.ref, each away from its default.
+PREVIOUS_FORMAT = """\
+alpha = 0.25
+beta = 3.5
+a = 0.75
+b = 1.25
+c = 0.1
+d = 7.0
+common_threshold = 0.35
+threshold.minutiae = 0.2
+threshold.ref = 0.3
+threshold.haar = 0.65
+threshold.mellin = 0.7
+paper_faithful_final = false
+"""
+
+
+def test_config_in_the_previous_format_fuses_as_before(tmp_path):
+    path = tmp_path / "fusion.conf"
+    path.write_text(PREVIOUS_FORMAT)
+    cfg = load_config(path)
+    assert cfg == FusionConfig(
+        alpha=0.25, beta=3.5, a=0.75, b=1.25, common_threshold=0.35,
+        classifier_thresholds={"minutiae": 0.2, "haar": 0.65, "mellin": 0.7})
+    raw = {CLASSIFIER_MINUTIAE: [0.0, 0.1, 0.2, 0.55, 1.0, math.nan, 0.9, 1.5],
+           CLASSIFIER_HAAR: [0.3, math.nan, 0.35, 0.12, 0.0, 0.4, 0.5, -0.5],
+           CLASSIFIER_MELLIN: [0.28, 0.6, math.nan, 0.5, 0.31, 0.3, math.nan, 0.2]}
+    # fuse_arrays(raw, cfg) of the version that wrote the file, repr-exact
+    before = (
+        [0.0, 0.175, 0.35, 0.6343749999999999, 1.0, math.nan, 0.91875, 1.0],
+        [0.3966349206349206, 0.2, 0.35, 0.28514285714285714, 0.38866666666666666,
+         0.34820512820512817, 0.26923076923076916, 0.5955555555555557],
+        [0.2478968253968254, 0.190625, 0.35, 0.4161049107142857, 0.6179166666666667,
+         0.34820512820512817, 0.5128004807692307, 0.7472222222222223],
+    )
+    for got, want in zip(fuse_arrays(raw, cfg), before):
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_config_parse_errors(tmp_path):
@@ -695,6 +733,7 @@ def test_config_parse_errors(tmp_path):
         "alpha = fast\n",               # not a number
         "paper_faithful_final = yes\n", # not true/false
         "threshold.voice = 0.5\n",      # unknown classifier
+        "c = 1.0\nc = 1.0\n",           # a retired key repeated is still a duplicate
         "gamma = 1.0\n",                # unknown key
         "= 0.5\n",                      # empty key
     )
@@ -703,6 +742,15 @@ def test_config_parse_errors(tmp_path):
         path.write_text(content)
         with pytest.raises(ValueError):
             load_config(path)
+
+
+def test_readme_config_example_loads_to_the_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [block.split("\n```")[0] for block in readme.split("```text\n")[1:]]
+    (example,) = [block for block in blocks if block.startswith("# fusion.conf")]
+    path = tmp_path / "fusion.conf"
+    path.write_text(example, encoding="utf-8")
+    assert load_config(path) == FusionConfig()
 
 
 def test_config_invalid_values_rejected_on_load(tmp_path):

@@ -628,6 +628,10 @@ def test_read_audit_log_errors(tmp_path):
     missing_key.write_text('{"ts": "2026-01-01T00:00:00+00:00", "kind": "alarm"}\n')
     with pytest.raises(ValueError):
         read_audit_log(missing_key)
+    nested = tmp_path / "nested.log"
+    nested.write_text("[" * 200_000 + "\n")
+    with pytest.raises(ValueError, match="line 1: bad audit record"):
+        read_audit_log(nested)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -749,6 +753,7 @@ CORRUPT_MANIFESTS = (
                                             "fingers": ["f"], "iris": []}]}),
     json.dumps({"version": 1, "subjects": [{"id": "x", "enrolled_at": "t",
                                             "fingers": [], "iris": [{"haar": "h"}]}]}),
+    "[" * 200_000,  # nested past the parser's recursion limit
 )
 
 
