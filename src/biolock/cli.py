@@ -21,10 +21,10 @@ import numpy as np
 
 from .errors import BiolockError, failed_stage
 from .fingerprint import _KIND_CODE, KIND_ENDING, build_template
-from .fusion import FusionConfig, GENUINE, fuse_arrays, load_config
+from .fusion import FusionConfig, GENUINE, load_config
 from .imaging import GrayImage, decode_pgm, encode_pgm, encode_pgm_raster
 from .iris import build_codes
-from .registry import _load_record, _score_records, access, enroll, identify, load_db, verify
+from .registry import _load_record, access, enroll, identify, load_db, verify
 
 ROC_THRESHOLDS = tuple(i / 100.0 for i in range(101))
 _PROBE_HEADER = ("true_subject_id", "finger_path", "iris_path")
@@ -192,15 +192,11 @@ def cmd_eval(args) -> int:
     if not db.records:
         raise BiolockError("no subjects enrolled")
     cfg = _load_cfg(args)
-    records = list(db.records.values())
-    subject_ids = np.array(list(db.records), dtype=object)  # so == is str equality
     genuine, impostor = [], []
     for true_id, finger_path, iris_path in read_probe_rows(Path(args.probes)):
-        probes = _load_probes(finger_path, iris_path)
-        _, _, ms_final = fuse_arrays(_score_records(records, *probes, cfg), cfg)
-        scored, own = ~np.isnan(ms_final), subject_ids == true_id
-        genuine += ms_final[scored & own].tolist()
-        impostor += ms_final[scored & ~own].tolist()
+        probe_finger, probe_iris = _load_probes(finger_path, iris_path)
+        for match in identify(db, probe_finger, probe_iris, cfg, top_k=len(db.records)):
+            (genuine if match.subject_id == true_id else impostor).append(match.ms_final)
     report = sweep_rates(genuine, impostor)
     with open("roc.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -174,22 +174,19 @@ def _unpack(words: np.ndarray) -> np.ndarray:
     return _freeze(np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little").view(bool))
 
 
-def _row_layout(scheme: str) -> tuple[tuple[int, int], ...]:
-    """Row structure of a code as (row_count, row_width) segments.
-
-    Shift alignment rotates bits within each such row independently.
-    """
-    if scheme == SCHEME_HAAR:
-        # Three level-4 detail subbands of shape (4, 32), then three level-5
-        # detail subbands and the level-5 approximation, each (2, 16).
-        return ((4, 32),) * 3 + ((2, 16),) * 4
+# Row structure of each scheme's code as (row_count, row_width) segments.
+# Shift alignment rotates bits within each such row independently.
+_ROW_LAYOUT = {
+    # Three level-4 detail subbands of shape (4, 32), then three level-5
+    # detail subbands and the level-5 approximation, each (2, 16).
+    SCHEME_HAAR: ((4, 32),) * 3 + ((2, 16),) * 4,
     # One row per (operator setting, radial anchor) pair.
-    return ((len(MELLIN_SETTINGS) * MELLIN_RADIAL_ANCHORS,
-             MELLIN_ANGULAR_ANCHORS),)
+    SCHEME_MELLIN: ((len(MELLIN_SETTINGS) * MELLIN_RADIAL_ANCHORS, MELLIN_ANGULAR_ANCHORS),),
+}
 
 
 # A scheme fixes its code length.
-_CODE_BITS = {s: sum(r * w for r, w in _row_layout(s)) for s in _SCHEME_CODE}
+_CODE_BITS = {s: sum(r * w for r, w in layout) for s, layout in _ROW_LAYOUT.items()}
 CODE_MAX_BYTES = 9 + 2 * (max(_CODE_BITS.values()) // 8)  # header, bit and mask words
 
 
@@ -388,23 +385,28 @@ def haar_code(strip: NormalizedStrip) -> IrisCode:
 # ---------------------------------------------------------------------------
 # Mellin scheme
 
-@functools.cache
-def _mellin_kernels(window_tops: tuple[int, ...]) -> dict[tuple[int, int], np.ndarray]:
-    """Complex operator per (radial anchor, setting), keyed by (top, index);
-    built once per set of window tops, read-only."""
+# Top row of each radial anchor's window: anchors at even fractions of the
+# strip height, windows clamped inside the strip.
+_MELLIN_TOPS = tuple(np.clip(
+    np.round((np.arange(MELLIN_RADIAL_ANCHORS) + 0.5) * DEFAULT_RADIAL / MELLIN_RADIAL_ANCHORS
+             - MELLIN_WINDOW_ROWS / 2).astype(int),
+    0, DEFAULT_RADIAL - MELLIN_WINDOW_ROWS).tolist())
+
+
+def _mellin_bank() -> np.ndarray:
+    """Read-only complex operators, (radial anchor, setting, window row, column)."""
+    # Log-radial coordinate of each window row, normalized to [0, 1] across
+    # the window (row indices are 1-based to keep logs finite).
+    row_pos = np.array(_MELLIN_TOPS, dtype=np.float64)[:, None] + np.arange(MELLIN_WINDOW_ROWS) + 1.0
+    s = np.log(row_pos / row_pos[:, :1]) / [[math.log(r[-1] / r[0])] for r in row_pos]
+    p, q = np.array(MELLIN_SETTINGS, dtype=np.float64).T[:, :, None, None]
+    phase = (p * 2.0 * math.pi * np.arange(MELLIN_WINDOW_COLS) / MELLIN_WINDOW_COLS
+             + q * 2.0 * math.pi * s[:, None, :, None])
     taper = np.outer(np.hanning(MELLIN_WINDOW_ROWS), np.hanning(MELLIN_WINDOW_COLS))
-    cols = np.arange(MELLIN_WINDOW_COLS, dtype=np.float64)
-    kernels = {}
-    for top in window_tops:
-        # Log-radial coordinate of each window row, normalized to [0, 1]
-        # across the window (row indices are 1-based to keep logs finite).
-        row_pos = top + np.arange(MELLIN_WINDOW_ROWS, dtype=np.float64) + 1.0
-        s = np.log(row_pos / row_pos[0]) / math.log(row_pos[-1] / row_pos[0])
-        for idx, (p, q) in enumerate(MELLIN_SETTINGS):
-            phase = (p * 2.0 * math.pi * cols[None, :] / MELLIN_WINDOW_COLS
-                     + q * 2.0 * math.pi * s[:, None])
-            kernels[(int(top), idx)] = _freeze(taper * np.exp(1j * phase))
-    return kernels
+    return _freeze(taper * np.exp(1j * phase))
+
+
+_MELLIN_KERNELS = _mellin_bank()
 
 
 def mellin_code(strip: NormalizedStrip) -> IrisCode:
@@ -414,37 +416,21 @@ def mellin_code(strip: NormalizedStrip) -> IrisCode:
     with the strip over a grid of 8 radial x 64 angular anchor positions,
     each seeing a 16 x 64 raised-cosine window that wraps circularly in angle
     and clamps in radius.  A bit is 1 when the response phase lies in (0, pi];
-    its mask is 0 when more than half the window's cells are invalid.
+    its mask is 0 when more than half the window's cells are invalid.  Bits
+    are ordered by setting, then radial anchor, then angular anchor.
     """
-    r_count, a_count = MELLIN_RADIAL_ANCHORS, MELLIN_ANGULAR_ANCHORS
-    centers = (np.arange(r_count) + 0.5) * DEFAULT_RADIAL / r_count
-    tops = np.clip(np.round(centers - MELLIN_WINDOW_ROWS / 2).astype(int),
-                   0, DEFAULT_RADIAL - MELLIN_WINDOW_ROWS)
-    stride = DEFAULT_ANGULAR // a_count
-    kernels = _mellin_kernels(tuple(np.unique(tops).tolist()))
-
-    # Wrap the strip so every angular window is a contiguous slice.
-    vals = np.concatenate([strip.values, strip.values[:, :MELLIN_WINDOW_COLS]],
-                          axis=1)
-    invalid = ~strip.valid
-    inv = np.concatenate([invalid, invalid[:, :MELLIN_WINDOW_COLS]], axis=1)
-
-    bits = np.zeros(len(MELLIN_SETTINGS) * r_count * a_count, dtype=bool)
-    mask = np.zeros_like(bits)
-    starts = np.arange(a_count) * stride
-    for r_idx, top in enumerate(tops):
-        windows = np.stack([vals[top:top + MELLIN_WINDOW_ROWS, s:s + MELLIN_WINDOW_COLS]
-                            for s in starts])
-        bad_frac = np.stack([inv[top:top + MELLIN_WINDOW_ROWS, s:s + MELLIN_WINDOW_COLS]
-                             for s in starts]).mean(axis=(1, 2))
-        ok = bad_frac <= MELLIN_MAX_INVALID
-        for s_idx in range(len(MELLIN_SETTINGS)):
-            resp = np.einsum("wij,ij->w", windows, kernels[(int(top), s_idx)])
-            phase = np.arctan2(resp.imag, resp.real)
-            base = (s_idx * r_count + r_idx) * a_count
-            bits[base:base + a_count] = phase > 0.0
-            mask[base:base + a_count] = ok
-    return IrisCode(bits, mask, SCHEME_MELLIN)
+    # Values and invalidity wrapped in angle; windows are views into them,
+    # taken one radial anchor at a time.
+    planes = np.stack([strip.values, ~strip.valid])
+    planes = np.concatenate([planes, planes[:, :, :MELLIN_WINDOW_COLS]], axis=2)
+    values, invalid = np.lib.stride_tricks.sliding_window_view(
+        planes, (MELLIN_WINDOW_ROWS, MELLIN_WINDOW_COLS), axis=(1, 2)
+    )[:, :, :DEFAULT_ANGULAR:DEFAULT_ANGULAR // MELLIN_ANGULAR_ANCHORS]
+    resp = np.stack([np.einsum("wij,sij->sw", values[top], kernels)
+                     for top, kernels in zip(_MELLIN_TOPS, _MELLIN_KERNELS)], axis=1)
+    ok = np.stack([invalid[top].mean(axis=(1, 2)) for top in _MELLIN_TOPS]) <= MELLIN_MAX_INVALID
+    bits = np.arctan2(resp.imag, resp.real) > 0.0
+    return IrisCode(bits.ravel(), np.broadcast_to(ok, bits.shape).ravel(), SCHEME_MELLIN)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +441,7 @@ def _shift_table(scheme: str, max_shift: int) -> np.ndarray:
     """Per shift s in [-max_shift, max_shift], the bit order of a code rotated
     by s within each layout row; built once per (scheme, max_shift), read-only."""
     pieces, pos = [], 0
-    for rows, width in _row_layout(scheme):
+    for rows, width in _ROW_LAYOUT[scheme]:
         seg = np.arange(pos, pos + rows * width).reshape(rows, width)
         pieces.append([np.roll(seg, s, axis=1).ravel() for s in range(-max_shift, max_shift + 1)])
         pos += rows * width

@@ -300,8 +300,9 @@ def _parse_manifest(manifest_path: Path) -> dict:
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise CorruptManifest(f"{manifest_path}: {exc}") from exc
     _manifest_check(isinstance(data, dict), manifest_path, "top level must be an object")
-    _manifest_check(data.get("version") == MANIFEST_VERSION, manifest_path,
-                    f"unsupported version {data.get('version')!r}")
+    version = data.get("version")  # True == 1.0 == 1: only the int counts
+    _manifest_check(type(version) is int and version == MANIFEST_VERSION, manifest_path,
+                    f"unsupported version {version!r}")
     subjects = data.get("subjects")
     _manifest_check(isinstance(subjects, list), manifest_path, "subjects must be a list")
     entries = {}
@@ -456,7 +457,7 @@ def enroll(
             _, _, haar, mellin = build_codes(img)
         except BiolockError as exc:
             raise PipelineFailure("iris", i, failed_stage(exc), exc) from exc
-        pairs.append(IrisPair(decode_code(encode_code(haar)), decode_code(encode_code(mellin))))
+        pairs.append(IrisPair(haar, mellin))
     record = PersonRecord(subject_id, tuple(templates), tuple(pairs), _utc_now())
     _persist_record(db, record)
     db.records[subject_id] = record

@@ -1,6 +1,7 @@
 """Tests for the iris pipeline: pupil/iris localization, polar normalization,
 eyelid screening, the two iris-code schemes, and masked Hamming matching."""
 import dataclasses
+import hashlib
 import math
 import struct
 
@@ -405,18 +406,69 @@ def test_mellin_mask_majority_invalid_rule():
     assert mellin_code(NormalizedStrip(v, valid)).mask.all()
 
 
-def test_mellin_kernels_are_built_once_and_read_only(monkeypatch):
-    strip = full_strip(np.random.default_rng(43).uniform(0, 1, (64, 512)))
-    iris._mellin_kernels.cache_clear()
-    first = encode_code(mellin_code(strip))
-    assert encode_code(mellin_code(strip)) == first
-    info = iris._mellin_kernels.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    tables = []
-    real = iris._mellin_kernels
-    monkeypatch.setattr(iris, "_mellin_kernels", lambda tops: tables.append(real(tops)) or tables[-1])
-    assert encode_code(mellin_code(strip)) == first
-    assert len(tables) == 1 and not any(k.flags.writeable for k in tables[0].values())
+def mellin_oracle(strip):
+    """The per-anchor loop the array coder replaced: operators keyed by
+    (window top, setting), windows stacked from slices, bits scattered by
+    setting, radial anchor and angular anchor."""
+    r_count, a_count = iris.MELLIN_RADIAL_ANCHORS, iris.MELLIN_ANGULAR_ANCHORS
+    rows, cols_n = iris.MELLIN_WINDOW_ROWS, iris.MELLIN_WINDOW_COLS
+    centers = (np.arange(r_count) + 0.5) * DEFAULT_RADIAL / r_count
+    tops = np.clip(np.round(centers - rows / 2).astype(int), 0, DEFAULT_RADIAL - rows)
+    taper = np.outer(np.hanning(rows), np.hanning(cols_n))
+    cols = np.arange(cols_n, dtype=np.float64)
+    kernels = {}
+    for top in np.unique(tops).tolist():
+        row_pos = top + np.arange(rows, dtype=np.float64) + 1.0
+        s = np.log(row_pos / row_pos[0]) / math.log(row_pos[-1] / row_pos[0])
+        for idx, (p, q) in enumerate(iris.MELLIN_SETTINGS):
+            phase = p * 2.0 * math.pi * cols[None, :] / cols_n + q * 2.0 * math.pi * s[:, None]
+            kernels[(top, idx)] = taper * np.exp(1j * phase)
+    vals = np.concatenate([strip.values, strip.values[:, :cols_n]], axis=1)
+    invalid = ~strip.valid
+    inv = np.concatenate([invalid, invalid[:, :cols_n]], axis=1)
+    bits = np.zeros(len(iris.MELLIN_SETTINGS) * r_count * a_count, dtype=bool)
+    mask = np.zeros_like(bits)
+    starts = np.arange(a_count) * (DEFAULT_ANGULAR // a_count)
+    for r_idx, top in enumerate(tops.tolist()):
+        windows = np.stack([vals[top:top + rows, s:s + cols_n] for s in starts])
+        bad_frac = np.stack([inv[top:top + rows, s:s + cols_n] for s in starts]).mean(axis=(1, 2))
+        for s_idx in range(len(iris.MELLIN_SETTINGS)):
+            resp = np.einsum("wij,ij->w", windows, kernels[(top, s_idx)])
+            base = (s_idx * r_count + r_idx) * a_count
+            bits[base:base + a_count] = np.arctan2(resp.imag, resp.real) > 0.0
+            mask[base:base + a_count] = bad_frac <= iris.MELLIN_MAX_INVALID
+    return IrisCode(bits, mask, SCHEME_MELLIN)
+
+
+UPPER_LID = (math.radians(75), math.radians(105))
+LOWER_LID = (math.radians(255), math.radians(285))
+
+
+def test_mellin_code_matches_the_per_anchor_oracle():
+    strips = [build_codes(synthgen.render_eye(seed, occlusion=occlusion))[1]
+              for seed, occlusion in ((511, None), (519, None), (3, UPPER_LID), (8, LOWER_LID))]
+    rng = np.random.default_rng(43)
+    for _ in range(6):
+        strips.append(NormalizedStrip(rng.uniform(0, 1, (64, 512)),
+                                      rng.random((64, 512)) < rng.uniform(0.3, 1.0)))
+    # Windows of the first radial anchor at columns 0 and 256: one exactly
+    # 50% invalid (valid), one a column past it (masked).
+    valid = np.ones((64, 512), bool)
+    valid[0:16, 0:32] = False
+    valid[0:16, 256:290] = False
+    strips.append(NormalizedStrip(rng.uniform(0, 1, (64, 512)), valid))
+    for strip in strips:
+        assert encode_code(mellin_code(strip)) == encode_code(mellin_oracle(strip))
+    masks = mellin_code(strips[-1]).mask.reshape(3, 8, 64)
+    assert masks[:, 0, 0].all() and not masks[:, 0, 32].any()
+
+
+def test_mellin_bank_is_fixed_and_read_only():
+    bank = iris._MELLIN_KERNELS
+    assert bank.shape == (8, 3, 16, 64) and bank.dtype == np.complex128
+    assert not bank.flags.writeable
+    with pytest.raises(ValueError):
+        bank[0, 0, 0, 0] = 0
 
 
 def test_mellin_rejects_narrow_strip():
@@ -780,6 +832,35 @@ def test_build_codes_pipeline():
     assert strip.values.shape == (64, 512)
     assert len(haar) == 512 and len(mellin) == 1536
     assert haar.scheme == SCHEME_HAAR and mellin.scheme == SCHEME_MELLIN
+
+
+# sha256 of the IRC1 bytes of (haar, mellin) codes of render_eye(seed).  A
+# change of host, CPU dispatch or numpy/scipy release that moves a code bit
+# fails here; a deliberate change of either coder updates them and says so.
+PINNED_CODE_DIGESTS = {
+    1: ("97fb28ae4a3df9911910cc3f1f256460bcd7d395f2a8c93d08ba71236ca20b42",
+        "ac821dd963b60c8f2808c6e98e78ce107e0fccc8c4fc86ed575d1391e14cf011"),
+    2: ("358f771d3c710f2a343655fa5c0c51230403d2152c1063df70bbde5b0ed5ff7c",
+        "e36cbf3e9fb7cd9c7e4d4a821f3538658264a98ffda4103f8c23743545aba613"),
+    3: ("14ba5c3baa0902cca78c2cbe734699cd87a70dbee8af004f06eb25cc19749c33",
+        "7e04f662876f3bfbf447a63621d7e16abd23c5d3ceae29d2e6c443ef78845926"),
+    4: ("9fb609a941b0ef84cfdd911b7aff83e8a6c49aeccf34557e10401b0aa6d61b31",
+        "da1a4abda7e5a382c818d467aca1459e7ac4b7517421531056b623e5e39e4124"),
+    5: ("38604d195d26615652a627f0f7632927316ce32dc9f85cda56e37a882bac5ab9",
+        "0a460dfb21937b357adde5b8e6cee1a75fb901b5ea5676ffbc7382bb8a75ea3d"),
+    6: ("fbf1408230f1b72878f6d27f08b35664516e8e1b2a12f569309dc1a6edb03af7",
+        "649c4cd8dcd7e8568bf6506fed8540f990aa5e0dabb5933b7b445c1f06ed8688"),
+    7: ("a7021344ced6560d6595777c83caafe6973af9109e4c6cefbfb96e87ab2b61ba",
+        "4a9f6a1a245ffca20c67387c20f6825bbe7e8cc6af41cbcfe8065ed4753da450"),
+    8: ("3108d8955436f5a2ca2df413a5163f80b5347fae78f0eeda765c0792192c33d3",
+        "d9ccbf37f1ea09425683a01b9bfba3f27759cef380c0117781ceb4af51be9546"),
+}
+
+
+def test_code_bytes_match_pinned_digests():
+    for seed, digests in PINNED_CODE_DIGESTS.items():
+        _, _, haar, mellin = build_codes(synthgen.render_eye(seed))
+        assert tuple(hashlib.sha256(encode_code(c)).hexdigest() for c in (haar, mellin)) == digests, seed
 
 
 def test_genuine_and_impostor_separation():

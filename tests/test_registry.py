@@ -767,6 +767,16 @@ def test_load_db_corrupt_manifests(tmp_path):
             load_db(root)
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_manifest_version_must_be_the_int_1(tmp_path, version):
+    root = tmp_path / "db"
+    root.mkdir()
+    (root / "manifest.json").write_text(json.dumps({"version": version, "subjects": []}))
+    for load in (load_db, lambda root: _load_record(root, "x")):
+        with pytest.raises(CorruptManifest, match="unsupported version"):
+            load(root)
+
+
 def _duplicate_first_subject(enrolled, root):
     _copy_db(enrolled, root)
     manifest = json.loads((root / "manifest.json").read_text())
