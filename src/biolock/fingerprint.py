@@ -160,22 +160,30 @@ def coherence_image(img: GrayImage) -> FloatField:
     gx, gy = gradients(img)
     gxx = gx * gx
     gyy = gy * gy
-    gxy = gx * gy
+    work = gx * gy
 
-    def wsum(a):
+    def wsum(a, out):
         # uniform_filter computes window means; coherence is a ratio of sums
-        # over one window, so the common 1/W^2 factor cancels.
-        return ndimage.uniform_filter(a, size=w, mode="nearest")
+        # over one window, so the common 1/W^2 factor cancels.  The output is
+        # never the input, as scipy documents no in-place filtering.
+        return ndimage.uniform_filter(a, size=w, output=out, mode="nearest")
 
-    sx = wsum(gxx - gyy)
-    sxy = wsum(2.0 * gxy)
-    denom = wsum(gxx + gyy)
-    num = np.sqrt(sx * sx + sxy * sxy)
+    # the buffers are reused, each value is rounded as in 2.0 * (gx * gy),
+    # gxx - gyy and gxx + gyy
+    sxy = wsum(np.multiply(2.0, work, out=work), np.empty_like(work))
+    np.subtract(gxx, gyy, out=work)
+    energy = np.add(gxx, gyy, out=gxx)
+    sx = wsum(work, gyy)
+    denom = wsum(energy, work)
+    np.multiply(sx, sx, out=sx)
+    sx += np.multiply(sxy, sxy, out=sxy)
+    num = np.sqrt(sx, out=sx)
     # the moving-average window sums cancel only to round-off over flat
     # regions, so treat near-zero gradient energy as zero energy
     live = denom > 1e-12
-    coh = np.where(live, num / np.where(live, denom, 1.0), 0.0)
-    return FloatField(np.clip(coh, 0.0, 1.0), kind="coherence")
+    coh = np.divide(num, denom, out=num, where=live)
+    coh[~live] = 0.0
+    return FloatField(np.clip(coh, 0.0, 1.0, out=coh), kind="coherence")
 
 
 def _border_distance(mask: BinaryImage) -> np.ndarray:

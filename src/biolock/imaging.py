@@ -167,34 +167,29 @@ def encode_pgm_raster(raster: np.ndarray) -> bytes:
 # ---------------------------------------------------------------------------
 # Filtering
 
-def _sobel_x(arr: np.ndarray) -> np.ndarray:
-    """Replicated-edge correlation with the x Sobel kernel [[-1, 0, 1],
-    [-2, 0, 2], [-1, 0, 1]]: its six non-zero taps are added to +0.0 in
-    row-major order.  A sum that starts at +0.0 never becomes -0.0, so over
-    finite pixels this is bit-identical to a naive nine-tap loop."""
-    # a C-ordered pad keeps the tap slices of a transposed input contiguous
-    padded = np.pad(np.ascontiguousarray(arr), 1, mode="edge")
-    h, w = arr.shape
-    out = np.zeros((h, w), dtype=np.float64)
-    for i, weight in enumerate((1.0, 2.0, 1.0)):
-        out -= weight * padded[i:i + h, :w]
-        out += weight * padded[i:i + h, 2:]
-    return out
-
-
 def gradients(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     """3x3 Sobel gradients; x increases rightward, y downward.
 
-    Raw signed responses, replicated edges.  Computed once per image, which
-    keeps the read-only pair for as long as it lives.
+    Raw signed responses, replicated edges.  Both come from one C-ordered
+    padded copy: gx correlates it with [[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]]
+    and gy with that kernel's transpose, each adding its six non-zero taps to
+    +0.0 in the x kernel's row-major order, -c before +c.  So constant regions
+    cancel exactly (a y kernel taken row by row sums -c-2c-c and leaves 1-ulp
+    residue), a sum that starts at +0.0 never becomes -0.0, and over finite
+    pixels each is bit-identical to a naive nine-tap loop.  Computed once per
+    image, which keeps the read-only pair for as long as it lives.
     """
     if "_gradients" not in img.__dict__:
-        gx = _sobel_x(img.pixels)
-        # The x pass over the transpose accumulates each kernel row in the
-        # order -c, +c, so constant regions cancel exactly; a y kernel applied
-        # directly sums -c-2c-c per column and leaves 1-ulp residue on
-        # constant input.
-        gy = _sobel_x(img.pixels.T).T
+        h, w = img.pixels.shape
+        padded = np.pad(img.pixels, 1, mode="edge")
+        gx, gy = np.zeros((h, w)), np.zeros((h, w))
+        tap = np.empty((h, w))
+        for i, weight in enumerate((1.0, 2.0, 1.0)):
+            for out, lo, hi in ((gx, padded[i:i + h, :w], padded[i:i + h, 2:]),
+                                (gy, padded[:h, i:i + w], padded[2:, i:i + w])):
+                # a product with 1.0 is exact, so those taps are read as they are
+                out -= lo if weight == 1.0 else np.multiply(weight, lo, out=tap)
+                out += hi if weight == 1.0 else np.multiply(weight, hi, out=tap)
         gx.flags.writeable = gy.flags.writeable = False
         object.__setattr__(img, "_gradients", (gx, gy))
     return img._gradients
@@ -216,6 +211,23 @@ def _bilinear(pixels: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return top * (1 - fy) + bot * fy
 
 
+def _square_sweep(bits: np.ndarray, radius: int, fill: bool) -> np.ndarray:
+    """Max (fill False) or min (fill True) of a boolean raster over the
+    (2r+1)-square centred on each pixel, pixels beyond the border reading as
+    ``fill``: one 1-D OR/AND sweep along the rows of a padded copy, then one
+    down its columns."""
+    combine = np.logical_and if fill else np.logical_or
+    h, w = bits.shape
+    padded = np.pad(bits, radius, mode="constant", constant_values=fill)
+    rows = padded[:, :w].copy()
+    for k in range(1, 2 * radius + 1):
+        combine(rows, padded[:, k:k + w], out=rows)
+    out = rows[:h].copy()
+    for k in range(1, 2 * radius + 1):
+        combine(out, rows[k:k + h], out=out)
+    return out
+
+
 def morph_close_open(mask: BinaryImage, radius: int) -> BinaryImage:
     """Morphological closing then opening with a square (2r+1) element.
 
@@ -224,16 +236,14 @@ def morph_close_open(mask: BinaryImage, radius: int) -> BinaryImage:
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    size = 2 * radius + 1
-    bits = mask.bits
 
     def dilate(b):
-        return ndimage.maximum_filter(b, size=size, mode="constant", cval=False)
+        return _square_sweep(b, radius, fill=False)
 
     def erode(b):
-        return ndimage.minimum_filter(b, size=size, mode="constant", cval=True)
+        return _square_sweep(b, radius, fill=True)
 
-    closed = erode(dilate(bits))
+    closed = erode(dilate(mask.bits))
     opened = dilate(erode(closed))
     return BinaryImage(opened)
 

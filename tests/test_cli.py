@@ -293,7 +293,7 @@ def test_unreadable_gallery_files_fail_bounded_and_exit_2(tmp_path, env, capsys,
 
 
 DAMAGE = ("header_byte", "body_byte", "truncation", "trailing_bytes", "other_scheme",
-          "directory")
+          "directory", "deleted", "other_subject")
 MANIFEST_DAMAGE = ("byte", "truncation", "nested", "wrong_type", "missing_file")
 NESTED_JSON = "[" * 200_000  # past the JSON parser's recursion limit
 WRONG_TYPES = (None, 7, 1.5, True, "x", [], {})
@@ -335,7 +335,8 @@ def damaged(data, db, name):
     """Damage ``db / name`` in place as drawn: for a template or code, one byte
     of the header or the body set, the file cut short or extended, another
     format's bytes in its place (the other scheme's code for a code, a code
-    for a template), or a directory where the file was; for the manifest, as
+    for a template), the same file of the other subject in its place, the file
+    deleted, or a directory where the file was; for the manifest, as
     :func:`damaged_manifest` does."""
     if name == registry.MANIFEST_NAME:
         damaged_manifest(data, db)
@@ -344,9 +345,10 @@ def damaged(data, db, name):
     blob = path.read_bytes()
     kind = data.draw(st.sampled_from(DAMAGE))
     head = 9 if name.endswith(".irc") else 10
-    if kind == "directory":
+    if kind in ("directory", "deleted"):
         path.unlink()
-        path.mkdir()
+        if kind == "directory":
+            path.mkdir()
         return
     if kind in ("header_byte", "body_byte"):
         at = data.draw(st.integers(0, head - 1) if kind == "header_byte"
@@ -356,6 +358,9 @@ def damaged(data, db, name):
         blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
     elif kind == "trailing_bytes":
         blob += data.draw(st.binary(min_size=1, max_size=16))
+    elif kind == "other_subject":
+        subject, rest = name.split("_", 1)
+        blob = (db / f"{'bob' if subject == 'alice' else 'alice'}_{rest}").read_bytes()
     else:
         subject = name.split("_")[0]
         other = "mellin" if name.endswith("_haar.irc") else "haar"

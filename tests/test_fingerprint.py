@@ -2,6 +2,7 @@
 enhancement, minutiae extraction/filtering, registration, and matching."""
 import collections
 import functools
+import hashlib
 import math
 import struct
 import tracemalloc
@@ -1136,19 +1137,52 @@ def test_coherence_and_orientation_alone_equal_their_own_sobel_pass():
 
 
 def test_build_template_runs_one_sobel_pass_per_print(monkeypatch):
+    from test_imaging import count_sobel_passes  # not at the top, as in full_tap_gradients
+
     img = degraded_print([KIND_ENDING, KIND_BIFURCATION] * 4, seed=5)
-    calls = []
-    real = imaging._sobel_x
-    monkeypatch.setattr(imaging, "_sobel_x", lambda a: calls.append(a.shape) or real(a))
+    calls = count_sobel_passes(monkeypatch)
     template, art = build_template(img, keep_artifacts=True)
-    assert calls == [(512, 512), (512, 512)]
+    assert calls == [(512, 512)]
     # the pair dies with the call; the two stages called alone share their own
     assert np.array_equal(art.mask.bits, segment(img)[0].bits)
     assert np.array_equal(art.orientation.values, estimate_orientation(img).values)
-    assert len(calls) == 4
+    assert len(calls) == 2
     # and a later build reads the pair the image now holds
     assert encode_template(build_template(img)) == encode_template(template)
-    assert len(calls) == 4
+    assert len(calls) == 2
+
+
+# sha256 of encode_template(build_template(img)) and of segment(img)[0].bits,
+# per print; a change to either is a behaviour change and says so.
+PINNED_PRINT_DIGESTS = {
+    ("planted", 1): ("a5e61494ba25f57b7658711059afa9967cecda44800ff20a03bfe0104d342ba9",
+                     "50dbdf839a5e10814c065ad9bd7f9406ceafd13659775d3fa106ec589d5bf350"),
+    ("planted", 2): ("74bec59f04f3bc8603cb1c0cd1c264fe3059eefa4c6bc9fc0ae4391f4e9da2fb",
+                     "a9b8c5c194b36ae0fbeda176692fa9f96ca3963fc6f9ae127c7284dce3c25329"),
+    ("planted", 3): ("89df705920084ba8c04a2ce3199d94c0cb7b662c73a6c755c8b7d34575149892",
+                     "e1ce35423363edb590e391ae18877dbe810b905e5034c90987f96f56d0ed2603"),
+    ("degraded", 5): ("33093602ea4ac37bb11883e0d9ad44c9ad69c166089a9ec5b27e13b6e2e85069",
+                      "2e87d3fa9110e9521a6648dffc76b266136b908388b67be2198dc3458739d4a7"),
+    ("degraded", 6): ("a1a3fd97623a211fc9a46f2133d7f16621e9b05792482849fead77863f40c869",
+                      "97a1105361cd7a5b660be418f30d46e1c9e6aff198fa96f71794dc23f1478658"),
+    ("degraded", 7): ("1c81ac559d0bd8ace38893721cd9ce1f23582bde794ef75ef3a185bcd98c43fe",
+                      "eeb3c826d6643fdd980b7635b3612000586a0fd7dfc4da93ccc5d6dd8ff513d8"),
+}
+
+
+def pinned_print(kind, seed):
+    """A 256x256 planted print, or a 512x512 one as the enroll workload degrades it."""
+    kinds = [KIND_ENDING, KIND_BIFURCATION]
+    if kind == "planted":
+        return synthgen.plant_print(kinds * 2, seed=seed)[0]
+    return degraded_print(kinds * 4, seed=seed)
+
+
+def test_template_and_mask_bytes_match_pinned_digests():
+    for (kind, seed), digests in PINNED_PRINT_DIGESTS.items():
+        img = pinned_print(kind, seed)
+        got = (encode_template(build_template(img)), segment(img)[0].bits.tobytes())
+        assert tuple(hashlib.sha256(b).hexdigest() for b in got) == digests, (kind, seed)
 
 
 def test_build_template_runs_each_public_stage_once(monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from test_fingerprint import degraded_print
 from biolock import imaging
@@ -11,7 +12,7 @@ from biolock.errors import (
     TruncatedData,
     UnsupportedMaxval,
 )
-from biolock.fingerprint import KIND_BIFURCATION, KIND_ENDING, build_template
+from biolock.fingerprint import KIND_BIFURCATION, KIND_ENDING, build_template, coherence_image
 from biolock.imaging import (
     BinaryImage,
     FloatField,
@@ -190,21 +191,41 @@ def test_gradients_equal_the_full_nine_tap_loop_bit_for_bit(pixels):
     assert same_bits(gy, naive_correlate(np.ascontiguousarray(pixels.T), SOBEL_X).T)
 
 
-def test_gradients_are_computed_once_per_image_and_read_only(monkeypatch):
+def count_sobel_passes(monkeypatch):
+    """Record the shape of each raster that gradients pads: one Sobel pass
+    pads its image once, by one pixel of replicated edge."""
     calls = []
-    real = imaging._sobel_x
-    monkeypatch.setattr(imaging, "_sobel_x", lambda a: calls.append(a.shape) or real(a))
+    real = np.pad
+
+    def spy(array, pad_width, mode="constant", **kwargs):
+        if mode == "edge" and pad_width == 1:
+            calls.append(np.shape(array))
+        return real(array, pad_width, mode=mode, **kwargs)
+    monkeypatch.setattr(np, "pad", spy)
+    return calls
+
+
+def test_gradients_are_computed_once_per_image_and_read_only(monkeypatch):
+    calls = count_sobel_passes(monkeypatch)
     img = GrayImage(np.linspace(0.0, 1.0, 80).reshape(8, 10))
     gx, gy = gradients(img)
     assert gradients(img)[0] is gx and gradients(img)[1] is gy
-    assert len(calls) == 2
+    assert calls == [(8, 10)]
     for g in (gx, gy):
         assert not g.flags.writeable
         with pytest.raises(ValueError):
             g[0, 0] = 1.0
     # an equal image built afresh computes its own pair
     gradients(GrayImage(img.pixels))
-    assert len(calls) == 4
+    assert calls == [(8, 10), (8, 10)]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 9), (64, 48)])
+def test_gradients_are_c_contiguous_and_read_only(shape):
+    pixels = np.random.default_rng(sum(shape)).random(shape)
+    for g in gradients(GrayImage(pixels)):
+        assert g.shape == shape and g.dtype == np.float64
+        assert g.flags.c_contiguous and not g.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +255,47 @@ def test_morph_monotone_between_stages():
     rng = np.random.default_rng(5)
     bits = rng.random((40, 40)) > 0.4
     size = 2 * 2 + 1
-    from scipy import ndimage
-
     closed = ndimage.minimum_filter(
         ndimage.maximum_filter(bits, size=size, mode="constant", cval=False),
         size=size, mode="constant", cval=True)
     final = morph_close_open(BinaryImage(bits), 2).bits
     assert np.all(bits <= closed)
     assert np.all(final <= closed)
+
+
+def morph_oracle(bits, radius):
+    """Closing then opening as ndimage's square max/min filters."""
+    size = 2 * radius + 1
+
+    def dilate(b):
+        return ndimage.maximum_filter(b, size=size, mode="constant", cval=False)
+
+    def erode(b):
+        return ndimage.minimum_filter(b, size=size, mode="constant", cval=True)
+    return dilate(erode(erode(dilate(bits))))
+
+
+@st.composite
+def masks(draw):
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.05, 0.5, 0.95]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).random((h, w)) < density
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=masks(), radius=st.integers(1, 3))
+def test_morph_equals_the_ndimage_max_min_filters(bits, radius):
+    # the element is up to 7 px wide, wider than the thinnest drawn masks
+    got = morph_close_open(BinaryImage(bits), radius).bits
+    assert got.dtype == bool and np.array_equal(got, morph_oracle(bits, radius))
+
+
+def test_morph_equals_the_ndimage_max_min_filters_on_a_degraded_print():
+    coh = coherence_image(degraded_print([KIND_ENDING, KIND_BIFURCATION] * 4, seed=7)).values
+    bits = coh >= coh.mean()
+    got = morph_close_open(BinaryImage(bits), 2).bits
+    assert np.array_equal(got, morph_oracle(bits, 2))
 
 
 # ---------------------------------------------------------------------------
