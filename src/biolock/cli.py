@@ -24,7 +24,7 @@ from .fingerprint import _KIND_CODE, KIND_ENDING, build_template
 from .fusion import FusionConfig, GENUINE, load_config
 from .imaging import GrayImage, decode_pgm, encode_pgm, encode_pgm_raster
 from .iris import build_codes
-from .registry import _load_record, access, enroll, identify, load_db, verify
+from .registry import TemplateDB, _load_record, access, enroll, identify, load_db, verify
 
 ROC_THRESHOLDS = tuple(i / 100.0 for i in range(101))
 _PROBE_HEADER = ("true_subject_id", "finger_path", "iris_path")
@@ -147,7 +147,7 @@ def _binary_pgm(bits: np.ndarray) -> bytes:
 
 
 def cmd_enroll(args) -> int:
-    db = _load_record(args.db, args.subject)
+    db = TemplateDB(args.db)
     fingers = [_read_image(p) for p in args.finger]
     irises = [_read_image(p) for p in args.iris]
     enroll(db, args.subject, fingers, irises)

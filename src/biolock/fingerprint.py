@@ -97,7 +97,8 @@ class Minutia:
 class FingerprintTemplate:
     """The minutiae of one print as ``rows``, a read-only (n, 4) float64 array
     of x, y, theta and kind code, one row per minutia, and the image size;
-    ``minutiae`` builds the :class:`Minutia` tuple from the rows on each call."""
+    ``minutiae`` builds the :class:`Minutia` tuple from the rows on each call.
+    The constructor refuses non-finite fields and sizes FPT1 cannot store."""
 
     rows: np.ndarray
     image_width: int
@@ -108,8 +109,14 @@ class FingerprintTemplate:
                         dtype=np.float64).reshape(-1, 4)
         if len(rows) > MAX_MINUTIAE:
             raise ValueError(f"template holds at most {MAX_MINUTIAE} minutiae")
+        if not np.isfinite(rows).all():
+            raise ValueError("minutia fields must be finite")
+        sizes = (image_width, image_height)  # FPT1 stores each as a u16
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                   and 0 <= n <= 0xFFFF for n in sizes):
+            raise ValueError(f"image sizes must be integers in 0..65535, got {sizes!r}")
         rows.setflags(write=False)
-        self.__dict__.update(rows=rows, image_width=image_width, image_height=image_height)
+        self.__dict__.update(rows=rows, image_width=int(image_width), image_height=int(image_height))
 
     @property
     def minutiae(self) -> tuple[Minutia, ...]:
@@ -611,10 +618,7 @@ _BLOCK_VOTES = 1 << 14  # votes per block of whole templates; bounds scratch mem
 
 def _minutiae_rows(templates) -> np.ndarray:
     """(n, 4) array of x, y, theta, kind code over the templates' minutiae."""
-    rows = np.concatenate([np.empty((0, 4)), *(t.rows for t in templates)])
-    if not np.isfinite(rows).all():
-        raise ValueError("minutia positions must be finite")
-    return rows
+    return np.concatenate([np.empty((0, 4)), *(t.rows for t in templates)])
 
 
 def _register_block(block, p: np.ndarray):

@@ -19,7 +19,6 @@ against a whole gallery at once with masked XOR and popcount over packed
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -436,16 +435,19 @@ def mellin_code(strip: NormalizedStrip) -> IrisCode:
 # ---------------------------------------------------------------------------
 # Matching
 
-@functools.cache
-def _shift_table(scheme: str, max_shift: int) -> np.ndarray:
-    """Per shift s in [-max_shift, max_shift], the bit order of a code rotated
-    by s within each layout row; built once per (scheme, max_shift), read-only."""
+def _shift_table(scheme: str) -> np.ndarray:
+    """Per shift s in [-DEFAULT_MAX_SHIFT, DEFAULT_MAX_SHIFT], the bit order of
+    a code rotated by s within each layout row; read-only."""
     pieces, pos = [], 0
     for rows, width in _ROW_LAYOUT[scheme]:
         seg = np.arange(pos, pos + rows * width).reshape(rows, width)
-        pieces.append([np.roll(seg, s, axis=1).ravel() for s in range(-max_shift, max_shift + 1)])
+        pieces.append([np.roll(seg, s, axis=1).ravel()
+                       for s in range(-DEFAULT_MAX_SHIFT, DEFAULT_MAX_SHIFT + 1)])
         pos += rows * width
     return _freeze(np.concatenate(pieces, axis=1))
+
+
+_SHIFT_TABLES = {scheme: _shift_table(scheme) for scheme in _ROW_LAYOUT}
 
 
 def hamming_distance(a: IrisCode, b: IrisCode) -> float:
@@ -475,7 +477,7 @@ def hamming_distances(gallery: list[IrisCode], probe: IrisCode) -> np.ndarray:
             raise SchemeMismatch(f"cannot compare {a.scheme} against {probe.scheme}")
     if not gallery:
         return np.empty(0)
-    shifted = _shift_table(probe.scheme, DEFAULT_MAX_SHIFT)
+    shifted = _SHIFT_TABLES[probe.scheme]
     p_bits, p_mask = _pack(_unpack(probe.words)[:, shifted])
     g_words = np.stack([a.words for a in gallery])
     g_bits, g_mask = g_words[:, 0, None], g_words[:, 1, None]

@@ -3,8 +3,8 @@
 A database is a directory holding one binary file per template or code plus a
 ``manifest.json`` that names them.  Every :class:`TemplateDB` reads and checks
 the whole manifest when it is opened; :func:`load_db` then decodes every
-subject's files, while the ``enroll``, ``verify`` and ``access`` commands decode
-only the named subject's.
+subject's files, while the ``verify`` and ``access`` commands decode only the
+named subject's, and ``enroll`` decodes none.
 :func:`enroll` runs the feature pipelines and persists new records atomically
 (every file, and finally the manifest, is written to a temp name and renamed);
 :func:`verify`, :func:`identify`, and :func:`access` score probes against the
@@ -380,36 +380,20 @@ def _write_atomic(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _persist_record(db: TemplateDB, record: PersonRecord) -> None:
+def _persist_record(db: TemplateDB, entry: dict, files: dict) -> None:
+    """Write each ``{name: bytes}`` of ``files`` in order, then the manifest
+    with ``entry`` appended; on any failure remove the files already written."""
     db.path.mkdir(parents=True, exist_ok=True)
     written = []
     try:
-        finger_names = []
-        for i, template in enumerate(record.fingerprints):
-            name = f"{record.subject_id}_finger_{i}.fpt"
-            _write_atomic(db.path / name, encode_template(template))
+        for name, blob in files.items():
+            _write_atomic(db.path / name, blob)
             written.append(name)
-            finger_names.append(name)
-        iris_items = []
-        for i, pair in enumerate(record.iris_codes):
-            haar_name = f"{record.subject_id}_iris_{i}_haar.irc"
-            mellin_name = f"{record.subject_id}_iris_{i}_mellin.irc"
-            _write_atomic(db.path / haar_name, encode_code(pair.haar))
-            written.append(haar_name)
-            _write_atomic(db.path / mellin_name, encode_code(pair.mellin))
-            written.append(mellin_name)
-            iris_items.append({"haar": haar_name, "mellin": mellin_name})
-        entry = {
-            "id": record.subject_id,
-            "enrolled_at": record.enrolled_at,
-            "fingers": finger_names,
-            "iris": iris_items,
-        }
         # one subject per line, each on json's C encoder (indent= takes the Python one)
         subjects = ",\n".join(map(json.dumps, [*db._entries.values(), entry]))
         text = f'{{"version": {MANIFEST_VERSION}, "subjects": [\n{subjects}\n]}}\n'
         _write_atomic(db.path / MANIFEST_NAME, text.encode("utf-8"))
-        db._entries[record.subject_id] = entry
+        db._entries[entry["id"]] = entry
     except BaseException:
         for name in written:
             try:
@@ -431,12 +415,12 @@ def enroll(
     subject_id: str,
     finger_images: Sequence[GrayImage] = (),
     iris_images: Sequence[GrayImage] = (),
-    audit_log=None,
 ) -> PersonRecord:
     """Extract features from every image, persist them, log an enroll event.
 
     All feature extraction happens before anything is written, so a pipeline
-    failure on any image leaves the database exactly as it was.
+    failure on any image leaves the database exactly as it was.  Each template
+    and code is encoded once; the record holds what its files hold.
     """
     _validate_subject_id(subject_id)
     if subject_id in db._entries:
@@ -445,23 +429,29 @@ def enroll(
     iris_images = list(iris_images)
     if not finger_images and not iris_images:
         raise EmptyEnrollment("enrollment needs at least one finger or iris image")
-    templates = []
+    files, templates, pairs, iris_items = {}, [], [], []
     for i, img in enumerate(finger_images):
-        try:  # keep what the file will hold: FPT1 stores float32 fields
-            templates.append(decode_template(encode_template(build_template(img))))
+        try:
+            blob = encode_template(build_template(img))
         except BiolockError as exc:
             raise PipelineFailure("finger", i, "feature-extraction", exc) from exc
-    pairs = []
+        files[f"{subject_id}_finger_{i}.fpt"] = blob
+        templates.append(decode_template(blob))  # FPT1 stores float32 fields
+    finger_names = list(files)
     for i, img in enumerate(iris_images):
         try:
             _, _, haar, mellin = build_codes(img)
         except BiolockError as exc:
             raise PipelineFailure("iris", i, failed_stage(exc), exc) from exc
         pairs.append(IrisPair(haar, mellin))
+        item = {key: f"{subject_id}_iris_{i}_{key}.irc" for key in ("haar", "mellin")}
+        files[item["haar"]], files[item["mellin"]] = encode_code(haar), encode_code(mellin)
+        iris_items.append(item)
     record = PersonRecord(subject_id, tuple(templates), tuple(pairs), _utc_now())
-    _persist_record(db, record)
+    _persist_record(db, {"id": subject_id, "enrolled_at": record.enrolled_at,
+                         "fingers": finger_names, "iris": iris_items}, files)
     db.records[subject_id] = record
-    AuditLog(db.path / AUDIT_LOG_NAME if audit_log is None else audit_log).append(
+    AuditLog(db.path / AUDIT_LOG_NAME).append(
         EVENT_ENROLL, subject_id, -1.0, f"{len(templates)} finger, {len(pairs)} iris")
     return record
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import synthgen
-from biolock import cli, iris
+from biolock import cli
 from biolock.fingerprint import build_template, crossing_number, match_minutiae
 from biolock.fusion import (
     FusionConfig,
@@ -273,14 +273,14 @@ def _random_code(rng) -> IrisCode:
     return IrisCode(bits, np.ones(HAAR_CODE_LEN, dtype=bool), SCHEME_HAAR)
 
 
-def test_criterion_06_hamming_statistics(monkeypatch):
+def test_criterion_06_hamming_statistics(iris_max_shift):
     rng = np.random.default_rng(HAMMING_SEED)
     self_zero = all(
         hamming_distance(code, code) == 0.0
         for code in (_random_code(rng) for _ in range(10))
     )
     # the remaining statistics compare codes at shift zero only
-    monkeypatch.setattr(iris, "DEFAULT_MAX_SHIFT", 0)
+    iris_max_shift(0)
     deviations = []
     for _ in range(HAMMING_PAIRS):
         d = hamming_distance(_random_code(rng), _random_code(rng))

@@ -255,10 +255,7 @@ def test_encoding_a_field_past_the_float32_range_fails_as_struct_does():
 
 def minutiae_rows_oracle(templates) -> np.ndarray:
     rows = [(m.x, m.y, m.theta, _KINDS.index(m.kind)) for t in templates for m in t.minutiae]
-    rows = np.array(rows, dtype=np.float64).reshape(-1, 4)
-    if not np.isfinite(rows).all():
-        raise ValueError("minutia positions must be finite")
-    return rows
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
 
 
 # Any finite float32 field, -0.0 and values outside [0, 2*pi) included, and
@@ -362,10 +359,9 @@ def test_minutiae_rows_concatenate_as_the_oracle_does(gallery):
 
 
 def test_minutiae_rows_reject_a_non_finite_position_as_the_oracle_does():
-    bad = FingerprintTemplate((Minutia(math.inf, 1.0, 0.5, KIND_ENDING),), 8, 8)
-    for rows in (_minutiae_rows, minutiae_rows_oracle):
-        with pytest.raises(ValueError, match="must be finite"):
-            rows([bad])
+    # no template reaches either with one: building it fails
+    with pytest.raises(ValueError, match="must be finite"):
+        FingerprintTemplate((Minutia(math.inf, 1.0, 0.5, KIND_ENDING),), 8, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -412,3 +408,15 @@ def test_template_is_immutable_and_owns_its_rows():
         t.image_width = 9
     with pytest.raises(ValueError, match="at most"):
         FingerprintTemplate(ms[:1] * (MAX_MINUTIAE + 1), 8, 8)
+
+
+def test_template_sizes_are_the_integers_fpt1_stores():
+    ms = (Minutia(1.0, 2.0, 0.5, KIND_ENDING),)
+    for width, height in ((0, 0), (0xFFFF, 1), (np.int64(300), np.uint16(200))):
+        t = FingerprintTemplate(ms, width, height)
+        assert (type(t.image_width), type(t.image_height)) == (int, int)
+        assert decode_template(encode_template(t)) == t
+    for bad in (0x10000, 70000, -1, 1.0, 8.5, True, "8", None):
+        for sizes in ((bad, 8), (8, bad)):
+            with pytest.raises(ValueError, match="0..65535"):
+                FingerprintTemplate(ms, *sizes)

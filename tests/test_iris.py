@@ -23,6 +23,7 @@ from biolock import iris
 from biolock.imaging import GrayImage
 from biolock.iris import (
     DEFAULT_ANGULAR,
+    DEFAULT_MAX_SHIFT,
     DEFAULT_RADIAL,
     MIN_COMPARABLE_BITS,
     SCHEME_HAAR,
@@ -81,19 +82,21 @@ def random_code(rng, scheme):
     return IrisCode(rng.integers(0, 2, n).astype(bool), np.ones(n, bool), scheme)
 
 
-def roll_code_rows(code, shift):
-    """Independently rebuilt per-row rotation of a code's bits and mask."""
-    shapes = ([(4, 32)] * 3 + [(2, 16)] * 4 if code.scheme == SCHEME_HAAR
-              else [(24, 64)])
-    out_bits, out_mask, pos = [], [], 0
+def roll_rows(values, scheme, shift):
+    """Independently rebuilt per-row rotation of one value per code bit."""
+    shapes = [(4, 32)] * 3 + [(2, 16)] * 4 if scheme == SCHEME_HAAR else [(24, 64)]
+    out, pos = [], 0
     for rows, width in shapes:
         n = rows * width
-        out_bits.append(np.roll(code.bits[pos:pos + n].reshape(rows, width),
-                                shift, axis=1).ravel())
-        out_mask.append(np.roll(code.mask[pos:pos + n].reshape(rows, width),
-                                shift, axis=1).ravel())
+        out.append(np.roll(values[pos:pos + n].reshape(rows, width), shift, axis=1).ravel())
         pos += n
-    return IrisCode(np.concatenate(out_bits), np.concatenate(out_mask), code.scheme)
+    return np.concatenate(out)
+
+
+def roll_code_rows(code, shift):
+    """Independently rebuilt per-row rotation of a code's bits and mask."""
+    return IrisCode(roll_rows(code.bits, code.scheme, shift),
+                    roll_rows(code.mask, code.scheme, shift), code.scheme)
 
 
 def hamming_oracle(a, b):
@@ -485,16 +488,16 @@ def test_hamming_identity_zero():
         assert hamming_distance(code, code) == 0.0
 
 
-def test_hamming_complement_at_shift_zero(monkeypatch):
-    monkeypatch.setattr(iris, "DEFAULT_MAX_SHIFT", 0)
+def test_hamming_complement_at_shift_zero(iris_max_shift):
+    iris_max_shift(0)
     rng = np.random.default_rng(52)
     code = random_code(rng, SCHEME_HAAR)
     flipped = IrisCode(~code.bits, code.mask, SCHEME_HAAR)
     assert hamming_distance(code, flipped) == 1.0
 
 
-def test_hamming_random_pairs_near_half(monkeypatch):
-    monkeypatch.setattr(iris, "DEFAULT_MAX_SHIFT", 0)
+def test_hamming_random_pairs_near_half(iris_max_shift):
+    iris_max_shift(0)
     rng = np.random.default_rng(34)
     for _ in range(100):
         a = random_code(rng, SCHEME_HAAR)
@@ -502,8 +505,8 @@ def test_hamming_random_pairs_near_half(monkeypatch):
         assert abs(hamming_distance(a, b) - 0.5) <= 0.07
 
 
-def test_hamming_symmetric_at_shift_zero(monkeypatch):
-    monkeypatch.setattr(iris, "DEFAULT_MAX_SHIFT", 0)
+def test_hamming_symmetric_at_shift_zero(iris_max_shift):
+    iris_max_shift(0)
     rng = np.random.default_rng(53)
     for scheme in (SCHEME_HAAR, SCHEME_MELLIN):
         for _ in range(10):
@@ -597,7 +600,7 @@ def masked_random_code(rng, scheme, valid_fraction):
                     rng.random(n) < valid_fraction, scheme)
 
 
-def test_hamming_distances_match_oracle_on_random_codes(monkeypatch):
+def test_hamming_distances_match_oracle_on_random_codes(iris_max_shift):
     rng = np.random.default_rng(71)
     for scheme in (SCHEME_HAAR, SCHEME_MELLIN):
         gallery = [masked_random_code(rng, scheme, 0.8) for _ in range(30)]
@@ -605,22 +608,18 @@ def test_hamming_distances_match_oracle_on_random_codes(monkeypatch):
         gallery.append(roll_code_rows(probe, 3))
         gallery.append(probe)
         for shift in (0, 1, 8):
-            monkeypatch.setattr(iris, "DEFAULT_MAX_SHIFT", shift)
+            iris_max_shift(shift)
             assert_matches_oracle(gallery, probe)
 
 
-def test_shift_table_is_built_once_per_scheme_and_max_shift(monkeypatch):
-    code = random_code(np.random.default_rng(73), SCHEME_HAAR)
-    rolled = roll_code_rows(code, 2)
-    iris._shift_table.cache_clear()
-    distances = []
-    for shift in (8, 8, 1, 2):
-        monkeypatch.setattr(iris, "DEFAULT_MAX_SHIFT", shift)
-        distances.append(hamming_distance(code, rolled))
-    assert distances[0] == distances[1] == distances[3] == 0.0 < distances[2]
-    assert iris._shift_table.cache_info().misses == 3
-    assert iris._shift_table(SCHEME_HAAR, 2).shape == (5, len(code))
-    assert not iris._shift_table(SCHEME_HAAR, 2).flags.writeable
+def test_shift_tables_are_read_only_per_row_rolls():
+    for scheme, bits in ((SCHEME_HAAR, 512), (SCHEME_MELLIN, 1536)):
+        table = iris._SHIFT_TABLES[scheme]
+        assert table.shape == (2 * DEFAULT_MAX_SHIFT + 1, bits)
+        assert not table.flags.writeable
+        shifts = range(-DEFAULT_MAX_SHIFT, DEFAULT_MAX_SHIFT + 1)
+        for row, shift in zip(table, shifts, strict=True):
+            assert np.array_equal(row, roll_rows(np.arange(bits), scheme, shift))
 
 
 def test_hamming_distances_match_oracle_on_occluded_codes():

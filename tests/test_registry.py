@@ -223,6 +223,47 @@ def test_enroll_keeps_the_record_its_files_hold(tmp_path, corpus):
     assert right_after == [verify(reopened, "bob", *probe, CFG) for probe in probes]
 
 
+def test_enroll_encodes_each_template_and_code_once(tmp_path, corpus, monkeypatch):
+    calls = []
+    for name in ("encode_template", "encode_code"):
+        monkeypatch.setattr(registry, name, lambda value, name=name, encode=getattr(registry, name):
+                            calls.append(name) or encode(value))
+    db = load_db(tmp_path / "db")
+    record = enroll(db, "alice", [corpus["alice"]["finger"], corpus["bob"]["finger"]],
+                    [corpus["alice"]["eye"]])
+    assert calls == ["encode_template"] * 2 + ["encode_code"] * 2
+    expected = {f"alice_finger_{i}.fpt": encode_template(t)
+                for i, t in enumerate(record.fingerprints)}
+    for i, pair in enumerate(record.iris_codes):
+        expected[f"alice_iris_{i}_haar.irc"] = encode_code(pair.haar)
+        expected[f"alice_iris_{i}_mellin.irc"] = encode_code(pair.mellin)
+    assert {p.name: p.read_bytes() for p in db.path.iterdir()
+            if p.suffix in (".fpt", ".irc")} == expected
+    (entry,) = json.loads((db.path / "manifest.json").read_text())["subjects"]
+    assert entry["fingers"] == ["alice_finger_0.fpt", "alice_finger_1.fpt"]
+    assert entry["iris"] == [{"haar": "alice_iris_0_haar.irc",
+                              "mellin": "alice_iris_0_mellin.irc"}]
+
+
+def test_enroll_removes_the_files_it_wrote_when_the_manifest_write_fails(
+        tmp_path, corpus, monkeypatch):
+    db = load_db(tmp_path / "db")
+    enroll(db, "alice", [corpus["alice"]["finger"]], [])
+    before = {p.name: p.read_bytes() for p in db.path.iterdir()}
+    write = registry._write_atomic
+
+    def fail_on_manifest(path, data):
+        if path.name == "manifest.json":
+            raise OSError("disk full")
+        write(path, data)
+
+    monkeypatch.setattr(registry, "_write_atomic", fail_on_manifest)
+    with pytest.raises(OSError, match="disk full"):
+        enroll(db, "bob", [corpus["bob"]["finger"]], [corpus["bob"]["eye"]])
+    assert {p.name: p.read_bytes() for p in db.path.iterdir()} == before
+    assert list(db._entries) == list(db.records) == ["alice"]
+
+
 def test_enroll_is_deterministic(tmp_path, corpus):
     db1 = load_db(tmp_path / "one")
     db2 = load_db(tmp_path / "two")
