@@ -23,10 +23,6 @@ class TruncatedData(BiolockError):
     """PGM, template (FPT1) or iris code (IRC1) bytes are short or corrupt."""
 
 
-class EvenWindow(BiolockError):
-    """Adaptive threshold window must be odd and >= 3."""
-
-
 # --- fingerprint -----------------------------------------------------------
 
 class ImageTooSmall(BiolockError):

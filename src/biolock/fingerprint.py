@@ -42,8 +42,6 @@ from .imaging import (  # crossing_number is re-exported
 # Parameters
 
 DEFAULT_COHERENCE_WINDOW = 16   # W: window for per-pixel coherence sums
-DEFAULT_MASK_K = 0.0            # mask threshold offset: coh >= M_c + k*S_c
-DEFAULT_MORPH_RADIUS = 2        # mask cleanup element radius
 
 # The one block grid: orientation and frequency are estimated on
 # h // DEFAULT_BLOCK by w // DEFAULT_BLOCK blocks of DEFAULT_BLOCK px, and
@@ -56,8 +54,6 @@ FREQ_FALLBACK = 1.0 / 9.0       # used when no block yields a reliable estimate
 
 GABOR_SIGMA = 4.0               # isotropic Gaussian envelope
 GABOR_HALF = int(2 * GABOR_SIGMA)  # kernel half-size -> 17x17 support
-
-BINARIZE_WINDOW = 11            # adaptive threshold window on enhanced image
 
 DEFAULT_THETA0 = 12.0                   # spatial match threshold (px)
 DEFAULT_THETA1 = math.radians(20.0)     # orientation match threshold
@@ -111,10 +107,7 @@ class FingerprintTemplate:
             raise ValueError(f"template holds at most {MAX_MINUTIAE} minutiae")
         if not np.isfinite(rows).all():
             raise ValueError("minutia fields must be finite")
-        sizes = (image_width, image_height)  # FPT1 stores each as a u16
-        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-                   and 0 <= n <= 0xFFFF for n in sizes):
-            raise ValueError(f"image sizes must be integers in 0..65535, got {sizes!r}")
+        _check_sizes(image_width, image_height)
         rows.setflags(write=False)
         self.__dict__.update(rows=rows, image_width=int(image_width), image_height=int(image_height))
 
@@ -131,6 +124,13 @@ class FingerprintTemplate:
 
     def __hash__(self) -> int:  # + 0.0 maps -0.0 to 0.0, which compares equal to it
         return hash((self.image_width, self.image_height, (self.rows + 0.0).tobytes()))
+
+
+def _check_sizes(*sizes) -> None:
+    """FPT1 stores the image width and height each as a u16."""
+    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+               and 0 <= n <= 0xFFFF for n in sizes):
+        raise ValueError(f"image sizes must be integers in 0..65535, got {sizes!r}")
 
 
 def _template(rows: np.ndarray, width: int, height: int) -> FingerprintTemplate:
@@ -204,14 +204,13 @@ def _border_distance(mask: BinaryImage) -> np.ndarray:
 def segment(img: GrayImage) -> tuple[BinaryImage, np.ndarray]:
     """Foreground mask from block coherence, plus its border distance.
 
-    Mask keeps pixels with coherence >= M_c + k*S_c (global mean/std of the
-    coherence image), cleaned by closing-then-opening.  The border raster
+    Mask keeps pixels whose coherence is at or above its mean over the
+    image, cleaned by closing-then-opening.  The border raster
     holds each pixel's distance to the nearest mask-false pixel or the image
     frame, so it is 0 off the mask and at least 1 on it.
     """
     coh = coherence_image(img).values
-    raw = BinaryImage(coh >= float(coh.mean()) + DEFAULT_MASK_K * float(coh.std()))
-    mask = morph_close_open(raw, DEFAULT_MORPH_RADIUS)
+    mask = morph_close_open(BinaryImage(coh >= coh.mean()))
     return mask, _border_distance(mask)
 
 
@@ -759,7 +758,7 @@ def build_template(img: GrayImage, keep_artifacts: bool = False):
     orientation = estimate_orientation(img)
     frequency = estimate_frequency(img, orientation)
     enhanced = gabor_enhance(img, orientation, frequency)
-    binarized = adaptive_threshold(enhanced, BINARIZE_WINDOW)
+    binarized = adaptive_threshold(enhanced)
     ridge_bits = BinaryImage(binarized.bits & mask.bits)
     thinned = thin(ridge_bits)
     skeleton = copy.copy(thinned)  # extract and filter share its codes, which die with this call
@@ -782,7 +781,9 @@ def build_template(img: GrayImage, keep_artifacts: bool = False):
 
 def encode_template(template: FingerprintTemplate) -> bytes:
     """Serialize: magic, LE u16 count/width/height, then per minutia
-    (f32 x, f32 y, f32 theta, u8 kind, 3 pad bytes)."""
+    (f32 x, f32 y, f32 theta, u8 kind, 3 pad bytes).  Image sizes outside
+    the u16 range raise ValueError, as the constructor's do."""
+    _check_sizes(template.image_width, template.image_height)
     records = np.zeros((len(template), 4), dtype="<f4")
     with np.errstate(over="raise"):  # a field past the float32 range fails, as struct does
         records[:, :3] = template.rows[:, :3]

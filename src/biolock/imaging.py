@@ -13,16 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import (
-    EvenWindow,
-    MalformedHeader,
-    TruncatedData,
-    UnsupportedMaxval,
-)
+from .errors import MalformedHeader, TruncatedData, UnsupportedMaxval
 
 FIELD_KINDS = ("orientation", "frequency", "coherence")
 MAX_PGM_PIXELS = 2048 * 2048  # decode_pgm refuses larger rasters before allocating them
 _MAX_PGM_DIGITS = 10  # a longer header field cannot pass the pixel cap or the maxval check
+MORPH_RADIUS = 2  # mask cleanup: morph_close_open's square element is 2r+1 px wide
+BINARIZE_WINDOW = 11  # ridge binarization: adaptive_threshold's square window, in px
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -211,53 +208,50 @@ def _bilinear(pixels: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return top * (1 - fy) + bot * fy
 
 
-def _square_sweep(bits: np.ndarray, radius: int, fill: bool) -> np.ndarray:
+def _square_sweep(bits: np.ndarray, fill: bool) -> np.ndarray:
     """Max (fill False) or min (fill True) of a boolean raster over the
-    (2r+1)-square centred on each pixel, pixels beyond the border reading as
-    ``fill``: one 1-D OR/AND sweep along the rows of a padded copy, then one
-    down its columns."""
+    (2 * MORPH_RADIUS + 1)-square centred on each pixel, pixels beyond the
+    border reading as ``fill``: one 1-D OR/AND sweep along the rows of a
+    padded copy, then one down its columns."""
     combine = np.logical_and if fill else np.logical_or
     h, w = bits.shape
-    padded = np.pad(bits, radius, mode="constant", constant_values=fill)
+    padded = np.pad(bits, MORPH_RADIUS, mode="constant", constant_values=fill)
     rows = padded[:, :w].copy()
-    for k in range(1, 2 * radius + 1):
+    for k in range(1, 2 * MORPH_RADIUS + 1):
         combine(rows, padded[:, k:k + w], out=rows)
     out = rows[:h].copy()
-    for k in range(1, 2 * radius + 1):
+    for k in range(1, 2 * MORPH_RADIUS + 1):
         combine(out, rows[k:k + h], out=out)
     return out
 
 
-def morph_close_open(mask: BinaryImage, radius: int) -> BinaryImage:
-    """Morphological closing then opening with a square (2r+1) element.
+def morph_close_open(mask: BinaryImage) -> BinaryImage:
+    """Morphological closing then opening with the square element of radius
+    MORPH_RADIUS.
 
     Pixels beyond the border count as background for dilation and as
     foreground for erosion, so an all-true mask is a fixed point.
     """
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-
     def dilate(b):
-        return _square_sweep(b, radius, fill=False)
+        return _square_sweep(b, fill=False)
 
     def erode(b):
-        return _square_sweep(b, radius, fill=True)
+        return _square_sweep(b, fill=True)
 
     closed = erode(dilate(mask.bits))
     opened = dilate(erode(closed))
     return BinaryImage(opened)
 
 
-def adaptive_threshold(raster: GrayImage | np.ndarray, window: int) -> BinaryImage:
-    """Pixel true iff its value exceeds the local mean over an odd window.
+def adaptive_threshold(raster: np.ndarray) -> BinaryImage:
+    """Pixel true iff its value exceeds the local mean over the
+    BINARIZE_WINDOW square, edges replicated.
 
     Ties go to false; a tiny epsilon absorbs float round-off so a constant
     image stays all-false.
     """
-    if window < 3 or window % 2 == 0:
-        raise EvenWindow(f"window must be odd and >= 3, got {window}")
-    arr = raster.pixels if isinstance(raster, GrayImage) else np.asarray(raster, dtype=np.float64)
-    local_mean = ndimage.uniform_filter(arr, size=window, mode="nearest")
+    arr = np.asarray(raster, dtype=np.float64)
+    local_mean = ndimage.uniform_filter(arr, size=BINARIZE_WINDOW, mode="nearest")
     return BinaryImage(arr > local_mean + 1e-12)
 
 

@@ -7,6 +7,7 @@ they govern.
 """
 
 import csv
+import hashlib
 import math
 import time
 
@@ -102,6 +103,24 @@ RESCALE_TRIPLES = 10_000
 RESCALE_SEED = 1600
 
 E2E_BUDGET_S = 120.0
+
+# sha256 of criterion 10's outputs: its two verify score lines (UTF-8, no
+# newline), its roc.csv and each template and code file it enrolls.  Runs on
+# any host must give these bytes; a named behaviour change that moves an
+# output updates them.
+PINNED_SCORE_LINE_DIGESTS = (
+    "28388722e8522d79eec293068f457cd94b2a29fac5258dd9c8f32f53f63a2af6",
+    "e44e1dbb46d19126c85dea6105097e469d2ad80d40b14c225e38af6bda1b5b87",
+)
+PINNED_ROC_DIGEST = "55befca718b9c811c6402f977a670abeb2ddca788d2513287a0bc83c74bfa669"
+PINNED_FILE_DIGESTS = {
+    "subj0_finger_0.fpt": "73975680a43993270dd5cbad84758c254404f8fbd7d69543c6f5d521901a14e4",
+    "subj0_iris_0_haar.irc": "768ea3fef86501c2c80c12b2fed697b31730a8ef2e203e742c52b5f2bd999868",
+    "subj0_iris_0_mellin.irc": "18a3eb6f828c136844847bdf4e0e8e353c9a810430f46b197bcb4c2e8b217769",
+    "subj1_finger_0.fpt": "f61710a064a05566e228eb7636657f4b26cf1a91c8d3a0e6e3baf628923174f3",
+    "subj1_iris_0_haar.irc": "f1769b9707146805dd9581d42b4aa36b7366e40df8a887266bb921609fb6fc89",
+    "subj1_iris_0_mellin.irc": "4ec831ae8b72f0acfde49db03f2a68c6beb7da589a41e87616b0169a4b924c39",
+}
 
 
 def report(num: int, label: str, ok: bool, detail: str) -> None:
@@ -477,8 +496,20 @@ def test_criterion_10_determinism(e2e_corpus, tmp_path, monkeypatch, capsys):
                           for k in first["artifacts"]))
     same_scores = first["scores"] == second["scores"]
     same_roc = first["roc"] == second["roc"]
-    ok = same_files and same_scores and same_roc
+
+    def sha256(blob):
+        return hashlib.sha256(blob).hexdigest()
+
+    pinned_scores = (tuple(sha256(line.encode()) for line in first["scores"])
+                     == PINNED_SCORE_LINE_DIGESTS)
+    pinned_roc = sha256(first["roc"]) == PINNED_ROC_DIGEST
+    pinned_files = ({name: sha256(blob) for name, blob in first["artifacts"].items()}
+                    == PINNED_FILE_DIGESTS)
+    ok = (same_files and same_scores and same_roc
+          and pinned_scores and pinned_roc and pinned_files)
     report(10, "determinism across repeated runs", ok,
            f"{len(first['artifacts'])} template/code files byte-identical: "
            f"{same_files}, verify score lines identical: {same_scores}, "
-           f"roc.csv byte-identical: {same_roc}")
+           f"roc.csv byte-identical: {same_roc}; pinned sha256 of the verify "
+           f"lines: {pinned_scores}, of roc.csv: {pinned_roc}, of the files: "
+           f"{pinned_files}")

@@ -294,7 +294,8 @@ def test_unreadable_gallery_files_fail_bounded_and_exit_2(tmp_path, env, capsys,
 
 DAMAGE = ("header_byte", "body_byte", "truncation", "trailing_bytes", "other_scheme",
           "directory", "deleted", "other_subject")
-MANIFEST_DAMAGE = ("byte", "truncation", "nested", "wrong_type", "missing_file")
+MANIFEST_DAMAGE = ("byte", "truncation", "nested", "wrong_type", "missing_file", "unsafe_name")
+UNSAFE_NAMES = ("../x.fpt", "a/b.fpt", "..", ".", "", "x\0y")
 NESTED_JSON = "[" * 200_000  # past the JSON parser's recursion limit
 WRONG_TYPES = (None, 7, 1.5, True, "x", [], {})
 
@@ -302,7 +303,9 @@ WRONG_TYPES = (None, 7, 1.5, True, "x", [], {})
 def damaged_manifest(data, db):
     """Damage ``db / manifest.json`` in place as drawn: one byte set, the file
     cut short, JSON nested past the parser's limit, one field replaced by a
-    value of another type, or a file name changed to one that is not there."""
+    value of another type, a file name changed to one that is not there, or a
+    file name changed to one that is not a plain name: a relative path, a
+    special or empty name, a name holding NUL, or the file's absolute path."""
     path = db / registry.MANIFEST_NAME
     blob = path.read_bytes()
     kind = data.draw(st.sampled_from(MANIFEST_DAMAGE))
@@ -325,9 +328,12 @@ def damaged_manifest(data, db):
         parent, key = data.draw(st.sampled_from(slots))
         parent[key] = data.draw(st.sampled_from(
             [value for value in WRONG_TYPES if type(value) is not type(parent[key])]))
-    else:
+    elif kind == "missing_file":
         parent, key = data.draw(st.sampled_from(slots[-3:]))
         parent[key] = "absent" + parent[key][-4:]
+    else:
+        parent, key = data.draw(st.sampled_from(slots[-3:]))
+        parent[key] = data.draw(st.sampled_from([*UNSAFE_NAMES, str(db / parent[key])]))
     path.write_text(json.dumps(manifest))
 
 
@@ -683,6 +689,17 @@ def test_pgm_header_over_the_pixel_cap_exits_2(tmp_path, env, capsys):
                            "--finger", huge)
     assert code == 2
     assert "100000x100000 exceeds" in err and "PGM cap" in err
+
+
+def test_enroll_of_a_print_wider_than_fpt1_stores_exits_2_and_writes_nothing(tmp_path, capsys):
+    # within the PGM pixel cap, but FPT1 stores each image side as a u16
+    wide = tmp_path / "wide.pgm"
+    wide.write_bytes(b"P5\n65536 16\n255\n" + bytes(65536 * 16))
+    db = tmp_path / "db"
+    code, _, err = run_cli(capsys, "enroll", "--db", db, "--subject", "carol", "--finger", wide)
+    assert code == 2
+    assert err.startswith("error:") and "0..65535" in err
+    assert not db.exists() or not any(db.iterdir())
 
 
 def test_inspect_pipeline_failure_names_stage(tmp_path, env, capsys):

@@ -25,6 +25,7 @@ from biolock.fingerprint import (
     FingerprintTemplate,
     Minutia,
     _minutiae_rows,
+    _template,
     decode_template,
     encode_template,
 )
@@ -420,3 +421,7 @@ def test_template_sizes_are_the_integers_fpt1_stores():
         for sizes in ((bad, 8), (8, bad)):
             with pytest.raises(ValueError, match="0..65535"):
                 FingerprintTemplate(ms, *sizes)
+    # extraction builds templates unchecked, at the size of the print it read
+    for sizes in ((70000, 16), (16, 0x10000)):
+        with pytest.raises(ValueError, match=r"0\.\.65535, got \(%d, %d\)" % sizes):
+            encode_template(_template(np.empty((0, 4)), *sizes))

@@ -498,9 +498,8 @@ def assert_gabor_matches_oracle(img, orientation, frequency):
     got = gabor_enhance(img, orientation, frequency)
     want = gabor_oracle(img, orientation, frequency)
     assert got.shape == want.shape and np.max(np.abs(got - want)) <= GABOR_ROUNDOFF
-    window = fingerprint.BINARIZE_WINDOW
-    assert np.array_equal(imaging.adaptive_threshold(got, window).bits,
-                          imaging.adaptive_threshold(want, window).bits)
+    assert np.array_equal(imaging.adaptive_threshold(got).bits,
+                          imaging.adaptive_threshold(want).bits)
     return got
 
 

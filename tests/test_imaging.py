@@ -6,14 +6,11 @@ from scipy import ndimage
 
 from test_fingerprint import degraded_print
 from biolock import imaging
-from biolock.errors import (
-    EvenWindow,
-    MalformedHeader,
-    TruncatedData,
-    UnsupportedMaxval,
-)
+from biolock.errors import MalformedHeader, TruncatedData, UnsupportedMaxval
 from biolock.fingerprint import KIND_BIFURCATION, KIND_ENDING, build_template, coherence_image
 from biolock.imaging import (
+    BINARIZE_WINDOW,
+    MORPH_RADIUS,
     BinaryImage,
     FloatField,
     GrayImage,
@@ -233,39 +230,39 @@ def test_gradients_are_c_contiguous_and_read_only(shape):
 
 def test_morph_all_true_fixed_point():
     mask = BinaryImage(np.ones((16, 16), dtype=bool))
-    out = morph_close_open(mask, 1)
+    out = morph_close_open(mask)
     assert np.all(out.bits)
 
 
 def test_morph_closes_single_hole():
     bits = np.ones((32, 32), dtype=bool)
     bits[13, 17] = False
-    out = morph_close_open(BinaryImage(bits), 1)
+    out = morph_close_open(BinaryImage(bits))
     assert np.all(out.bits)
 
 
 def test_morph_removes_speck():
     bits = np.zeros((32, 32), dtype=bool)
     bits[10, 10] = True
-    out = morph_close_open(BinaryImage(bits), 1)
+    out = morph_close_open(BinaryImage(bits))
     assert not out.bits.any()
 
 
 def test_morph_monotone_between_stages():
     rng = np.random.default_rng(5)
     bits = rng.random((40, 40)) > 0.4
-    size = 2 * 2 + 1
+    size = 2 * MORPH_RADIUS + 1
     closed = ndimage.minimum_filter(
         ndimage.maximum_filter(bits, size=size, mode="constant", cval=False),
         size=size, mode="constant", cval=True)
-    final = morph_close_open(BinaryImage(bits), 2).bits
+    final = morph_close_open(BinaryImage(bits)).bits
     assert np.all(bits <= closed)
     assert np.all(final <= closed)
 
 
-def morph_oracle(bits, radius):
+def morph_oracle(bits):
     """Closing then opening as ndimage's square max/min filters."""
-    size = 2 * radius + 1
+    size = 2 * MORPH_RADIUS + 1
 
     def dilate(b):
         return ndimage.maximum_filter(b, size=size, mode="constant", cval=False)
@@ -284,38 +281,36 @@ def masks(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(bits=masks(), radius=st.integers(1, 3))
-def test_morph_equals_the_ndimage_max_min_filters(bits, radius):
-    # the element is up to 7 px wide, wider than the thinnest drawn masks
-    got = morph_close_open(BinaryImage(bits), radius).bits
-    assert got.dtype == bool and np.array_equal(got, morph_oracle(bits, radius))
+@given(bits=masks())
+def test_morph_equals_the_ndimage_max_min_filters(bits):
+    # the element is 5 px wide, wider than the thinnest drawn masks
+    got = morph_close_open(BinaryImage(bits)).bits
+    assert got.dtype == bool and np.array_equal(got, morph_oracle(bits))
 
 
 def test_morph_equals_the_ndimage_max_min_filters_on_a_degraded_print():
     coh = coherence_image(degraded_print([KIND_ENDING, KIND_BIFURCATION] * 4, seed=7)).values
     bits = coh >= coh.mean()
-    got = morph_close_open(BinaryImage(bits), 2).bits
-    assert np.array_equal(got, morph_oracle(bits, 2))
+    got = morph_close_open(BinaryImage(bits)).bits
+    assert np.array_equal(got, morph_oracle(bits))
 
 
 # ---------------------------------------------------------------------------
 # Adaptive threshold
 
 def test_adaptive_threshold_constant_all_false():
-    out = adaptive_threshold(np.full((16, 16), 0.3), 5)
+    out = adaptive_threshold(np.full((16, 16), 0.3))
     assert not out.bits.any()
 
 
 def test_adaptive_threshold_square_wave():
-    w, h, period, window = 64, 16, 8, 9
+    w, h, period = 64, 16, 8
     xs = np.arange(w)
     wave = (xs % period < period // 2).astype(float)
     img = np.tile(wave, (h, 1))
-    out = adaptive_threshold(img, window)
+    out = adaptive_threshold(img)
     # oracle: local mean over replicated-edge window
-    from scipy import ndimage
-
-    mean = ndimage.uniform_filter(img, size=window, mode="nearest")
+    mean = ndimage.uniform_filter(img, size=BINARIZE_WINDOW, mode="nearest")
     expect = img > mean + 1e-12
     assert np.array_equal(out.bits, expect)
     # interior of the high half is above the local mean
@@ -323,26 +318,23 @@ def test_adaptive_threshold_square_wave():
 
 
 def test_adaptive_threshold_checkerboard():
-    n = 16
+    n = 24
     yy, xx = np.mgrid[0:n, 0:n]
     board = ((xx + yy) % 2).astype(float)
-    out = adaptive_threshold(board, 3)
-    # interior: cells of the majority-low neighborhoods are true
-    inner = out.bits[1:-1, 1:-1]
-    expect = board[1:-1, 1:-1] > 4 / 9
-    assert np.array_equal(inner, expect)
-
-
-def test_adaptive_threshold_rejects_even_window():
-    with pytest.raises(EvenWindow):
-        adaptive_threshold(np.zeros((8, 8)), 4)
+    out = adaptive_threshold(board)
+    # interior: every window holds both values, so its mean lies strictly
+    # between 0 and 1 and only the 1 cells exceed it
+    half = BINARIZE_WINDOW // 2
+    inner = out.bits[half:-half, half:-half]
+    expect = board[half:-half, half:-half] == 1.0
+    assert inner.any() and np.array_equal(inner, expect)
 
 
 def test_adaptive_threshold_affine_invariant():
     rng = np.random.default_rng(11)
     img = rng.integers(0, 256, size=(32, 32)).astype(float) / 255.0
-    base = adaptive_threshold(img, 7).bits
-    scaled = adaptive_threshold(img * 0.4 + 0.2, 7).bits
+    base = adaptive_threshold(img).bits
+    scaled = adaptive_threshold(img * 0.4 + 0.2).bits
     assert np.array_equal(base, scaled)
 
 
