@@ -22,7 +22,8 @@ import numpy as np
 from .errors import BiolockError, failed_stage
 from .fingerprint import _KIND_CODE, KIND_ENDING, build_template
 from .fusion import FusionConfig, GENUINE, load_config
-from .imaging import GrayImage, decode_pgm, encode_pgm, encode_pgm_raster
+from .imaging import (MAX_PGM_BYTES, GrayImage, decode_pgm, encode_pgm, encode_pgm_raster,
+                      read_regular_file)
 from .iris import build_codes
 from .registry import TemplateDB, _load_record, access, enroll, identify, load_db, verify
 
@@ -87,26 +88,31 @@ def sweep_rates(genuine_scores, impostor_scores) -> EvalReport:
 def read_probe_rows(path: Path) -> list:
     """Parse the probe CSV: rows of (true_subject_id, finger_path, iris_path),
     empty path fields meaning the modality is absent.  A leading header row
-    matching the canonical column names is skipped."""
+    matching the canonical column names is skipped.  A row csv cannot parse is
+    a ValueError naming its line."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 3 columns, got {len(row)}"
-                )
-            cells = tuple(cell.strip() for cell in row)
-            if lineno == 1 and cells == _PROBE_HEADER:
-                continue
-            if not cells[0]:
-                raise ValueError(f"{path}: line {lineno}: empty subject id")
-            if not cells[1] and not cells[2]:
-                raise ValueError(
-                    f"{path}: line {lineno}: probe needs at least one image path"
-                )
-            rows.append(cells)
+        reader = csv.reader(fh)
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != 3:
+                    raise ValueError(
+                        f"{path}: line {lineno}: expected 3 columns, got {len(row)}"
+                    )
+                cells = tuple(cell.strip() for cell in row)
+                if lineno == 1 and cells == _PROBE_HEADER:
+                    continue
+                if not cells[0]:
+                    raise ValueError(f"{path}: line {lineno}: empty subject id")
+                if not cells[1] and not cells[2]:
+                    raise ValueError(
+                        f"{path}: line {lineno}: probe needs at least one image path"
+                    )
+                rows.append(cells)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no probe rows")
     return rows
@@ -117,7 +123,7 @@ def read_probe_rows(path: Path) -> list:
 
 
 def _read_image(path: str) -> GrayImage:
-    return decode_pgm(Path(path).read_bytes())
+    return decode_pgm(read_regular_file(path, MAX_PGM_BYTES))
 
 
 def _load_cfg(args) -> FusionConfig:

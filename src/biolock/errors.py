@@ -20,7 +20,11 @@ class UnsupportedMaxval(BiolockError):
 
 
 class TruncatedData(BiolockError):
-    """PGM, template (FPT1) or iris code (IRC1) bytes are short or corrupt."""
+    """PGM, FPT1 or IRC1 bytes are short or corrupt, or a file is past its cap."""
+
+
+class NotRegularFile(BiolockError):
+    """A file to read is a directory, FIFO, device or socket."""
 
 
 # --- fingerprint -----------------------------------------------------------

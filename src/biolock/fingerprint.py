@@ -32,9 +32,7 @@ from .imaging import (  # crossing_number is re-exported
     _bilinear,
     adaptive_threshold,
     crossing_number,
-    gradients,
     morph_close_open,
-    neighbour_codes,
     thin,
 )
 
@@ -66,7 +64,6 @@ TRACE_STEPS = 8                 # skeleton steps walked to orient a minutia
 KIND_ENDING = "ending"
 KIND_BIFURCATION = "bifurcation"
 _KIND_CODE = {KIND_ENDING: 0, KIND_BIFURCATION: 1}
-_CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
 TEMPLATE_MAGIC = b"FPT1"
 TEMPLATE_MAX_BYTES = 10 + 16 * MAX_MINUTIAE  # header, then 16 bytes per minutia
@@ -92,9 +89,9 @@ class Minutia:
 @dataclass(frozen=True, eq=False, init=False)
 class FingerprintTemplate:
     """The minutiae of one print as ``rows``, a read-only (n, 4) float64 array
-    of x, y, theta and kind code, one row per minutia, and the image size;
-    ``minutiae`` builds the :class:`Minutia` tuple from the rows on each call.
-    The constructor refuses non-finite fields and sizes FPT1 cannot store."""
+    of x, y, theta and kind code, one row per minutia, and the image size.
+    The constructor takes :class:`Minutia` values and refuses non-finite
+    fields and sizes FPT1 cannot store."""
 
     rows: np.ndarray
     image_width: int
@@ -110,10 +107,6 @@ class FingerprintTemplate:
         _check_sizes(image_width, image_height)
         rows.setflags(write=False)
         self.__dict__.update(rows=rows, image_width=int(image_width), image_height=int(image_height))
-
-    @property
-    def minutiae(self) -> tuple[Minutia, ...]:
-        return tuple(Minutia(x, y, t, _CODE_KIND[k]) for x, y, t, k in self.rows.tolist())
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -164,7 +157,7 @@ def coherence_image(img: GrayImage) -> FloatField:
     w = DEFAULT_COHERENCE_WINDOW
     if img.width < w or img.height < w:
         raise ImageTooSmall(f"image must be at least {w}x{w}, got {img.width}x{img.height}")
-    gx, gy = gradients(img)
+    gx, gy = img.gradients
     gxx = gx * gx
     gyy = gy * gy
     work = gx * gy
@@ -229,7 +222,7 @@ def estimate_orientation(img: GrayImage) -> FloatField:
     if bw < 1 or bh < 1:
         raise BlockTooSmall(
             f"image {img.width}x{img.height} is smaller than one {block}-px block")
-    gx, gy = gradients(img)
+    gx, gy = img.gradients
 
     def block_sum(a):
         trimmed = a[:bh * block, :bw * block]
@@ -381,13 +374,6 @@ def _flat_offsets(width: int) -> np.ndarray:
     return np.array([dy * width + dx for dx, dy in NEIGHBOUR_OFFSETS])
 
 
-def _skeleton_codes(skeleton: BinaryImage) -> np.ndarray:
-    """The skeleton's neighbour codes: the ones build_template keeps on its own
-    copy of the skeleton, else new ones."""
-    codes = skeleton.__dict__.get("_codes")
-    return neighbour_codes(skeleton.bits) if codes is None else codes
-
-
 def _walk(codes: np.ndarray, paths: np.ndarray, steps: int,
           stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Walk every path on by at most `steps` skeleton steps, all in lockstep.
@@ -425,7 +411,7 @@ def extract_minutiae(thinned: BinaryImage, orientation: FloatField,
     template rows (x, y, theta, kind code) in raster order."""
     bits = thinned.bits
     bh, bw = orientation.values.shape
-    codes = _skeleton_codes(thinned)
+    codes = thinned.codes
     ys, xs = np.nonzero(bits & mask.bits)
     cn = CROSSING_NUMBERS[codes[ys, xs]]
     pick = (cn == 1) | (cn == 3)
@@ -572,7 +558,7 @@ def filter_false_minutiae(minutiae: np.ndarray, thinned: BinaryImage,
 
     # spur/spike: an ending hanging off a nearby junction takes the junction
     # minutia down with it; all endings walk toward their junctions at once
-    codes = _skeleton_codes(thinned)
+    codes = thinned.codes
     at = row * codes.shape[1] + col
     ends, bifs = np.flatnonzero(kept & ending), np.flatnonzero(kept & ~ending)
     junction = CROSSING_NUMBERS >= 3
@@ -761,11 +747,9 @@ def build_template(img: GrayImage, keep_artifacts: bool = False):
     binarized = adaptive_threshold(enhanced)
     ridge_bits = BinaryImage(binarized.bits & mask.bits)
     thinned = thin(ridge_bits)
-    skeleton = copy.copy(thinned)  # extract and filter share its codes, which die with this call
-    object.__setattr__(skeleton, "_codes", neighbour_codes(thinned.bits))
-    raw = extract_minutiae(skeleton, orientation, mask)
+    raw = extract_minutiae(thinned, orientation, mask)
     gap = 1.0 / float(np.median(frequency.values))
-    kept = filter_false_minutiae(raw, skeleton, border, gap)
+    kept = filter_false_minutiae(raw, thinned, border, gap)
     if len(kept) > MAX_MINUTIAE:  # the deepest inside the mask, ties in input order
         depth = border[np.rint(kept[:, 1]).astype(np.int64), np.rint(kept[:, 0]).astype(np.int64)]
         kept = kept[np.sort(np.argsort(-depth, kind="stable")[:MAX_MINUTIAE])]
@@ -805,7 +789,7 @@ def decode_template(data: bytes) -> FingerprintTemplate:
         raise TruncatedData(f"template of {count} minutiae must be {need} bytes, got {len(data)}")
     records = np.frombuffer(data, dtype="<f4", count=4 * count, offset=10).reshape(count, 4)
     kinds = records.view(np.uint8)[:, 12]
-    if kinds.max(initial=0) >= len(_CODE_KIND):
+    if kinds.max(initial=0) >= len(_KIND_CODE):
         raise TruncatedData(f"unknown minutia kind code {kinds.max()}")
     # test before the float64 cast, which warns on a signalling NaN
     if not np.isfinite(records[:, :3]).all():

@@ -32,6 +32,7 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 from .errors import NoScores, ZeroWeights
+from .imaging import read_regular_file
 
 CLASSIFIER_MINUTIAE = "minutiae"
 CLASSIFIER_HAAR = "haar"
@@ -48,6 +49,7 @@ _THRESHOLD_PREFIX = "threshold."
 #: Keys that config files of earlier versions hold; loading skips them.
 _RETIRED_KEYS = ("c", "d", "threshold.ref")
 _BOOL_WORDS = {"true": True, "false": False}
+MAX_CONFIG_BYTES = 64 * 1024  # load_config reads no longer file
 
 
 def _check_finite(name: str, value: float) -> float:
@@ -264,9 +266,10 @@ def load_config(path: Union[str, Path]) -> FusionConfig:
 
     Blank lines and whole-line ``#`` comments are ignored, and so are the
     retired keys ``c``, ``d`` and ``threshold.ref`` of earlier files, whatever
-    their value.  Unknown keys, repeated keys, and unparsable values are errors.
+    their value.  Unknown keys, repeated keys, unparsable values, and a file
+    not regular or longer than MAX_CONFIG_BYTES are errors.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_regular_file(path, MAX_CONFIG_BYTES).decode("utf-8")
     raw: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()

@@ -7,16 +7,20 @@ appear only at the PGM I/O boundary.
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import MalformedHeader, TruncatedData, UnsupportedMaxval
+from .errors import MalformedHeader, NotRegularFile, TruncatedData, UnsupportedMaxval
 
 FIELD_KINDS = ("orientation", "frequency", "coherence")
 MAX_PGM_PIXELS = 2048 * 2048  # decode_pgm refuses larger rasters before allocating them
+MAX_PGM_BYTES = MAX_PGM_PIXELS + 64 * 1024  # a PGM file: the pixel cap and a header allowance
 _MAX_PGM_DIGITS = 10  # a longer header field cannot pass the pixel cap or the maxval check
 MORPH_RADIUS = 2  # mask cleanup: morph_close_open's square element is 2r+1 px wide
 BINARIZE_WINDOW = 11  # ridge binarization: adaptive_threshold's square window, in px
@@ -52,6 +56,32 @@ class GrayImage:
     def height(self) -> int:
         return self.pixels.shape[0]
 
+    @cached_property
+    def gradients(self) -> tuple[np.ndarray, np.ndarray]:
+        """3x3 Sobel gradients; x increases rightward, y downward.
+
+        Raw signed responses, replicated edges.  Both come from one C-ordered
+        padded copy: gx correlates it with [[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]]
+        and gy with that kernel's transpose, each adding its six non-zero taps to
+        +0.0 in the x kernel's row-major order, -c before +c.  So constant regions
+        cancel exactly (a y kernel taken row by row sums -c-2c-c and leaves 1-ulp
+        residue), a sum that starts at +0.0 never becomes -0.0, and over finite
+        pixels each is bit-identical to a naive nine-tap loop.  Computed on first
+        read; the image keeps the read-only pair for as long as it lives.
+        """
+        h, w = self.pixels.shape
+        padded = np.pad(self.pixels, 1, mode="edge")
+        gx, gy = np.zeros((h, w)), np.zeros((h, w))
+        tap = np.empty((h, w))
+        for i, weight in enumerate((1.0, 2.0, 1.0)):
+            for out, lo, hi in ((gx, padded[i:i + h, :w], padded[i:i + h, 2:]),
+                                (gy, padded[:h, i:i + w], padded[2:, i:i + w])):
+                # a product with 1.0 is exact, so those taps are read as they are
+                out -= lo if weight == 1.0 else np.multiply(weight, lo, out=tap)
+                out += hi if weight == 1.0 else np.multiply(weight, hi, out=tap)
+        gx.flags.writeable = gy.flags.writeable = False
+        return gx, gy
+
 
 @dataclass(frozen=True)
 class BinaryImage:
@@ -65,8 +95,10 @@ class BinaryImage:
             raise ValueError("BinaryImage needs a non-empty 2-D array")
         object.__setattr__(self, "bits", _freeze(arr.astype(bool)))
 
-    def count(self) -> int:
-        return int(self.bits.sum())
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """Read-only :func:`neighbour_codes` of the bits, kept from the first read."""
+        return _freeze(neighbour_codes(self.bits))
 
 
 @dataclass(frozen=True)
@@ -97,7 +129,24 @@ class FloatField:
 
 
 # ---------------------------------------------------------------------------
-# PGM (P5) I/O
+# File and PGM (P5) I/O
+
+def read_regular_file(path, cap: int) -> bytes:
+    """The bytes of the regular file at ``path``: opened without blocking, so a
+    FIFO fails at once, and read no further than ``cap`` + 1 bytes, so a file
+    longer than ``cap`` fails before it is read whole."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
+            raise NotRegularFile(f"{path}: not a regular file")
+        data = os.read(fd, min(info.st_size, cap) + 1)
+    finally:
+        os.close(fd)
+    if len(data) > cap:
+        raise TruncatedData(f"{path}: longer than the {cap}-byte cap")
+    return data
+
 
 _PGM_TOKEN = re.compile(rb"^\s*(?:#[^\n]*\n\s*)*(\S+)")
 
@@ -163,34 +212,6 @@ def encode_pgm_raster(raster: np.ndarray) -> bytes:
 
 # ---------------------------------------------------------------------------
 # Filtering
-
-def gradients(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
-    """3x3 Sobel gradients; x increases rightward, y downward.
-
-    Raw signed responses, replicated edges.  Both come from one C-ordered
-    padded copy: gx correlates it with [[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]]
-    and gy with that kernel's transpose, each adding its six non-zero taps to
-    +0.0 in the x kernel's row-major order, -c before +c.  So constant regions
-    cancel exactly (a y kernel taken row by row sums -c-2c-c and leaves 1-ulp
-    residue), a sum that starts at +0.0 never becomes -0.0, and over finite
-    pixels each is bit-identical to a naive nine-tap loop.  Computed once per
-    image, which keeps the read-only pair for as long as it lives.
-    """
-    if "_gradients" not in img.__dict__:
-        h, w = img.pixels.shape
-        padded = np.pad(img.pixels, 1, mode="edge")
-        gx, gy = np.zeros((h, w)), np.zeros((h, w))
-        tap = np.empty((h, w))
-        for i, weight in enumerate((1.0, 2.0, 1.0)):
-            for out, lo, hi in ((gx, padded[i:i + h, :w], padded[i:i + h, 2:]),
-                                (gy, padded[:h, i:i + w], padded[2:, i:i + w])):
-                # a product with 1.0 is exact, so those taps are read as they are
-                out -= lo if weight == 1.0 else np.multiply(weight, lo, out=tap)
-                out += hi if weight == 1.0 else np.multiply(weight, hi, out=tap)
-        gx.flags.writeable = gy.flags.writeable = False
-        object.__setattr__(img, "_gradients", (gx, gy))
-    return img._gradients
-
 
 def _bilinear(pixels: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Sample ``pixels`` at float coordinates, clamping to the border."""

@@ -28,7 +28,6 @@ import json
 import math
 import os
 import re
-import stat
 import threading
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timedelta, timezone
@@ -46,6 +45,7 @@ from .errors import (
     EmptyEnrollment,
     MissingTemplateFile,
     NoProbe,
+    NotRegularFile,
     PipelineFailure,
     TruncatedData,
     UnknownSubject,
@@ -69,7 +69,7 @@ from .fusion import (
     fuse_arrays,
     fuse_pipeline,
 )
-from .imaging import GrayImage
+from .imaging import GrayImage, read_regular_file
 from .iris import (
     CODE_MAX_BYTES,
     IrisCode,
@@ -215,7 +215,8 @@ _LAST_TS: dict = {}
 
 
 class AuditLog:
-    """Append-only JSON-lines event log with strictly increasing timestamps."""
+    """Append-only JSON-lines event log with strictly increasing timestamps;
+    an event after a torn last line (no final newline) starts a new line."""
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
@@ -234,10 +235,13 @@ class AuditLog:
             _LAST_TS[key] = now
         event = AuditEvent(now.isoformat(timespec="microseconds"), kind, recorded_id,
                            float(ms_final), str(detail))
-        line = json.dumps(asdict(event))
+        line = json.dumps(asdict(event)).encode("utf-8") + b"\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        with open(self.path, "ab+") as fh:
+            end = fh.seek(0, os.SEEK_END)
+            if end and os.pread(fh.fileno(), 1, end - 1) != b"\n":
+                line = b"\n" + line  # end the torn last line first
+            fh.write(line)
         return event
 
 
@@ -268,22 +272,16 @@ def _manifest_check(condition: bool, where: Path, message: str) -> None:
 
 
 def _load_file(directory: str, name: str, decode, cap: int):
-    """Read and decode one file the manifest names; errors name it.  Only a
-    regular file is read, without blocking, and at most ``cap`` bytes of it."""
+    """Read one file the manifest names with :func:`read_regular_file` and
+    decode it; errors name it."""
     full = os.path.join(directory, name)
     try:
-        fd = os.open(full, os.O_RDONLY | os.O_NONBLOCK)
+        blob = read_regular_file(full, cap)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         raise MissingTemplateFile(full) from exc
+    except NotRegularFile as exc:
+        raise MissingTemplateFile(str(exc)) from exc
     try:
-        if not stat.S_ISREG(os.fstat(fd).st_mode):
-            raise MissingTemplateFile(f"{full}: not a regular file")
-        blob = os.read(fd, cap + 1)
-    finally:
-        os.close(fd)
-    try:
-        if len(blob) > cap:
-            raise TruncatedData(f"longer than the format's {cap} bytes")
         return decode(blob)
     except (BadMagic, TruncatedData) as exc:
         raise type(exc)(f"{full}: {exc}") from exc

@@ -38,6 +38,7 @@ from biolock.iris import (
 )
 from biolock.imaging import encode_pgm
 from biolock.registry import read_audit_log
+from test_fingerprint import as_minutiae
 
 # --- pinned tolerances and budgets ------------------------------------------
 
@@ -190,7 +191,7 @@ def test_criterion_02_planted_minutiae_recovery():
     worst_rate, worst_spurious = 1.0, 0
     for img, truth in suite:
         template = build_template(img)
-        found = list(template.minutiae)
+        found = as_minutiae(template.rows)
         used = set()
         matched = 0
         for x, y, kind in truth:

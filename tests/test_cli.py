@@ -29,11 +29,12 @@ from biolock.errors import (
     TruncatedData,
 )
 from biolock.fingerprint import KIND_ENDING, TEMPLATE_MAX_BYTES, build_template
-from biolock.fusion import GENUINE, FusionConfig, save_config
-from biolock.imaging import decode_pgm, encode_pgm
+from biolock.fusion import GENUINE, MAX_CONFIG_BYTES, FusionConfig, save_config
+from biolock.imaging import MAX_PGM_BYTES, decode_pgm, encode_pgm
 from biolock.iris import CODE_MAX_BYTES
 from biolock.registry import read_audit_log
 from test_benchmark_hooks import load_tracer
+from test_fingerprint import as_minutiae
 
 
 @pytest.fixture(scope="module")
@@ -374,17 +375,70 @@ def damaged(data, db, name):
     path.write_bytes(blob)
 
 
-def every_command(db, tmp, env, claim):
+CONFIG_DAMAGE = ("byte", "truncation", "invalid_utf8", "repeated_key", "non_finite")
+AUDIT_DAMAGE = ("garbage", "invalid_utf8", "torn")
+AUDIT_LINE = (b'{"ts": "2026-01-01T00:00:00+00:00", "kind": "alarm", "claimed_id": "bob", '
+              b'"ms_final": 0.25, "detail": "-"}\n')
+
+
+def damaged_config(data, path):
+    """Write the default fusion config to ``path``, intact in about half the
+    examples, else damaged as drawn: one byte set, the file cut short, an
+    invalid UTF-8 sequence put in, one line repeated, or one number made
+    non-finite."""
+    save_config(FusionConfig(), path)
+    kind = data.draw(st.none() | st.sampled_from(CONFIG_DAMAGE))
+    blob = path.read_bytes()
+    lines = blob.splitlines(keepends=True)
+    if kind == "byte":
+        at = data.draw(st.integers(0, len(blob) - 1))
+        blob = blob[:at] + bytes([data.draw(st.integers(0, 255))]) + blob[at + 1:]
+    elif kind == "truncation":
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    elif kind == "invalid_utf8":
+        at = data.draw(st.integers(0, len(blob)))
+        blob = blob[:at] + data.draw(st.sampled_from([b"\xff", b"\x80", b"\xc3("])) + blob[at:]
+    elif kind == "repeated_key":
+        blob += data.draw(st.sampled_from(lines))
+    elif kind == "non_finite":
+        at = data.draw(st.sampled_from([i for i, line in enumerate(lines) if b"true" not in line
+                                        and b"false" not in line]))
+        key = lines[at].split(b"=")[0]
+        value = data.draw(st.sampled_from([b"nan", b"inf", b"-inf", b"1e999"]))
+        blob = b"".join(lines[:at] + [key + b"= " + value + b"\n"] + lines[at + 1:])
+    path.write_bytes(blob)
+
+
+def damaged_audit(data, path) -> bytes:
+    """Leave no audit log at ``path`` in about half the examples, else write
+    a damaged one as drawn: garbage bytes, an event line holding invalid
+    UTF-8, or an event line then a torn one; returns what was written."""
+    kind = data.draw(st.none() | st.sampled_from(AUDIT_DAMAGE))
+    if kind is None:
+        return b""
+    if kind == "garbage":
+        blob = data.draw(st.binary(min_size=1, max_size=64))
+    elif kind == "invalid_utf8":
+        blob = AUDIT_LINE.replace(b'"-"', b'"\xff\xfe"')
+    else:
+        blob = AUDIT_LINE + AUDIT_LINE[:data.draw(st.integers(1, len(AUDIT_LINE) - 2))]
+    path.write_bytes(blob)
+    return blob
+
+
+def every_command(db, tmp, env, claim, config=None):
     """The argv of each command that opens ``db``, ``enroll`` (which writes)
-    last; probes are bob's."""
+    last; probes are bob's, and a ``config`` is passed to each command that
+    scores."""
     probe = ["--finger", env["bob_probe_finger"], "--iris", env["bob_probe_eye"]]
     probes = Path(tmp) / "probes.csv"
     probes.write_text(f"bob,{env['bob_probe_finger']},{env['bob_probe_eye']}\n")
+    cfg = [] if config is None else ["--config", config]
     return [[str(a) for a in argv] for argv in (
-        ["verify", "--db", db, "--claim", claim, *probe],
-        ["access", "--db", db, "--claim", claim, *probe, "--audit", Path(tmp) / "audit.log"],
-        ["identify", "--db", db, *probe],
-        ["eval", "--db", db, "--probes", probes],
+        ["verify", "--db", db, "--claim", claim, *probe, *cfg],
+        ["access", "--db", db, "--claim", claim, *probe, "--audit", Path(tmp) / "audit.log", *cfg],
+        ["identify", "--db", db, *probe, *cfg],
+        ["eval", "--db", db, "--probes", probes, *cfg],
         ["enroll", "--db", db, "--subject", "carol", *probe])]
 
 
@@ -400,11 +454,27 @@ def test_damaged_template_and_code_files_exit_0_1_or_2_on_every_command(env, dat
             pytest.MonkeyPatch.context() as mp:
         db = shutil.copytree(env["db"], Path(tmp) / "db")
         damaged(data, db, name)
+        config, audit = Path(tmp) / "fusion.cfg", Path(tmp) / "audit.log"
+        damaged_config(data, config)
+        before = damaged_audit(data, audit)
         mp.chdir(tmp)  # eval writes roc.csv to the working directory
-        for argv in every_command(db, tmp, env, claim):
+        # then one door event that no damage but the audit log's stops
+        door = ["access", "--db", env["db"], "--claim", claim, "--audit", audit,
+                "--finger", env["bob_probe_finger"], "--iris", env["bob_probe_eye"]]
+        for argv in every_command(db, tmp, env, claim, config) + [[str(a) for a in door]]:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 assert cli.main(argv) in (0, 1, 2)
+            after = audit.read_bytes() if audit.exists() else b""
+            if argv[0] != "access" or after == before:
+                continue
+            # access appended one event, on a line of its own, after the bytes it found
+            head = before + b"\n" if before and not before.endswith(b"\n") else before
+            assert after.startswith(head) and after.endswith(b"\n")
+            assert after[len(head):].count(b"\n") == 1
+            assert json.loads(after[len(head):])["claimed_id"] == claim
+            before = after
+        assert json.loads(before.splitlines()[-1])["claimed_id"] == claim
 
 
 def test_nested_json_manifest_exits_2_on_every_command(tmp_path, env, monkeypatch, capsys):
@@ -442,6 +512,25 @@ def test_access_unlock_then_alarm_audits_one_line_each(tmp_path, env, capsys):
     events = read_audit_log(audit)
     assert [e.kind for e in events] == ["access_granted", "alarm"]
     assert events[1].claimed_id == "alice"
+
+
+def test_access_after_a_torn_audit_line_writes_its_event_on_a_line_of_its_own(
+        tmp_path, env, capsys):
+    audit = tmp_path / "door.log"
+    torn = b'{"ts": "2026-01-01T00:00:00+00:00", "ki'
+    audit.write_bytes(torn)
+    for _ in range(2):
+        code, out, _ = run_cli(
+            capsys, "access", "--db", env["db"], "--claim", "bob",
+            "--finger", env["bob_probe_finger"], "--iris", env["bob_probe_eye"],
+            "--audit", audit,
+        )
+        assert code == 0 and out.strip().endswith("UNLOCK")
+    lines = audit.read_bytes().split(b"\n")
+    assert lines[0] == torn and lines[-1] == b"" and len(lines) == 4
+    for line in lines[1:3]:
+        event = json.loads(line)
+        assert (event["kind"], event["claimed_id"]) == ("access_granted", "bob")
 
 
 def test_access_error_still_logs_event(tmp_path, env, capsys):
@@ -606,6 +695,16 @@ def test_eval_malformed_csv_exits_2(tmp_path, env, capsys, monkeypatch):
     assert "3 columns" in err
 
 
+def test_eval_csv_field_past_the_csv_module_limit_exits_2_naming_the_line(
+        tmp_path, env, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"alice,{env['alice_finger']},\nbob,{'x' * 200_000},\n")
+    code, out, err = run_cli(capsys, "eval", "--db", env["db"], "--probes", bad)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: line 2: field larger than field limit")
+
+
 def test_eval_unresolved_path_exits_2(tmp_path, env, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     bad = tmp_path / "bad.csv"
@@ -641,9 +740,9 @@ def test_inspect_finger_dumps_and_counts(tmp_path, env, capsys):
         dump = decode_pgm((out_dir / name).read_bytes())
         assert (dump.width, dump.height) == (source.width, source.height)
     template = build_template(source)
-    endings = sum(1 for m in template.minutiae if m.kind == KIND_ENDING)
-    expected = (f"minutiae: {len(template.minutiae)} total, {endings} endings, "
-                f"{len(template.minutiae) - endings} bifurcations")
+    endings = sum(1 for m in as_minutiae(template.rows) if m.kind == KIND_ENDING)
+    expected = (f"minutiae: {len(template)} total, {endings} endings, "
+                f"{len(template) - endings} bifurcations")
     assert expected in out
     # quality is the fraction of the image inside the segmentation mask
     mask = decode_pgm((out_dir / "mask.pgm").read_bytes()).pixels > 0.5
@@ -689,6 +788,39 @@ def test_pgm_header_over_the_pixel_cap_exits_2(tmp_path, env, capsys):
                            "--finger", huge)
     assert code == 2
     assert "100000x100000 exceeds" in err and "PGM cap" in err
+
+
+def test_probe_pgm_longer_than_the_byte_cap_exits_2_naming_the_cap(tmp_path, env, capsys):
+    # a 64 x 64 header whose payload runs on past what any PGM within the pixel cap holds
+    long = tmp_path / "long.pgm"
+    long.write_bytes(b"P5 64 64 255\n" + bytes(range(256)) * (MAX_PGM_BYTES // 256))
+    code, out, err = run_cli(capsys, "verify", "--db", env["db"], "--claim", "bob",
+                             "--finger", long)
+    assert (code, out) == (2, "")
+    assert err == f"error: {long}: longer than the {MAX_PGM_BYTES}-byte cap\n"
+
+
+@pytest.mark.parametrize("flag, cap", [("--finger", MAX_PGM_BYTES), ("--config", MAX_CONFIG_BYTES)])
+@pytest.mark.parametrize("make, message", [
+    (lambda path, cap: os.mkfifo(path), "not a regular file"),
+    (lambda path, cap: path.mkdir(), "not a regular file"),
+    (lambda path, cap: path.write_bytes(bytes(cap + 1)), "-byte cap"),
+], ids=["fifo", "directory", "past_the_cap"])
+def test_unreadable_probe_and_config_files_exit_2_at_once(tmp_path, env, capsys, flag, cap, make,
+                                                         message):
+    path = tmp_path / "input"
+    make(path, cap)
+    argv = ["verify", "--db", env["db"], "--claim", "bob", "--finger", env["bob_probe_finger"],
+            flag, path]
+    try:
+        code = _finishes(lambda: cli.main([str(a) for a in argv]))
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: ") and message in err
+    finally:
+        if path.is_fifo():  # end an open still blocked on the FIFO, if any
+            with contextlib.suppress(OSError):  # ENXIO: no reader is waiting
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
 
 
 def test_enroll_of_a_print_wider_than_fpt1_stores_exits_2_and_writes_nothing(tmp_path, capsys):

@@ -32,6 +32,7 @@ from biolock.fingerprint import (
 from biolock.fusion import CLASSIFIERS, FusionConfig, load_config, save_config
 from biolock.imaging import GrayImage, decode_pgm, encode_pgm
 from biolock.iris import SCHEME_HAAR, SCHEME_MELLIN, IrisCode, decode_code, encode_code
+from test_fingerprint import KINDS, as_minutiae
 
 # Template fields are stored as float32, so values are drawn as float32; the
 # largest float32 below 2*pi is the top of the direction range.
@@ -212,9 +213,6 @@ def test_damaged_config_loads_or_raises_a_value_or_biolock_error(config_path, da
 # ---------------------------------------------------------------------------
 # FPT1 array codec against the struct loops it replaced
 
-_KINDS = (KIND_ENDING, KIND_BIFURCATION)  # index = kind code
-
-
 def decode_template_oracle(data: bytes) -> tuple:
     """The per-minutia struct decoder: (minutiae, width, height)."""
     if data[:4] != TEMPLATE_MAGIC:
@@ -230,20 +228,20 @@ def decode_template_oracle(data: bytes) -> tuple:
     minutiae = []
     for i in range(count):
         x, y, theta, code = struct.unpack_from("<fffB", data, 10 + 16 * i)
-        if code >= len(_KINDS):
+        if code >= len(KINDS):
             raise TruncatedData(f"unknown minutia kind code {code}")
         if not math.isfinite(x + y + theta):
             raise TruncatedData(f"minutia {i} has a non-finite field")
         theta = min(max(float(theta), 0.0), math.nextafter(2.0 * math.pi, 0.0))
-        minutiae.append(Minutia(float(x), float(y), theta, _KINDS[code]))
+        minutiae.append(Minutia(float(x), float(y), theta, KINDS[code]))
     return tuple(minutiae), width, height
 
 
 def encode_template_oracle(template: FingerprintTemplate) -> bytes:
     parts = [TEMPLATE_MAGIC,
              struct.pack("<HHH", len(template), template.image_width, template.image_height)]
-    for m in template.minutiae:
-        parts.append(struct.pack("<fffB3x", m.x, m.y, m.theta, _KINDS.index(m.kind)))
+    for m in as_minutiae(template.rows):
+        parts.append(struct.pack("<fffB3x", m.x, m.y, m.theta, KINDS.index(m.kind)))
     return b"".join(parts)
 
 
@@ -255,7 +253,8 @@ def test_encoding_a_field_past_the_float32_range_fails_as_struct_does():
 
 
 def minutiae_rows_oracle(templates) -> np.ndarray:
-    rows = [(m.x, m.y, m.theta, _KINDS.index(m.kind)) for t in templates for m in t.minutiae]
+    rows = [(m.x, m.y, m.theta, KINDS.index(m.kind))
+            for t in templates for m in as_minutiae(t.rows)]
     return np.array(rows, dtype=np.float64).reshape(-1, 4)
 
 
@@ -287,7 +286,7 @@ def test_array_decode_equals_the_struct_oracle(blob):
     minutiae, width, height = decode_template_oracle(blob)
     expected = FingerprintTemplate(minutiae, width, height)
     got = decode_template(blob)
-    assert got.minutiae == minutiae
+    assert as_minutiae(got.rows) == list(minutiae)
     assert np.array_equal(got.rows, expected.rows)
     assert got == expected and hash(got) == hash(expected)
     assert encode_template(got) == encode_template_oracle(got) == encode_template_oracle(expected)
@@ -303,7 +302,7 @@ def test_array_decode_equals_the_oracle_at_the_cap():
     blob = TEMPLATE_MAGIC + struct.pack("<HHH", MAX_MINUTIAE, 512, 512) + fields.tobytes()
     minutiae, width, height = decode_template_oracle(blob)
     assert decode_template(blob) == FingerprintTemplate(minutiae, width, height)
-    assert decode_template(blob).minutiae == minutiae
+    assert as_minutiae(decode_template(blob).rows) == list(minutiae)
 
 
 def _damage(blob: bytearray, how: str, draw) -> bytes:
@@ -347,7 +346,7 @@ def test_edited_blobs_decode_or_fail_as_the_oracle_does(data):
     expected = decoded_or_error(decode_template_oracle, blob)
     got = decoded_or_error(decode_template, blob)
     if isinstance(expected, tuple):
-        assert got == FingerprintTemplate(*expected) and got.minutiae == expected[0]
+        assert got == FingerprintTemplate(*expected) and as_minutiae(got.rows) == list(expected[0])
     else:
         assert got is expected
 
@@ -366,18 +365,18 @@ def test_minutiae_rows_reject_a_non_finite_position_as_the_oracle_does():
 
 
 # ---------------------------------------------------------------------------
-# FingerprintTemplate: array storage, equality, hash, minutiae on demand
+# FingerprintTemplate: array storage, equality, hash
 
 
 @settings(max_examples=100, deadline=None)
 @given(minutiae=MINUTIAE)
 def test_template_minutiae_round_trip_through_the_rows(minutiae):
     template = FingerprintTemplate(minutiae, 64, 48)
-    assert template.minutiae == tuple(minutiae)
+    assert as_minutiae(template.rows) == minutiae
     assert template.rows.dtype == np.float64 and template.rows.shape == (len(minutiae), 4)
-    assert np.array_equal(template.rows, [(m.x, m.y, m.theta, _KINDS.index(m.kind))
+    assert np.array_equal(template.rows, [(m.x, m.y, m.theta, KINDS.index(m.kind))
                                           for m in minutiae] or np.empty((0, 4)))
-    again = FingerprintTemplate(template.minutiae, 64, 48)
+    again = FingerprintTemplate(as_minutiae(template.rows), 64, 48)
     assert again == template and hash(again) == hash(template) and len(again) == len(minutiae)
 
 

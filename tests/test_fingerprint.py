@@ -85,10 +85,13 @@ def circ_diff_pi(a, b):
     return min(d, math.pi - d)
 
 
+KINDS = (KIND_ENDING, KIND_BIFURCATION)  # index = kind code
+
+
 def as_minutiae(rows):
     """The Minutia list of (n, 4) rows of x, y, theta and kind code, as the
     oracles take and return them; :func:`as_rows` is its inverse."""
-    return [Minutia(x, y, t, fingerprint._CODE_KIND[k]) for x, y, t, k in rows.tolist()]
+    return [Minutia(x, y, t, KINDS[int(k)]) for x, y, t, k in rows.tolist()]
 
 
 def as_rows(minutiae):
@@ -108,7 +111,7 @@ def rigid_template(tpl, dx, dy, dtheta):
     cy = tpl.image_height / 2.0
     ca, sa = math.cos(dtheta), math.sin(dtheta)
     moved = []
-    for m in tpl.minutiae:
+    for m in as_minutiae(tpl.rows):
         x = cx + ca * (m.x - cx) - sa * (m.y - cy) + dx
         y = cy + sa * (m.x - cx) + ca * (m.y - cy) + dy
         moved.append(Minutia(x, y, (m.theta + dtheta) % (2.0 * math.pi), m.kind))
@@ -1012,23 +1015,30 @@ def test_filter_bridge_rule_removes_crossing_pairs_with_a_bifurcation():
 
 def test_filter_builds_one_crossing_number_map_per_call(monkeypatch):
     calls = []
-    real = fingerprint.neighbour_codes
+    real = imaging.neighbour_codes
 
     def counting(bits):
         calls.append(bits.shape)
         return real(bits)
 
-    monkeypatch.setattr(fingerprint, "neighbour_codes", counting)
+    monkeypatch.setattr(imaging, "neighbour_codes", counting)
     thinned = skeleton_image(hline(10, 38, 24) + [(24, 23), (24, 22), (24, 21), (24, 20)]
                              + hline(10, 38, 34), 48)
     raw, border = extract_all(thinned, 48)
     assert sum(m.kind == KIND_ENDING for m in as_minutiae(raw)) >= 4
+    # a skeleton nothing has read yet: its rules share one map
+    fresh = BinaryImage(thinned.bits)
     calls.clear()
-    filter_false_minutiae(raw, thinned, border, 9.0)
+    kept = filter_false_minutiae(raw, fresh, border, 9.0)
+    assert calls == [(48, 48)]
+    # and a skeleton keeps its map: extraction's, or the first filter's
+    assert np.array_equal(filter_false_minutiae(raw, fresh, border, 9.0), kept)
+    assert np.array_equal(filter_false_minutiae(raw, thinned, border, 9.0), kept)
     assert calls == [(48, 48)]
     art = clean_print_artifacts()
     calls.clear()
-    filter_false_minutiae(art.raw_minutiae, art.thinned, art_border(art), art_gap(art))
+    filter_false_minutiae(art.raw_minutiae, BinaryImage(art.thinned.bits), art_border(art),
+                          art_gap(art))
     assert len(calls) == 1
 
 
@@ -1240,16 +1250,17 @@ def test_extract_and_filter_equal_oracles_on_random_skeletons(size, density, mas
 def test_build_template_builds_one_neighbour_code_raster_per_print(monkeypatch):
     img, _ = synthgen.plant_print([KIND_ENDING, KIND_BIFURCATION, KIND_ENDING], seed=42)
     calls = []
-    real = fingerprint.neighbour_codes
-    monkeypatch.setattr(fingerprint, "neighbour_codes",
+    real = imaging.neighbour_codes
+    monkeypatch.setattr(imaging, "neighbour_codes",
                         lambda bits: calls.append(bits.shape) or real(bits))
     _, art = build_template(img, keep_artifacts=True)
-    assert calls == [img.pixels.shape]
-    # extract and filter shared it on a copy of the skeleton: the kept one has none
-    assert "_codes" not in art.thinned.__dict__
+    # one for thin's input, and one the skeleton keeps for extract and filter
+    assert calls == [img.pixels.shape] * 2
+    codes = art.thinned.codes
     assert np.array_equal(extract_minutiae(art.thinned, art.orientation, art.mask),
                           art.raw_minutiae)
-    assert len(calls) == 2
+    assert art.thinned.codes is codes and len(calls) == 2
+    assert np.array_equal(codes, real(art.thinned.bits)) and not codes.flags.writeable
 
 
 def test_build_template_runs_one_border_distance_per_print(monkeypatch):
@@ -1402,8 +1413,8 @@ def hough_oracle(template, probe):
     cx = template.image_width / 2.0
     cy = template.image_height / 2.0
     votes = {}
-    for mt in template.minutiae:
-        for mp in probe.minutiae:
+    for mt in as_minutiae(template.rows):
+        for mp in as_minutiae(probe.rows):
             d = (mp.theta - mt.theta + math.pi) % (2.0 * math.pi) - math.pi
             if d == -math.pi:
                 d = math.pi
@@ -1442,12 +1453,12 @@ def match_oracle(template, probe):
     cy = template.image_height / 2.0
     c, s = math.cos(-reg.dtheta), math.sin(-reg.dtheta)
     aligned = []
-    for m in probe.minutiae:
+    for m in as_minutiae(probe.rows):
         ox, oy = (m.x - reg.dx) - cx, (m.y - reg.dy) - cy
         aligned.append((cx + c * ox - s * oy, cy + s * ox + c * oy,
                         (m.theta - reg.dtheta) % (2.0 * math.pi), m.kind))
     candidates = []
-    for ti, mt in enumerate(template.minutiae):
+    for ti, mt in enumerate(as_minutiae(template.rows)):
         for pi, (x, y, theta, kind) in enumerate(aligned):
             if kind != mt.kind:
                 continue
@@ -1564,7 +1575,7 @@ def test_match_invariant_under_common_rigid_transform():
     base = ten_point_template(seed=14)
     for _ in range(8):
         jittered = []
-        for m in base.minutiae:
+        for m in as_minutiae(base.rows):
             jittered.append(Minutia(
                 m.x + float(rng.uniform(-4.0, 4.0)),
                 m.y + float(rng.uniform(-4.0, 4.0)),
@@ -1596,7 +1607,7 @@ def jittered(tpl, rng, sigma=2.0, size=None):
     return FingerprintTemplate(tuple(
         Minutia(m.x + float(rng.normal(0.0, sigma)), m.y + float(rng.normal(0.0, sigma)),
                 (m.theta + float(rng.normal(0.0, 0.05))) % (2.0 * math.pi), m.kind)
-        for m in tpl.minutiae), width, height)
+        for m in as_minutiae(tpl.rows)), width, height)
 
 
 def random_template(rng, n, width=256, height=256):
@@ -1653,7 +1664,7 @@ def test_kernel_wraps_angle_differences_of_exactly_pi():
     for p_theta in (0.0, math.pi, math.nextafter(2.0 * math.pi, 0.0)):
         tpl = ten_point_template(seed=3)
         probe = FingerprintTemplate(tuple(Minutia(m.x, m.y, p_theta, m.kind)
-                                          for m in tpl.minutiae), 256, 256)
+                                          for m in as_minutiae(tpl.rows)), 256, 256)
         assert_kernel_matches_oracle([tpl, probe], probe)
 
 
@@ -1785,7 +1796,7 @@ def test_template_binary_roundtrip():
         back = decode_template(encode_template(tpl))
         assert len(back) == count
         assert (back.image_width, back.image_height) == (256, 290)
-        for orig, got in zip(tpl.minutiae, back.minutiae):
+        for orig, got in zip(as_minutiae(tpl.rows), as_minutiae(back.rows)):
             assert got.x == float(np.float32(orig.x))
             assert got.y == float(np.float32(orig.y))
             assert got.kind == orig.kind
@@ -1796,7 +1807,7 @@ def test_template_roundtrip_clamps_theta_precision():
     near_two_pi = math.nextafter(2.0 * math.pi, 0.0)
     tpl = make_template([(1.0, 2.0, near_two_pi, KIND_ENDING)])
     back = decode_template(encode_template(tpl))
-    assert 0.0 <= back.minutiae[0].theta < 2.0 * math.pi
+    assert 0.0 <= as_minutiae(back.rows)[0].theta < 2.0 * math.pi
 
 
 def test_template_decode_rejects_bad_data():
@@ -1844,7 +1855,7 @@ def test_build_template_recovers_planted_minutiae():
     used = set()
     for tx, ty, kind in truth:
         best = None
-        for i, m in enumerate(tpl.minutiae):
+        for i, m in enumerate(as_minutiae(tpl.rows)):
             if i in used or m.kind != kind:
                 continue
             d = math.hypot(m.x - tx, m.y - ty)

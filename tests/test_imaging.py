@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from scipy import ndimage
 
 from test_fingerprint import degraded_print
 from biolock import imaging
-from biolock.errors import MalformedHeader, TruncatedData, UnsupportedMaxval
+from biolock.errors import MalformedHeader, NotRegularFile, TruncatedData, UnsupportedMaxval
 from biolock.fingerprint import KIND_BIFURCATION, KIND_ENDING, build_template, coherence_image
 from biolock.imaging import (
     BINARIZE_WINDOW,
@@ -17,7 +19,6 @@ from biolock.imaging import (
     adaptive_threshold,
     decode_pgm,
     encode_pgm,
-    gradients,
     morph_close_open,
     thin,
 )
@@ -102,6 +103,23 @@ def test_pgm_round_trip_payload_identical():
     assert decode_pgm(again).pixels.shape == (16, 24)
 
 
+def test_read_regular_file_reads_up_to_its_cap_and_only_regular_files(tmp_path):
+    path = tmp_path / "data"
+    path.write_bytes(b"abcd")
+    assert imaging.read_regular_file(path, 4) == b"abcd"
+    assert imaging.read_regular_file(path, 1 << 30) == b"abcd"
+    with pytest.raises(TruncatedData, match=f"{path}: longer than the 3-byte cap"):
+        imaging.read_regular_file(path, 3)
+    (tmp_path / "empty").write_bytes(b"")
+    assert imaging.read_regular_file(tmp_path / "empty", 0) == b""
+    os.mkfifo(tmp_path / "fifo")  # opened without blocking, so no writer is awaited
+    for special in (tmp_path, tmp_path / "fifo"):
+        with pytest.raises(NotRegularFile, match=f"{special}: not a regular file"):
+            imaging.read_regular_file(special, 4)
+    with pytest.raises(FileNotFoundError):
+        imaging.read_regular_file(tmp_path / "absent", 4)
+
+
 # ---------------------------------------------------------------------------
 # Float fields
 
@@ -119,7 +137,7 @@ def test_float_field_rejects_non_finite_values(kind, bad):
 
 def test_gradients_constant_image_zero():
     img = GrayImage(np.full((12, 12), 0.37))
-    gx, gy = gradients(img)
+    gx, gy = img.gradients
     assert np.all(gx == 0.0)
     assert np.all(gy == 0.0)
 
@@ -128,7 +146,7 @@ def test_gradients_linear_ramp():
     w, h = 16, 12
     xs = np.arange(w) / w
     img = GrayImage(np.tile(xs, (h, 1)))
-    gx, gy = gradients(img)
+    gx, gy = img.gradients
     assert np.all(gx[1:-1, 1:-1] > 0)
     assert np.allclose(gy[1:-1, 1:-1], 0.0)
 
@@ -158,7 +176,7 @@ def test_gradients_cosine_matches_direct_convolution():
     w, h = 32, 16
     xs = np.arange(w)
     img = GrayImage(np.tile(0.5 + 0.5 * np.cos(2 * np.pi * xs / 8), (h, 1)))
-    gx, _ = gradients(img)
+    gx, _ = img.gradients
     oracle = naive_correlate(img.pixels, SOBEL_X)
     assert np.array_equal(gx, oracle)
 
@@ -183,13 +201,13 @@ def runs_of_levels(draw):
 @settings(max_examples=200, deadline=None)
 @given(pixels=runs_of_levels())
 def test_gradients_equal_the_full_nine_tap_loop_bit_for_bit(pixels):
-    gx, gy = gradients(GrayImage(pixels))
+    gx, gy = GrayImage(pixels).gradients
     assert same_bits(gx, naive_correlate(pixels, SOBEL_X))
     assert same_bits(gy, naive_correlate(np.ascontiguousarray(pixels.T), SOBEL_X).T)
 
 
 def count_sobel_passes(monkeypatch):
-    """Record the shape of each raster that gradients pads: one Sobel pass
+    """Record the shape of each raster that GrayImage.gradients pads: one Sobel pass
     pads its image once, by one pixel of replicated edge."""
     calls = []
     real = np.pad
@@ -205,22 +223,22 @@ def count_sobel_passes(monkeypatch):
 def test_gradients_are_computed_once_per_image_and_read_only(monkeypatch):
     calls = count_sobel_passes(monkeypatch)
     img = GrayImage(np.linspace(0.0, 1.0, 80).reshape(8, 10))
-    gx, gy = gradients(img)
-    assert gradients(img)[0] is gx and gradients(img)[1] is gy
+    gx, gy = img.gradients
+    assert img.gradients[0] is gx and img.gradients[1] is gy
     assert calls == [(8, 10)]
     for g in (gx, gy):
         assert not g.flags.writeable
         with pytest.raises(ValueError):
             g[0, 0] = 1.0
     # an equal image built afresh computes its own pair
-    gradients(GrayImage(img.pixels))
+    GrayImage(img.pixels).gradients
     assert calls == [(8, 10), (8, 10)]
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 9), (64, 48)])
 def test_gradients_are_c_contiguous_and_read_only(shape):
     pixels = np.random.default_rng(sum(shape)).random(shape)
-    for g in gradients(GrayImage(pixels)):
+    for g in GrayImage(pixels).gradients:
         assert g.shape == shape and g.dtype == np.float64
         assert g.flags.c_contiguous and not g.flags.writeable
 
@@ -485,12 +503,22 @@ def test_thin_codes_the_neighbourhoods_once(monkeypatch):
     assert calls == [(40, 40)]
 
 
+def test_binary_image_codes_are_computed_once_and_read_only(monkeypatch):
+    calls = []
+    real = imaging.neighbour_codes
+    monkeypatch.setattr(imaging, "neighbour_codes", lambda b: calls.append(b.shape) or real(b))
+    img = BinaryImage(np.eye(5, 7, dtype=bool))
+    codes = img.codes
+    assert img.codes is codes and calls == [(5, 7)]
+    assert np.array_equal(codes, real(img.bits)) and not codes.flags.writeable
+
+
 def test_thin_horizontal_bar_centerline():
     bits = np.zeros((12, 30), dtype=bool)
     bits[5:8, 4:24] = True
     out = thin_checked(bits)
     assert np.all(out.bits <= bits)
-    assert out.count() >= 18
+    assert out.bits.sum() >= 18
     # one-pixel wide: every column of the span holds at most one pixel
     assert np.all(out.bits[:, 5:23].sum(axis=0) <= 1)
     from scipy import ndimage
