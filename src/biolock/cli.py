@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import csv
+import io
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +30,7 @@ from .registry import TemplateDB, _load_record, access, enroll, identify, load_d
 
 ROC_THRESHOLDS = tuple(i / 100.0 for i in range(101))
 _PROBE_HEADER = ("true_subject_id", "finger_path", "iris_path")
+MAX_PROBE_CSV_BYTES = 16 * 1024 * 1024  # about 100 000 probe rows of 160 bytes
 
 
 # ---------------------------------------------------------------------------
@@ -89,30 +91,34 @@ def read_probe_rows(path: Path) -> list:
     """Parse the probe CSV: rows of (true_subject_id, finger_path, iris_path),
     empty path fields meaning the modality is absent.  A leading header row
     matching the canonical column names is skipped.  A row csv cannot parse is
-    a ValueError naming its line."""
+    a ValueError naming its line.  The file is read with
+    :func:`read_regular_file` under ``MAX_PROBE_CSV_BYTES``."""
+    try:
+        text = read_regular_file(path, MAX_PROBE_CSV_BYTES).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            for lineno, row in enumerate(reader, start=1):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) != 3:
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected 3 columns, got {len(row)}"
-                    )
-                cells = tuple(cell.strip() for cell in row)
-                if lineno == 1 and cells == _PROBE_HEADER:
-                    continue
-                if not cells[0]:
-                    raise ValueError(f"{path}: line {lineno}: empty subject id")
-                if not cells[1] and not cells[2]:
-                    raise ValueError(
-                        f"{path}: line {lineno}: probe needs at least one image path"
-                    )
-                rows.append(cells)
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for lineno, row in enumerate(reader, start=1):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != 3:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected 3 columns, got {len(row)}"
+                )
+            cells = tuple(cell.strip() for cell in row)
+            if lineno == 1 and cells == _PROBE_HEADER:
+                continue
+            if not cells[0]:
+                raise ValueError(f"{path}: line {lineno}: empty subject id")
+            if not cells[1] and not cells[2]:
+                raise ValueError(
+                    f"{path}: line {lineno}: probe needs at least one image path"
+                )
+            rows.append(cells)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no probe rows")
     return rows

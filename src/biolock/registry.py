@@ -20,15 +20,24 @@ code pairs; the per-trait score against that subject is the maximum over the
 subject's templates.  For the iris trait the unit of aggregation is the
 enrolled pair — each pair's haar/mellin distances are fused first and the best
 pair wins — so one eye's observation is never mixed with another's.
+
+Threading rule: a probe with both traits has its iris half scored on one
+worker thread, in a copy of the caller's ``contextvars`` context, while the
+calling thread scores the finger half; the halves share no mutable state, so
+the scores are a sequential pass's.  The worker is joined before the call
+returns or raises, and a finger error wins over an iris error.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import os
 import re
+import stat
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -85,6 +94,7 @@ SUBJECT_ID_PATTERN = re.compile(r"[A-Za-z0-9_-]{1,64}")  # match whole ids: full
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
+MAX_MANIFEST_BYTES = 64 * 1024 * 1024  # a 10 000-subject manifest is about 2 MB
 AUDIT_LOG_NAME = "audit.log"
 
 EVENT_ACCESS_GRANTED = "access_granted"
@@ -214,6 +224,16 @@ _TS_LOCK = threading.Lock()
 _LAST_TS: dict = {}
 
 
+def _open_regular(path, flags: int) -> int:
+    """An ``open`` opener that refuses anything but a regular file, before
+    ``open`` seeks it."""
+    fd = os.open(path, flags, 0o666)
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise NotRegularFile(f"{path}: not a regular file")
+    return fd
+
+
 class AuditLog:
     """Append-only JSON-lines event log with strictly increasing timestamps;
     an event after a torn last line (no final newline) starts a new line."""
@@ -237,7 +257,7 @@ class AuditLog:
                            float(ms_final), str(detail))
         line = json.dumps(asdict(event)).encode("utf-8") + b"\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "ab+") as fh:
+        with open(self.path, "ab+", opener=_open_regular) as fh:
             end = fh.seek(0, os.SEEK_END)
             if end and os.pread(fh.fileno(), 1, end - 1) != b"\n":
                 line = b"\n" + line  # end the torn last line first
@@ -289,11 +309,16 @@ def _load_file(directory: str, name: str, decode, cap: int):
 
 def _parse_manifest(manifest_path: Path) -> dict:
     """Check the whole manifest, reading no template file, and return its
-    entries by subject id in enrollment order; no manifest means no entries."""
-    if not manifest_path.is_file():
-        return {}
+    entries by subject id in enrollment order; no manifest means no entries,
+    and one that is not a regular file, or is past its cap, is corrupt."""
     try:
-        data = json.loads(manifest_path.read_text(encoding="utf-8"))
+        blob = read_regular_file(manifest_path, MAX_MANIFEST_BYTES)
+    except FileNotFoundError:
+        return {}
+    except (NotRegularFile, TruncatedData) as exc:
+        raise CorruptManifest(str(exc)) from exc
+    try:
+        data = json.loads(blob.decode("utf-8"))
     # RecursionError: JSON nested past the parser's recursion limit
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise CorruptManifest(f"{manifest_path}: {exc}") from exc
@@ -471,6 +496,19 @@ def _best_per_record(counts: list, key: np.ndarray, *values: np.ndarray) -> list
     return out
 
 
+def _score_iris(records: Sequence[PersonRecord], probe_iris: GrayImage,
+                cfg: FusionConfig) -> dict:
+    """The iris half of :func:`_score_records`."""
+    _, _, haar, mellin = build_codes(probe_iris)
+    pairs = [pair for record in records for pair in record.iris_codes]
+    d_haar = hamming_distances([pair.haar for pair in pairs], haar)
+    d_mellin = hamming_distances([pair.mellin for pair in pairs], mellin)
+    _, ms_iris, _ = fuse_arrays({CLASSIFIER_HAAR: d_haar, CLASSIFIER_MELLIN: d_mellin}, cfg)
+    best_haar, best_mellin = _best_per_record(
+        [len(record.iris_codes) for record in records], ms_iris, d_haar, d_mellin)
+    return {CLASSIFIER_HAAR: best_haar, CLASSIFIER_MELLIN: best_mellin}
+
+
 def _score_records(records: Sequence[PersonRecord], probe_finger, probe_iris,
                    cfg: FusionConfig) -> dict:
     """The scoring core of verify and identify: the probe against many records.
@@ -479,23 +517,18 @@ def _score_records(records: Sequence[PersonRecord], probe_finger, probe_iris,
     record or probe lacks the trait.  All templates are scored in one batched
     minutiae call and a record keeps its best; all iris codes in one batched
     Hamming call per scheme, and a record keeps the pair with the best fused
-    iris score, the first one on ties.
+    iris score, the first one on ties.  A probe with both traits scores its
+    iris half on a worker thread (see the module docstring).
     """
-    raw = {}
-    if probe_finger is not None:
+    if probe_finger is None:  # verify and identify refuse a probe with neither trait
+        return _score_iris(records, probe_iris, cfg)
+    with ThreadPoolExecutor(max_workers=1) as pool:  # starts no thread until a submit
+        iris = None if probe_iris is None else pool.submit(
+            contextvars.copy_context().run, _score_iris, records, probe_iris, cfg)
         scores = np.array(match_minutiae_many(
             [t for record in records for t in record.fingerprints], build_template(probe_finger)))
-        (raw[CLASSIFIER_MINUTIAE],) = _best_per_record(
-            [len(record.fingerprints) for record in records], scores, scores)
-    if probe_iris is not None:
-        _, _, haar, mellin = build_codes(probe_iris)
-        pairs = [pair for record in records for pair in record.iris_codes]
-        d_haar = hamming_distances([pair.haar for pair in pairs], haar)
-        d_mellin = hamming_distances([pair.mellin for pair in pairs], mellin)
-        _, ms_iris, _ = fuse_arrays({CLASSIFIER_HAAR: d_haar, CLASSIFIER_MELLIN: d_mellin}, cfg)
-        raw[CLASSIFIER_HAAR], raw[CLASSIFIER_MELLIN] = _best_per_record(
-            [len(record.iris_codes) for record in records], ms_iris, d_haar, d_mellin)
-    return raw
+        (best,) = _best_per_record([len(record.fingerprints) for record in records], scores, scores)
+    return {CLASSIFIER_MINUTIAE: best, **({} if iris is None else iris.result())}
 
 
 def verify(

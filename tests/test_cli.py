@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import synthgen
 import biolock
 from biolock import cli, registry
-from biolock.cli import EvalReport, read_probe_rows, sweep_rates
+from biolock.cli import MAX_PROBE_CSV_BYTES, EvalReport, read_probe_rows, sweep_rates
 from biolock.errors import (
     BiolockError,
     BoundaryNotFound,
@@ -821,6 +821,42 @@ def test_unreadable_probe_and_config_files_exit_2_at_once(tmp_path, env, capsys,
         if path.is_fifo():  # end an open still blocked on the FIFO, if any
             with contextlib.suppress(OSError):  # ENXIO: no reader is waiting
                 os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+
+
+def _probe_csv_past_its_cap(path):
+    with open(path, "wb") as fh:  # one good row, then a sparse run of NUL bytes
+        fh.write(b"alice,a.pgm,\n")
+        fh.truncate(MAX_PROBE_CSV_BYTES + 1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (os.mkfifo, "not a regular file"),
+    (os.mkdir, "not a regular file"),
+    (_probe_csv_past_its_cap, f"longer than the {MAX_PROBE_CSV_BYTES}-byte cap"),
+    (lambda path: path.write_bytes(b"alice,\xff.pgm,\n"),
+     "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"),
+], ids=["fifo", "directory", "past_the_cap", "not_utf8"])
+def test_unreadable_probe_csv_exits_2_at_once_naming_it(tmp_path, env, capsys, make, message):
+    path = tmp_path / "probes.csv"
+    make(path)
+    try:
+        code = _finishes(lambda: cli.main(["eval", "--db", str(env["db"]), "--probes", str(path)]))
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: {message}\n"
+    finally:
+        if path.is_fifo():  # end an open still blocked on the FIFO, if any
+            with contextlib.suppress(OSError):  # ENXIO: no reader is waiting
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+
+
+def test_access_with_a_fifo_audit_log_exits_2_naming_it(tmp_path, env, capsys):
+    fifo = tmp_path / "audit.fifo"
+    os.mkfifo(fifo)  # opened read-write, so no reader or writer is awaited
+    code, out, err = run_cli(capsys, "access", "--db", env["db"], "--claim", "bob",
+                             "--finger", env["bob_probe_finger"], "--audit", fifo)
+    assert (code, out) == (2, "")
+    assert err == f"error: {fifo}: not a regular file\n"
 
 
 def test_enroll_of_a_print_wider_than_fpt1_stores_exits_2_and_writes_nothing(tmp_path, capsys):

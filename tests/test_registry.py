@@ -1,11 +1,14 @@
 """Tests for the template database: enrollment, matching, audit, persistence."""
 
+import contextvars
 import dataclasses
 import json
 import math
+import os
 import re
 import shutil
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -20,9 +23,12 @@ from biolock.errors import (
     DuplicateSubject,
     EmptyDatabase,
     EmptyEnrollment,
+    ImageTooSmall,
     MissingTemplateFile,
     NoProbe,
+    NoPupilFound,
     NoScores,
+    NotRegularFile,
     PipelineFailure,
     TruncatedData,
     UnknownSubject,
@@ -591,6 +597,130 @@ def test_identify_per_trait_scores_are_plain_floats(mixed_db, corpus):
 
 
 # ---------------------------------------------------------------------------
+# the iris half on a worker thread
+
+
+def _record_extraction_threads(monkeypatch) -> dict:
+    """Record the thread each probe extraction of the scoring core runs on."""
+    threads = {}
+    for name in ("build_template", "build_codes"):
+        def spy(img, _real=getattr(registry, name), _name=name):
+            threads[_name] = threading.current_thread()
+            return _real(img)
+        monkeypatch.setattr(registry, name, spy)
+    return threads
+
+
+def test_a_two_trait_probe_extracts_its_iris_on_a_worker_thread(mixed_db, corpus, monkeypatch):
+    threads = _record_extraction_threads(monkeypatch)
+    verify(mixed_db, "bob", corpus["bob"]["probe_finger"], corpus["bob"]["probe_eye"], CFG)
+    assert threads["build_template"] is threading.current_thread()
+    assert threads["build_codes"] is not threading.current_thread()
+
+
+@pytest.mark.parametrize("trait", ["finger", "eye"])
+def test_a_one_trait_probe_scores_on_the_calling_thread(mixed_db, corpus, monkeypatch, trait):
+    finger, eye = corpus["bob"]["probe_finger"], corpus["bob"]["probe_eye"]
+    column = 0 if trait == "finger" else 1
+    both = identify(mixed_db, finger, eye, CFG, top_k=len(mixed_db))
+    threads = _record_extraction_threads(monkeypatch)
+    probe = (finger, None) if trait == "finger" else (None, eye)
+    matches = identify(mixed_db, *probe, CFG, top_k=len(mixed_db))
+    assert list(threads.values()) == [threading.current_thread()]
+    assert {m.subject_id: m.per_trait[column] for m in matches} == {
+        m.subject_id: m.per_trait[column] for m in both if m.per_trait[column] is not None}
+
+
+def _scoring_calls(db, probe, log_path):
+    return (lambda: verify(db, "bob", *probe, CFG),
+            lambda: identify(db, *probe, CFG, top_k=len(db)),
+            lambda: access(db, "bob", *probe, CFG, audit_log=log_path))
+
+
+def test_a_finger_error_wins_over_an_iris_error_that_came_first(mixed_db, corpus, monkeypatch,
+                                                                  tmp_path):
+    iris_failed = threading.Event()
+
+    def failing_codes(img):
+        iris_failed.set()
+        raise NoPupilFound("the iris half failed")
+
+    def failing_template(img):
+        assert iris_failed.wait(5), "the iris half did not run beside the finger half"
+        raise ImageTooSmall("the finger half failed")
+
+    monkeypatch.setattr(registry, "build_codes", failing_codes)
+    monkeypatch.setattr(registry, "build_template", failing_template)
+    log_path = tmp_path / "door.log"
+    probe = corpus["bob"]["probe_finger"], corpus["bob"]["probe_eye"]
+    for call in _scoring_calls(mixed_db, probe, log_path):
+        iris_failed.clear()
+        with pytest.raises(ImageTooSmall, match="the finger half failed"):
+            call()
+    [event] = read_audit_log(log_path)
+    assert (event.kind, event.claimed_id, event.detail) == ("error", "bob", "the finger half failed")
+
+
+def test_an_iris_error_reaches_the_caller_unchanged(mixed_db, corpus, monkeypatch, tmp_path):
+    error = NoPupilFound("the iris half failed")
+
+    def failing_codes(img):
+        raise error
+
+    monkeypatch.setattr(registry, "build_codes", failing_codes)
+    log_path = tmp_path / "door.log"
+    probe = corpus["bob"]["probe_finger"], corpus["bob"]["probe_eye"]
+    for call in _scoring_calls(mixed_db, probe, log_path):
+        with pytest.raises(NoPupilFound) as raised:
+            call()
+        assert raised.value is error
+    [event] = read_audit_log(log_path)
+    assert (event.kind, event.detail) == ("error", "the iris half failed")
+
+
+@pytest.mark.parametrize("failing", [None, "build_template", "build_codes"])
+def test_no_thread_outlives_a_scoring_call(mixed_db, corpus, monkeypatch, tmp_path, failing):
+    if failing is not None:
+        def fail(img):
+            raise ImageTooSmall(f"{failing} failed")
+        monkeypatch.setattr(registry, failing, fail)
+    probe = corpus["bob"]["probe_finger"], corpus["bob"]["probe_eye"]
+    before = threading.active_count()
+    for call in _scoring_calls(mixed_db, probe, tmp_path / "door.log"):
+        if failing is None:
+            call()
+        else:
+            with pytest.raises(ImageTooSmall):
+                call()
+        assert threading.active_count() == before
+
+
+PROBE_CONTEXT = contextvars.ContextVar("probe_context")
+
+
+def test_the_iris_worker_runs_in_the_callers_context(mixed_db, corpus, monkeypatch):
+    seen = []
+    real = registry.build_codes
+
+    def spy(img):
+        seen.append((PROBE_CONTEXT.get(None), np.geterr()["over"], threading.current_thread()))
+        return real(img)
+
+    monkeypatch.setattr(registry, "build_codes", spy)
+    probe = corpus["bob"]["probe_finger"], corpus["bob"]["probe_eye"]
+    token = PROBE_CONTEXT.set("door-7")
+    try:
+        with np.errstate(over="ignore"):
+            fused = verify(mixed_db, "bob", *probe, CFG)
+    finally:
+        PROBE_CONTEXT.reset(token)
+    [(value, over, thread)] = seen
+    assert (value, over) == ("door-7", "ignore")
+    assert thread is not threading.current_thread()
+    assert fused == verify(mixed_db, "bob", *probe, CFG)
+
+
+# ---------------------------------------------------------------------------
 # access decisions and the audit log
 
 
@@ -657,6 +787,13 @@ def test_audit_log_is_append_only(tmp_path):
     record = json.loads(lines[1])
     assert (list(record) == [f.name for f in dataclasses.fields(AuditEvent)]
             == ["ts", "kind", "claimed_id", "ms_final", "detail"])
+
+
+def test_audit_log_on_a_fifo_raises_naming_the_path(tmp_path):
+    fifo = tmp_path / "audit.fifo"
+    os.mkfifo(fifo)  # opened read-write, so no reader or writer is awaited
+    with pytest.raises(NotRegularFile, match=rf"^{re.escape(str(fifo))}: not a regular file$"):
+        AuditLog(fifo).append("alarm", "bob", 0.2, "door")
 
 
 def test_read_audit_log_errors(tmp_path):
@@ -806,6 +943,38 @@ def test_load_db_corrupt_manifests(tmp_path):
         manifest.write_text(content)
         with pytest.raises(CorruptManifest):
             load_db(root)
+
+
+@pytest.mark.parametrize("make", [os.mkfifo, os.mkdir], ids=["fifo", "directory"])
+def test_a_manifest_that_is_not_a_regular_file_is_corrupt_on_every_command(
+        enrolled, corpus, tmp_path, capsys, make):
+    root = _copy_db(enrolled, tmp_path / "db")
+    (root / "manifest.json").unlink()
+    make(root / "manifest.json")
+    files = {p.name: p.read_bytes() for p in root.iterdir() if p.is_file()}
+    for load in (load_db, TemplateDB, lambda root: _load_record(root, "alice")):
+        with pytest.raises(CorruptManifest, match="manifest.json: not a regular file"):
+            load(root)
+    finger, eye = tmp_path / "finger.pgm", tmp_path / "eye.pgm"
+    finger.write_bytes(encode_pgm(corpus["alice"]["finger"]))
+    eye.write_bytes(encode_pgm(corpus["alice"]["eye"]))
+    probes = tmp_path / "probes.csv"
+    probes.write_text(f"alice,{finger},{eye}\n")
+    probe = ["--finger", str(finger), "--iris", str(eye)]
+    for argv in (["enroll", "--subject", "dave"] + probe, ["verify", "--claim", "alice"] + probe,
+                 ["access", "--claim", "alice"] + probe, ["identify"] + probe,
+                 ["eval", "--probes", str(probes)]):
+        assert cli.main(argv[:1] + ["--db", str(root)] + argv[1:]) == 2
+        _, err = capsys.readouterr()
+        assert err.startswith("error: ") and "manifest.json: not a regular file" in err
+    assert {p.name: p.read_bytes() for p in root.iterdir() if p.is_file()} == files
+
+
+def test_a_manifest_past_its_cap_is_corrupt(enrolled, tmp_path, monkeypatch):
+    root = _copy_db(enrolled, tmp_path / "db")
+    monkeypatch.setattr(registry, "MAX_MANIFEST_BYTES", (root / "manifest.json").stat().st_size - 1)
+    with pytest.raises(CorruptManifest, match="manifest.json: longer than the"):
+        load_db(root)
 
 
 @pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["bool", "float", "str"])
