@@ -39,29 +39,13 @@ MAX_PROBE_CSV_BYTES = 16 * 1024 * 1024  # about 100 000 probe rows of 160 bytes
 
 @dataclass(frozen=True)
 class EvalReport:
-    """FAR/FRR sweep over a probe set.
+    """FAR/FRR sweep over a probe set, as :func:`sweep_rates` builds it.
 
-    ``rows`` holds (threshold, far, frr) triples on the fixed 0.00..1.00 grid;
-    far must be non-increasing and frr non-decreasing as the threshold rises.
+    ``rows`` holds (threshold, far, frr) float triples on the fixed 0.00..1.00
+    grid, far non-increasing and frr non-decreasing as the threshold rises.
     """
 
     rows: tuple
-
-    def __post_init__(self) -> None:
-        rows = tuple((float(t), float(far), float(frr)) for t, far, frr in self.rows)
-        if not rows:
-            raise ValueError("an evaluation report needs at least one row")
-        for _, far, frr in rows:
-            if not (0.0 <= far <= 1.0 and 0.0 <= frr <= 1.0):
-                raise ValueError("rates must lie in [0, 1]")
-        for (t0, far0, frr0), (t1, far1, frr1) in zip(rows, rows[1:]):
-            if t1 <= t0:
-                raise ValueError("thresholds must strictly increase")
-            if far1 > far0:
-                raise ValueError("far must be non-increasing in threshold")
-            if frr1 < frr0:
-                raise ValueError("frr must be non-decreasing in threshold")
-        object.__setattr__(self, "rows", rows)
 
     def eer_row(self) -> tuple:
         """The (threshold, far, frr) row minimizing |far - frr|, ties lowest."""

@@ -141,10 +141,6 @@ class RegistrationTransform:
     dtheta: float
     support: int
 
-    def __post_init__(self):
-        if self.support < 0:
-            raise ValueError("support must be >= 0")
-
 
 # ---------------------------------------------------------------------------
 # Segmentation

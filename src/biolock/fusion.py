@@ -124,15 +124,6 @@ class FusedScore:
     ms_final: float
     decision: str
 
-    def __post_init__(self) -> None:
-        for name in ("ms_finger", "ms_iris"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _check_finite(name, value))
-        object.__setattr__(self, "ms_final", _check_finite("ms_final", self.ms_final))
-        if self.decision not in (GENUINE, IMPOSTOR):
-            raise ValueError(f"decision must be {GENUINE!r} or {IMPOSTOR!r}, got {self.decision!r}")
-
 
 def _scores(name: str, value, unit: bool = False) -> np.ndarray:
     """``value`` as float64 (0-d for a scalar); NaN passes the checks, an

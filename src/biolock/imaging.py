@@ -131,16 +131,23 @@ class FloatField:
 # ---------------------------------------------------------------------------
 # File and PGM (P5) I/O
 
+def open_regular(path, flags: int) -> int:
+    """``os.open``, also as an ``open`` opener, that refuses anything but a
+    regular file with :class:`NotRegularFile` before the descriptor is used."""
+    fd = os.open(path, flags, 0o666)
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise NotRegularFile(f"{path}: not a regular file")
+    return fd
+
+
 def read_regular_file(path, cap: int) -> bytes:
     """The bytes of the regular file at ``path``: opened without blocking, so a
     FIFO fails at once, and read no further than ``cap`` + 1 bytes, so a file
     longer than ``cap`` fails before it is read whole."""
-    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
-    try:
-        info = os.fstat(fd)
-        if not stat.S_ISREG(info.st_mode):
-            raise NotRegularFile(f"{path}: not a regular file")
-        data = os.read(fd, min(info.st_size, cap) + 1)
+    fd = open_regular(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:  # lseek gives the size without a second fstat
+        data = os.pread(fd, min(os.lseek(fd, 0, os.SEEK_END), cap) + 1, 0)
     finally:
         os.close(fd)
     if len(data) > cap:

@@ -13,7 +13,8 @@ a gallery of one).  :func:`access` is :func:`verify` plus the door's audit
 event: it returns the :class:`FusedScore` it decided on, and the door unlocks
 exactly when that score's decision is genuine.  Access decisions and
 enrollments append JSON-line events to an audit log whose timestamps are
-strictly increasing within the process.
+strictly increasing within the process; :func:`access` opens the log before
+it scores, and reading or appending refuses anything but a regular file.
 
 Multi-template rule: a subject may hold several fingerprint templates and iris
 code pairs; the per-trait score against that subject is the maximum over the
@@ -35,7 +36,6 @@ import json
 import math
 import os
 import re
-import stat
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -78,7 +78,7 @@ from .fusion import (
     fuse_arrays,
     fuse_pipeline,
 )
-from .imaging import GrayImage, read_regular_file
+from .imaging import GrayImage, open_regular, read_regular_file
 from .iris import (
     CODE_MAX_BYTES,
     IrisCode,
@@ -96,6 +96,7 @@ MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
 MAX_MANIFEST_BYTES = 64 * 1024 * 1024  # a 10 000-subject manifest is about 2 MB
 AUDIT_LOG_NAME = "audit.log"
+MAX_AUDIT_LOG_BYTES = 64 * 1024 * 1024  # about 400 000 events of 160 bytes
 
 EVENT_ACCESS_GRANTED = "access_granted"
 EVENT_ALARM = "alarm"
@@ -162,15 +163,6 @@ class RankedMatch:
     ms_final: float
     per_trait: tuple
 
-    def __post_init__(self) -> None:
-        _validate_subject_id(self.subject_id)
-        object.__setattr__(self, "ms_final", float(self.ms_final))
-        per_trait = tuple(None if s is None else float(s) for s in self.per_trait)
-        if len(per_trait) != 2 or not all(s is None or math.isfinite(s) for s in per_trait):
-            raise ValueError(f"per_trait must be a finite (ms_finger, ms_iris) pair, "
-                             f"got {per_trait!r}")
-        object.__setattr__(self, "per_trait", per_trait)
-
 
 @dataclass(frozen=True)
 class AuditEvent:
@@ -224,22 +216,18 @@ _TS_LOCK = threading.Lock()
 _LAST_TS: dict = {}
 
 
-def _open_regular(path, flags: int) -> int:
-    """An ``open`` opener that refuses anything but a regular file, before
-    ``open`` seeks it."""
-    fd = os.open(path, flags, 0o666)
-    if not stat.S_ISREG(os.fstat(fd).st_mode):
-        os.close(fd)
-        raise NotRegularFile(f"{path}: not a regular file")
-    return fd
-
-
 class AuditLog:
     """Append-only JSON-lines event log with strictly increasing timestamps;
     an event after a torn last line (no final newline) starts a new line."""
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
+
+    def _open(self):
+        """The log, created with its directory if missing, opened to append
+        and to read back; anything but a regular file raises NotRegularFile."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        return open(self.path, "ab+", opener=open_regular)
 
     def append(self, kind: str, claimed_id: str, ms_final: float, detail: str) -> AuditEvent:
         if isinstance(claimed_id, str) and SUBJECT_ID_PATTERN.fullmatch(claimed_id):
@@ -256,8 +244,7 @@ class AuditLog:
         event = AuditEvent(now.isoformat(timespec="microseconds"), kind, recorded_id,
                            float(ms_final), str(detail))
         line = json.dumps(asdict(event)).encode("utf-8") + b"\n"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "ab+", opener=_open_regular) as fh:
+        with self._open() as fh:
             end = fh.seek(0, os.SEEK_END)
             if end and os.pread(fh.fileno(), 1, end - 1) != b"\n":
                 line = b"\n" + line  # end the torn last line first
@@ -266,12 +253,14 @@ class AuditLog:
 
 
 def read_audit_log(path: Union[str, Path]) -> list:
-    """Parse an audit log into events; a missing file reads as empty."""
-    path = Path(path)
-    if not path.exists():
+    """Parse an audit log, read with :func:`read_regular_file` under
+    ``MAX_AUDIT_LOG_BYTES``, into events; a missing file reads as empty."""
+    try:
+        text = read_regular_file(path, MAX_AUDIT_LOG_BYTES).decode("utf-8")
+    except FileNotFoundError:
         return []
     events = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -572,10 +561,11 @@ def identify(
     ms_finger, ms_iris, ms_final = fuse_arrays(raw, cfg)
     subject_ids = list(db.records)
     rows = np.flatnonzero(~np.isnan(ms_final))
-    order = np.lexsort((np.array(subject_ids)[rows], -ms_final[rows]))
-    return [RankedMatch(subject_ids[i], ms_final[i],
-                        tuple(None if math.isnan(s) else s for s in (ms_finger[i], ms_iris[i])))
-            for i in rows[order[:top_k]].tolist()]
+    top = rows[np.lexsort((np.array(subject_ids)[rows], -ms_final[rows]))[:top_k]]
+    fingers, irises = ([None if math.isnan(s) else s for s in ms[top].tolist()]
+                       for ms in (ms_finger, ms_iris))
+    return [RankedMatch(subject_ids[i], final, per_trait) for i, final, per_trait
+            in zip(top.tolist(), ms_final[top].tolist(), zip(fingers, irises))]
 
 
 def access(
@@ -589,11 +579,12 @@ def access(
     """Verify a claim and gate the door, always logged: the door unlocks when
     the returned score's decision is genuine and raises the alarm otherwise.
 
-    The audit event is appended before the result is returned; errors append
-    an ``error`` event and re-raise.  ``audit_log`` is a path, or ``None`` for
-    the database's own log.
+    The log is opened before the probe is scored, and the event appended
+    before the result is returned; errors append an ``error`` event and
+    re-raise.  ``audit_log`` is a path, or ``None`` for the database's own log.
     """
     log = AuditLog(db.path / AUDIT_LOG_NAME if audit_log is None else audit_log)
+    log._open().close()
     try:
         fused = verify(db, claimed_id, probe_finger, probe_iris, cfg)
     except Exception as exc:

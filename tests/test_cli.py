@@ -859,6 +859,22 @@ def test_access_with_a_fifo_audit_log_exits_2_naming_it(tmp_path, env, capsys):
     assert err == f"error: {fifo}: not a regular file\n"
 
 
+@pytest.mark.parametrize("make", [os.mkfifo, os.mkdir], ids=["fifo", "directory"])
+def test_access_refuses_an_unusable_audit_log_before_it_scores(tmp_path, env, capsys,
+                                                               monkeypatch, make):
+    calls = []
+    for name in ("build_template", "build_codes"):
+        monkeypatch.setattr(registry, name, lambda img, _real=getattr(registry, name), _name=name:
+                            calls.append(_name) or _real(img))
+    path = tmp_path / "audit"
+    make(path)
+    code, out, err = run_cli(capsys, "access", "--db", env["db"], "--claim", "bob",
+                             "--finger", env["bob_probe_finger"], "--iris", env["bob_eye"],
+                             "--audit", path)
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: ") and str(path) in err
+
+
 def test_enroll_of_a_print_wider_than_fpt1_stores_exits_2_and_writes_nothing(tmp_path, capsys):
     # within the PGM pixel cap, but FPT1 stores each image side as a u16
     wide = tmp_path / "wide.pgm"
@@ -964,19 +980,6 @@ def test_sweep_rates_boundary_rows():
 def test_sweep_rates_empty_side_is_zero_rate():
     report = sweep_rates([0.9], [])
     assert all(far == 0.0 for _, far, _ in report.rows)
-
-
-def test_eval_report_validates_monotonicity():
-    with pytest.raises(ValueError):
-        EvalReport(((0.0, 0.5, 0.0), (0.1, 0.6, 0.0)))
-    with pytest.raises(ValueError):
-        EvalReport(((0.0, 0.5, 0.5), (0.1, 0.5, 0.4)))
-    with pytest.raises(ValueError):
-        EvalReport(((0.0, 1.5, 0.0),))
-    with pytest.raises(ValueError):
-        EvalReport(())
-    with pytest.raises(ValueError):
-        EvalReport(((0.1, 0.5, 0.5), (0.1, 0.5, 0.5)))
 
 
 def test_eval_report_eer_tie_breaks_low():

@@ -93,8 +93,6 @@ def test_fusion_config_partial_thresholds_fill_defaults():
 
 
 def test_fused_score_validates_decision():
-    with pytest.raises(ValueError):
-        FusedScore(0.5, 0.5, 0.5, "maybe")
     fs = FusedScore(None, 0.4, 0.4, IMPOSTOR)
     assert fs.ms_finger is None
 
@@ -549,7 +547,12 @@ def test_fuse_arrays_equals_the_scalar_chain_row_by_row(case):
             continue
         want = oracle_pipeline(row, cfg)
         assert got == [want.ms_finger, want.ms_iris, want.ms_final]
-        assert fuse_pipeline(row, cfg) == want
+        score = fuse_pipeline(row, cfg)
+        assert score == want
+        # FusedScore checks nothing, so plain types are fuse_pipeline's to keep
+        assert all(type(s) is float for s in (score.ms_finger, score.ms_iris, score.ms_final)
+                   if s is not None)
+        assert type(score.decision) is str and score.decision in (GENUINE, IMPOSTOR)
 
 
 @st.composite

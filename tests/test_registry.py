@@ -8,6 +8,8 @@ import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 import synthgen
 from test_fusion import oracle_pipeline
 from test_iris import hamming_oracle
+import biolock
 from biolock import cli, fingerprint, fusion, registry
 from biolock.errors import (
     BadMagic,
@@ -587,13 +590,20 @@ def test_verify_and_access_call_fuse_pipeline_once_and_identify_never(
 
 
 def test_identify_per_trait_scores_are_plain_floats(mixed_db, corpus):
-    matches = identify(mixed_db, corpus["bob"]["probe_finger"], None, CFG,
-                       top_k=len(mixed_db))
-    assert {m.per_trait[1] for m in matches} == {None}
-    for match in matches:
-        assert type(match.ms_final) is float
-        assert type(match.per_trait[0]) is float
-        assert "np." not in repr(match)
+    # RankedMatch checks nothing, so plain types are identify's to keep; one
+    # test over the finger-only, eye-only and two-trait probes keeps its id
+    for probe_traits in (("finger",), ("eye",), ("finger", "eye")):
+        images = {trait: corpus["bob"]["probe_" + trait] for trait in probe_traits}
+        matches = identify(mixed_db, images.get("finger"), images.get("eye"), CFG,
+                           top_k=len(mixed_db))
+        for i, trait in enumerate(("finger", "eye")):
+            scored = {m.per_trait[i] is not None for m in matches}
+            assert scored == ({True, False} if len(probe_traits) == 2 else
+                              {trait in probe_traits})
+        for match in matches:
+            assert type(match.ms_final) is float
+            assert all(type(s) is float for s in match.per_trait if s is not None)
+            assert "np." not in repr(match)
 
 
 # ---------------------------------------------------------------------------
@@ -794,6 +804,33 @@ def test_audit_log_on_a_fifo_raises_naming_the_path(tmp_path):
     os.mkfifo(fifo)  # opened read-write, so no reader or writer is awaited
     with pytest.raises(NotRegularFile, match=rf"^{re.escape(str(fifo))}: not a regular file$"):
         AuditLog(fifo).append("alarm", "bob", 0.2, "door")
+
+
+def test_read_audit_log_of_a_fifo_raises_at_once(tmp_path):
+    fifo = tmp_path / "audit.fifo"
+    os.mkfifo(fifo)
+    # read in a child with a timeout, so a read that waits for a writer fails
+    # this test instead of hanging the suite
+    src = os.path.dirname(os.path.dirname(biolock.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from biolock.registry import read_audit_log; read_audit_log(sys.argv[1])",
+         str(fifo)],
+        capture_output=True, text=True, timeout=20, env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 1
+    assert result.stderr.endswith(f"biolock.errors.NotRegularFile: {fifo}: not a regular file\n")
+
+
+def test_read_audit_log_past_its_cap_raises(tmp_path):
+    log_path = tmp_path / "audit.log"
+    with open(log_path, "wb") as fh:  # one good event, then a sparse run of NUL bytes
+        fh.write(b'{"ts": "2026-01-01T00:00:00+00:00", "kind": "alarm", '
+                 b'"claimed_id": "x", "ms_final": 0.25, "detail": ""}\n')
+        fh.truncate(registry.MAX_AUDIT_LOG_BYTES + 1)
+    with pytest.raises(TruncatedData, match=f"audit.log: longer than the "
+                                            f"{registry.MAX_AUDIT_LOG_BYTES}-byte cap$"):
+        read_audit_log(log_path)
 
 
 def test_read_audit_log_errors(tmp_path):
@@ -1170,21 +1207,6 @@ def test_iris_pair_validates_schemes(enrolled):
     assert pair.mellin.scheme == SCHEME_MELLIN
     with pytest.raises(ValueError):
         IrisPair(pair.mellin, pair.haar)
-
-
-def test_ranked_match_validation():
-    with pytest.raises(ValueError):
-        RankedMatch("ok", 0.5, (0.5,))
-    with pytest.raises(ValueError):
-        RankedMatch("bad id!", 0.5, (0.5, 0.5))
-    match = RankedMatch("ok", 0.5, (None, 0.5))
-    assert match.per_trait == (None, 0.5)
-    match = RankedMatch("ok", np.float64(0.5), (np.float64(0.25), "0.75"))
-    assert match.per_trait == (0.25, 0.75)
-    assert repr(match) == "RankedMatch(subject_id='ok', ms_final=0.5, per_trait=(0.25, 0.75))"
-    for bad in (math.nan, math.inf, np.float64(-math.inf)):
-        with pytest.raises(ValueError):
-            RankedMatch("ok", 0.5, (0.5, bad))
 
 
 def test_audit_event_validation():
