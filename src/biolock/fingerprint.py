@@ -182,25 +182,30 @@ def coherence_image(img: GrayImage) -> FloatField:
     return FloatField(np.clip(coh, 0.0, 1.0, out=coh), kind="coherence")
 
 
-def _border_distance(mask: BinaryImage) -> np.ndarray:
-    """Distance from each pixel to the nearest mask-false pixel, counting the
-    image frame itself as background."""
-    framed = np.pad(mask.bits, 1, mode="constant", constant_values=False)
-    dist = ndimage.distance_transform_edt(framed)
-    return dist[1:-1, 1:-1]
+def _border_distance(mask: BinaryImage, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per pixel (x[i], y[i]), the exact Euclidean distance to the nearest
+    mask-false pixel or the image frame, separably (Meijster et al. 2000): the
+    least dx^2 plus squared column depth over the framed columns, then its root."""
+    depth = mask.column_depth
+    w = depth.shape[1] - 2
+    # a pixel's own column and the frame's sides bound its distance, so only
+    # columns that near can hold the minimum; pixels near in x share them
+    reach = np.minimum(depth[y, x + 1], np.minimum(x + 1, w - x))
+    order, out = np.argsort(x), np.empty(len(x))
+    step = max(1, (1 << 16) // (w + 2))  # pixels per pass: bounded scratch
+    for part in (order[i:i + step] for i in range(0, len(x), step)):
+        lo, hi = (x[part] - reach[part]).min(), (x[part] + reach[part]).max() + 1
+        sq = depth[y[part], lo + 1:hi + 1].astype(np.int64) ** 2
+        sq += (np.arange(lo, hi) - x[part, None]) ** 2
+        out[part] = np.sqrt(sq.min(axis=1))
+    return out
 
 
-def segment(img: GrayImage) -> tuple[BinaryImage, np.ndarray]:
-    """Foreground mask from block coherence, plus its border distance.
-
-    Mask keeps pixels whose coherence is at or above its mean over the
-    image, cleaned by closing-then-opening.  The border raster
-    holds each pixel's distance to the nearest mask-false pixel or the image
-    frame, so it is 0 off the mask and at least 1 on it.
-    """
+def segment(img: GrayImage) -> BinaryImage:
+    """Foreground mask from block coherence: pixels whose coherence is at or
+    above its mean over the image, cleaned by closing-then-opening."""
     coh = coherence_image(img).values
-    mask = morph_close_open(BinaryImage(coh >= coh.mean()))
-    return mask, _border_distance(mask)
+    return morph_close_open(BinaryImage(coh >= coh.mean()))
 
 
 # ---------------------------------------------------------------------------
@@ -520,16 +525,16 @@ def _close_pairs(x: np.ndarray, y: np.ndarray, gap: float) -> np.ndarray:
 
 
 def filter_false_minutiae(minutiae: np.ndarray, thinned: BinaryImage,
-                          border: np.ndarray, avg_ridge_gap: float) -> np.ndarray:
+                          mask: BinaryImage, avg_ridge_gap: float) -> np.ndarray:
     """Drop artifact minutiae, rows as :func:`extract_minutiae` returns them:
     border effects, ridge breaks, spurs/spikes, holes, and bridges/ladders, in
     that order.  The kept rows are returned in input order.
 
-    ``border`` is the border distance :func:`segment` returns with the mask;
-    the border rule drops minutiae closer than ``avg_ridge_gap`` to the mask
-    edge.  Each rule marks every qualifying minutia against the survivors of
-    the previous rule and removes them together, so re-filtering the output
-    is a no-op for the pair rules.
+    The border rule drops minutiae closer than ``avg_ridge_gap`` to the edge
+    of ``mask``, the foreground :func:`segment` returns, or to the frame.  Each
+    rule marks every qualifying minutia against the survivors of the previous
+    rule and removes them together, so re-filtering the output is a no-op for
+    the pair rules.
     """
     if avg_ridge_gap <= 0:
         raise ValueError("avg_ridge_gap must be positive")
@@ -538,7 +543,7 @@ def filter_false_minutiae(minutiae: np.ndarray, thinned: BinaryImage,
     x, y, theta, kind = minutiae.T
     ending = kind == _KIND_CODE[KIND_ENDING]
     row, col = np.rint(y).astype(np.int64), np.rint(x).astype(np.int64)  # round() of each
-    kept = border[row, col] >= gap
+    kept = _border_distance(mask, col, row) >= gap
 
     live = np.flatnonzero(kept)
     close = live[_close_pairs(x[live], y[live], gap)].reshape(-1, 2)
@@ -736,7 +741,7 @@ def build_template(img: GrayImage, keep_artifacts: bool = False):
     Returns the template, or (template, PipelineArtifacts) when asked.
     """
     img = copy.copy(img)  # the Sobel pair its stages share dies with this call
-    mask, border = segment(img)
+    mask = segment(img)
     orientation = estimate_orientation(img)
     frequency = estimate_frequency(img, orientation)
     enhanced = gabor_enhance(img, orientation, frequency)
@@ -745,9 +750,9 @@ def build_template(img: GrayImage, keep_artifacts: bool = False):
     thinned = thin(ridge_bits)
     raw = extract_minutiae(thinned, orientation, mask)
     gap = 1.0 / float(np.median(frequency.values))
-    kept = filter_false_minutiae(raw, thinned, border, gap)
+    kept = filter_false_minutiae(raw, thinned, mask, gap)
     if len(kept) > MAX_MINUTIAE:  # the deepest inside the mask, ties in input order
-        depth = border[np.rint(kept[:, 1]).astype(np.int64), np.rint(kept[:, 0]).astype(np.int64)]
+        depth = _border_distance(mask, *np.rint(kept[:, :2]).astype(np.int64).T)
         kept = kept[np.sort(np.argsort(-depth, kind="stable")[:MAX_MINUTIAE])]
     template = _template(kept, img.width, img.height)
     if keep_artifacts:

@@ -164,7 +164,7 @@ def half_ridge_image(size=256, period=8):
 
 def test_segment_splits_ridge_and_flat_halves():
     img = half_ridge_image()
-    mask, _ = segment(img)
+    mask = segment(img)
     half = img.width // 2
     ridge_cover = mask.bits[:, :half].mean()
     flat_cover = mask.bits[:, half:].mean()
@@ -173,18 +173,19 @@ def test_segment_splits_ridge_and_flat_halves():
 
 
 def test_segment_covers_fully_ridged_image():
-    mask, _ = segment(ridge_image(256, 8, angle=math.pi / 6))
+    mask = segment(ridge_image(256, 8, angle=math.pi / 6))
     interior = mask.bits[16:-16, 16:-16]
     assert interior.mean() >= 0.95
 
 
 def test_segment_border_is_zero_off_the_mask_and_positive_on_it():
     img = half_ridge_image()
-    mask, border = segment(img)
-    assert border.shape == mask.bits.shape
+    mask = segment(img)
     assert mask.bits.any() and not mask.bits.all()
-    assert np.all(border[~mask.bits] == 0.0)
-    assert np.all(border[mask.bits] >= 1.0)
+    ys, xs = np.indices(mask.bits.shape).reshape(2, -1)
+    border = fingerprint._border_distance(mask, xs, ys)
+    assert np.all(border[~mask.bits[ys, xs]] == 0.0)
+    assert np.all(border[mask.bits[ys, xs]] >= 1.0)
 
 
 def test_segment_mask_invariant_under_affine_rescale():
@@ -192,9 +193,9 @@ def test_segment_mask_invariant_under_affine_rescale():
     fixtures = [GrayImage(rng.random((64, 64))) for _ in range(3)]
     fixtures.append(half_ridge_image(128))
     for img in fixtures:
-        mask, _ = segment(img)
+        mask = segment(img)
         rescaled = GrayImage(0.5 * img.pixels + 0.25)
-        mask2, _ = segment(rescaled)
+        mask2 = segment(rescaled)
         assert np.array_equal(mask.bits, mask2.bits)
 
 
@@ -798,17 +799,16 @@ def test_extract_reports_only_cn_one_or_three():
 # false-minutiae filtering
 
 def extract_all(thinned, size):
-    """The raw rows of a skeleton under a full mask, and the mask's border distance."""
+    """The raw rows of a skeleton under a full mask, and the mask."""
     mask = BinaryImage(np.ones((size, size), dtype=bool))
-    return (extract_minutiae(thinned, zeros_field(max(1, size // 16)), mask),
-            fingerprint._border_distance(mask))
+    return extract_minutiae(thinned, zeros_field(max(1, size // 16)), mask), mask
 
 
 def test_filter_break_rule_removes_facing_pair():
     thinned = skeleton_image(hline(12, 22, 24) + hline(26, 36, 24), 48)
-    raw, border = extract_all(thinned, 48)
+    raw, mask = extract_all(thinned, 48)
     assert len(raw) == 4
-    kept = as_minutiae(filter_false_minutiae(raw, thinned, border, 9.0))
+    kept = as_minutiae(filter_false_minutiae(raw, thinned, mask, 9.0))
     assert {(m.x, m.y) for m in kept} == {(12.0, 24.0), (36.0, 24.0)}
     assert all(m.kind == KIND_ENDING for m in kept)
 
@@ -816,24 +816,24 @@ def test_filter_break_rule_removes_facing_pair():
 def test_filter_spur_rule_removes_ending_and_junction():
     spur = [(24, 23), (24, 22), (24, 21), (24, 20)]
     thinned = skeleton_image(hline(10, 38, 24) + spur, 48)
-    raw, border = extract_all(thinned, 48)
+    raw, mask = extract_all(thinned, 48)
     assert sum(m.kind == KIND_BIFURCATION for m in as_minutiae(raw)) == 1
-    kept = as_minutiae(filter_false_minutiae(raw, thinned, border, 9.0))
+    kept = as_minutiae(filter_false_minutiae(raw, thinned, mask, 9.0))
     assert {(m.x, m.y) for m in kept} == {(10.0, 24.0), (38.0, 24.0)}
     assert all(m.kind == KIND_ENDING for m in kept)
 
 
 def test_filter_clean_segment_unchanged():
     thinned = skeleton_image(hline(12, 27, 20), 40)
-    raw, border = extract_all(thinned, 40)
-    kept = filter_false_minutiae(raw, thinned, border, 9.0)
+    raw, mask = extract_all(thinned, 40)
+    kept = filter_false_minutiae(raw, thinned, mask, 9.0)
     assert np.array_equal(kept, raw)
 
 
 def test_filter_border_rule_drops_edge_minutiae():
     thinned = skeleton_image(hline(4, 30, 20), 40)
-    raw, border = extract_all(thinned, 40)
-    kept = as_minutiae(filter_false_minutiae(raw, thinned, border, 9.0))
+    raw, mask = extract_all(thinned, 40)
+    kept = as_minutiae(filter_false_minutiae(raw, thinned, mask, 9.0))
     assert [(m.x, m.y) for m in kept] == [(30.0, 20.0)]
 
 
@@ -842,10 +842,10 @@ def test_filter_output_subset_and_idempotent():
                 skeleton_image(hline(10, 38, 24)
                                + [(24, 23), (24, 22), (24, 21), (24, 20)], 48)]
     for thinned in fixtures:
-        raw, border = extract_all(thinned, 48)
-        once = filter_false_minutiae(raw, thinned, border, 9.0)
+        raw, mask = extract_all(thinned, 48)
+        once = filter_false_minutiae(raw, thinned, mask, 9.0)
         assert set(as_minutiae(once)) <= set(as_minutiae(raw))
-        assert np.array_equal(filter_false_minutiae(once, thinned, border, 9.0), once)
+        assert np.array_equal(filter_false_minutiae(once, thinned, mask, 9.0), once)
 
 
 def test_filter_idempotent_on_synthetic_print():
@@ -853,17 +853,23 @@ def test_filter_idempotent_on_synthetic_print():
                                   seed=42)
     _, art = build_template(img, keep_artifacts=True)
     gap = 1.0 / float(np.median(art.frequency.values))
-    border = art_border(art)
-    once = filter_false_minutiae(art.raw_minutiae, art.thinned, border, gap)
+    once = filter_false_minutiae(art.raw_minutiae, art.thinned, art.mask, gap)
     assert set(as_minutiae(once)) <= set(as_minutiae(art.raw_minutiae))
-    assert np.array_equal(filter_false_minutiae(once, art.thinned, border, gap), once)
+    assert np.array_equal(filter_false_minutiae(once, art.thinned, art.mask, gap), once)
 
 
-def filter_oracle(minutiae, thinned, border, avg_ridge_gap):
+def border_oracle(mask):
+    """The border distance raster: ``distance_transform_edt`` of the mask in a
+    frame of one false pixel."""
+    return ndimage.distance_transform_edt(np.pad(mask.bits, 1))[1:-1, 1:-1]
+
+
+def filter_oracle(minutiae, thinned, mask, avg_ridge_gap):
     """The filter as four hand-written loops: every pair of minutiae is
     enumerated for the break, hole and bridge rules, and the neighbour codes
     are rebuilt for every traced ending and every hole candidate."""
     bits = thinned.bits
+    border = border_oracle(mask)
     gap = avg_ridge_gap
     steps = max(1, int(math.ceil(gap)))
     angle_diff = angle_diff_oracle
@@ -929,20 +935,16 @@ def filter_oracle(minutiae, thinned, border, avg_ridge_gap):
     return [m for i, m in enumerate(current) if i not in drop]
 
 
-def assert_filter_matches_oracle(minutiae, thinned, border, gap):
+def assert_filter_matches_oracle(minutiae, thinned, mask, gap):
     """The filter on the rows of a Minutia list equals the oracle; returns
     the kept minutiae."""
-    kept = as_minutiae(filter_false_minutiae(as_rows(minutiae), thinned, border, gap))
-    assert kept == filter_oracle(minutiae, thinned, border, gap)
+    kept = as_minutiae(filter_false_minutiae(as_rows(minutiae), thinned, mask, gap))
+    assert kept == filter_oracle(minutiae, thinned, mask, gap)
     return kept
 
 
 def art_gap(art):
     return 1.0 / float(np.median(art.frequency.values))
-
-
-def art_border(art):
-    return fingerprint._border_distance(art.mask)
 
 
 @functools.lru_cache(maxsize=None)
@@ -958,11 +960,11 @@ def test_filter_hole_rule_removes_loop_bifurcations():
     upper = [(21, 23), (22, 22), (23, 22), (24, 22), (25, 23)]
     lower = [(x, 48 - y) for x, y in upper]
     thinned = skeleton_image(hline(10, 20, 24) + upper + lower + hline(26, 44, 24), 56)
-    raw, border = extract_all(thinned, 56)
+    raw, mask = extract_all(thinned, 56)
     raw = as_minutiae(raw)
     assert sorted((m.x, m.y, m.kind) for m in raw if m.kind == KIND_BIFURCATION) == [
         (20.0, 24.0, KIND_BIFURCATION), (26.0, 24.0, KIND_BIFURCATION)]
-    kept = assert_filter_matches_oracle(raw, thinned, border, 9.0)
+    kept = assert_filter_matches_oracle(raw, thinned, mask, 9.0)
     assert {(m.x, m.y) for m in kept} == {(10.0, 24.0), (44.0, 24.0)}
     assert all(m.kind == KIND_ENDING for m in kept)
     # the same bifurcations around a tall loop, whose 24-step paths exceed
@@ -971,8 +973,8 @@ def test_filter_hole_rule_removes_loop_bifurcations():
              + [(25, y) for y in range(14, 24)])
     lower = [(x, 48 - y) for x, y in upper]
     tall = skeleton_image(hline(10, 20, 24) + upper + lower + hline(26, 44, 24), 56)
-    raw, border = extract_all(tall, 56)
-    kept = assert_filter_matches_oracle(as_minutiae(raw), tall, border, 9.0)
+    raw, mask = extract_all(tall, 56)
+    kept = assert_filter_matches_oracle(as_minutiae(raw), tall, mask, 9.0)
     assert sorted((m.x, m.y) for m in kept if m.kind == KIND_BIFURCATION) == [
         (20.0, 24.0), (26.0, 24.0)]
 
@@ -985,16 +987,16 @@ def test_filter_hole_rule_blocks_the_first_path_a_fifo_search_finds():
     # none.
     detour = [(9, 9), (8, 8), (7, 8), (6, 9)]
     thinned = skeleton_image([(10, 10), (9, 10), (8, 10), (7, 10), (6, 10)] + detour, 24)
-    border = fingerprint._border_distance(BinaryImage(np.ones((24, 24), dtype=bool)))
+    full = BinaryImage(np.ones((24, 24), dtype=bool))
     twins = [Minutia(10.0, 10.0, 0.0, KIND_BIFURCATION), Minutia(6.0, 10.0, 0.0, KIND_BIFURCATION)]
     assert two_paths_oracle(neighbour_codes(thinned.bits), (10, 10), (6, 10), 10)
-    assert assert_filter_matches_oracle(twins, thinned, border, 4.5) == []
+    assert assert_filter_matches_oracle(twins, thinned, full, 4.5) == []
 
 
 def test_filter_bridge_rule_removes_crossing_pairs_with_a_bifurcation():
     # No skeleton pixels, so only the distance and direction rules can fire.
     thinned = BinaryImage(np.zeros((64, 64), dtype=bool))
-    border = fingerprint._border_distance(BinaryImage(np.ones((64, 64), dtype=bool)))
+    full = BinaryImage(np.ones((64, 64), dtype=bool))
     bridge = [Minutia(20.0, 20.0, 0.0, KIND_BIFURCATION),
               Minutia(24.0, 20.0, math.pi / 2, KIND_ENDING)]          # 90 degrees
     shallow = [Minutia(20.0, 40.0, 0.0, KIND_BIFURCATION),
@@ -1009,7 +1011,7 @@ def test_filter_bridge_rule_removes_crossing_pairs_with_a_bifurcation():
     opposed = [Minutia(10.0, 10.0, 0.2, KIND_BIFURCATION),
                Minutia(10.0, 13.0, 0.2 + math.radians(150.0), KIND_BIFURCATION)]
     raw = bridge + shallow + far + endings + steep + opposed
-    kept = assert_filter_matches_oracle(raw, thinned, border, 9.0)
+    kept = assert_filter_matches_oracle(raw, thinned, full, 9.0)
     assert kept == shallow + far + endings + opposed
 
 
@@ -1024,21 +1026,20 @@ def test_filter_builds_one_crossing_number_map_per_call(monkeypatch):
     monkeypatch.setattr(imaging, "neighbour_codes", counting)
     thinned = skeleton_image(hline(10, 38, 24) + [(24, 23), (24, 22), (24, 21), (24, 20)]
                              + hline(10, 38, 34), 48)
-    raw, border = extract_all(thinned, 48)
+    raw, mask = extract_all(thinned, 48)
     assert sum(m.kind == KIND_ENDING for m in as_minutiae(raw)) >= 4
     # a skeleton nothing has read yet: its rules share one map
     fresh = BinaryImage(thinned.bits)
     calls.clear()
-    kept = filter_false_minutiae(raw, fresh, border, 9.0)
+    kept = filter_false_minutiae(raw, fresh, mask, 9.0)
     assert calls == [(48, 48)]
     # and a skeleton keeps its map: extraction's, or the first filter's
-    assert np.array_equal(filter_false_minutiae(raw, fresh, border, 9.0), kept)
-    assert np.array_equal(filter_false_minutiae(raw, thinned, border, 9.0), kept)
+    assert np.array_equal(filter_false_minutiae(raw, fresh, mask, 9.0), kept)
+    assert np.array_equal(filter_false_minutiae(raw, thinned, mask, 9.0), kept)
     assert calls == [(48, 48)]
     art = clean_print_artifacts()
     calls.clear()
-    filter_false_minutiae(art.raw_minutiae, BinaryImage(art.thinned.bits), art_border(art),
-                          art_gap(art))
+    filter_false_minutiae(art.raw_minutiae, BinaryImage(art.thinned.bits), art.mask, art_gap(art))
     assert len(calls) == 1
 
 
@@ -1077,9 +1078,8 @@ def test_gabor_scratch_memory_stays_under_the_direct_pass():
 
 def test_build_template_takes_the_mask_without_the_masked_image():
     img = synthgen.render_print([(100.0, 140.0, 1.0)], beta=0.3)
-    mask, border = segment(img)
-    assert isinstance(mask, BinaryImage) and not isinstance(border, GrayImage)
-    assert np.array_equal(border, fingerprint._border_distance(mask))
+    mask = segment(img)
+    assert isinstance(mask, BinaryImage)
     _, art = build_template(img, keep_artifacts=True)
     assert np.array_equal(art.mask.bits, mask.bits)
 
@@ -1153,7 +1153,7 @@ def test_build_template_runs_one_sobel_pass_per_print(monkeypatch):
     template, art = build_template(img, keep_artifacts=True)
     assert calls == [(512, 512)]
     # the pair dies with the call; the two stages called alone share their own
-    assert np.array_equal(art.mask.bits, segment(img)[0].bits)
+    assert np.array_equal(art.mask.bits, segment(img).bits)
     assert np.array_equal(art.orientation.values, estimate_orientation(img).values)
     assert len(calls) == 2
     # and a later build reads the pair the image now holds
@@ -1161,7 +1161,7 @@ def test_build_template_runs_one_sobel_pass_per_print(monkeypatch):
     assert len(calls) == 2
 
 
-# sha256 of encode_template(build_template(img)) and of segment(img)[0].bits,
+# sha256 of encode_template(build_template(img)) and of segment(img).bits,
 # per print; a change to either is a behaviour change and says so.
 PINNED_PRINT_DIGESTS = {
     ("planted", 1): ("a5e61494ba25f57b7658711059afa9967cecda44800ff20a03bfe0104d342ba9",
@@ -1190,8 +1190,45 @@ def pinned_print(kind, seed):
 def test_template_and_mask_bytes_match_pinned_digests():
     for (kind, seed), digests in PINNED_PRINT_DIGESTS.items():
         img = pinned_print(kind, seed)
-        got = (encode_template(build_template(img)), segment(img)[0].bits.tobytes())
+        got = (encode_template(build_template(img)), segment(img).bits.tobytes())
         assert tuple(hashlib.sha256(b).hexdigest() for b in got) == digests, (kind, seed)
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_artifacts(kind, seed):
+    return build_template(pinned_print(kind, seed), keep_artifacts=True)[1]
+
+
+def test_border_distance_equals_the_transform_at_the_pinned_prints_minutiae():
+    for kind, seed in PINNED_PRINT_DIGESTS:
+        art = pinned_artifacts(kind, seed)
+        x, y = np.rint(art.raw_minutiae[:, :2]).astype(np.int64).T
+        assert len(x) > 0
+        got = fingerprint._border_distance(art.mask, x, y)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, border_oracle(art.mask)[y, x]), (kind, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.sampled_from([(1, 1), (1, 40), (40, 1), (1, 7), (9, 1)])
+       | st.tuples(st.integers(1, 40), st.integers(1, 40)),
+       density=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_border_distance_equals_the_transform_at_every_pixel(shape, density, seed):
+    # density 0 draws an all-false mask and density 1 an all-true one; the
+    # pixels are asked for in a random order
+    rng = np.random.default_rng(seed)
+    mask = BinaryImage(rng.random(shape) < density)
+    y, x = rng.permutation(np.indices(shape).reshape(2, -1), axis=1)
+    assert np.array_equal(fingerprint._border_distance(mask, x, y), border_oracle(mask)[y, x])
+
+
+def count_column_passes(monkeypatch, calls):
+    """Append "column_depth" to ``calls`` whenever a mask computes its
+    ``BinaryImage.column_depth``; a mask computes it once and keeps it."""
+    prop = BinaryImage.__dict__["column_depth"]
+    monkeypatch.setattr(prop, "func", lambda mask, _f=prop.func: calls.append("column_depth")
+                        or _f(mask))
 
 
 def test_build_template_runs_each_public_stage_once(monkeypatch):
@@ -1201,8 +1238,9 @@ def test_build_template_runs_each_public_stage_once(monkeypatch):
         real = getattr(fingerprint, name)
         monkeypatch.setattr(fingerprint, name,
                             lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+    count_column_passes(monkeypatch, calls)
     build_template(img)
-    assert calls == ["segment", "_border_distance", "filter_false_minutiae"]
+    assert calls == ["segment", "filter_false_minutiae", "_border_distance", "column_depth"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -1226,7 +1264,7 @@ def test_filter_equals_oracle_on_degraded_prints():
         assert art.thinned.bits.shape == (512, 512)
         assert len(art.raw_minutiae) > 1000
         kept = assert_filter_matches_oracle(as_minutiae(art.raw_minutiae), art.thinned,
-                                            art_border(art), art_gap(art))
+                                            art.mask, art_gap(art))
         assert 0 < len(kept) < len(art.raw_minutiae)
 
 
@@ -1243,8 +1281,7 @@ def test_extract_and_filter_equal_oracles_on_random_skeletons(size, density, mas
     mask = BinaryImage(rng.random((size, size)) < 0.8 if masked else np.ones((size, size)))
     raw = as_minutiae(extract_minutiae(thinned, orientation, mask))
     assert raw == extract_oracle(thinned, orientation, mask)
-    border = fingerprint._border_distance(BinaryImage(np.ones((size, size), dtype=bool)))
-    assert_filter_matches_oracle(raw, thinned, border, gap)
+    assert_filter_matches_oracle(raw, thinned, BinaryImage(np.ones((size, size))), gap)
 
 
 def test_build_template_builds_one_neighbour_code_raster_per_print(monkeypatch):
@@ -1264,19 +1301,19 @@ def test_build_template_builds_one_neighbour_code_raster_per_print(monkeypatch):
 
 
 def test_build_template_runs_one_border_distance_per_print(monkeypatch):
-    img = degraded_print([KIND_ENDING, KIND_BIFURCATION] * 4, seed=5)
+    # one column pass of the mask per print, which the filter and the cap share
     calls = []
-    real = fingerprint._border_distance
-    monkeypatch.setattr(fingerprint, "_border_distance",
-                        lambda mask: calls.append(mask.bits.shape) or real(mask))
+    count_column_passes(monkeypatch, calls)
+    build_template(pinned_print("planted", 1))
+    assert calls == ["column_depth"]
+    img = degraded_print([KIND_ENDING, KIND_BIFURCATION] * 4, seed=5)
     template, art = build_template(img, keep_artifacts=True)
-    assert calls == [(512, 512)]
-    # The filter, then the cap ranked by the same border distance, rebuilt
-    # here from the mask.
-    border = real(art.mask)
-    kept = as_minutiae(filter_false_minutiae(art.raw_minutiae, art.thinned, border,
+    assert calls == ["column_depth"] * 2
+    # The filter, then the cap ranked by the transform's border distance.
+    border = border_oracle(art.mask)
+    kept = as_minutiae(filter_false_minutiae(art.raw_minutiae, art.thinned, art.mask,
                                              art_gap(art)))
-    assert len(kept) > fingerprint.MAX_MINUTIAE
+    assert len(kept) > fingerprint.MAX_MINUTIAE and len(calls) == 2
     ranked = sorted(range(len(kept)),
                     key=lambda i: (-border[int(round(kept[i].y)), int(round(kept[i].x))], i))
     capped = tuple(kept[i] for i in sorted(ranked[:fingerprint.MAX_MINUTIAE]))
@@ -1350,7 +1387,7 @@ def near_pairs(draw):
 def test_filter_equals_oracle_on_pairs_at_the_gap(case):
     minutiae, gap = case
     art = clean_print_artifacts()
-    assert_filter_matches_oracle(minutiae, art.thinned, art_border(art), gap)
+    assert_filter_matches_oracle(minutiae, art.thinned, art.mask, gap)
 
 
 def close_pairs(minutiae, gap):

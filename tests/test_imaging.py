@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
-from test_fingerprint import degraded_print
+from test_fingerprint import PINNED_PRINT_DIGESTS, degraded_print, pinned_artifacts
 from biolock import imaging
 from biolock.errors import MalformedHeader, NotRegularFile, TruncatedData, UnsupportedMaxval
 from biolock.fingerprint import KIND_BIFURCATION, KIND_ENDING, build_template, coherence_image
@@ -446,6 +446,42 @@ def blobs(draw):
 @given(bits=blobs())
 def test_thin_equals_plane_formula_on_drawn_blobs(bits):
     thin_checked(bits)
+
+
+def thin_full_scan(bits):
+    """thin by a full scan, the reference for the pixels thin skips: every
+    subiteration reads every foreground pixel left."""
+    bits = np.pad(bits, 1)
+    codes = np.pad(imaging.neighbour_codes(bits[1:-1, 1:-1]), 1).ravel()
+    live = np.flatnonzero(bits)
+    steps = [(dy * bits.shape[1] + dx, np.uint8(0xFF ^ 1 << (i + 4) % 8))
+             for i, (dx, dy) in enumerate(imaging.NEIGHBOUR_OFFSETS)]
+    idle = phase = 0
+    while idle < 2:
+        gone = imaging._THIN_DELETE[phase][codes[live]]
+        idle = 0 if gone.any() else idle + 1
+        bits.flat[live[gone]] = False
+        for step, keep in steps:
+            codes[live[gone] + step] &= keep
+        live = live[~gone]
+        phase ^= 1
+    return bits[1:-1, 1:-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 64), st.integers(1, 64)), density=st.floats(0.3, 0.9),
+       seed=st.integers(0, 2**32 - 1))
+def test_thin_equals_the_full_scan_on_random_images(shape, density, seed):
+    bits = np.random.default_rng(seed).random(shape) < density
+    assert np.array_equal(thin(BinaryImage(bits)).bits, thin_full_scan(bits))
+
+
+def test_thin_equals_the_full_scan_on_the_pinned_prints_ridges():
+    for kind, seed in PINNED_PRINT_DIGESTS:
+        art = pinned_artifacts(kind, seed)
+        ridges = art.binarized.bits & art.mask.bits
+        assert (ridges & (imaging.neighbour_codes(ridges) == 0xFF)).any()
+        assert np.array_equal(art.thinned.bits, thin_full_scan(ridges)), (kind, seed)
 
 
 def test_thin_equals_plane_formula_on_a_degraded_print():
