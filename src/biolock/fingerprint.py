@@ -524,8 +524,8 @@ def _close_pairs(x: np.ndarray, y: np.ndarray, gap: float) -> np.ndarray:
     return np.sort(np.stack([s[near], t[near]], axis=1), axis=1)
 
 
-def filter_false_minutiae(minutiae: np.ndarray, thinned: BinaryImage,
-                          mask: BinaryImage, avg_ridge_gap: float) -> np.ndarray:
+def filter_false_minutiae(minutiae: np.ndarray, thinned: BinaryImage, mask: BinaryImage,
+                          avg_ridge_gap: float, cap: int | None = None) -> np.ndarray:
     """Drop artifact minutiae, rows as :func:`extract_minutiae` returns them:
     border effects, ridge breaks, spurs/spikes, holes, and bridges/ladders, in
     that order.  The kept rows are returned in input order.
@@ -534,7 +534,8 @@ def filter_false_minutiae(minutiae: np.ndarray, thinned: BinaryImage,
     of ``mask``, the foreground :func:`segment` returns, or to the frame.  Each
     rule marks every qualifying minutia against the survivors of the previous
     rule and removes them together, so re-filtering the output is a no-op for
-    the pair rules.
+    the pair rules.  With ``cap``, at most that many rows are kept: the deepest
+    inside the mask by the border rule's distances, ties in input order.
     """
     if avg_ridge_gap <= 0:
         raise ValueError("avg_ridge_gap must be positive")
@@ -543,7 +544,8 @@ def filter_false_minutiae(minutiae: np.ndarray, thinned: BinaryImage,
     x, y, theta, kind = minutiae.T
     ending = kind == _KIND_CODE[KIND_ENDING]
     row, col = np.rint(y).astype(np.int64), np.rint(x).astype(np.int64)  # round() of each
-    kept = _border_distance(mask, col, row) >= gap
+    depth = _border_distance(mask, col, row)
+    kept = depth >= gap
 
     live = np.flatnonzero(kept)
     close = live[_close_pairs(x[live], y[live], gap)].reshape(-1, 2)
@@ -587,6 +589,9 @@ def filter_false_minutiae(minutiae: np.ndarray, thinned: BinaryImage,
     fold = np.mod(_angle_diff(theta[a], theta[b]), math.pi)
     hit = ~(ending[a] & ending[b]) & (np.minimum(fold, math.pi - fold) >= math.radians(60.0))
     kept[a[hit]] = kept[b[hit]] = False
+    kept = np.flatnonzero(kept)
+    if cap is not None and len(kept) > cap:
+        kept = np.sort(kept[np.argsort(-depth[kept], kind="stable")[:cap]])
     return minutiae[kept]
 
 
@@ -750,10 +755,7 @@ def build_template(img: GrayImage, keep_artifacts: bool = False):
     thinned = thin(ridge_bits)
     raw = extract_minutiae(thinned, orientation, mask)
     gap = 1.0 / float(np.median(frequency.values))
-    kept = filter_false_minutiae(raw, thinned, mask, gap)
-    if len(kept) > MAX_MINUTIAE:  # the deepest inside the mask, ties in input order
-        depth = _border_distance(mask, *np.rint(kept[:, :2]).astype(np.int64).T)
-        kept = kept[np.sort(np.argsort(-depth, kind="stable")[:MAX_MINUTIAE])]
+    kept = filter_false_minutiae(raw, thinned, mask, gap, MAX_MINUTIAE)
     template = _template(kept, img.width, img.height)
     if keep_artifacts:
         return template, PipelineArtifacts(mask, orientation, frequency, enhanced,
@@ -777,27 +779,48 @@ def encode_template(template: FingerprintTemplate) -> bytes:
     return TEMPLATE_MAGIC + head + records.tobytes()
 
 
-def decode_template(data: bytes) -> FingerprintTemplate:
-    if data[:4] != TEMPLATE_MAGIC:
-        raise BadMagic(f"expected {TEMPLATE_MAGIC!r} header, got {data[:4]!r}")
-    if len(data) < 10:
-        raise TruncatedData("template header truncated")
-    count, width, height = struct.unpack_from("<HHH", data, 4)
-    if count > MAX_MINUTIAE:
-        raise TruncatedData(f"template holds {count} minutiae, at most {MAX_MINUTIAE} allowed")
-    need = 10 + 16 * count
-    if len(data) != need:
-        raise TruncatedData(f"template of {count} minutiae must be {need} bytes, got {len(data)}")
-    records = np.frombuffer(data, dtype="<f4", count=4 * count, offset=10).reshape(count, 4)
+def decode_templates(blobs, names=None) -> list[FingerprintTemplate]:
+    """``[decode_template(b) for b in blobs]``, the first faulty blob raising
+    (prefixed ``names[i]: `` given names): the headers checked in one loop, then
+    kind codes, finite fields and the theta clamp once over all records joined.
+    Each template holds its slice of one read-only rows array."""
+    heads, fault = [], None
+    for i, data in enumerate(blobs):
+        if data[:4] != TEMPLATE_MAGIC:
+            fault = BadMagic, f"expected {TEMPLATE_MAGIC!r} header, got {data[:4]!r}"
+        elif len(data) < 10:
+            fault = TruncatedData, "template header truncated"
+        elif (head := struct.unpack_from("<HHH", data, 4))[0] > MAX_MINUTIAE:
+            fault = TruncatedData, f"template holds {head[0]} minutiae, at most {MAX_MINUTIAE} allowed"
+        elif len(data) != 10 + 16 * head[0]:
+            fault = TruncatedData, (f"template of {head[0]} minutiae must be "
+                                    f"{10 + 16 * head[0]} bytes, got {len(data)}")
+        else:
+            heads.append(head)
+            continue
+        break
+    ends = np.cumsum([count for count, _, _ in heads], dtype=np.int64)
+    records = np.frombuffer(b"".join(memoryview(data)[10:] for data in blobs[:len(heads)]),
+                            dtype="<f4").reshape(-1, 4)
     kinds = records.view(np.uint8)[:, 12]
-    if kinds.max(initial=0) >= len(_KIND_CODE):
-        raise TruncatedData(f"unknown minutia kind code {kinds.max()}")
     # test before the float64 cast, which warns on a signalling NaN
-    if not np.isfinite(records[:, :3]).all():
-        raise TruncatedData("a minutia has a non-finite field")
-    rows = np.empty((count, 4))
+    bad = (kinds >= len(_KIND_CODE)) | ~np.isfinite(records[:, :3]).all(axis=1)
+    if bad.any():  # the first blob owning a bad record, checked as the loop would
+        i = int(np.searchsorted(ends, bad.argmax(), side="right"))
+        code = kinds[ends[i] - heads[i][0]:ends[i]].max()
+        fault = TruncatedData, (f"unknown minutia kind code {code}" if code >= len(_KIND_CODE)
+                                else "a minutia has a non-finite field")
+    if fault is not None:
+        raise fault[0](fault[1] if names is None else f"{names[i]}: {fault[1]}")
+    rows = np.empty((len(records), 4))
     rows[:, :3], rows[:, 3] = records[:, :3], kinds
     theta = rows[:, 2]  # clamped as min(max(theta, 0.0), below_2pi) would: -0.0 stays
     np.copyto(theta, 0.0, where=theta < 0.0)
     np.minimum(theta, math.nextafter(2.0 * math.pi, 0.0), out=theta)
-    return _template(rows, width, height)
+    rows.setflags(write=False)
+    return [_template(rows[end - n:end], w, h) for end, (n, w, h) in zip(ends.tolist(), heads)]
+
+
+def decode_template(data: bytes) -> FingerprintTemplate:
+    """Parse bytes produced by :func:`encode_template`: a gallery of one."""
+    return decode_templates([data])[0]

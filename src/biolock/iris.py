@@ -502,26 +502,40 @@ def encode_code(code: IrisCode) -> bytes:
     return head + code.words.tobytes()
 
 
+def decode_codes(blobs, names=None) -> list[IrisCode]:
+    """``[decode_code(b) for b in blobs]``, headers checked in one loop, the first
+    faulty blob raising (prefixed ``names[i]: `` given names); each code holds its
+    row of one read-only (n, 2, words) array per scheme, never the caller's bytes."""
+    schemes = []
+    for i, data in enumerate(blobs):
+        if data[:4] != CODE_MAGIC:
+            fault = BadMagic, f"expected {CODE_MAGIC!r} header, got {data[:4]!r}"
+        elif len(data) < 9:
+            fault = TruncatedData, "iris code header truncated"
+        elif (head := struct.unpack_from("<BI", data, 4))[0] not in _CODE_SCHEME:
+            fault = TruncatedData, f"unknown iris code scheme byte {head[0]}"
+        elif head[1] != _CODE_BITS[scheme := _CODE_SCHEME[head[0]]]:
+            fault = TruncatedData, f"{scheme} code must have {_CODE_BITS[scheme]} bits, got {head[1]}"
+        elif len(data) != 9 + head[1] // 4:
+            fault = TruncatedData, f"{scheme} code must be {9 + head[1] // 4} bytes, got {len(data)}"
+        else:
+            schemes.append(scheme)
+            continue
+        raise fault[0](fault[1] if names is None else f"{names[i]}: {fault[1]}")
+    codes = [None] * len(schemes)
+    for scheme, bits in _CODE_BITS.items():
+        own = [i for i, s in enumerate(schemes) if s == scheme]
+        words = np.frombuffer(b"".join(memoryview(blobs[i])[9:] for i in own),  # fresh bytes
+                              "<u8").reshape(len(own), 2, bits // 64)
+        for i, row in zip(own, _freeze(np.require(words, requirements="A"))):
+            codes[i] = object.__new__(IrisCode)  # a row of fresh words: no checks, no copy
+            codes[i].__dict__.update(words=row, scheme=scheme)
+    return codes
+
+
 def decode_code(data: bytes) -> IrisCode:
-    """Parse bytes produced by :func:`encode_code`."""
-    if data[:4] != CODE_MAGIC:
-        raise BadMagic(f"expected {CODE_MAGIC!r} header, got {data[:4]!r}")
-    if len(data) < 9:
-        raise TruncatedData("iris code header truncated")
-    scheme_code, length = struct.unpack_from("<BI", data, 4)
-    if scheme_code not in _CODE_SCHEME:
-        raise TruncatedData(f"unknown iris code scheme byte {scheme_code}")
-    scheme = _CODE_SCHEME[scheme_code]
-    if length != _CODE_BITS[scheme]:
-        raise TruncatedData(f"{scheme} code must have {_CODE_BITS[scheme]} bits, got {length}")
-    count = length // 64
-    if len(data) != 9 + 16 * count:
-        raise TruncatedData(f"{scheme} code must be {9 + 16 * count} bytes, got {len(data)}")
-    # a copy: aligned, and never a view of the caller's buffer
-    words = _freeze(np.frombuffer(data, "<u8", 2 * count, offset=9).reshape(2, count).copy())
-    code = object.__new__(IrisCode)  # owns the fresh words: no checks, no second copy
-    code.__dict__.update(words=words, scheme=scheme)
-    return code
+    """Parse bytes produced by :func:`encode_code`: a gallery of one."""
+    return decode_codes([data])[0]
 
 
 # ---------------------------------------------------------------------------

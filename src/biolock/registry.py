@@ -2,9 +2,9 @@
 
 A database is a directory holding one binary file per template or code plus a
 ``manifest.json`` that names them.  Every :class:`TemplateDB` reads and checks
-the whole manifest when it is opened; :func:`load_db` then decodes every
-subject's files, while the ``verify`` and ``access`` commands decode only the
-named subject's, and ``enroll`` decodes none.
+the whole manifest when it is opened; :func:`load_db` then reads every
+subject's files and decodes them in one batch, while the ``verify`` and
+``access`` commands decode only the named subject's, and ``enroll`` none.
 :func:`enroll` runs the feature pipelines and persists new records atomically
 (every file, and finally the manifest, is written to a temp name and renamed);
 :func:`verify`, :func:`identify`, and :func:`access` score probes against the
@@ -40,13 +40,13 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timedelta, timezone
+from itertools import cycle, islice
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import (
-    BadMagic,
     BiolockError,
     CorruptManifest,
     DuplicateSubject,
@@ -65,6 +65,7 @@ from .fingerprint import (
     FingerprintTemplate,
     build_template,
     decode_template,
+    decode_templates,
     encode_template,
     match_minutiae_many,
 )
@@ -85,7 +86,7 @@ from .iris import (
     SCHEME_HAAR,
     SCHEME_MELLIN,
     build_codes,
-    decode_code,
+    decode_codes,
     encode_code,
     hamming_distances,
 )
@@ -197,7 +198,7 @@ class TemplateDB:
     manifest entry (file names per subject) in enrollment order, so enrollment
     checks ids against the whole database and re-writes the manifest without
     renaming existing files.  ``records`` maps the subjects whose files were
-    decoded to :class:`PersonRecord`; it starts empty.
+    decoded, all in one batch, to :class:`PersonRecord`; it starts empty.
     """
 
     def __init__(self, path: Union[str, Path]):
@@ -280,20 +281,15 @@ def _manifest_check(condition: bool, where: Path, message: str) -> None:
         raise CorruptManifest(f"{where}: {message}")
 
 
-def _load_file(directory: str, name: str, decode, cap: int):
-    """Read one file the manifest names with :func:`read_regular_file` and
-    decode it; errors name it."""
+def _load_file(directory: str, name: str, cap: int) -> bytes:
+    """Read a file the manifest names with :func:`read_regular_file`, naming it in errors."""
     full = os.path.join(directory, name)
     try:
-        blob = read_regular_file(full, cap)
+        return read_regular_file(full, cap)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         raise MissingTemplateFile(full) from exc
     except NotRegularFile as exc:
         raise MissingTemplateFile(str(exc)) from exc
-    try:
-        return decode(blob)
-    except (BadMagic, TruncatedData) as exc:
-        raise type(exc)(f"{full}: {exc}") from exc
 
 
 def _parse_manifest(manifest_path: Path) -> dict:
@@ -353,36 +349,43 @@ def _parse_manifest(manifest_path: Path) -> dict:
     return entries
 
 
-def _decode_record(directory: str, entry: dict) -> PersonRecord:
-    """Decode the files of one entry that :func:`_parse_manifest` returned."""
-    templates = [_load_file(directory, name, decode_template, TEMPLATE_MAX_BYTES)
-                 for name in entry["fingers"]]
-    pairs = []
-    for item in entry["iris"]:
-        codes = []
-        for scheme, key in ((SCHEME_HAAR, "haar"), (SCHEME_MELLIN, "mellin")):
-            codes.append(_load_file(directory, item[key], decode_code, CODE_MAX_BYTES))
-            if codes[-1].scheme != scheme:
-                raise CorruptManifest(f"{os.path.join(directory, MANIFEST_NAME)}: {item[key]}: "
-                                      f"manifest lists a {scheme} code but the file holds {codes[-1].scheme}")
-        pairs.append(IrisPair(*codes))
-    return PersonRecord(entry["id"], tuple(templates), tuple(pairs), entry["enrolled_at"])
+def _decode_records(directory: str, entries: list) -> dict:
+    """Records by subject id of ``entries`` from :func:`_parse_manifest`, in one
+    batch: every file is read first, in manifest order, then every template is
+    decoded in one call and every code in another, so a read fault comes first."""
+    fingers, codes = [], []  # (name, bytes)
+    for entry in entries:
+        fingers += [(name, _load_file(directory, name, TEMPLATE_MAX_BYTES))
+                    for name in entry["fingers"]]
+        codes += [(item[key], _load_file(directory, item[key], CODE_MAX_BYTES))
+                  for item in entry["iris"] for key in ("haar", "mellin")]
+    prefix = os.path.join(directory, "")  # + name is os.path.join for a plain name
+    templates = iter(decode_templates([blob for _, blob in fingers],
+                                      [prefix + name for name, _ in fingers]))
+    decoded = decode_codes([blob for _, blob in codes], [prefix + name for name, _ in codes])
+    for (name, _), code, scheme in zip(codes, decoded, cycle((SCHEME_HAAR, SCHEME_MELLIN))):
+        if code.scheme != scheme:
+            raise CorruptManifest(f"{os.path.join(directory, MANIFEST_NAME)}: {name}: "
+                                  f"manifest lists a {scheme} code but the file holds {code.scheme}")
+    pairs = map(IrisPair, decoded[::2], decoded[1::2])
+    return {entry["id"]: PersonRecord(
+        entry["id"], tuple(islice(templates, len(entry["fingers"]))),
+        tuple(islice(pairs, len(entry["iris"]))), entry["enrolled_at"]) for entry in entries}
 
 
 def load_db(path: Union[str, Path]) -> TemplateDB:
-    """Read a database directory; a missing manifest means an empty DB."""
+    """Open a database, decoding every record in one batch; no manifest is an empty DB."""
     db = TemplateDB(path)
-    directory = os.fspath(db.path)
-    db.records = {sid: _decode_record(directory, e) for sid, e in db._entries.items()}
+    db.records = _decode_records(os.fspath(db.path), list(db._entries.values()))
     return db
 
 
 def _load_record(path: Union[str, Path], subject_id: str) -> TemplateDB:
-    """:func:`load_db` decoding only ``subject_id``'s files: a view holding at
-    most that record, and every manifest entry to enroll against."""
+    """:func:`load_db` decoding only ``subject_id``'s files, a batch of one: a view
+    holding at most that record, and every manifest entry to enroll against."""
     db = TemplateDB(path)
     if subject_id in db._entries:
-        db.records[subject_id] = _decode_record(os.fspath(db.path), db._entries[subject_id])
+        db.records = _decode_records(os.fspath(db.path), [db._entries[subject_id]])
     return db
 
 

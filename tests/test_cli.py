@@ -577,14 +577,14 @@ def test_access_with_the_claimed_subjects_file_missing_exits_2(tmp_path, env, ca
 
 
 def test_access_decodes_only_the_claimed_record(tmp_path, env, capsys, monkeypatch):
-    calls = []
-    for name in ("decode_template", "decode_code"):
+    calls = []  # one name per decoded blob
+    for name in ("decode_templates", "decode_codes"):
         original = getattr(registry, name)
-        monkeypatch.setattr(registry, name,
-                            lambda blob, _f=original, _n=name: calls.append(_n) or _f(blob))
+        monkeypatch.setattr(registry, name, lambda blobs, names, _f=original, _n=name:
+                            calls.extend([_n] * len(blobs)) or _f(blobs, names))
     code, _, _, _ = _door(capsys, env, env["db"], tmp_path / "door.log")
     assert code == 0
-    assert sorted(calls) == ["decode_code", "decode_code", "decode_template"]
+    assert sorted(calls) == ["decode_codes", "decode_codes", "decode_templates"]
 
 
 @pytest.mark.parametrize("claim, expected_code", [("bob", 0), ("alice", 1)])

@@ -6,14 +6,16 @@ bytes, a cut tail, or both) either still decodes or raises a BiolockError,
 never another exception; a damaged config file may also raise ValueError.
 FPT1 and IRC1 values must fill their bytes exactly: trailing bytes raise
 TruncatedData.  The array decoder of FPT1 and its encoder are checked against
-the per-minutia struct loops they replaced, kept here as oracles."""
+the per-minutia struct loops they replaced, and the batched decoders of FPT1
+and IRC1 against the one-blob decoders they replaced, all kept here as
+oracles."""
 import dataclasses
 import math
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from biolock.errors import BadMagic, BiolockError, TruncatedData
@@ -24,14 +26,24 @@ from biolock.fingerprint import (
     TEMPLATE_MAGIC,
     FingerprintTemplate,
     Minutia,
+    _KIND_CODE,
     _minutiae_rows,
     _template,
     decode_template,
+    decode_templates,
     encode_template,
 )
 from biolock.fusion import CLASSIFIERS, FusionConfig, load_config, save_config
-from biolock.imaging import GrayImage, decode_pgm, encode_pgm
-from biolock.iris import SCHEME_HAAR, SCHEME_MELLIN, IrisCode, decode_code, encode_code
+from biolock.imaging import GrayImage, _freeze, decode_pgm, encode_pgm
+from biolock.iris import (
+    CODE_MAGIC,
+    SCHEME_HAAR,
+    SCHEME_MELLIN,
+    IrisCode,
+    decode_code,
+    decode_codes,
+    encode_code,
+)
 from test_fingerprint import KINDS, as_minutiae
 
 # Template fields are stored as float32, so values are drawn as float32; the
@@ -424,3 +436,183 @@ def test_template_sizes_are_the_integers_fpt1_stores():
     for sizes in ((70000, 16), (16, 0x10000)):
         with pytest.raises(ValueError, match=r"0\.\.65535, got \(%d, %d\)" % sizes):
             encode_template(_template(np.empty((0, 4)), *sizes))
+
+
+# ---------------------------------------------------------------------------
+# Batched FPT1 and IRC1 decoders against the one-blob decoders they replaced
+
+def decode_template_array_oracle(data: bytes) -> FingerprintTemplate:
+    """The one-blob array decoder."""
+    if data[:4] != TEMPLATE_MAGIC:
+        raise BadMagic(f"expected {TEMPLATE_MAGIC!r} header, got {data[:4]!r}")
+    if len(data) < 10:
+        raise TruncatedData("template header truncated")
+    count, width, height = struct.unpack_from("<HHH", data, 4)
+    if count > MAX_MINUTIAE:
+        raise TruncatedData(f"template holds {count} minutiae, at most {MAX_MINUTIAE} allowed")
+    need = 10 + 16 * count
+    if len(data) != need:
+        raise TruncatedData(f"template of {count} minutiae must be {need} bytes, got {len(data)}")
+    records = np.frombuffer(data, dtype="<f4", count=4 * count, offset=10).reshape(count, 4)
+    kinds = records.view(np.uint8)[:, 12]
+    if kinds.max(initial=0) >= len(_KIND_CODE):
+        raise TruncatedData(f"unknown minutia kind code {kinds.max()}")
+    if not np.isfinite(records[:, :3]).all():
+        raise TruncatedData("a minutia has a non-finite field")
+    rows = np.empty((count, 4))
+    rows[:, :3], rows[:, 3] = records[:, :3], kinds
+    theta = rows[:, 2]
+    np.copyto(theta, 0.0, where=theta < 0.0)
+    np.minimum(theta, math.nextafter(2.0 * math.pi, 0.0), out=theta)
+    return _template(rows, width, height)
+
+
+_SCHEMES = {0: SCHEME_HAAR, 1: SCHEME_MELLIN}
+
+
+def decode_code_oracle(data: bytes) -> IrisCode:
+    """The one-blob IRC1 decoder."""
+    if data[:4] != CODE_MAGIC:
+        raise BadMagic(f"expected {CODE_MAGIC!r} header, got {data[:4]!r}")
+    if len(data) < 9:
+        raise TruncatedData("iris code header truncated")
+    scheme_code, length = struct.unpack_from("<BI", data, 4)
+    if scheme_code not in _SCHEMES:
+        raise TruncatedData(f"unknown iris code scheme byte {scheme_code}")
+    scheme = _SCHEMES[scheme_code]
+    if length != _CODE_BITS[scheme]:
+        raise TruncatedData(f"{scheme} code must have {_CODE_BITS[scheme]} bits, got {length}")
+    count = length // 64
+    if len(data) != 9 + 16 * count:
+        raise TruncatedData(f"{scheme} code must be {9 + 16 * count} bytes, got {len(data)}")
+    words = _freeze(np.frombuffer(data, "<u8", 2 * count, offset=9).reshape(2, count).copy())
+    code = object.__new__(IrisCode)
+    code.__dict__.update(words=words, scheme=scheme)
+    return code
+
+
+def decoded_in_a_loop(decode, blobs, names=None):
+    """``[decode(b) for b in blobs]``, or the first error as (class, message),
+    its message prefixed with ``names[i]: `` when names are given."""
+    out = []
+    for i, blob in enumerate(blobs):
+        try:
+            out.append(decode(blob))
+        except BiolockError as exc:
+            return type(exc), str(exc) if names is None else f"{names[i]}: {exc}"
+    return out
+
+
+def decoded_in_a_batch(decode, blobs, names=None):
+    try:
+        return decode(blobs, names)
+    except BiolockError as exc:
+        return type(exc), str(exc)
+
+
+_TWO_PI_32 = float(np.float32(2.0 * math.pi))  # the float32 just above 2*pi
+_THETA_EDGES = st.sampled_from([-0.0, -1e-7, -3.0, _TWO_PI_32, 2.0 * math.pi, 7.0, 1e30])
+
+
+@st.composite
+def edge_template_blobs(draw):
+    """A template whose every theta is -0.0, below 0, or at or above 2*pi."""
+    count = draw(st.integers(1, 6))
+    fields = b"".join(struct.pack("<fffB3x", draw(_ANY_FLOAT32), draw(_ANY_FLOAT32),
+                                  draw(_THETA_EDGES), draw(st.integers(0, 1)))
+                      for _ in range(count))
+    return TEMPLATE_MAGIC + struct.pack("<HHH", count, 64, 64) + fields
+
+
+_EMPTY_TEMPLATE = TEMPLATE_MAGIC + struct.pack("<HHH", 0, 7, 9)
+TEMPLATE_BATCH_BLOBS = st.one_of(template_blobs(max_count=8), edge_template_blobs(),
+                                 st.just(_EMPTY_TEMPLATE))
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=st.lists(TEMPLATE_BATCH_BLOBS, max_size=40))
+@example(batch=[])
+@example(batch=[_EMPTY_TEMPLATE, SAMPLES["fpt1"][0], _EMPTY_TEMPLATE,
+                TEMPLATE_MAGIC + struct.pack("<HHH", 3, 64, 64) + b"".join(
+                    struct.pack("<fffB3x", 1.0, 2.0, theta, 1)
+                    for theta in (-0.0, -2.5, 2.0 * math.pi))])
+def test_batched_template_decoder_equals_the_one_blob_oracle(batch):
+    expected = [decode_template_array_oracle(blob) for blob in batch]
+    got = decode_templates(batch)
+    assert got == expected
+    # by bytes too: == takes -0.0 for 0.0, and the clamp keeps -0.0
+    assert [t.rows.tobytes() for t in got] == [t.rows.tobytes() for t in expected]
+    assert [(t.image_width, t.image_height) for t in got] == [
+        (t.image_width, t.image_height) for t in expected]
+    for template in got:
+        assert template.rows.dtype == np.float64 and not template.rows.flags.writeable
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=st.lists(codes().map(encode_code), max_size=40))
+@example(batch=[])
+@example(batch=SAMPLES["irc1"] + SAMPLES["irc1"][::-1])
+def test_batched_code_decoder_equals_the_one_blob_oracle(batch):
+    expected = [decode_code_oracle(blob) for blob in batch]
+    got = decode_codes(batch)
+    assert got == expected
+    assert [c.scheme for c in got] == [c.scheme for c in expected]
+    for code in got:
+        assert code.words.dtype == np.dtype("<u8") and not code.words.flags.writeable
+        assert code.words.shape == (2, _CODE_BITS[code.scheme] // 64)
+        assert not code.bits.flags.writeable and not code.mask.flags.writeable
+        assert not np.shares_memory(code.bits, code.mask)
+        assert not any(np.shares_memory(code.words, np.frombuffer(blob, np.uint8))
+                       for blob in batch)
+
+
+# Header and record fields to overwrite: (offset, struct format, value).
+_FIELD_DAMAGE = {
+    "fpt1": [(4, "<H", MAX_MINUTIAE + 1), (4, "<H", 1), (22, "<B", 2), (22, "<B", 255),
+             (10, "<f", math.nan), (14, "<f", -math.inf), (18, "<I", 0x7F800001)],
+    "irc1": [(4, "<B", 2), (4, "<B", 1), (4, "<B", 0), (5, "<I", 8), (5, "<I", 512)],
+}
+
+
+def _damage_any(fmt: str, blob: bytes, draw) -> bytes:
+    """A cut tail, up to three changed bytes, or one field overwritten."""
+    blob = bytearray(blob)
+    how = draw(st.sampled_from(["cut", "bytes", "field"]))
+    if how == "cut" or not blob:
+        return bytes(blob[:draw(st.integers(0, len(blob)))])
+    if how == "bytes":
+        for _ in range(draw(st.integers(1, 3))):
+            blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+        return bytes(blob)
+    offset, fmt, value = draw(st.sampled_from(_FIELD_DAMAGE[fmt]))
+    if len(blob) >= offset + struct.calcsize(fmt):
+        struct.pack_into(fmt, blob, offset, value)
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("fmt", ["fpt1", "irc1"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_damaged_batch_raises_the_first_error_a_loop_would(fmt, data):
+    blobs, oracle, decode = {
+        "fpt1": (TEMPLATE_BATCH_BLOBS, decode_template_array_oracle, decode_templates),
+        "irc1": (codes().map(encode_code), decode_code_oracle, decode_codes)}[fmt]
+    batch = data.draw(st.lists(blobs, min_size=1, max_size=12))
+    for i in data.draw(st.lists(st.integers(0, len(batch) - 1), min_size=1, max_size=3)):
+        batch[i] = _damage_any(fmt, batch[i], data.draw)
+    names = [f"/db/file_{i}" for i in range(len(batch))]
+    for given_names in (None, names):
+        expected = decoded_in_a_loop(oracle, batch, given_names)
+        assert decoded_in_a_batch(decode, batch, given_names) == expected
+
+
+def test_a_blob_with_several_bad_records_is_named_as_the_loop_names_it():
+    # the kind check comes first and names the blob's largest kind code, even
+    # after a non-finite record and a smaller bad kind
+    rows = [(math.nan, 1.0, 0.5, 0), (1.0, 2.0, 0.5, 3), (1.0, 2.0, 0.5, 7), (1.0, 2.0, 0.5, 1)]
+    blob = TEMPLATE_MAGIC + struct.pack("<HHH", len(rows), 8, 8) + b"".join(
+        struct.pack("<fffB3x", *row) for row in rows)
+    batch, names = [SAMPLES["fpt1"][0], blob, blob[:-1]], ["a.fpt", "b.fpt", "c.fpt"]
+    expected = (TruncatedData, "b.fpt: unknown minutia kind code 7")
+    assert decoded_in_a_loop(decode_template_array_oracle, batch, names) == expected
+    assert decoded_in_a_batch(decode_templates, batch, names) == expected

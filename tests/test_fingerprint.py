@@ -1301,19 +1301,24 @@ def test_build_template_builds_one_neighbour_code_raster_per_print(monkeypatch):
 
 
 def test_build_template_runs_one_border_distance_per_print(monkeypatch):
-    # one column pass of the mask per print, which the filter and the cap share
+    # one column pass of the mask and one border distance call per print: the
+    # cap ranks by the distances the filter's border rule took
     calls = []
     count_column_passes(monkeypatch, calls)
+    real = fingerprint._border_distance
+    monkeypatch.setattr(fingerprint, "_border_distance",
+                        lambda *a: calls.append("_border_distance") or real(*a))
     build_template(pinned_print("planted", 1))
-    assert calls == ["column_depth"]
+    assert calls == ["_border_distance", "column_depth"]
     img = degraded_print([KIND_ENDING, KIND_BIFURCATION] * 4, seed=5)
     template, art = build_template(img, keep_artifacts=True)
-    assert calls == ["column_depth"] * 2
+    assert calls == ["_border_distance", "column_depth"] * 2
     # The filter, then the cap ranked by the transform's border distance.
     border = border_oracle(art.mask)
     kept = as_minutiae(filter_false_minutiae(art.raw_minutiae, art.thinned, art.mask,
                                              art_gap(art)))
-    assert len(kept) > fingerprint.MAX_MINUTIAE and len(calls) == 2
+    assert len(kept) > fingerprint.MAX_MINUTIAE
+    assert calls[4:] == ["_border_distance"]  # the mask kept its column pass
     ranked = sorted(range(len(kept)),
                     key=lambda i: (-border[int(round(kept[i].y)), int(round(kept[i].x))], i))
     capped = tuple(kept[i] for i in sorted(ranked[:fingerprint.MAX_MINUTIAE]))

@@ -16,12 +16,14 @@ import numpy as np
 import pytest
 
 import synthgen
+from test_codecs import decode_code_oracle, decode_template_array_oracle
 from test_fusion import oracle_pipeline
 from test_iris import hamming_oracle
 import biolock
-from biolock import cli, fingerprint, fusion, registry
+from biolock import cli, fingerprint, fusion, iris, registry
 from biolock.errors import (
     BadMagic,
+    BiolockError,
     CorruptManifest,
     DuplicateSubject,
     EmptyDatabase,
@@ -45,7 +47,7 @@ from biolock.fusion import (
     IMPOSTOR,
     FusionConfig,
 )
-from biolock.imaging import GrayImage, decode_pgm, encode_pgm
+from biolock.imaging import GrayImage, decode_pgm, encode_pgm, read_regular_file
 from biolock.iris import SCHEME_HAAR, SCHEME_MELLIN, build_codes, encode_code
 from biolock.registry import (
     AuditEvent,
@@ -1037,6 +1039,130 @@ def test_load_db_duplicate_subject_in_manifest(enrolled, tmp_path):
     with pytest.raises(CorruptManifest) as err:
         load_db(root)
     assert "alice" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the batch open path against the one-file-at-a-time path it replaced
+
+
+def _oracle_load_file(directory, name, decode, cap):
+    full = os.path.join(directory, name)
+    try:
+        blob = read_regular_file(full, cap)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise MissingTemplateFile(full) from exc
+    except NotRegularFile as exc:
+        raise MissingTemplateFile(str(exc)) from exc
+    try:
+        return decode(blob)
+    except (BadMagic, TruncatedData) as exc:
+        raise type(exc)(f"{full}: {exc}") from exc
+
+
+def oracle_records(root, subject_ids=None):
+    """Each entry's files read and decoded one at a time by the one-blob
+    decoders, each code's scheme checked against its slot as it is decoded."""
+    db = TemplateDB(root)
+    directory, records = os.fspath(db.path), {}
+    for sid, entry in db._entries.items():
+        if subject_ids is not None and sid not in subject_ids:
+            continue
+        templates = [_oracle_load_file(directory, name, decode_template_array_oracle,
+                                       fingerprint.TEMPLATE_MAX_BYTES) for name in entry["fingers"]]
+        pairs = []
+        for item in entry["iris"]:
+            codes = []
+            for scheme in (SCHEME_HAAR, SCHEME_MELLIN):
+                codes.append(_oracle_load_file(directory, item[scheme], decode_code_oracle,
+                                               iris.CODE_MAX_BYTES))
+                if codes[-1].scheme != scheme:
+                    raise CorruptManifest(
+                        f"{os.path.join(directory, 'manifest.json')}: {item[scheme]}: manifest "
+                        f"lists a {scheme} code but the file holds {codes[-1].scheme}")
+            pairs.append(IrisPair(*codes))
+        records[sid] = PersonRecord(sid, tuple(templates), tuple(pairs), entry["enrolled_at"])
+    return records
+
+
+def _outcome(load):
+    try:
+        return load()
+    except BiolockError as exc:
+        return type(exc), str(exc)
+
+
+def _swap_slots(root, name):
+    """Swap the file in ``name``'s manifest slot with its neighbour: haar with
+    mellin, a finger with the first haar code."""
+    manifest = json.loads((root / "manifest.json").read_text())
+    for entry in manifest["subjects"]:
+        item = entry["iris"][0]
+        if name in item.values():
+            item["haar"], item["mellin"] = item["mellin"], item["haar"]
+        elif name in entry["fingers"]:
+            entry["fingers"][0], item["haar"] = item["haar"], entry["fingers"][0]
+    (root / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _put(fmt, value, offsets):
+    def damage(path):
+        data = bytearray(path.read_bytes())
+        struct.pack_into(fmt, data, offsets[path.suffix], value)
+        path.write_bytes(bytes(data))
+    return damage
+
+
+def _replace_with_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+# Each damage, applied to any .fpt or .irc file: the FPT1 kind byte and x
+# field of the first minutia, and the IRC1 scheme byte and bit count.
+FILE_DAMAGE = {
+    "bad_magic": lambda path: path.write_bytes(b"XXXX" + path.read_bytes()[4:]),
+    "cut_short": lambda path: path.write_bytes(path.read_bytes()[:-3]),
+    "kind_code_2": _put("<B", 2, {".fpt": 22, ".irc": 4}),
+    "nan_field": _put("<f", math.nan, {".fpt": 10, ".irc": 9}),
+    "wrong_bit_count": _put("<H", 1, {".fpt": 4, ".irc": 5}),
+    "scheme_swapped_in_manifest": lambda path: _swap_slots(path.parent, path.name),
+    "missing": lambda path: path.unlink(),
+    "directory": _replace_with_directory,
+}
+
+
+@pytest.mark.parametrize("how", sorted(FILE_DAMAGE))
+def test_each_damaged_file_fails_the_batch_as_the_one_file_path_does(enrolled, tmp_path, how):
+    files = sorted(p.name for p in enrolled.path.iterdir() if p.suffix in (".fpt", ".irc"))
+    assert len(files) == 9
+    for name in files:
+        root = _copy_db(enrolled, tmp_path / f"{how}-{name}")
+        FILE_DAMAGE[how](root / name)
+        owner = name.split("_")[0]
+        expected = _outcome(lambda: oracle_records(root))
+        # IRC1 holds no float: NaN bytes in its words are bits like any other
+        decodes = (how, name[-4:]) == ("nan_field", ".irc")
+        assert isinstance(expected, dict) == decodes, (how, name)
+        assert _outcome(lambda: load_db(root).records) == expected, (how, name)
+        assert _outcome(lambda: _load_record(root, owner).records) == _outcome(
+            lambda: oracle_records(root, {owner})), (how, name)
+        if isinstance(expected, tuple):
+            assert str(root) in expected[1]
+
+
+def test_of_several_faults_the_batch_reports_a_read_fault_first(enrolled, tmp_path):
+    root = _copy_db(enrolled, tmp_path / "db")
+    FILE_DAMAGE["bad_magic"](root / "alice_finger_0.fpt")  # the first file read
+    (root / "carol_iris_0_mellin.irc").unlink()  # the last
+    assert _outcome(lambda: oracle_records(root)) == (
+        BadMagic, f"{root / 'alice_finger_0.fpt'}: expected b'FPT1' header, got b'XXXX'")
+    assert _outcome(lambda: load_db(root)) == (
+        MissingTemplateFile, str(root / "carol_iris_0_mellin.irc"))
+    # of several read faults, the first in manifest order
+    (root / "bob_finger_0.fpt").unlink()
+    (root / "alice_iris_0_mellin.irc").unlink()
+    assert _outcome(lambda: load_db(root)) == (
+        MissingTemplateFile, str(root / "alice_iris_0_mellin.irc"))
 
 
 # ---------------------------------------------------------------------------
