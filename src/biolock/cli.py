@@ -73,9 +73,9 @@ def sweep_rates(genuine_scores, impostor_scores) -> EvalReport:
 
 def read_probe_rows(path: Path) -> list:
     """Parse the probe CSV: rows of (true_subject_id, finger_path, iris_path),
-    empty path fields meaning the modality is absent.  A leading header row
-    matching the canonical column names is skipped.  A row csv cannot parse is
-    a ValueError naming its line.  The file is read with
+    empty path fields meaning the modality is absent.  A first non-blank row
+    matching the canonical column names is a header and skipped.  A bad row is
+    a ValueError naming the line it ends on.  The file is read with
     :func:`read_regular_file` under ``MAX_PROBE_CSV_BYTES``."""
     try:
         text = read_regular_file(path, MAX_PROBE_CSV_BYTES).decode("utf-8")
@@ -84,21 +84,20 @@ def read_probe_rows(path: Path) -> list:
     rows = []
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        for lineno, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
+        nonblank = (row for row in reader if any(cell.strip() for cell in row))
+        for index, row in enumerate(nonblank):
             if len(row) != 3:
                 raise ValueError(
-                    f"{path}: line {lineno}: expected 3 columns, got {len(row)}"
+                    f"{path}: line {reader.line_num}: expected 3 columns, got {len(row)}"
                 )
             cells = tuple(cell.strip() for cell in row)
-            if lineno == 1 and cells == _PROBE_HEADER:
+            if index == 0 and cells == _PROBE_HEADER:
                 continue
             if not cells[0]:
-                raise ValueError(f"{path}: line {lineno}: empty subject id")
+                raise ValueError(f"{path}: line {reader.line_num}: empty subject id")
             if not cells[1] and not cells[2]:
                 raise ValueError(
-                    f"{path}: line {lineno}: probe needs at least one image path"
+                    f"{path}: line {reader.line_num}: probe needs at least one image path"
                 )
             rows.append(cells)
     except csv.Error as exc:

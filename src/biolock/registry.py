@@ -22,22 +22,17 @@ subject's templates.  For the iris trait the unit of aggregation is the
 enrolled pair — each pair's haar/mellin distances are fused first and the best
 pair wins — so one eye's observation is never mixed with another's.
 
-Threading rule: a probe with both traits has its iris half scored on one
-worker thread, in a copy of the caller's ``contextvars`` context, while the
-calling thread scores the finger half; the halves share no mutable state, so
-the scores are a sequential pass's.  The worker is joined before the call
-returns or raises, and a finger error wins over an iris error.
+The scoring core runs on the calling thread: a probe's finger half first,
+then its iris half, so a finger error is raised before the iris half starts.
 """
 
 from __future__ import annotations
 
-import contextvars
 import json
 import math
 import os
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timedelta, timezone
 from itertools import cycle, islice
@@ -488,39 +483,31 @@ def _best_per_record(counts: list, key: np.ndarray, *values: np.ndarray) -> list
     return out
 
 
-def _score_iris(records: Sequence[PersonRecord], probe_iris: GrayImage,
-                cfg: FusionConfig) -> dict:
-    """The iris half of :func:`_score_records`."""
-    _, _, haar, mellin = build_codes(probe_iris)
-    pairs = [pair for record in records for pair in record.iris_codes]
-    d_haar = hamming_distances([pair.haar for pair in pairs], haar)
-    d_mellin = hamming_distances([pair.mellin for pair in pairs], mellin)
-    _, ms_iris, _ = fuse_arrays({CLASSIFIER_HAAR: d_haar, CLASSIFIER_MELLIN: d_mellin}, cfg)
-    best_haar, best_mellin = _best_per_record(
-        [len(record.iris_codes) for record in records], ms_iris, d_haar, d_mellin)
-    return {CLASSIFIER_HAAR: best_haar, CLASSIFIER_MELLIN: best_mellin}
-
-
 def _score_records(records: Sequence[PersonRecord], probe_finger, probe_iris,
                    cfg: FusionConfig) -> dict:
     """The scoring core of verify and identify: the probe against many records.
 
     Returns raw scores for :func:`fuse_arrays`, one entry per record, NaN where
     record or probe lacks the trait.  All templates are scored in one batched
-    minutiae call and a record keeps its best; all iris codes in one batched
-    Hamming call per scheme, and a record keeps the pair with the best fused
-    iris score, the first one on ties.  A probe with both traits scores its
-    iris half on a worker thread (see the module docstring).
+    minutiae call and a record keeps its best; then all iris codes in one
+    batched Hamming call per scheme, and a record keeps the pair with the best
+    fused iris score, the first one on ties.
     """
-    if probe_finger is None:  # verify and identify refuse a probe with neither trait
-        return _score_iris(records, probe_iris, cfg)
-    with ThreadPoolExecutor(max_workers=1) as pool:  # starts no thread until a submit
-        iris = None if probe_iris is None else pool.submit(
-            contextvars.copy_context().run, _score_iris, records, probe_iris, cfg)
+    raw = {}
+    if probe_finger is not None:
         scores = np.array(match_minutiae_many(
             [t for record in records for t in record.fingerprints], build_template(probe_finger)))
-        (best,) = _best_per_record([len(record.fingerprints) for record in records], scores, scores)
-    return {CLASSIFIER_MINUTIAE: best, **({} if iris is None else iris.result())}
+        (raw[CLASSIFIER_MINUTIAE],) = _best_per_record(
+            [len(record.fingerprints) for record in records], scores, scores)
+    if probe_iris is not None:
+        _, _, haar, mellin = build_codes(probe_iris)
+        pairs = [pair for record in records for pair in record.iris_codes]
+        d_haar = hamming_distances([pair.haar for pair in pairs], haar)
+        d_mellin = hamming_distances([pair.mellin for pair in pairs], mellin)
+        _, ms_iris, _ = fuse_arrays({CLASSIFIER_HAAR: d_haar, CLASSIFIER_MELLIN: d_mellin}, cfg)
+        raw[CLASSIFIER_HAAR], raw[CLASSIFIER_MELLIN] = _best_per_record(
+            [len(record.iris_codes) for record in records], ms_iris, d_haar, d_mellin)
+    return raw
 
 
 def verify(

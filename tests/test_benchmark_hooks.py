@@ -6,8 +6,9 @@ import sys
 from pathlib import Path
 
 import synthgen
-from biolock import fingerprint
+from biolock import fingerprint, registry
 from biolock.fingerprint import KIND_BIFURCATION, KIND_ENDING
+from test_registry import CFG, corpus, mixed_db  # noqa: F401  (fixtures)
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -55,3 +56,28 @@ def test_minutiae_counters_read_the_raw_and_kept_rows_of_one_print():
     assert names.count("fingerprint.filter_false_minutiae") == 1
     assert run.counts["minutiae_raw"] == len(art.raw_minutiae) > 0
     assert run.counts["minutiae_kept"] == len(template) > 0
+
+
+def test_traced_spans_nest_and_no_self_time_is_negative(mixed_db, corpus):
+    probe = corpus["bob"]["probe_finger"], corpus["bob"]["probe_eye"]
+    run = load_tracer().Tracer()
+    run.install()
+    try:
+        registry.verify(mixed_db, "bob", *probe, CFG)
+        registry.identify(mixed_db, *probe, CFG, top_k=len(mixed_db))
+    finally:
+        run.uninstall()
+    names = [span[0] for span in run.spans]
+    assert names.count("iris.build_codes") == names.count("fingerprint.build_template") == 2
+    siblings = {}
+    for name, start, end, parent, _ in run.spans:
+        if parent >= 0:
+            _, parent_start, parent_end, _, _ = run.spans[parent]
+            assert parent_start <= start and end <= parent_end, f"{name} leaves its parent"
+        siblings.setdefault(parent, []).append((start, end, name))
+    for group in siblings.values():
+        group.sort()
+        for (_, end, first), (start, _, second) in zip(group, group[1:]):
+            assert end <= start, f"{first} and {second} overlap"
+    for name, (self_ns, _) in run.self_times().items():
+        assert self_ns >= 0, f"{name} has a negative self time"

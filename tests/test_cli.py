@@ -1030,3 +1030,19 @@ def test_read_probe_rows_errors(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError):
         read_probe_rows(path)
+
+
+@pytest.mark.parametrize("text, expected", [
+    # a blank first line: the header is still the first row, and skipped
+    ("\ntrue_subject_id,finger_path,iris_path\nalice,a.pgm,\n", [("alice", "a.pgm", "")]),
+    # a quoted path over lines 1-2: the four-column row is line 3, not record 2
+    ('alice,"a\nb.pgm",\nbob,,x,y\n', "line 3: expected 3 columns, got 4"),
+], ids=["header_after_a_blank_line", "bad_row_after_a_two_line_row"])
+def test_read_probe_rows_counts_lines_not_records(tmp_path, text, expected):
+    path = tmp_path / "probes.csv"
+    path.write_text(text)
+    if isinstance(expected, list):
+        assert read_probe_rows(path) == expected
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {expected}$"):
+            read_probe_rows(path)

@@ -1,6 +1,5 @@
 """Tests for the template database: enrollment, matching, audit, persistence."""
 
-import contextvars
 import dataclasses
 import json
 import math
@@ -609,7 +608,7 @@ def test_identify_per_trait_scores_are_plain_floats(mixed_db, corpus):
 
 
 # ---------------------------------------------------------------------------
-# the iris half on a worker thread
+# the scoring core runs on the calling thread
 
 
 def _record_extraction_threads(monkeypatch) -> dict:
@@ -623,11 +622,34 @@ def _record_extraction_threads(monkeypatch) -> dict:
     return threads
 
 
-def test_a_two_trait_probe_extracts_its_iris_on_a_worker_thread(mixed_db, corpus, monkeypatch):
+def _scoring_calls(db, probe, log_path):
+    return (lambda: verify(db, "bob", *probe, CFG),
+            lambda: identify(db, *probe, CFG, top_k=len(db)),
+            lambda: access(db, "bob", *probe, CFG, audit_log=log_path))
+
+
+@pytest.mark.parametrize("failing", [None, "build_template", "build_codes"])
+def test_a_two_trait_probe_starts_no_thread(mixed_db, corpus, monkeypatch, tmp_path, failing):
+    def no_thread(self):
+        raise RuntimeError("the scoring core started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     threads = _record_extraction_threads(monkeypatch)
-    verify(mixed_db, "bob", corpus["bob"]["probe_finger"], corpus["bob"]["probe_eye"], CFG)
-    assert threads["build_template"] is threading.current_thread()
-    assert threads["build_codes"] is not threading.current_thread()
+    if failing is not None:
+        def fail(img):
+            raise ImageTooSmall(f"{failing} failed")
+        monkeypatch.setattr(registry, failing, fail)
+    probe = corpus["bob"]["probe_finger"], corpus["bob"]["probe_eye"]
+    for call in _scoring_calls(mixed_db, probe, tmp_path / "door.log"):
+        threads.clear()
+        if failing is None:
+            call()
+            assert threads == {"build_template": threading.current_thread(),
+                               "build_codes": threading.current_thread()}
+        else:
+            with pytest.raises(ImageTooSmall, match=f"{failing} failed"):
+                call()
+            assert set(threads.values()) <= {threading.current_thread()}
 
 
 @pytest.mark.parametrize("trait", ["finger", "eye"])
@@ -643,32 +665,27 @@ def test_a_one_trait_probe_scores_on_the_calling_thread(mixed_db, corpus, monkey
         m.subject_id: m.per_trait[column] for m in both if m.per_trait[column] is not None}
 
 
-def _scoring_calls(db, probe, log_path):
-    return (lambda: verify(db, "bob", *probe, CFG),
-            lambda: identify(db, *probe, CFG, top_k=len(db)),
-            lambda: access(db, "bob", *probe, CFG, audit_log=log_path))
-
-
-def test_a_finger_error_wins_over_an_iris_error_that_came_first(mixed_db, corpus, monkeypatch,
-                                                                  tmp_path):
-    iris_failed = threading.Event()
-
-    def failing_codes(img):
-        iris_failed.set()
-        raise NoPupilFound("the iris half failed")
+def test_a_finger_error_is_raised_before_the_iris_half_starts(mixed_db, corpus, monkeypatch,
+                                                               tmp_path):
+    error = ImageTooSmall("the finger half failed")
+    codes_calls = []
 
     def failing_template(img):
-        assert iris_failed.wait(5), "the iris half did not run beside the finger half"
-        raise ImageTooSmall("the finger half failed")
+        raise error
 
-    monkeypatch.setattr(registry, "build_codes", failing_codes)
+    def counting_codes(img, _real=registry.build_codes):
+        codes_calls.append(img)
+        return _real(img)
+
     monkeypatch.setattr(registry, "build_template", failing_template)
+    monkeypatch.setattr(registry, "build_codes", counting_codes)
     log_path = tmp_path / "door.log"
     probe = corpus["bob"]["probe_finger"], corpus["bob"]["probe_eye"]
     for call in _scoring_calls(mixed_db, probe, log_path):
-        iris_failed.clear()
-        with pytest.raises(ImageTooSmall, match="the finger half failed"):
+        with pytest.raises(ImageTooSmall) as raised:
             call()
+        assert raised.value is error
+    assert codes_calls == []
     [event] = read_audit_log(log_path)
     assert (event.kind, event.claimed_id, event.detail) == ("error", "bob", "the finger half failed")
 
@@ -688,48 +705,6 @@ def test_an_iris_error_reaches_the_caller_unchanged(mixed_db, corpus, monkeypatc
         assert raised.value is error
     [event] = read_audit_log(log_path)
     assert (event.kind, event.detail) == ("error", "the iris half failed")
-
-
-@pytest.mark.parametrize("failing", [None, "build_template", "build_codes"])
-def test_no_thread_outlives_a_scoring_call(mixed_db, corpus, monkeypatch, tmp_path, failing):
-    if failing is not None:
-        def fail(img):
-            raise ImageTooSmall(f"{failing} failed")
-        monkeypatch.setattr(registry, failing, fail)
-    probe = corpus["bob"]["probe_finger"], corpus["bob"]["probe_eye"]
-    before = threading.active_count()
-    for call in _scoring_calls(mixed_db, probe, tmp_path / "door.log"):
-        if failing is None:
-            call()
-        else:
-            with pytest.raises(ImageTooSmall):
-                call()
-        assert threading.active_count() == before
-
-
-PROBE_CONTEXT = contextvars.ContextVar("probe_context")
-
-
-def test_the_iris_worker_runs_in_the_callers_context(mixed_db, corpus, monkeypatch):
-    seen = []
-    real = registry.build_codes
-
-    def spy(img):
-        seen.append((PROBE_CONTEXT.get(None), np.geterr()["over"], threading.current_thread()))
-        return real(img)
-
-    monkeypatch.setattr(registry, "build_codes", spy)
-    probe = corpus["bob"]["probe_finger"], corpus["bob"]["probe_eye"]
-    token = PROBE_CONTEXT.set("door-7")
-    try:
-        with np.errstate(over="ignore"):
-            fused = verify(mixed_db, "bob", *probe, CFG)
-    finally:
-        PROBE_CONTEXT.reset(token)
-    [(value, over, thread)] = seen
-    assert (value, over) == ("door-7", "ignore")
-    assert thread is not threading.current_thread()
-    assert fused == verify(mixed_db, "bob", *probe, CFG)
 
 
 # ---------------------------------------------------------------------------
