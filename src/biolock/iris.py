@@ -40,6 +40,7 @@ from .imaging import GrayImage, _bilinear, _freeze
 # Localization.
 PUPIL_THRESHOLD = 0.25
 MIN_PUPIL_AREA = 16
+MIN_PUPIL_RADIUS = 4.0
 BOUNDARY_SAMPLES = 256
 BOUNDARY_START_OFFSET = 4.0
 
@@ -87,8 +88,8 @@ class IrisGeometry:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ValueError(f"{name} must be a finite number")
-        if self.pupil_r < 4.0:
-            raise ValueError("pupil_r must be >= 4 pixels")
+        if self.pupil_r < MIN_PUPIL_RADIUS:
+            raise ValueError(f"pupil_r must be >= {MIN_PUPIL_RADIUS:g} pixels")
         if self.iris_r <= self.pupil_r:
             raise ValueError("iris_r must exceed pupil_r")
 
@@ -198,7 +199,7 @@ def locate_pupil(img: GrayImage) -> tuple[float, float, float]:
     Thresholds the image at 0.25, takes the largest dark connected component
     (8-connectivity), and returns its centroid plus the distance from the
     centroid to the nearest pixel outside the component.  Raises NoPupilFound
-    when no dark component reaches 16 pixels.
+    when no dark component reaches 16 pixels or its radius is under 4.
     """
     dark = img.pixels < PUPIL_THRESHOLD
     labels, count = ndimage.label(dark, structure=np.ones((3, 3), dtype=bool))
@@ -218,6 +219,8 @@ def locate_pupil(img: GrayImage) -> tuple[float, float, float]:
     if out_ys.size == 0:
         raise NoPupilFound("dark component fills the whole image")
     pupil_r = float(np.hypot(out_xs - cx, out_ys - cy).min())
+    if pupil_r < MIN_PUPIL_RADIUS:
+        raise NoPupilFound(f"pupil radius {pupil_r:g} px, needs {MIN_PUPIL_RADIUS:g}")
     return cx, cy, pupil_r
 
 

@@ -12,9 +12,10 @@ stored records in one scoring core and one array-valued fusion pass (verify is
 a gallery of one).  :func:`access` is :func:`verify` plus the door's audit
 event: it returns the :class:`FusedScore` it decided on, and the door unlocks
 exactly when that score's decision is genuine.  Access decisions and
-enrollments append JSON-line events to an audit log whose timestamps are
-strictly increasing within the process; :func:`access` opens the log before
-it scores, and reading or appending refuses anything but a regular file.
+enrollments append JSON-line events to an audit log whose timestamps strictly
+increase in file order, across processes and threads, under an exclusive
+``flock``; :func:`access` opens the log before it scores, and reading or
+appending refuses anything but a regular file.
 
 Multi-template rule: a subject may hold several fingerprint templates and iris
 code pairs; the per-trait score against that subject is the maximum over the
@@ -28,11 +29,11 @@ then its iris half, so a finger error is raised before the iris half starts.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
 import os
 import re
-import threading
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timedelta, timezone
 from itertools import cycle, islice
@@ -93,6 +94,7 @@ MANIFEST_VERSION = 1
 MAX_MANIFEST_BYTES = 64 * 1024 * 1024  # a 10 000-subject manifest is about 2 MB
 AUDIT_LOG_NAME = "audit.log"
 MAX_AUDIT_LOG_BYTES = 64 * 1024 * 1024  # about 400 000 events of 160 bytes
+AUDIT_TAIL_BYTES = 64 * 1024  # the end of the log read back for its last stamp
 
 EVENT_ACCESS_GRANTED = "access_granted"
 EVENT_ALARM = "alarm"
@@ -208,13 +210,12 @@ class TemplateDB:
 # ---------------------------------------------------------------------------
 # Audit log
 
-_TS_LOCK = threading.Lock()
-_LAST_TS: dict = {}
-
-
 class AuditLog:
-    """Append-only JSON-lines event log with strictly increasing timestamps;
-    an event after a torn last line (no final newline) starts a new line."""
+    """Append-only JSON-lines event log with timestamps strictly increasing in
+    file order, across processes and threads, under an exclusive ``flock``:
+    each is 1 us past the last whole line's ``ts`` unless the clock is later.
+    No floor comes from a missing, foreign, offset-less, unparsable or maximal
+    stamp, nor from a torn last line (no final newline), which is ended first."""
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
@@ -226,25 +227,24 @@ class AuditLog:
         return open(self.path, "ab+", opener=open_regular)
 
     def append(self, kind: str, claimed_id: str, ms_final: float, detail: str) -> AuditEvent:
-        if isinstance(claimed_id, str) and SUBJECT_ID_PATTERN.fullmatch(claimed_id):
-            recorded_id = claimed_id
-        else:
-            recorded_id = "-"
-        key = os.path.abspath(str(self.path))
-        with _TS_LOCK:
+        valid_id = isinstance(claimed_id, str) and SUBJECT_ID_PATTERN.fullmatch(claimed_id)
+        recorded_id = claimed_id if valid_id else "-"
+        with self._open() as fh:  # closing flushes the line, then drops the lock
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            start = max(0, fh.seek(0, os.SEEK_END) - AUDIT_TAIL_BYTES)
+            tail = os.pread(fh.fileno(), AUDIT_TAIL_BYTES, start)
+            lines = tail.rsplit(b"\n", 2)[bool(start):]  # drop a first piece the read cut
             now = datetime.now(timezone.utc)
-            last = _LAST_TS.get(key)
-            if last is not None and now <= last:
-                now = last + timedelta(microseconds=1)
-            _LAST_TS[key] = now
-        event = AuditEvent(now.isoformat(timespec="microseconds"), kind, recorded_id,
-                           float(ms_final), str(detail))
-        line = json.dumps(asdict(event)).encode("utf-8") + b"\n"
-        with self._open() as fh:
-            end = fh.seek(0, os.SEEK_END)
-            if end and os.pread(fh.fileno(), 1, end - 1) != b"\n":
-                line = b"\n" + line  # end the torn last line first
-            fh.write(line)
+            try:
+                last = datetime.fromisoformat(json.loads(lines[-2])["ts"])
+                if last.utcoffset() is not None and now <= last:
+                    now = (last + timedelta(microseconds=1)).astimezone(timezone.utc)
+            except (IndexError, KeyError, TypeError, ValueError, RecursionError, OverflowError):
+                pass  # no floor
+            event = AuditEvent(now.isoformat(timespec="microseconds"), kind, recorded_id,
+                               float(ms_final), str(detail))
+            line = json.dumps(asdict(event)).encode("utf-8") + b"\n"
+            fh.write(line if tail.endswith(b"\n") or not tail else b"\n" + line)  # end a torn line
         return event
 
 

@@ -16,11 +16,12 @@ from biolock.errors import (
     BoundaryNotFound,
     IncomparableCodes,
     NoPupilFound,
+    PipelineFailure,
     SchemeMismatch,
     TruncatedData,
 )
-from biolock import iris
-from biolock.imaging import GrayImage
+from biolock import cli, iris, registry
+from biolock.imaging import GrayImage, encode_pgm
 from biolock.iris import (
     DEFAULT_ANGULAR,
     DEFAULT_MAX_SHIFT,
@@ -155,6 +156,22 @@ def test_locate_pupil_picks_largest_component():
     img[5, 5:9] = 0.0  # 4-px distractor far from the pupil
     cx, cy, r = locate_pupil(GrayImage(img))
     assert abs(cx - 120.0) <= 1.0 and abs(cy - 80.0) <= 1.0
+
+
+def test_a_pupil_under_the_radius_floor_is_no_pupil_for_enroll_and_inspect(tmp_path, capsys):
+    # a 5 x 5 blob passes the 16-px area floor, but its radius is 3 px
+    img = np.full((128, 128), 0.6)
+    img[60:65, 60:65] = 0.1
+    eye = GrayImage(img)
+    with pytest.raises(NoPupilFound, match="needs 4$"):
+        locate_pupil(eye)
+    with pytest.raises(PipelineFailure) as exc:
+        registry.enroll(registry.load_db(tmp_path / "db"), "carol", [], [eye])
+    assert exc.value.stage == "pupil-localization"
+    path = tmp_path / "eye.pgm"
+    path.write_bytes(encode_pgm(eye))
+    assert cli.main(["inspect", "--iris", str(path), "--out", str(tmp_path / "dump")]) == 2
+    assert "error: stage 'pupil-localization' failed: pupil radius 3 px" in capsys.readouterr().err
 
 
 def test_locate_iris_boundary_annulus():

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import threading
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -760,6 +761,108 @@ def test_audit_log_timestamps_strictly_increase(tmp_path):
     assert len(events) == 200
     stamps = [e.ts for e in events]
     assert all(a < b for a, b in zip(stamps, stamps[1:]))
+
+
+def audit_stamps(path):
+    return [datetime.fromisoformat(e.ts) for e in read_audit_log(path)]
+
+
+def test_audit_stamps_strictly_increase_across_processes(tmp_path):
+    # three writers, each its own process, start together on one log
+    path = tmp_path / "audit.log"
+    src = os.path.dirname(os.path.dirname(biolock.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import sys; from biolock.registry import AuditLog; log = AuditLog(sys.argv[1]); "
+              "print('ready', flush=True); sys.stdin.readline(); "
+              "[log.append('enroll', f's{i}', -1.0, 'race') for i in range(300)]")
+    writers = [subprocess.Popen([sys.executable, "-c", script, str(path)], env=env, text=True,
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+               for _ in range(3)]
+    try:
+        for w in writers:
+            assert w.stdout.readline() == "ready\n"
+        for w in writers:
+            w.stdin.write("go\n")
+            w.stdin.close()
+        assert [w.wait(timeout=60) for w in writers] == [0, 0, 0]
+    finally:
+        for w in writers:
+            w.kill()
+            w.wait()
+            w.stdin.close()
+            w.stdout.close()
+    stamps = audit_stamps(path)
+    assert len(stamps) == 900
+    assert all(a < b for a, b in zip(stamps, stamps[1:]))
+
+
+def test_audit_stamps_strictly_increase_across_threads(tmp_path):
+    path = tmp_path / "audit.log"
+    start = threading.Barrier(4, timeout=60)
+
+    def write():
+        log = AuditLog(path)
+        start.wait()
+        for i in range(200):
+            log.append("enroll", f"s{i}", -1.0, "race")
+
+    writers = [threading.Thread(target=write) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so writes interleave
+    try:
+        for w in writers:
+            w.start()
+        for w in writers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in writers)
+    stamps = audit_stamps(path)
+    assert len(stamps) == 800
+    assert all(a < b for a, b in zip(stamps, stamps[1:]))
+
+
+def audit_line(ts, detail="-"):
+    return json.dumps({"ts": ts, "kind": "alarm", "claimed_id": "bob", "ms_final": 0.25,
+                       "detail": detail}).encode() + b"\n"
+
+
+def test_the_next_audit_stamp_follows_the_last_one_in_the_file(tmp_path):
+    path = tmp_path / "audit.log"
+    path.write_bytes(audit_line("2030-01-01T00:00:00.000000+00:00"))
+    assert AuditLog(path).append("enroll", "bob", -1.0, "next").ts == \
+        "2030-01-01T00:00:00.000001+00:00"
+    assert [e.ts for e in read_audit_log(path)][1:] == ["2030-01-01T00:00:00.000001+00:00"]
+
+
+# last lines that set no floor, or whose floor the clock has passed
+AUDIT_TAILS = {
+    "torn": audit_line("2020-01-01T00:00:00.000000+00:00")
+    + audit_line("2030-01-01T00:00:00.000000+00:00")[:40],
+    "foreign_json": b'["2030-01-01T00:00:00.000000+00:00"]\n',
+    "offset_less": audit_line("2030-01-01T00:00:00.000000"),
+    "calendar_end": audit_line("9999-12-31T23:59:59.999999+00:00"),
+    "long_detail": audit_line("2020-01-01T00:00:00.000000+00:00", "x" * 10_000),
+    "longer_than_the_tail": audit_line("2030-01-01T00:00:00.000000+00:00",
+                                       "x" * 64 * 1024),  # past AUDIT_TAIL_BYTES
+}
+
+
+@pytest.mark.parametrize("name", AUDIT_TAILS)
+def test_an_append_after_an_odd_last_line_takes_the_clock_and_parses_back(tmp_path, name):
+    path = tmp_path / "audit.log"
+    old = AUDIT_TAILS[name]
+    path.write_bytes(old)
+    before = datetime.now(timezone.utc)
+    event = AuditLog(path).append("alarm", "bob", 0.5, "door")
+    assert before <= datetime.fromisoformat(event.ts) <= datetime.now(timezone.utc)
+    ended = old if old.endswith(b"\n") else old + b"\n"
+    blob = path.read_bytes()
+    assert blob.startswith(ended)
+    line = blob[len(ended):]
+    assert line.count(b"\n") == 1 and line.endswith(b"\n")
+    assert AuditEvent(**json.loads(line)) == event
 
 
 def test_audit_log_is_append_only(tmp_path):
