@@ -386,8 +386,12 @@ def _load_record(path: Union[str, Path], subject_id: str) -> TemplateDB:
 
 def _write_atomic(path: Path, data: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _persist_record(db: TemplateDB, entry: dict, files: dict) -> None:
@@ -428,9 +432,10 @@ def enroll(
 ) -> PersonRecord:
     """Extract features from every image, persist them, log an enroll event.
 
-    All feature extraction happens before anything is written, so a pipeline
-    failure on any image leaves the database exactly as it was.  Each template
-    and code is encoded once; the record holds what its files hold.
+    All feature extraction happens, and the audit log is opened, before the
+    first write, so a pipeline failure on any image or a log that cannot be
+    opened leaves the database exactly as it was.  Each template and code is
+    encoded once; the record holds what its files hold.
     """
     _validate_subject_id(subject_id)
     if subject_id in db._entries:
@@ -457,12 +462,13 @@ def enroll(
         item = {key: f"{subject_id}_iris_{i}_{key}.irc" for key in ("haar", "mellin")}
         files[item["haar"]], files[item["mellin"]] = encode_code(haar), encode_code(mellin)
         iris_items.append(item)
+    log = AuditLog(db.path / AUDIT_LOG_NAME)
+    log._open().close()
     record = PersonRecord(subject_id, tuple(templates), tuple(pairs), _utc_now())
     _persist_record(db, {"id": subject_id, "enrolled_at": record.enrolled_at,
                          "fingers": finger_names, "iris": iris_items}, files)
     db.records[subject_id] = record
-    AuditLog(db.path / AUDIT_LOG_NAME).append(
-        EVENT_ENROLL, subject_id, -1.0, f"{len(templates)} finger, {len(pairs)} iris")
+    log.append(EVENT_ENROLL, subject_id, -1.0, f"{len(templates)} finger, {len(pairs)} iris")
     return record
 
 

@@ -146,6 +146,27 @@ def test_enroll_without_images_exits_2(tmp_path, env, capsys):
     assert err.startswith("error:")
 
 
+def test_enroll_with_an_audit_log_it_cannot_open_exits_2_and_writes_nothing(
+        tmp_path, env, capsys):
+    root = tmp_path / "db"
+    shutil.copytree(env["db"], root)
+    log = (root / "audit.log").read_bytes()
+    (root / "audit.log").unlink()
+    (root / "audit.log").mkdir()
+    before = {p.name: p.read_bytes() for p in root.iterdir() if p.is_file()}
+    enroll = ("enroll", "--db", root, "--subject", "carol",
+              "--finger", env["alice_finger"], "--iris", env["alice_eye"])
+    code, out, err = run_cli(capsys, *enroll)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "audit.log" in err
+    assert {p.name: p.read_bytes() for p in root.iterdir() if p.is_file()} == before
+    (root / "audit.log").rmdir()
+    (root / "audit.log").write_bytes(log)
+    assert run_cli(capsys, *enroll)[:2] == (0, "enrolled carol: 1 finger, 1 iris\n")
+    assert list(registry.TemplateDB(root)._entries) == ["alice", "bob", "carol"]
+    assert read_audit_log(root / "audit.log")[-1].claimed_id == "carol"
+
+
 # ---------------------------------------------------------------------------
 # verify
 

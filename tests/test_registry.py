@@ -1,6 +1,7 @@
 """Tests for the template database: enrollment, matching, audit, persistence."""
 
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import threading
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,6 +273,37 @@ def test_enroll_removes_the_files_it_wrote_when_the_manifest_write_fails(
     monkeypatch.setattr(registry, "_write_atomic", fail_on_manifest)
     with pytest.raises(OSError, match="disk full"):
         enroll(db, "bob", [corpus["bob"]["finger"]], [corpus["bob"]["eye"]])
+    assert {p.name: p.read_bytes() for p in db.path.iterdir()} == before
+    assert list(db._entries) == list(db.records) == ["alice"]
+
+
+@pytest.mark.parametrize("step", ["write", "replace"])
+def test_enroll_leaves_no_temp_file_when_an_atomic_write_fails(
+        tmp_path, corpus, monkeypatch, step):
+    db = load_db(tmp_path / "db")
+    enroll(db, "alice", [corpus["alice"]["finger"]], [])
+    before = {p.name: p.read_bytes() for p in db.path.iterdir()}
+    write_bytes, replace = Path.write_bytes, os.replace
+
+    def full_disk_write(path, data):  # half the bytes land, as when the disk fills
+        if path.name == "manifest.json.tmp":
+            write_bytes(path, data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write_bytes(path, data)
+
+    def full_disk_replace(src, dst):
+        if Path(dst).name == "manifest.json":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        replace(src, dst)
+
+    if step == "write":
+        monkeypatch.setattr(Path, "write_bytes", full_disk_write)
+    else:
+        monkeypatch.setattr(registry.os, "replace", full_disk_replace)
+    with pytest.raises(OSError) as err:
+        enroll(db, "bob", [corpus["bob"]["finger"]], [corpus["bob"]["eye"]])
+    monkeypatch.undo()
+    assert err.value.errno == errno.ENOSPC
     assert {p.name: p.read_bytes() for p in db.path.iterdir()} == before
     assert list(db._entries) == list(db.records) == ["alice"]
 
