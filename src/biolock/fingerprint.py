@@ -30,6 +30,7 @@ from .imaging import (  # crossing_number is re-exported
     FloatField,
     GrayImage,
     _bilinear,
+    _unchecked,
     adaptive_threshold,
     crossing_number,
     morph_close_open,
@@ -129,9 +130,7 @@ def _check_sizes(*sizes) -> None:
 def _template(rows: np.ndarray, width: int, height: int) -> FingerprintTemplate:
     """A template owning ``rows``, fresh valid template rows: no checks, no copy."""
     rows.setflags(write=False)
-    template = object.__new__(FingerprintTemplate)
-    template.__dict__.update(rows=rows, image_width=width, image_height=height)
-    return template
+    return _unchecked(FingerprintTemplate, rows=rows, image_width=width, image_height=height)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _unchecked(cls, **fields):
+    """A ``cls`` dataclass holding ``fields`` as passed: no checks, no copy."""
+    (value := object.__new__(cls)).__dict__.update(fields)
+    return value
+
+
 @dataclass(frozen=True)
 class GrayImage:
     """Grayscale raster, float64 intensities in [0, 1]."""
@@ -145,23 +151,23 @@ class FloatField:
 # ---------------------------------------------------------------------------
 # File and PGM (P5) I/O
 
-def open_regular(path, flags: int) -> int:
-    """``os.open``, also as an ``open`` opener, that refuses anything but a
-    regular file with :class:`NotRegularFile` before the descriptor is used."""
-    fd = os.open(path, flags, 0o666)
-    if not stat.S_ISREG(os.fstat(fd).st_mode):
+def open_regular(path, flags: int, dir_fd=None) -> tuple[int, int]:
+    """``os.open``, relative to ``dir_fd`` if given, that refuses anything but a regular
+    file with :class:`NotRegularFile`: the descriptor and, from one ``fstat``, the size."""
+    fd = os.open(path, flags, 0o666, dir_fd=dir_fd)
+    if not stat.S_ISREG((info := os.fstat(fd)).st_mode):
         os.close(fd)
         raise NotRegularFile(f"{path}: not a regular file")
-    return fd
+    return fd, info.st_size
 
 
-def read_regular_file(path, cap: int) -> bytes:
-    """The bytes of the regular file at ``path``: opened without blocking, so a
-    FIFO fails at once, and read no further than ``cap`` + 1 bytes, so a file
-    longer than ``cap`` fails before it is read whole."""
-    fd = open_regular(path, os.O_RDONLY | os.O_NONBLOCK)
-    try:  # lseek gives the size without a second fstat
-        data = os.pread(fd, min(os.lseek(fd, 0, os.SEEK_END), cap) + 1, 0)
+def read_regular_file(path, cap: int, dir_fd=None) -> bytes:
+    """The bytes of the regular file at ``path``, relative to ``dir_fd`` if given: opened by
+    :func:`open_regular` without blocking, so a FIFO fails at once, then one ``pread`` of the
+    size its ``fstat`` gave, cut at ``cap`` + 1 bytes, so a longer file fails unread."""
+    fd, size = open_regular(path, os.O_RDONLY | os.O_NONBLOCK, dir_fd)
+    try:
+        data = os.pread(fd, min(size, cap) + 1, 0)
     finally:
         os.close(fd)
     if len(data) > cap:

@@ -35,7 +35,7 @@ from .errors import (
     SchemeMismatch,
     TruncatedData,
 )
-from .imaging import GrayImage, _bilinear, _freeze
+from .imaging import GrayImage, _bilinear, _freeze, _unchecked
 
 # Localization.
 PUPIL_THRESHOLD = 0.25
@@ -531,8 +531,7 @@ def decode_codes(blobs, names=None) -> list[IrisCode]:
         words = np.frombuffer(b"".join(memoryview(blobs[i])[9:] for i in own),  # fresh bytes
                               "<u8").reshape(len(own), 2, bits // 64)
         for i, row in zip(own, _freeze(np.require(words, requirements="A"))):
-            codes[i] = object.__new__(IrisCode)  # a row of fresh words: no checks, no copy
-            codes[i].__dict__.update(words=row, scheme=scheme)
+            codes[i] = _unchecked(IrisCode, words=row, scheme=scheme)  # a row of fresh words
     return codes
 
 

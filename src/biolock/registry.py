@@ -3,8 +3,8 @@
 A database is a directory holding one binary file per template or code plus a
 ``manifest.json`` that names them.  Every :class:`TemplateDB` reads and checks
 the whole manifest when it is opened; :func:`load_db` then reads every
-subject's files and decodes them in one batch, while the ``verify`` and
-``access`` commands decode only the named subject's, and ``enroll`` none.
+subject's files through one directory descriptor and decodes them in one batch,
+while ``verify`` and ``access`` decode only the named subject's, ``enroll`` none.
 :func:`enroll` runs the feature pipelines and persists new records atomically
 (every file, and finally the manifest, is written to a temp name and renamed);
 :func:`verify`, :func:`identify`, and :func:`access` score probes against the
@@ -75,7 +75,7 @@ from .fusion import (
     fuse_arrays,
     fuse_pipeline,
 )
-from .imaging import GrayImage, open_regular, read_regular_file
+from .imaging import GrayImage, _unchecked, open_regular, read_regular_file
 from .iris import (
     CODE_MAX_BYTES,
     IrisCode,
@@ -194,8 +194,8 @@ class TemplateDB:
     Opening one reads and checks ``manifest.json``: ``_entries`` holds every
     manifest entry (file names per subject) in enrollment order, so enrollment
     checks ids against the whole database and re-writes the manifest without
-    renaming existing files.  ``records`` maps the subjects whose files were
-    decoded, all in one batch, to :class:`PersonRecord`; it starts empty.
+    renaming existing files.  ``records``, empty at first, maps the subjects read
+    in one batch, through one directory descriptor, to :class:`PersonRecord`.
     """
 
     def __init__(self, path: Union[str, Path]):
@@ -224,7 +224,7 @@ class AuditLog:
         """The log, created with its directory if missing, opened to append
         and to read back; anything but a regular file raises NotRegularFile."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        return open(self.path, "ab+", opener=open_regular)
+        return open(self.path, "ab+", opener=lambda path, flags: open_regular(path, flags)[0])
 
     def append(self, kind: str, claimed_id: str, ms_final: float, detail: str) -> AuditEvent:
         valid_id = isinstance(claimed_id, str) and SUBJECT_ID_PATTERN.fullmatch(claimed_id)
@@ -271,20 +271,21 @@ def read_audit_log(path: Union[str, Path]) -> list:
 # ---------------------------------------------------------------------------
 # Persistence
 
-def _manifest_check(condition: bool, where: Path, message: str) -> None:
-    if not condition:
-        raise CorruptManifest(f"{where}: {message}")
+def _manifest_check(condition: bool, where: Path, message: str, *args) -> None:
+    if not condition:  # the message is formatted only when it is raised
+        raise CorruptManifest(f"{where}: {message % args}")
 
 
-def _load_file(directory: str, name: str, cap: int) -> bytes:
-    """Read a file the manifest names with :func:`read_regular_file`, naming it in errors."""
-    full = os.path.join(directory, name)
+def _load_file(prefix: str, name: str, cap: int, dir_fd: int) -> bytes:
+    """``read_regular_file(name, cap, dir_fd)``, naming the file ``prefix + name`` in errors."""
     try:
-        return read_regular_file(full, cap)
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
-        raise MissingTemplateFile(full) from exc
-    except NotRegularFile as exc:
-        raise MissingTemplateFile(str(exc)) from exc
+        return read_regular_file(name, cap, dir_fd)
+    except FileNotFoundError as exc:
+        raise MissingTemplateFile(prefix + name) from exc
+    except NotRegularFile as exc:  # the reader names ``name``
+        raise MissingTemplateFile(prefix + str(exc)) from exc
+    except TruncatedData as exc:
+        raise TruncatedData(prefix + str(exc)) from exc
 
 
 def _parse_manifest(manifest_path: Path) -> dict:
@@ -305,7 +306,7 @@ def _parse_manifest(manifest_path: Path) -> dict:
     _manifest_check(isinstance(data, dict), manifest_path, "top level must be an object")
     version = data.get("version")  # True == 1.0 == 1: only the int counts
     _manifest_check(type(version) is int and version == MANIFEST_VERSION, manifest_path,
-                    f"unsupported version {version!r}")
+                    "unsupported version %r", version)
     subjects = data.get("subjects")
     _manifest_check(isinstance(subjects, list), manifest_path, "subjects must be a list")
     entries = {}
@@ -316,45 +317,48 @@ def _parse_manifest(manifest_path: Path) -> dict:
             _validate_subject_id(subject_id)
         except ValueError as exc:
             raise CorruptManifest(f"{manifest_path}: {exc}") from exc
-        _manifest_check(subject_id not in entries, manifest_path,
-                        f"duplicate subject {subject_id!r}")
+        _manifest_check(subject_id not in entries, manifest_path, "duplicate subject %r",
+                        subject_id)
         enrolled_at = entry.get("enrolled_at")
         _manifest_check(isinstance(enrolled_at, str) and bool(enrolled_at), manifest_path,
-                        f"subject {subject_id!r}: bad enrolled_at")
+                        "subject %r: bad enrolled_at", subject_id)
         fingers_entry = entry.get("fingers", [])
         iris_entry = entry.get("iris", [])
         for key, value in (("fingers", fingers_entry), ("iris", iris_entry)):
             _manifest_check(isinstance(value, list), manifest_path,
-                            f"subject {subject_id!r}: {key} must be a list")
+                            "subject %r: %s must be a list", subject_id, key)
         names = list(fingers_entry)
         for item in iris_entry:
             _manifest_check(isinstance(item, dict) and "haar" in item and "mellin" in item,
-                            manifest_path,
-                            f"subject {subject_id!r}: iris entry needs haar and mellin files")
+                            manifest_path, "subject %r: iris entry needs haar and mellin files",
+                            subject_id)
             names += [item["haar"], item["mellin"]]
         for name in names:  # a plain name in the database directory
             _manifest_check(isinstance(name, str) and name not in ("", ".", "..") and "/" not in name
                             and os.sep not in name and "\0" not in name,
-                            manifest_path, f"bad file reference {name!r}")
-        _manifest_check(bool(names), manifest_path, f"subject {subject_id!r}: a record "
-                        "needs at least one fingerprint or iris pair")
+                            manifest_path, "bad file reference %r", name)
+        _manifest_check(bool(names), manifest_path, "subject %r: a record needs at least "
+                        "one fingerprint or iris pair", subject_id)
         entries[subject_id] = {"id": subject_id, "enrolled_at": enrolled_at,
-                               "fingers": list(fingers_entry),
-                               "iris": [dict(item) for item in iris_entry]}
+                               "fingers": fingers_entry, "iris": iris_entry}
     return entries
 
 
 def _decode_records(directory: str, entries: list) -> dict:
-    """Records by subject id of ``entries`` from :func:`_parse_manifest`, in one
-    batch: every file is read first, in manifest order, then every template is
-    decoded in one call and every code in another, so a read fault comes first."""
+    """Records by subject id of ``entries`` from :func:`_parse_manifest`: all files are read
+    first, in manifest order through one directory descriptor, then decoded in one call per
+    format; built unchecked, as the manifest parse, decoders and slot check checked them."""
     fingers, codes = [], []  # (name, bytes)
-    for entry in entries:
-        fingers += [(name, _load_file(directory, name, TEMPLATE_MAX_BYTES))
-                    for name in entry["fingers"]]
-        codes += [(item[key], _load_file(directory, item[key], CODE_MAX_BYTES))
-                  for item in entry["iris"] for key in ("haar", "mellin")]
     prefix = os.path.join(directory, "")  # + name is os.path.join for a plain name
+    dir_fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        for entry in entries:
+            fingers += [(name, _load_file(prefix, name, TEMPLATE_MAX_BYTES, dir_fd))
+                        for name in entry["fingers"]]
+            codes += [(item[key], _load_file(prefix, item[key], CODE_MAX_BYTES, dir_fd))
+                      for item in entry["iris"] for key in ("haar", "mellin")]
+    finally:
+        os.close(dir_fd)
     templates = iter(decode_templates([blob for _, blob in fingers],
                                       [prefix + name for name, _ in fingers]))
     decoded = decode_codes([blob for _, blob in codes], [prefix + name for name, _ in codes])
@@ -362,16 +366,18 @@ def _decode_records(directory: str, entries: list) -> dict:
         if code.scheme != scheme:
             raise CorruptManifest(f"{os.path.join(directory, MANIFEST_NAME)}: {name}: "
                                   f"manifest lists a {scheme} code but the file holds {code.scheme}")
-    pairs = map(IrisPair, decoded[::2], decoded[1::2])
-    return {entry["id"]: PersonRecord(
-        entry["id"], tuple(islice(templates, len(entry["fingers"]))),
-        tuple(islice(pairs, len(entry["iris"]))), entry["enrolled_at"]) for entry in entries}
+    pairs = (_unchecked(IrisPair, haar=h, mellin=m) for h, m in zip(decoded[::2], decoded[1::2]))
+    return {entry["id"]: _unchecked(
+        PersonRecord, subject_id=entry["id"], enrolled_at=entry["enrolled_at"],
+        fingerprints=tuple(islice(templates, len(entry["fingers"]))),
+        iris_codes=tuple(islice(pairs, len(entry["iris"])))) for entry in entries}
 
 
 def load_db(path: Union[str, Path]) -> TemplateDB:
     """Open a database, decoding every record in one batch; no manifest is an empty DB."""
     db = TemplateDB(path)
-    db.records = _decode_records(os.fspath(db.path), list(db._entries.values()))
+    if db._entries:  # an empty database opens no directory descriptor
+        db.records = _decode_records(os.fspath(db.path), list(db._entries.values()))
     return db
 
 

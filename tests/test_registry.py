@@ -22,7 +22,7 @@ from test_codecs import decode_code_oracle, decode_template_array_oracle
 from test_fusion import oracle_pipeline
 from test_iris import hamming_oracle
 import biolock
-from biolock import cli, fingerprint, fusion, iris, registry
+from biolock import cli, fingerprint, fusion, imaging, iris, registry
 from biolock.errors import (
     BadMagic,
     BiolockError,
@@ -1228,6 +1228,18 @@ def _replace_with_directory(path):
     path.mkdir()
 
 
+def _replace_with_device(path):
+    if not os.path.exists("/dev/zero"):
+        pytest.skip("no /dev/zero on this host")
+    path.unlink()
+    path.symlink_to("/dev/zero")
+
+
+def _past_its_cap(path):
+    cap = {".fpt": fingerprint.TEMPLATE_MAX_BYTES, ".irc": iris.CODE_MAX_BYTES}[path.suffix]
+    path.write_bytes(path.read_bytes().ljust(cap + 1, b"\0"))
+
+
 # Each damage, applied to any .fpt or .irc file: the FPT1 kind byte and x
 # field of the first minutia, and the IRC1 scheme byte and bit count.
 FILE_DAMAGE = {
@@ -1239,6 +1251,8 @@ FILE_DAMAGE = {
     "scheme_swapped_in_manifest": lambda path: _swap_slots(path.parent, path.name),
     "missing": lambda path: path.unlink(),
     "directory": _replace_with_directory,
+    "device": _replace_with_device,  # a symlink to /dev/zero, which never ends
+    "past_its_cap": _past_its_cap,
 }
 
 
@@ -1259,6 +1273,11 @@ def test_each_damaged_file_fails_the_batch_as_the_one_file_path_does(enrolled, t
             lambda: oracle_records(root, {owner})), (how, name)
         if isinstance(expected, tuple):
             assert str(root) in expected[1]
+        if how in ("directory", "device"):
+            assert expected == (MissingTemplateFile, f"{root / name}: not a regular file")
+        if how == "past_its_cap":
+            assert expected[0] is TruncatedData and expected[1].startswith(
+                f"{root / name}: longer than the "), expected
 
 
 def test_of_several_faults_the_batch_reports_a_read_fault_first(enrolled, tmp_path):
@@ -1274,6 +1293,121 @@ def test_of_several_faults_the_batch_reports_a_read_fault_first(enrolled, tmp_pa
     (root / "alice_iris_0_mellin.irc").unlink()
     assert _outcome(lambda: load_db(root)) == (
         MissingTemplateFile, str(root / "alice_iris_0_mellin.irc"))
+
+
+class _CountingOs:
+    """``os`` with every ``open``, ``fstat``, ``lseek``, ``pread`` and ``close``
+    logged as (name, args, kwargs, result)."""
+
+    COUNTED = ("open", "fstat", "lseek", "pread", "close")
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        real = getattr(os, name)
+        if name not in self.COUNTED:
+            return real
+
+        def counted(*args, **kwargs):
+            result = real(*args, **kwargs)
+            self.calls.append((name, args, kwargs, result))
+            return result
+        return counted
+
+
+def _count_file_calls(monkeypatch):
+    """Log the file calls of the reader's module and of the registry."""
+    counting = _CountingOs()
+    monkeypatch.setattr(imaging, "os", counting)
+    monkeypatch.setattr(registry, "os", counting)
+    return counting.calls
+
+
+def _assert_one_pass_over(calls, root, names):
+    """``calls`` read the manifest, then open ``root`` once as a directory, then
+    open each of ``names`` once, in order, relative to it, each with one
+    ``fstat``, one ``pread`` and one ``close`` and no ``lseek``."""
+    manifest, rest = calls[:4], calls[4:]
+    assert [c[0] for c in manifest] == ["open", "fstat", "pread", "close"]
+    assert manifest[0][1][0] == root / "manifest.json"
+    (name, args, _, dir_fd), *files, last = rest
+    assert (name, args[0]) == ("open", os.fspath(root)) and args[1] & os.O_DIRECTORY
+    assert last[:2] == ("close", (dir_fd,))
+    assert len(files) == 4 * len(names)
+    for i, expected in enumerate(names):
+        opened, stat, pread, close = files[4 * i:4 * i + 4]
+        fd = opened[3]
+        assert opened[:3] == ("open", (expected, os.O_RDONLY | os.O_NONBLOCK, 0o666),
+                              {"dir_fd": dir_fd})
+        assert (stat[:2], pread[0], pread[1][0], close[:2]) == (
+            ("fstat", (fd,)), "pread", fd, ("close", (fd,)))
+    assert not [c for c in calls if c[0] == "lseek"]
+
+
+def _manifest_names(root, subject_ids):
+    entries = TemplateDB(root)._entries
+    return [name for sid in subject_ids for name in entries[sid]["fingers"] + [
+        item[key] for item in entries[sid]["iris"] for key in ("haar", "mellin")]]
+
+
+def test_load_db_opens_each_file_once_relative_to_one_directory_descriptor(
+        mixed_db, monkeypatch):
+    names = _manifest_names(mixed_db.path, list(mixed_db.records))
+    assert len(names) == 17
+    calls = _count_file_calls(monkeypatch)
+    assert load_db(mixed_db.path).records == mixed_db.records
+    _assert_one_pass_over(calls, mixed_db.path, names)
+
+
+def test_load_record_opens_only_the_claimed_subjects_files(mixed_db, monkeypatch):
+    for sid, count in (("alice", 3), ("twoeye", 5), ("eyes-only", 2)):
+        names = _manifest_names(mixed_db.path, [sid])
+        assert len(names) == count
+        calls = _count_file_calls(monkeypatch)
+        assert _load_record(mixed_db.path, sid).records == {sid: mixed_db.records[sid]}
+        _assert_one_pass_over(calls, mixed_db.path, names)
+
+
+def test_an_empty_or_missing_database_opens_no_directory_descriptor(tmp_path, monkeypatch):
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "no-subjects").mkdir()
+    (tmp_path / "no-subjects" / "manifest.json").write_text('{"version": 1, "subjects": []}')
+    for root in (tmp_path / "missing", tmp_path / "empty", tmp_path / "no-subjects"):
+        calls = _count_file_calls(monkeypatch)
+        db = load_db(root)
+        assert db.records == {} and db._entries == {} and len(db) == 0
+        # at most the manifest's one read: no directory descriptor
+        assert [c[0] for c in calls] == (["open", "fstat", "pread", "close"]
+                                         if root.name == "no-subjects" else [])
+        assert len(_load_record(root, "alice")) == 0
+
+
+def test_loaded_records_equal_records_the_checking_constructors_build(mixed_db):
+    """The decode path builds records without their constructors' checks; each
+    equals, field by field and type by type, the record the constructors build
+    from the same values, and the record ``enroll`` built and checked."""
+    loaded = load_db(mixed_db.path).records
+    assert list(loaded) == list(mixed_db.records)
+    for sid, record in loaded.items():
+        pairs = [IrisPair(pair.haar, pair.mellin) for pair in record.iris_codes]
+        checked = PersonRecord(record.subject_id, list(record.fingerprints), pairs,
+                               record.enrolled_at)
+        for other in (checked, mixed_db.records[sid]):
+            assert type(record) is type(other) is PersonRecord
+            for field in dataclasses.fields(PersonRecord):
+                mine, theirs = getattr(record, field.name), getattr(other, field.name)
+                assert type(mine) is type(theirs) and mine == theirs, (sid, field.name)
+            for mine, theirs in zip(record.iris_codes, other.iris_codes, strict=True):
+                assert type(mine) is type(theirs) is IrisPair
+                assert (mine.haar, mine.mellin) == (theirs.haar, theirs.mellin)
+                assert (mine.haar.scheme, mine.mellin.scheme) == (SCHEME_HAAR, SCHEME_MELLIN)
+        assert record == checked and hash(record) == hash(checked)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.subject_id = "mallory"
+        for pair in record.iris_codes:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                pair.haar = pair.mellin
 
 
 # ---------------------------------------------------------------------------
