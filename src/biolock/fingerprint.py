@@ -313,8 +313,6 @@ def estimate_frequency(img: GrayImage, orientation: FloatField) -> FloatField:
         lo, hi = np.take_along_axis(hood, np.stack([np.maximum(n - 1, 0) // 2, n // 2]), 0)
         fill = np.isnan(freq) & (n > 0)
         freq = np.where(fill, (lo + hi) / 2.0, freq)
-        if not fill.any():
-            freq[np.isnan(freq)] = FREQ_FALLBACK
     return FloatField(freq, kind="frequency")
 
 

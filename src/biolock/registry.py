@@ -6,7 +6,7 @@ the whole manifest when it is opened; :func:`load_db` then reads every
 subject's files through one directory descriptor and decodes them in one batch,
 while ``verify`` and ``access`` decode only the named subject's, ``enroll`` none.
 :func:`enroll` runs the feature pipelines and persists new records atomically
-(every file, and finally the manifest, is written to a temp name and renamed);
+(each file under its own name, then the manifest, whose rename commits them);
 :func:`verify`, :func:`identify`, and :func:`access` score probes against the
 stored records in one scoring core and one array-valued fusion pass (verify is
 a gallery of one).  :func:`access` is :func:`verify` plus the door's audit
@@ -87,11 +87,13 @@ from .iris import (
     hamming_distances,
 )
 
-SUBJECT_ID_PATTERN = re.compile(r"[A-Za-z0-9_-]{1,64}")  # match whole ids: fullmatch
+SUBJECT_ID_PATTERN = re.compile(r"(?!-\Z)[A-Za-z0-9_-]{1,64}")  # fullmatch; "-" marks a bad claim
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
 MAX_MANIFEST_BYTES = 64 * 1024 * 1024  # a 10 000-subject manifest is about 2 MB
+# enroll's writes: no wait on a FIFO, no symlink followed
+WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK | os.O_NOFOLLOW
 AUDIT_LOG_NAME = "audit.log"
 MAX_AUDIT_LOG_BYTES = 64 * 1024 * 1024  # about 400 000 events of 160 bytes
 AUDIT_TAIL_BYTES = 64 * 1024  # the end of the log read back for its last stamp
@@ -106,7 +108,7 @@ EVENT_KINDS = (EVENT_ACCESS_GRANTED, EVENT_ALARM, EVENT_ENROLL, EVENT_ERROR)
 def _validate_subject_id(subject_id: str) -> str:
     if not isinstance(subject_id, str) or not SUBJECT_ID_PATTERN.fullmatch(subject_id):
         raise ValueError(
-            f"subject id must match [A-Za-z0-9_-]{{1,64}}, got {subject_id!r}"
+            f"subject id must match [A-Za-z0-9_-]{{1,64}} and not be '-', got {subject_id!r}"
         )
     return subject_id
 
@@ -262,8 +264,8 @@ def read_audit_log(path: Union[str, Path]) -> list:
         try:
             data = json.loads(line)
             events.append(AuditEvent(**{f.name: data[f.name] for f in fields(AuditEvent)}))
-        # RecursionError: JSON nested past the parser's recursion limit
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        # RecursionError: JSON nested too deep; OverflowError: an int ms_final past float's range
+        except (ValueError, KeyError, TypeError, RecursionError, OverflowError) as exc:
             raise ValueError(f"{path}: line {lineno}: bad audit record: {exc}") from exc
     return events
 
@@ -390,37 +392,34 @@ def _load_record(path: Union[str, Path], subject_id: str) -> TemplateDB:
     return db
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _persist_record(db: TemplateDB, entry: dict, files: dict) -> None:
-    """Write each ``{name: bytes}`` of ``files`` in order, then the manifest
-    with ``entry`` appended; on any failure remove the files already written."""
-    db.path.mkdir(parents=True, exist_ok=True)
-    written = []
+    """Write each ``{name: bytes}`` of ``files`` under that name, then the manifest with
+    ``entry`` appended to ``manifest.json.tmp``, renamed over ``manifest.json``: the one
+    commit point, as no manifest lists a file before it.  Each is opened once by
+    :func:`open_regular` with ``WRITE_FLAGS``, so anything but a regular file at a name fails
+    at once and stays as it was; on any failure the files this call opened are removed."""
+    # one subject per line, each on json's C encoder (indent= takes the Python one)
+    subjects = ",\n".join(map(json.dumps, [*db._entries.values(), entry]))
+    text = f'{{"version": {MANIFEST_VERSION}, "subjects": [\n{subjects}\n]}}\n'
+    tmp, opened = MANIFEST_NAME + ".tmp", []
     try:
-        for name, blob in files.items():
-            _write_atomic(db.path / name, blob)
-            written.append(name)
-        # one subject per line, each on json's C encoder (indent= takes the Python one)
-        subjects = ",\n".join(map(json.dumps, [*db._entries.values(), entry]))
-        text = f'{{"version": {MANIFEST_VERSION}, "subjects": [\n{subjects}\n]}}\n'
-        _write_atomic(db.path / MANIFEST_NAME, text.encode("utf-8"))
-        db._entries[entry["id"]] = entry
+        for name, blob in {**files, tmp: text.encode("utf-8")}.items():
+            fd, _ = open_regular(db.path / name, WRITE_FLAGS)
+            opened.append(name)
+            try:
+                while blob:  # a filling disk writes short, then raises
+                    blob = blob[os.write(fd, blob):]
+            finally:
+                os.close(fd)
+        os.replace(db.path / tmp, db.path / MANIFEST_NAME)
     except BaseException:
-        for name in written:
+        for name in opened:
             try:
                 (db.path / name).unlink()
             except OSError:
                 pass
         raise
+    db._entries[entry["id"]] = entry
 
 
 # ---------------------------------------------------------------------------

@@ -837,6 +837,14 @@ def test_filter_border_rule_drops_edge_minutiae():
     assert [(m.x, m.y) for m in kept] == [(30.0, 20.0)]
 
 
+@pytest.mark.parametrize("gap", [0.0, -9.0])
+def test_filter_refuses_a_ridge_gap_that_is_not_positive(gap):
+    thinned = skeleton_image(hline(12, 27, 20), 40)
+    raw, mask = extract_all(thinned, 40)
+    with pytest.raises(ValueError, match="avg_ridge_gap must be positive"):
+        filter_false_minutiae(raw, thinned, mask, gap)
+
+
 def test_filter_output_subset_and_idempotent():
     fixtures = [skeleton_image(hline(12, 22, 24) + hline(26, 36, 24), 48),
                 skeleton_image(hline(10, 38, 24)

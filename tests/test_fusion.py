@@ -65,6 +65,9 @@ def test_fusion_config_defaults():
 def test_fusion_config_validation():
     with pytest.raises(ValueError):
         FusionConfig(alpha=-0.1)
+    for name in ("alpha", "beta", "a", "b"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            FusionConfig(**{name: math.inf})
     with pytest.raises(ZeroWeights):
         FusionConfig(alpha=0.0, beta=0.0)
     with pytest.raises(ZeroWeights):

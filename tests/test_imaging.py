@@ -132,6 +132,28 @@ def test_float_field_rejects_non_finite_values(kind, bad):
     FloatField(np.array([[0.1, 0.2]]), kind=kind)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: GrayImage(np.zeros(4)), "non-empty 2-D"),
+    (lambda: GrayImage(np.zeros((2, 0))), "non-empty 2-D"),
+    (lambda: GrayImage(np.array([[0.5, np.nan]])), "finite"),
+    (lambda: GrayImage(np.array([[0.5, 1.5]])), r"\[0, 1\]"),
+    (lambda: GrayImage(np.array([[-0.1, 0.5]])), r"\[0, 1\]"),
+    (lambda: BinaryImage(np.ones((2, 2, 2), bool)), "non-empty 2-D"),
+    (lambda: FloatField(np.zeros(3), "frequency"), "non-empty 2-D"),
+    (lambda: FloatField(np.zeros((2, 2)), "phase"), "unknown field kind"),
+    (lambda: FloatField(np.array([[0.0, np.pi]]), "orientation"), r"\[0, pi\)"),
+    (lambda: FloatField(np.array([[-0.1, 1.0]]), "orientation"), r"\[0, pi\)"),
+    (lambda: FloatField(np.array([[-0.1, 0.2]]), "frequency"), ">= 0"),
+    (lambda: FloatField(np.array([[0.5, 1.1]]), "coherence"), r"\[0, 1\]"),
+    (lambda: FloatField(np.array([[-0.1, 0.5]]), "coherence"), r"\[0, 1\]"),
+], ids=["gray-1d", "gray-empty", "gray-nan", "gray-above-1", "gray-below-0", "binary-3d",
+        "field-1d", "field-kind", "orientation-pi", "orientation-negative",
+        "frequency-negative", "coherence-above-1", "coherence-negative"])
+def test_raster_constructors_refuse_bad_values(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # Gradients
 

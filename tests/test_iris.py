@@ -144,6 +144,11 @@ def test_locate_pupil_all_bright():
         locate_pupil(GrayImage(np.full((64, 64), 0.8)))
 
 
+def test_locate_pupil_refuses_a_dark_blob_that_fills_the_eye():
+    with pytest.raises(NoPupilFound, match="fills the whole image"):
+        locate_pupil(GrayImage(np.full((64, 64), 0.1)))
+
+
 def test_locate_pupil_ignores_speck():
     img = np.full((64, 64), 0.8)
     img[30, 30:32] = 0.0
@@ -272,6 +277,21 @@ def test_strip_validation():
         NormalizedStrip(np.full((64, 512), 1.5), np.ones((64, 512), bool))
     with pytest.raises(ValueError):
         NormalizedStrip(np.zeros((64, 512)), np.ones((64, 256), bool))
+    values = np.zeros((64, 512))
+    values[3, 7] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        NormalizedStrip(values, np.ones((64, 512), bool))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((128.0, math.inf, 28.0, 96.0), "center_y must be a finite number"),
+    ((128.0, 128.0, "28", 96.0), "pupil_r must be a finite number"),
+    ((128.0, 128.0, 3.5, 96.0), "pupil_r must be >= 4 pixels"),
+    ((128.0, 128.0, 28.0, 28.0), "iris_r must exceed pupil_r"),
+], ids=["not-finite", "not-a-number", "small-pupil", "iris-inside-pupil"])
+def test_iris_geometry_refuses_bad_fields(fields, message):
+    with pytest.raises(ValueError, match=message):
+        IrisGeometry(*fields)
 
 
 # --- eyelid screening -------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import os
 import re
 import shutil
+import stat
 import struct
 import subprocess
 import sys
@@ -50,7 +51,7 @@ from biolock.fusion import (
     FusionConfig,
 )
 from biolock.imaging import GrayImage, decode_pgm, encode_pgm, read_regular_file
-from biolock.iris import SCHEME_HAAR, SCHEME_MELLIN, build_codes, encode_code
+from biolock.iris import CODE_MAX_BYTES, SCHEME_HAAR, SCHEME_MELLIN, build_codes, encode_code
 from biolock.registry import (
     AuditEvent,
     AuditLog,
@@ -177,6 +178,24 @@ def test_audit_log_records_an_id_with_a_trailing_newline_as_dash(tmp_path):
         AuditEvent("2026-01-01T00:00:00+00:00", "alarm", "bob\n", 0.5, "")
 
 
+def test_the_invalid_claim_mark_is_not_a_subject_id(tmp_path, corpus):
+    # the audit log records an invalid claim as "-", so no subject may be "-"
+    db = load_db(tmp_path / "db")
+    with pytest.raises(ValueError, match="not be '-'"):
+        enroll(db, "-", [corpus["alice"]["finger"]], [])
+    assert len(db) == 0 and db._entries == {} and not (tmp_path / "db").exists()
+    for good in ("--", "-a", "a-", "_"):
+        assert registry._validate_subject_id(good) == good
+    root = tmp_path / "db"
+    root.mkdir()
+    (root / "manifest.json").write_text(json.dumps({"version": 1, "subjects": [
+        {"id": "-", "enrolled_at": "t", "fingers": ["f"], "iris": []}]}))
+    with pytest.raises(CorruptManifest, match="not be '-'"):
+        load_db(root)
+    with pytest.raises(CorruptManifest):
+        _load_record(root, "-")
+
+
 def test_manifest_entry_with_a_trailing_newline_id_is_corrupt(tmp_path):
     root = tmp_path / "db"
     root.mkdir()
@@ -222,6 +241,15 @@ def test_enroll_pipeline_failure_is_atomic(enrolled, corpus):
     assert sorted(p.name for p in enrolled.path.iterdir()) == files_before
 
 
+def test_enroll_names_a_finger_that_fails_extraction_and_writes_nothing(tmp_path):
+    db = load_db(tmp_path / "db")
+    with pytest.raises(PipelineFailure) as err:
+        enroll(db, "dave", [GrayImage(np.full((8, 8), 0.5))], [])
+    assert (err.value.modality, err.value.index, err.value.stage) == (
+        "finger", 0, "feature-extraction")
+    assert len(db) == 0 and db._entries == {} and not (tmp_path / "db").exists()
+
+
 def test_enroll_keeps_the_record_its_files_hold(tmp_path, corpus):
     finger, eye = corpus["bob"]["finger"], corpus["bob"]["eye"]
     built = build_template(finger).rows
@@ -263,14 +291,14 @@ def test_enroll_removes_the_files_it_wrote_when_the_manifest_write_fails(
     db = load_db(tmp_path / "db")
     enroll(db, "alice", [corpus["alice"]["finger"]], [])
     before = {p.name: p.read_bytes() for p in db.path.iterdir()}
-    write = registry._write_atomic
+    open_regular = registry.open_regular
 
-    def fail_on_manifest(path, data):
-        if path.name == "manifest.json":
+    def fail_on_manifest(path, flags, dir_fd=None):
+        if Path(path).name == "manifest.json.tmp":
             raise OSError("disk full")
-        write(path, data)
+        return open_regular(path, flags, dir_fd)
 
-    monkeypatch.setattr(registry, "_write_atomic", fail_on_manifest)
+    monkeypatch.setattr(registry, "open_regular", fail_on_manifest)
     with pytest.raises(OSError, match="disk full"):
         enroll(db, "bob", [corpus["bob"]["finger"]], [corpus["bob"]["eye"]])
     assert {p.name: p.read_bytes() for p in db.path.iterdir()} == before
@@ -283,21 +311,15 @@ def test_enroll_leaves_no_temp_file_when_an_atomic_write_fails(
     db = load_db(tmp_path / "db")
     enroll(db, "alice", [corpus["alice"]["finger"]], [])
     before = {p.name: p.read_bytes() for p in db.path.iterdir()}
-    write_bytes, replace = Path.write_bytes, os.replace
-
-    def full_disk_write(path, data):  # half the bytes land, as when the disk fills
-        if path.name == "manifest.json.tmp":
-            write_bytes(path, data[:len(data) // 2])
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return write_bytes(path, data)
+    replace = os.replace
 
     def full_disk_replace(src, dst):
         if Path(dst).name == "manifest.json":
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         replace(src, dst)
 
-    if step == "write":
-        monkeypatch.setattr(Path, "write_bytes", full_disk_write)
+    if step == "write":  # half the manifest's bytes land, as when the disk fills
+        _count_file_calls(monkeypatch, _EnrollOs(full_at="manifest.json.tmp"))
     else:
         monkeypatch.setattr(registry.os, "replace", full_disk_replace)
     with pytest.raises(OSError) as err:
@@ -935,6 +957,14 @@ def test_read_audit_log_of_a_fifo_raises_at_once(tmp_path):
     assert result.stderr.endswith(f"biolock.errors.NotRegularFile: {fifo}: not a regular file\n")
 
 
+def test_read_audit_log_skips_blank_lines(tmp_path):
+    line = ('{"ts": "2026-01-01T00:00:00+00:00", "kind": "alarm", "claimed_id": "x", '
+            '"ms_final": 0.25, "detail": ""}\n')
+    log = tmp_path / "audit.log"
+    log.write_text(line + "\n  \t\n" + line)
+    assert [e.ms_final for e in read_audit_log(log)] == [0.25, 0.25]
+
+
 def test_read_audit_log_past_its_cap_raises(tmp_path):
     log_path = tmp_path / "audit.log"
     with open(log_path, "wb") as fh:  # one good event, then a sparse run of NUL bytes
@@ -967,6 +997,7 @@ def test_read_audit_log_errors(tmp_path):
     ("ms_final", math.inf), ("ms_final", -math.inf), ("ms_final", math.nan),
     ("claimed_id", "bad id!"), ("claimed_id", ""), ("ts", "t"),
     ("ts", "2026-01-01T00:00:00"),
+    pytest.param("ms_final", 10**400, id="ms_final-int-past-float"),
 ])
 def test_read_audit_log_names_the_line_of_a_bad_field(tmp_path, field, value):
     good = {"ts": "2026-01-01T00:00:00+00:00", "kind": "alarm", "claimed_id": "bob",
@@ -1316,9 +1347,10 @@ class _CountingOs:
         return counted
 
 
-def _count_file_calls(monkeypatch):
-    """Log the file calls of the reader's module and of the registry."""
-    counting = _CountingOs()
+def _count_file_calls(monkeypatch, counting=None):
+    """Log the file calls of the reader's module and of the registry, through
+    ``counting`` (a new :class:`_CountingOs` if ``None``)."""
+    counting = counting or _CountingOs()
     monkeypatch.setattr(imaging, "os", counting)
     monkeypatch.setattr(registry, "os", counting)
     return counting.calls
@@ -1408,6 +1440,165 @@ def test_loaded_records_equal_records_the_checking_constructors_build(mixed_db):
         for pair in record.iris_codes:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 pair.haar = pair.mellin
+
+
+# ---------------------------------------------------------------------------
+# enrollment writes: one opener, one commit point
+
+
+class _EnrollOs(_CountingOs):
+    """:class:`_CountingOs` also logging ``replace`` and ``write``.  With ``full_at``,
+    the disk fills halfway through the file opened under that name: its first
+    ``write`` lands half the bytes asked for, and the next raises ENOSPC."""
+
+    COUNTED = _CountingOs.COUNTED + ("replace", "write")
+
+    def __init__(self, full_at=None):
+        super().__init__()
+        self.full_at, self.full = full_at, False
+
+    def write(self, fd, data):
+        opened = [c for c in self.calls if c[0] == "open" and c[3] == fd][-1]
+        if Path(opened[1][0]).name == self.full_at:
+            if self.full:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            self.full, data = True, data[:len(data) // 2]
+        return self.__getattr__("write")(fd, data)
+
+
+def _enroll_alice_in_child(root, full_at=""):
+    """Run in a child process by :func:`_run_in_child`: enroll ``finger.pgm`` and
+    ``eye.pgm`` of ``root`` as alice into ``root/db``, logging every ``open_regular``
+    call of the registry and the ``os`` calls of ``imaging`` and ``registry``
+    (:class:`_EnrollOs`, filling the disk at ``full_at`` if it is not empty).
+    Prints the log, the error number, and the subjects of the open database."""
+    root = Path(root)
+    images = [decode_pgm((root / name).read_bytes()) for name in ("finger.pgm", "eye.pgm")]
+    db = load_db(root / "db")
+    counting = _EnrollOs(full_at or None)
+    open_regular = registry.open_regular
+
+    def logged_open_regular(path, flags, dir_fd=None):
+        counting.calls.append(("open_regular", (path, flags), {}, None))
+        return open_regular(path, flags, dir_fd)
+
+    imaging.os = registry.os = counting
+    registry.open_regular = logged_open_regular
+    try:
+        enroll(db, "alice", images[:1], images[1:])
+        error = None
+    except OSError as exc:
+        error = exc.errno
+    # as JSON: a path as a string, bytes as their length, a result that is not an int as None
+    calls = [[name, *[a if isinstance(a, int) else os.fspath(a) if isinstance(a, (str, Path))
+                      else len(a) for a in args], result if isinstance(result, int) else None]
+             for name, args, _, result in counting.calls]
+    print(json.dumps({"calls": calls, "errno": error, "entries": list(db._entries),
+                      "records": list(db.records)}))
+
+
+def _run_in_child(args, timeout=60):
+    """``args`` run by a fresh interpreter with ``src`` and the tests on its path,
+    under ``timeout`` seconds, so that a hang fails the test rather than
+    blocking the suite."""
+    paths = [os.path.dirname(os.path.dirname(biolock.__file__)), os.path.dirname(__file__),
+             os.environ.get("PYTHONPATH")]
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=timeout, env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                              filter(None, paths))})
+
+
+def _enroll_in_child(root, full_at=""):
+    result = _run_in_child(["-c", "import sys, test_registry; "
+                            "test_registry._enroll_alice_in_child(*sys.argv[1:])",
+                            str(root), full_at])
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def _entries_of(root):
+    """Each entry of ``root`` by name: its type, and its bytes or link target."""
+    out = {}
+    for name in sorted(os.listdir(root)):
+        mode = os.lstat(root / name).st_mode
+        out[name] = (stat.S_IFMT(mode), (root / name).read_bytes() if stat.S_ISREG(mode)
+                     else os.readlink(root / name) if stat.S_ISLNK(mode) else None)
+    return out
+
+
+@pytest.fixture(scope="module")
+def bob_db(tmp_path_factory, corpus):
+    """A database holding bob alone, and alice's print and eye as PGM files
+    beside it; tests work on a copy."""
+    root = tmp_path_factory.mktemp("bob")
+    enroll(load_db(root / "db"), "bob", [corpus["bob"]["finger"]], [corpus["bob"]["eye"]])
+    (root / "finger.pgm").write_bytes(encode_pgm(corpus["alice"]["finger"]))
+    (root / "eye.pgm").write_bytes(encode_pgm(corpus["alice"]["eye"]))
+    return root
+
+
+def test_enroll_opens_each_file_once_through_the_regular_file_opener(bob_db, tmp_path):
+    root = shutil.copytree(bob_db, tmp_path / "root")
+    report = _enroll_in_child(root)
+    assert report["errno"] is None and report["entries"] == report["records"] == ["bob", "alice"]
+    db = os.fspath(root / "db")
+    writes = [(i, c) for i, c in enumerate(report["calls"])
+              if c[0] == "open" and c[2] & (os.O_WRONLY | os.O_RDWR)
+              and os.path.basename(c[1]) != "audit.log"]
+    assert [os.path.basename(c[1]) for _, c in writes] == [
+        "alice_finger_0.fpt", "alice_iris_0_haar.irc", "alice_iris_0_mellin.irc",
+        "manifest.json.tmp"]
+    for i, (_, path, flags, *_) in writes:
+        assert os.path.dirname(path) == db
+        assert flags == registry.WRITE_FLAGS
+        assert flags & os.O_NONBLOCK and flags & os.O_NOFOLLOW
+        assert report["calls"][i - 1] == ["open_regular", path, flags, None]
+    assert [c for c in report["calls"] if c[0] == "replace"] == [
+        ["replace", os.path.join(db, "manifest.json.tmp"), os.path.join(db, "manifest.json"),
+         None]]
+    assert sorted(os.listdir(root / "db")) == sorted(
+        ["audit.log", "manifest.json", "bob_finger_0.fpt", "bob_iris_0_haar.irc",
+         "bob_iris_0_mellin.irc", "alice_finger_0.fpt", "alice_iris_0_haar.irc",
+         "alice_iris_0_mellin.irc"])
+    assert list(load_db(root / "db").records) == ["bob", "alice"]
+
+
+@pytest.mark.parametrize("name", ["manifest.json.tmp", "alice_finger_0.fpt"])
+@pytest.mark.parametrize("plant", ["fifo", "devnull", "outside"])
+def test_enroll_refuses_an_entry_that_is_not_a_regular_file_and_leaves_it(
+        bob_db, tmp_path, name, plant):
+    root = shutil.copytree(bob_db, tmp_path / "root")
+    outside = tmp_path / "outside.txt"
+    outside.write_bytes(b"outside the database\n")
+    if plant == "fifo":
+        os.mkfifo(root / "db" / name)
+    else:
+        os.symlink("/dev/null" if plant == "devnull" else outside, root / "db" / name)
+    before = _entries_of(root / "db")
+    result = _run_in_child(["-m", "biolock.cli", "enroll", "--db", str(root / "db"),
+                            "--subject", "alice", "--finger", str(root / "finger.pgm"),
+                            "--iris", str(root / "eye.pgm")])
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: ") and name in result.stderr
+    assert "Traceback" not in result.stderr
+    assert _entries_of(root / "db") == before
+    assert outside.read_bytes() == b"outside the database\n"
+
+
+def test_a_full_disk_halfway_through_a_data_file_leaves_the_database_as_it_was(
+        bob_db, tmp_path):
+    root = shutil.copytree(bob_db, tmp_path / "root")
+    before = _entries_of(root / "db")
+    report = _enroll_in_child(root, "alice_iris_0_haar.irc")
+    assert report["errno"] == errno.ENOSPC
+    assert report["entries"] == report["records"] == ["bob"]
+    calls = report["calls"]
+    (at,) = [i for i, c in enumerate(calls) if c[0] == "open" and c[1].endswith("_haar.irc")]
+    assert calls[at][2] == registry.WRITE_FLAGS
+    # the one write that landed: half the code's bytes, then ENOSPC
+    written = [c[2] for c in calls[at:] if c[0] == "write" and c[1] == calls[at][-1]]
+    assert len(written) == 1 and 0 < written[0] < CODE_MAX_BYTES // 2
+    assert _entries_of(root / "db") == before
 
 
 # ---------------------------------------------------------------------------
@@ -1568,6 +1759,8 @@ def test_person_record_validation(enrolled):
         PersonRecord("bad id!", record.fingerprints, (), record.enrolled_at)
     with pytest.raises(TypeError):
         PersonRecord("ok", ("not-a-template",), (), record.enrolled_at)
+    with pytest.raises(TypeError, match="iris_codes must hold IrisPair"):
+        PersonRecord("ok", (), (record.iris_codes[0].haar,), record.enrolled_at)
     with pytest.raises(ValueError):
         PersonRecord("ok", record.fingerprints, (), "")
 
@@ -1578,6 +1771,10 @@ def test_iris_pair_validates_schemes(enrolled):
     assert pair.mellin.scheme == SCHEME_MELLIN
     with pytest.raises(ValueError):
         IrisPair(pair.mellin, pair.haar)
+    with pytest.raises(ValueError, match="haar slot"):
+        IrisPair(pair.mellin, pair.mellin)
+    with pytest.raises(ValueError, match="mellin slot"):
+        IrisPair(pair.haar, pair.haar)
 
 
 def test_audit_event_validation():
