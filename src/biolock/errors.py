@@ -24,7 +24,8 @@ class TruncatedData(BiolockError):
 
 
 class NotRegularFile(BiolockError):
-    """A file to read is a directory, FIFO, device or socket."""
+    """A file to read or write is a directory, FIFO, device or socket, or one
+    to write has another hard link."""
 
 
 # --- fingerprint -----------------------------------------------------------

@@ -14,7 +14,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft, ndimage
 
 from .errors import (
     BadMagic,
@@ -32,6 +31,7 @@ from .imaging import (  # crossing_number is re-exported
     _bilinear,
     _unchecked,
     adaptive_threshold,
+    box_mean,
     crossing_number,
     morph_close_open,
     thin,
@@ -156,20 +156,18 @@ def coherence_image(img: GrayImage) -> FloatField:
     gxx = gx * gx
     gyy = gy * gy
     work = gx * gy
-
-    def wsum(a, out):
-        # uniform_filter computes window means; coherence is a ratio of sums
-        # over one window, so the common 1/W^2 factor cancels.  The output is
-        # never the input, as scipy documents no in-place filtering.
-        return ndimage.uniform_filter(a, size=w, output=out, mode="nearest")
-
-    # the buffers are reused, each value is rounded as in 2.0 * (gx * gy),
-    # gxx - gyy and gxx + gyy
-    sxy = wsum(np.multiply(2.0, work, out=work), np.empty_like(work))
+    # window means stand for window sums: coherence is a ratio of sums over
+    # one window, so the common 1/W^2 factor cancels.  Each value is rounded
+    # as in 2.0 * (gx * gy), gxx - gyy and gxx + gyy; the buffers are reused
+    # and dropped once read, so at most six full rasters live at once
+    sxy = box_mean(np.multiply(2.0, work, out=work), w)
     np.subtract(gxx, gyy, out=work)
     energy = np.add(gxx, gyy, out=gxx)
-    sx = wsum(work, gyy)
-    denom = wsum(energy, work)
+    del gxx, gyy
+    sx = box_mean(work, w)
+    del work
+    denom = box_mean(energy, w)
+    del energy
     np.multiply(sx, sx, out=sx)
     sx += np.multiply(sxy, sxy, out=sxy)
     num = np.sqrt(sx, out=sx)
@@ -238,8 +236,8 @@ def estimate_orientation(img: GrayImage) -> FloatField:
     energy = (sx != 0.0) | (sxy != 0.0)
     c = np.where(energy, np.cos(2.0 * theta), 0.0)
     s = np.where(energy, np.sin(2.0 * theta), 0.0)
-    c_bar = ndimage.uniform_filter(c, size=3, mode="nearest")
-    s_bar = ndimage.uniform_filter(s, size=3, mode="nearest")
+    c_bar = box_mean(c, 3)
+    s_bar = box_mean(s, 3)
     smooth = np.mod(0.5 * np.arctan2(s_bar, c_bar) + math.pi, math.pi)
     degenerate = (np.abs(c_bar) < 1e-12) & (np.abs(s_bar) < 1e-12)
     out = np.where(degenerate, 0.0, smooth)
@@ -336,21 +334,29 @@ def gabor_enhance(img: GrayImage, orientation: FloatField, frequency: FloatField
     (bh, bw), th, tw = orientation.values.shape, -(-img.height // block), -(-img.width // block)
     ti, tj = np.divmod(np.arange(th * tw), tw)
     owner = np.minimum(ti, bh - 1) * bw + np.minimum(tj, bw - 1)
-    v, u = np.mgrid[-half:half + 1, -half:half + 1].astype(np.float64)
-    cos_phi, sin_phi = (c[owner, None, None] for c in _cos_sin(orientation.values + 0.5 * math.pi))
-    freq = frequency.values.reshape(-1, 1, 1)[owner]
+    # the side x side kernel grid in row-major order: point k and point -1 - k
+    # are (u, v) and (-u, -v), and the first `mid` points end at the centre
+    side = 2 * half + 1
+    mid = side * side // 2 + 1
+    v, u = np.mgrid[-half:half + 1, -half:half + 1].reshape(2, -1).astype(np.float64)
+    envelope = np.exp(-(u * u + v * v) / (2.0 * GABOR_SIGMA ** 2))
+    cos_phi, sin_phi = (c[owner, None] for c in _cos_sin(orientation.values + 0.5 * math.pi))
+    freq = frequency.values.reshape(-1, 1)[owner]
     padded = np.pad(img.pixels, (half, half + block), mode="edge")
     tiles = np.lib.stride_tricks.sliding_window_view(padded, tile)[::block, ::block]
     out = np.empty((th, block, tw, block))
     for ks in np.split(np.arange(th * tw), range(_GABOR_CHUNK, th * tw, _GABOR_CHUNK)):
-        # per block, an even-symmetric kernel across the ridge flow less its own mean
-        g = (np.exp(-(u * u + v * v) / (2.0 * GABOR_SIGMA ** 2))
-             * np.cos(2.0 * math.pi * freq[ks] * (u * cos_phi[ks] + v * sin_phi[ks])))
+        # per block, an even-symmetric kernel across the ridge flow less its own
+        # mean.  The phase negates exactly under (u, v) -> (-u, -v) and cos is
+        # even, so the first half's cosines, mirrored, are all of them, and each
+        # kernel equals its own flip: correlation is convolution with it
+        wave = np.cos(2.0 * math.pi * freq[ks] * (u[:mid] * cos_phi[ks] + v[:mid] * sin_phi[ks]))
+        g = (envelope * np.concatenate((wave, wave[:, -2::-1]), axis=1)).reshape(-1, side, side)
         kernels = g - g.mean(axis=(1, 2), keepdims=True)
-        # correlation is convolution with the flipped kernel; the FFT's wrap
-        # reaches only the first 2 * half rows and columns of each response
-        spectra = sfft.rfft2(tiles[ti[ks], tj[ks]]) * sfft.rfft2(kernels[:, ::-1, ::-1], s=tile)
-        out[ti[ks], :, tj[ks]] = sfft.irfft2(spectra, s=tile)[:, 2 * half:, 2 * half:]
+        # the FFT's wrap reaches only the first 2 * half rows and columns of
+        # each response
+        spectra = np.fft.rfft2(tiles[ti[ks], tj[ks]]) * np.fft.rfft2(kernels, s=tile)
+        out[ti[ks], :, tj[ks]] = np.fft.irfft2(spectra, s=tile)[:, 2 * half:, 2 * half:]
     return np.ascontiguousarray(out.reshape(th * block, tw * block)[:img.height, :img.width])
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import MalformedHeader, NotRegularFile, TruncatedData, UnsupportedMaxval
 
@@ -151,23 +150,23 @@ class FloatField:
 # ---------------------------------------------------------------------------
 # File and PGM (P5) I/O
 
-def open_regular(path, flags: int, dir_fd=None) -> tuple[int, int]:
+def open_regular(path, flags: int, dir_fd=None) -> tuple[int, os.stat_result]:
     """``os.open``, relative to ``dir_fd`` if given, that refuses anything but a regular
-    file with :class:`NotRegularFile`: the descriptor and, from one ``fstat``, the size."""
+    file with :class:`NotRegularFile`: the descriptor and its one ``fstat``."""
     fd = os.open(path, flags, 0o666, dir_fd=dir_fd)
     if not stat.S_ISREG((info := os.fstat(fd)).st_mode):
         os.close(fd)
         raise NotRegularFile(f"{path}: not a regular file")
-    return fd, info.st_size
+    return fd, info
 
 
 def read_regular_file(path, cap: int, dir_fd=None) -> bytes:
     """The bytes of the regular file at ``path``, relative to ``dir_fd`` if given: opened by
     :func:`open_regular` without blocking, so a FIFO fails at once, then one ``pread`` of the
     size its ``fstat`` gave, cut at ``cap`` + 1 bytes, so a longer file fails unread."""
-    fd, size = open_regular(path, os.O_RDONLY | os.O_NONBLOCK, dir_fd)
+    fd, info = open_regular(path, os.O_RDONLY | os.O_NONBLOCK, dir_fd)
     try:
-        data = os.pread(fd, min(size, cap) + 1, 0)
+        data = os.pread(fd, min(info.st_size, cap) + 1, 0)
     finally:
         os.close(fd)
     if len(data) > cap:
@@ -256,6 +255,51 @@ def _bilinear(pixels: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return top * (1 - fy) + bot * fy
 
 
+def box_mean(a: np.ndarray, size: int) -> np.ndarray:
+    """Mean of the 2-D float64 array ``a`` over the ``size``-square about each
+    pixel, edges replicated: scipy's ``uniform_filter(a, size, mode="nearest")``
+    bit for bit.
+
+    As there, each axis is one running sum, columns first: the first window
+    is added in order to 0.0, each step then adds (entering - leaving), and
+    each output is that sum divided by ``size``.  Any other order of the same
+    additions differs in the last bits.  An even window reaches one pixel
+    farther back than forward.
+    """
+    back = size // 2
+    h, w = a.shape
+
+    def edge(n):  # the index each position of an axis padded by the window reads
+        return np.clip(np.arange(-back, n + size - 1 - back), 0, n - 1)
+
+    rows, cols = edge(h), edge(w)
+    step = max(1, (1 << 16) // (w + size))  # rows per block: bounded scratch
+    out = np.empty((h, w))
+    run = out[0]
+    run[:] = 0.0
+    for k in rows[:size]:
+        run += a[k]
+    for i in range(1, h, step):
+        part = out[i:i + step]
+        n = len(part)
+        np.subtract(a[rows[i + size - 1:i + size - 1 + n]], a[rows[i - 1:i - 1 + n]], out=part)
+    for row in out[1:]:  # down the columns, every column at each step
+        row += run
+        run = row
+    out /= size
+    for i in range(0, h, step):  # along the rows, one accumulate per block
+        part = out[i:i + step]
+        padded = part.take(cols, axis=1)
+        run = part[:, 0]
+        run[:] = 0.0
+        for k in range(size):
+            run += padded[:, k]
+        np.subtract(padded[:, size:], padded[:, :w - 1], out=part[:, 1:])
+        np.add.accumulate(part, axis=1, out=part)
+    out /= size
+    return out
+
+
 def _square_sweep(bits: np.ndarray, fill: bool) -> np.ndarray:
     """Max (fill False) or min (fill True) of a boolean raster over the
     (2 * MORPH_RADIUS + 1)-square centred on each pixel, pixels beyond the
@@ -299,7 +343,7 @@ def adaptive_threshold(raster: np.ndarray) -> BinaryImage:
     image stays all-false.
     """
     arr = np.asarray(raster, dtype=np.float64)
-    local_mean = ndimage.uniform_filter(arr, size=BINARIZE_WINDOW, mode="nearest")
+    local_mean = box_mean(arr, BINARIZE_WINDOW)
     return BinaryImage(arr > local_mean + 1e-12)
 
 

@@ -24,7 +24,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (
     BadDimensions,
@@ -193,32 +192,79 @@ CODE_MAX_BYTES = 9 + 2 * (max(_CODE_BITS.values()) // 8)  # header, bit and mask
 # ---------------------------------------------------------------------------
 # Localization
 
+def _runs_and_components(bits: np.ndarray):
+    """The horizontal runs of true pixels in raster order, as rows, first
+    columns and end columns (exclusive), and per run the index of the first
+    run of its 8-connected component.
+
+    Runs in adjacent rows touch when their column spans overlap or meet at a
+    corner (Wu, Otoo & Suzuki 2009).  Union-find by rounds: each tree hooks its
+    root under the least root it touches, then every run jumps to its root;
+    the trees at least halve per round.  A root is the least run of its tree,
+    so components are ordered by their first pixel, as ``ndimage.label`` does.
+    """
+    w = bits.shape[1]
+    edges = np.diff(np.pad(bits, ((0, 0), (1, 1))).view(np.int8), axis=1)
+    rows, starts = np.nonzero(edges == 1)
+    ends = np.nonzero(edges == -1)[1]
+    # the runs of the row above that touch each run span one range of indices
+    lo = np.searchsorted(rows * (w + 1) + ends, (rows - 1) * (w + 1) + starts, "left")
+    hi = np.searchsorted(rows * (w + 1) + starts, (rows - 1) * (w + 1) + ends, "right")
+    count = np.maximum(hi - lo, 0)
+    below = np.repeat(np.arange(rows.size), count)
+    above = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(below.size)
+    root = np.arange(rows.size)
+    while (root[above] != root[below]).any():
+        a, b = root[above], root[below]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while (root[root] != root).any():
+            root = root[root]
+    return rows, starts, ends, root
+
+
 def locate_pupil(img: GrayImage) -> tuple[float, float, float]:
     """Find the pupil center and radius.
 
     Thresholds the image at 0.25, takes the largest dark connected component
-    (8-connectivity), and returns its centroid plus the distance from the
+    (8-connectivity; of equal ones, the one whose first pixel comes first in
+    raster order), and returns its centroid plus the distance from the
     centroid to the nearest pixel outside the component.  Raises NoPupilFound
     when no dark component reaches 16 pixels or its radius is under 4.
     """
-    dark = img.pixels < PUPIL_THRESHOLD
-    labels, count = ndimage.label(dark, structure=np.ones((3, 3), dtype=bool))
-    if count == 0:
+    h, w = img.pixels.shape
+    rows, starts, ends, root = _runs_and_components(img.pixels < PUPIL_THRESHOLD)
+    if rows.size == 0:
         raise NoPupilFound("no pixels below the pupil threshold")
-    sizes = np.bincount(labels.ravel())
-    sizes[0] = 0
+    length = ends - starts
+    sizes = np.bincount(root, weights=length)
     best = int(sizes.argmax())
-    if sizes[best] < MIN_PUPIL_AREA:
+    area = int(sizes[best])
+    if area < MIN_PUPIL_AREA:
         raise NoPupilFound(
-            f"largest dark component has {sizes[best]} px, needs {MIN_PUPIL_AREA}")
-    component = labels == best
-    ys, xs = np.nonzero(component)
-    cx = float(xs.mean())
-    cy = float(ys.mean())
-    out_ys, out_xs = np.nonzero(~component)
+            f"largest dark component has {area} px, needs {MIN_PUPIL_AREA}")
+    mine = root == best
+    rows, starts, length = rows[mine], starts[mine], length[mine]
+    # exact integer sums, so each mean is the mean of the pixels' coordinates
+    cx = int(((2 * starts + length - 1) * length).sum()) // 2 / area
+    cy = int((rows * length).sum()) / area
+    component = np.zeros(h * w, dtype=bool)
+    component[np.repeat(rows * w + starts - np.cumsum(length) + length, length)
+              + np.arange(area)] = True
+    outside = ~component.reshape(h, w)
+    # the pixels beside the component's first run are not dark, so outside
+    # it: the nearest outside pixel is no farther than they are and lies in
+    # the square about the centroid their distance spans (a pixel wider,
+    # against rounding); with neither in the image, search it all
+    top = left = 0
+    beside = [x for x in (starts[0] - 1, starts[0] + length[0]) if 0 <= x < w]
+    if beside:
+        reach = math.ceil(float(np.hypot(beside[0] - cx, rows[0] - cy))) + 1
+        top, left = max(int(cy) - reach, 0), max(int(cx) - reach, 0)
+        outside = outside[top:int(cy) + reach + 1, left:int(cx) + reach + 1]
+    out_ys, out_xs = np.nonzero(outside)
     if out_ys.size == 0:
         raise NoPupilFound("dark component fills the whole image")
-    pupil_r = float(np.hypot(out_xs - cx, out_ys - cy).min())
+    pupil_r = float(np.hypot(out_xs + left - cx, out_ys + top - cy).min())
     if pupil_r < MIN_PUPIL_RADIUS:
         raise NoPupilFound(f"pupil radius {pupil_r:g} px, needs {MIN_PUPIL_RADIUS:g}")
     return cx, cy, pupil_r

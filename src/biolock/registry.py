@@ -92,8 +92,9 @@ SUBJECT_ID_PATTERN = re.compile(r"(?!-\Z)[A-Za-z0-9_-]{1,64}")  # fullmatch; "-"
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
 MAX_MANIFEST_BYTES = 64 * 1024 * 1024  # a 10 000-subject manifest is about 2 MB
-# enroll's writes: no wait on a FIFO, no symlink followed
-WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK | os.O_NOFOLLOW
+# enroll's writes: no wait on a FIFO, no symlink followed, and no O_TRUNC, so a
+# file with another hard link is refused before a byte of it changes
+WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_NONBLOCK | os.O_NOFOLLOW
 AUDIT_LOG_NAME = "audit.log"
 MAX_AUDIT_LOG_BYTES = 64 * 1024 * 1024  # about 400 000 events of 160 bytes
 AUDIT_TAIL_BYTES = 64 * 1024  # the end of the log read back for its last stamp
@@ -396,17 +397,22 @@ def _persist_record(db: TemplateDB, entry: dict, files: dict) -> None:
     """Write each ``{name: bytes}`` of ``files`` under that name, then the manifest with
     ``entry`` appended to ``manifest.json.tmp``, renamed over ``manifest.json``: the one
     commit point, as no manifest lists a file before it.  Each is opened once by
-    :func:`open_regular` with ``WRITE_FLAGS``, so anything but a regular file at a name fails
-    at once and stays as it was; on any failure the files this call opened are removed."""
+    :func:`open_regular` with ``WRITE_FLAGS``, so anything but a regular file at a name, or
+    one with another hard link, fails at once and stays as it was; on any failure the files
+    this call opened for writing are removed."""
     # one subject per line, each on json's C encoder (indent= takes the Python one)
     subjects = ",\n".join(map(json.dumps, [*db._entries.values(), entry]))
     text = f'{{"version": {MANIFEST_VERSION}, "subjects": [\n{subjects}\n]}}\n'
     tmp, opened = MANIFEST_NAME + ".tmp", []
     try:
         for name, blob in {**files, tmp: text.encode("utf-8")}.items():
-            fd, _ = open_regular(db.path / name, WRITE_FLAGS)
-            opened.append(name)
+            fd, info = open_regular(db.path / name, WRITE_FLAGS)
             try:
+                if info.st_nlink > 1:  # writing would write the other names' file too
+                    raise NotRegularFile(f"{db.path / name}: has another hard link")
+                opened.append(name)
+                if info.st_size:
+                    os.ftruncate(fd, 0)
                 while blob:  # a filling disk writes short, then raises
                     blob = blob[os.write(fd, blob):]
             finally:

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import ast
 import contextlib
 import io
 import json
@@ -967,6 +968,26 @@ def test_console_script_runs(env):
     )
     assert result.returncode == 0
     assert result.stdout.startswith("1 alice ")
+
+
+def test_biolock_needs_no_scipy():
+    """numpy is the one runtime dependency: no module of the package imports
+    scipy, even inside a function, and importing the CLI loads no scipy module."""
+    package = Path(biolock.__file__).parent
+    for source in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert not [n for n in names if n.split(".")[0] == "scipy"], (source.name, names)
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, biolock.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ baseline for one process.  The Gabor kernels' ``np.exp``/``np.cos`` and the
 registration's ``np.cos``/``np.sin`` are among the kernels that differ, so a
 CI runner or an older CPU could round differently from this machine.  This
 test re-computes every pinned digest in one subprocess with every dispatch
-target the host offers disabled, and compares them with the pins.  It checks
-numpy's dispatch only: scipy's compiled code and BLAS pick their own kernels.
+target the host offers disabled, and compares them with the pins.  It covers
+every compiled kernel the pipelines call, the FFT included, except BLAS, which
+picks its own.
 """
 
 import json

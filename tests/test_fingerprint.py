@@ -535,6 +535,42 @@ def test_gabor_chunks_cover_every_tile_once():
     assert gabor_enhance(img, orientation, frequency).tobytes() == got.tobytes()
 
 
+def gabor_scipy_fft_oracle(img, orientation, frequency):
+    """gabor_enhance as it stood on scipy.fft: each chunk's envelope and every
+    cosine of its kernels computed afresh, and the kernels flipped."""
+    from scipy import fft as sfft
+
+    half, block = fingerprint.GABOR_HALF, fingerprint.DEFAULT_BLOCK
+    tile = (block + 2 * half,) * 2
+    (bh, bw), th, tw = orientation.values.shape, -(-img.height // block), -(-img.width // block)
+    ti, tj = np.divmod(np.arange(th * tw), tw)
+    owner = np.minimum(ti, bh - 1) * bw + np.minimum(tj, bw - 1)
+    v, u = np.mgrid[-half:half + 1, -half:half + 1].astype(np.float64)
+    cos_phi, sin_phi = (c[owner, None, None]
+                        for c in fingerprint._cos_sin(orientation.values + 0.5 * math.pi))
+    freq = frequency.values.reshape(-1, 1, 1)[owner]
+    padded = np.pad(img.pixels, (half, half + block), mode="edge")
+    tiles = np.lib.stride_tricks.sliding_window_view(padded, tile)[::block, ::block]
+    out = np.empty((th, block, tw, block))
+    chunk = fingerprint._GABOR_CHUNK
+    for ks in np.split(np.arange(th * tw), range(chunk, th * tw, chunk)):
+        g = (np.exp(-(u * u + v * v) / (2.0 * fingerprint.GABOR_SIGMA ** 2))
+             * np.cos(2.0 * math.pi * freq[ks] * (u * cos_phi[ks] + v * sin_phi[ks])))
+        kernels = g - g.mean(axis=(1, 2), keepdims=True)
+        spectra = sfft.rfft2(tiles[ti[ks], tj[ks]]) * sfft.rfft2(kernels[:, ::-1, ::-1], s=tile)
+        out[ti[ks], :, tj[ks]] = sfft.irfft2(spectra, s=tile)[:, 2 * half:, 2 * half:]
+    return np.ascontiguousarray(out.reshape(th * block, tw * block)[:img.height, :img.width])
+
+
+def test_gabor_equals_its_scipy_fft_form_bit_for_bit_on_the_pinned_prints():
+    cut = synthgen.render_print([(102.0, 140.0, 1.0)], beta=0.3, size=255).pixels[:200]
+    for img in [pinned_print(kind, seed) for kind, seed in PINNED_PRINT_DIGESTS] + [GrayImage(cut)]:
+        orientation = estimate_orientation(img)
+        frequency = estimate_frequency(img, orientation)
+        assert (gabor_enhance(img, orientation, frequency).tobytes()
+                == gabor_scipy_fft_oracle(img, orientation, frequency).tobytes())
+
+
 def test_gabor_rejects_grids_off_the_block_grid():
     img = ridge_image(128, 8)
     orientation = FloatField(np.zeros((4, 4)), kind="orientation")

@@ -17,6 +17,7 @@ from biolock.imaging import (
     FloatField,
     GrayImage,
     adaptive_threshold,
+    box_mean,
     decode_pgm,
     encode_pgm,
     morph_close_open,
@@ -337,6 +338,39 @@ def test_morph_equals_the_ndimage_max_min_filters_on_a_degraded_print():
 
 # ---------------------------------------------------------------------------
 # Adaptive threshold
+
+@st.composite
+def box_mean_inputs(draw):
+    """A raster from 1 x N up to 70 x 70, often smaller than the window, at a
+    scale from 1e-6 to 1e5, with signed zeros among its values."""
+    size = draw(st.sampled_from([3, 11, 16]))
+    shape = (draw(st.integers(1, 70)), draw(st.integers(1, 70)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = 10.0 ** draw(st.floats(-6.0, 5.0))
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape) * scale
+    a[rng.random(shape) < draw(st.sampled_from([0.0, 0.3]))] = -0.0
+    return a, size
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_mean_inputs())
+def test_box_mean_equals_uniform_filter_bit_for_bit(case):
+    a, size = case
+    expect = ndimage.uniform_filter(a, size=size, mode="nearest")
+    got = box_mean(a, size)
+    assert got.shape == expect.shape and got.dtype == np.float64
+    assert got.tobytes() == expect.tobytes()
+
+
+def test_box_mean_equals_uniform_filter_on_rasters_past_one_block():
+    """Rows past the first block of box_mean's scratch, at each program window."""
+    rng = np.random.default_rng(3)
+    for shape, size in (((512, 512), 16), ((300, 512), 11), ((2000, 40), 3), ((5000, 4), 16)):
+        a = rng.random(shape)
+        assert box_mean(a, size).tobytes() == ndimage.uniform_filter(
+            a, size=size, mode="nearest").tobytes(), (shape, size)
+
 
 def test_adaptive_threshold_constant_all_false():
     out = adaptive_threshold(np.full((16, 16), 0.3))

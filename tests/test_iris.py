@@ -7,6 +7,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 import synthgen
@@ -161,6 +162,96 @@ def test_locate_pupil_picks_largest_component():
     img[5, 5:9] = 0.0  # 4-px distractor far from the pupil
     cx, cy, r = locate_pupil(GrayImage(img))
     assert abs(cx - 120.0) <= 1.0 and abs(cy - 80.0) <= 1.0
+
+
+def pupil_oracle(img):
+    """locate_pupil on ``ndimage.label`` with a search of every pixel outside
+    the component, as the pipeline computed it before it labelled runs."""
+    dark = img.pixels < iris.PUPIL_THRESHOLD
+    labels, count = ndimage.label(dark, structure=np.ones((3, 3), dtype=bool))
+    if count == 0:
+        raise NoPupilFound("no pixels below the pupil threshold")
+    sizes = np.bincount(labels.ravel())
+    sizes[0] = 0
+    best = int(sizes.argmax())
+    if sizes[best] < iris.MIN_PUPIL_AREA:
+        raise NoPupilFound(
+            f"largest dark component has {sizes[best]} px, needs {iris.MIN_PUPIL_AREA}")
+    component = labels == best
+    ys, xs = np.nonzero(component)
+    cx, cy = float(xs.mean()), float(ys.mean())
+    out_ys, out_xs = np.nonzero(~component)
+    if out_ys.size == 0:
+        raise NoPupilFound("dark component fills the whole image")
+    pupil_r = float(np.hypot(out_xs - cx, out_ys - cy).min())
+    if pupil_r < iris.MIN_PUPIL_RADIUS:
+        raise NoPupilFound(f"pupil radius {pupil_r:g} px, needs {iris.MIN_PUPIL_RADIUS:g}")
+    return cx, cy, pupil_r
+
+
+def pupil_outcome(locate, img):
+    """What ``locate`` returns for ``img``, or the text of its NoPupilFound."""
+    try:
+        return locate(img)
+    except NoPupilFound as exc:
+        return str(exc)
+
+
+def run_labels(bits):
+    """The label image of ``iris._runs_and_components``: each component's runs
+    numbered 1, 2, ... in the order of their roots."""
+    rows, starts, ends, root = iris._runs_and_components(bits)
+    number = np.searchsorted(np.unique(root), root) + 1
+    labels = np.zeros(bits.shape, dtype=np.int32)
+    for row, start, end, n in zip(rows, starts, ends, number):
+        labels[row, start:end] = n
+    return labels
+
+
+@st.composite
+def dark_masks(draw):
+    """Random masks up to 60 x 60 at any density, some in 4-px blocks, so that
+    components often touch at corners and tie in size."""
+    shape = (draw(st.integers(1, 60)), draw(st.integers(1, 60)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = rng.random(shape) < draw(st.floats(0.05, 0.95))
+    if draw(st.booleans()):
+        bits = np.kron(bits, np.ones((4, 4), dtype=bool))[:shape[0], :shape[1]]
+    return bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(dark_masks())
+def test_run_labels_equal_ndimage_label_and_the_pupil_its_oracle(bits):
+    expect, _ = ndimage.label(bits, structure=np.ones((3, 3), dtype=bool))
+    assert np.array_equal(run_labels(bits), expect)
+    img = GrayImage(np.where(bits, 0.1, 0.9))
+    assert pupil_outcome(locate_pupil, img) == pupil_outcome(pupil_oracle, img)
+
+
+def test_run_labels_and_the_pupil_equal_their_oracles_on_rendered_eyes():
+    for seed in range(1, 41):
+        eye = synthgen.render_eye(seed)
+        bits = eye.pixels < iris.PUPIL_THRESHOLD
+        expect, _ = ndimage.label(bits, structure=np.ones((3, 3), dtype=bool))
+        assert np.array_equal(run_labels(bits), expect), seed
+        assert locate_pupil(eye) == pupil_oracle(eye), seed
+
+
+def test_locate_pupil_breaks_a_size_tie_by_the_first_pixel_in_raster_order():
+    img = np.full((64, 64), 0.8)
+    img[40:49, 2:11] = 0.1  # leftmost, but its first pixel comes second
+    img[5:14, 40:49] = 0.1
+    cx, cy, r = locate_pupil(GrayImage(img))
+    assert (cx, cy) == (44.0, 9.0)
+    assert (cx, cy, r) == pupil_oracle(GrayImage(img))
+
+
+def test_locate_pupil_searches_the_whole_image_when_the_first_run_fills_its_row():
+    img = np.full((40, 40), 0.8)
+    img[0] = 0.1  # no pixel beside the component's first run
+    img[:12, 14:26] = 0.1
+    assert locate_pupil(GrayImage(img)) == pupil_oracle(GrayImage(img))
 
 
 def test_a_pupil_under_the_radius_floor_is_no_pupil_for_enroll_and_inspect(tmp_path, capsys):

@@ -1564,7 +1564,7 @@ def test_enroll_opens_each_file_once_through_the_regular_file_opener(bob_db, tmp
 
 
 @pytest.mark.parametrize("name", ["manifest.json.tmp", "alice_finger_0.fpt"])
-@pytest.mark.parametrize("plant", ["fifo", "devnull", "outside"])
+@pytest.mark.parametrize("plant", ["fifo", "devnull", "outside", "hardlink"])
 def test_enroll_refuses_an_entry_that_is_not_a_regular_file_and_leaves_it(
         bob_db, tmp_path, name, plant):
     root = shutil.copytree(bob_db, tmp_path / "root")
@@ -1572,6 +1572,8 @@ def test_enroll_refuses_an_entry_that_is_not_a_regular_file_and_leaves_it(
     outside.write_bytes(b"outside the database\n")
     if plant == "fifo":
         os.mkfifo(root / "db" / name)
+    elif plant == "hardlink":  # a regular file, but writing it writes the outside one
+        os.link(outside, root / "db" / name)
     else:
         os.symlink("/dev/null" if plant == "devnull" else outside, root / "db" / name)
     before = _entries_of(root / "db")
