@@ -246,12 +246,12 @@ def _bilinear(pixels: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.clip(y, 0.0, h - 1.0)
     x0 = np.floor(x).astype(int)
     y0 = np.floor(y).astype(int)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
     fx = x - x0
     fy = y - y0
-    top = pixels[y0, x0] * (1 - fx) + pixels[y0, x1] * fx
-    bot = pixels[y1, x0] * (1 - fx) + pixels[y1, x1] * fx
+    flat, at = pixels.ravel(), y0 * w + x0
+    right, down = x0 < w - 1, (y0 < h - 1) * w  # steps to the far corners, 0 at the edge
+    top = flat.take(at) * (1 - fx) + flat.take(at + right) * fx
+    bot = flat.take(at + down) * (1 - fx) + flat.take(at + down + right) * fx
     return top * (1 - fy) + bot * fy
 
 

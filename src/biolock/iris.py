@@ -7,8 +7,8 @@ under one of two schemes:
 
 * ``haar`` -- signs of selected subbands of an unnormalized 2-D Haar
   multiresolution analysis of the strip.
-* ``mellin`` -- signs of phases of complex log-radial/angular operators
-  correlated with the strip over a grid of anchor windows.
+* ``mellin`` -- phase signs of log-radial/angular operators, from the responses
+  of their real cosine and sine parts over a grid of anchor windows.
 
 Codes are compared with a masked Hamming distance minimized over small
 circular shifts within each subband/anchor row, which absorbs in-plane eye
@@ -442,7 +442,8 @@ _MELLIN_TOPS = tuple(np.clip(
 
 
 def _mellin_bank() -> np.ndarray:
-    """Read-only complex operators, (radial anchor, setting, window row, column)."""
+    """Read-only real operators, (radial anchor, part, window row, column): the
+    three settings' cosine parts, then their sine parts."""
     # Log-radial coordinate of each window row, normalized to [0, 1] across
     # the window (row indices are 1-based to keep logs finite).
     row_pos = np.array(_MELLIN_TOPS, dtype=np.float64)[:, None] + np.arange(MELLIN_WINDOW_ROWS) + 1.0
@@ -451,7 +452,8 @@ def _mellin_bank() -> np.ndarray:
     phase = (p * 2.0 * math.pi * np.arange(MELLIN_WINDOW_COLS) / MELLIN_WINDOW_COLS
              + q * 2.0 * math.pi * s[:, None, :, None])
     taper = np.outer(np.hanning(MELLIN_WINDOW_ROWS), np.hanning(MELLIN_WINDOW_COLS))
-    return _freeze(taper * np.exp(1j * phase))
+    bank = taper * np.exp(1j * phase)
+    return _freeze(np.concatenate([bank.real, bank.imag], axis=1))
 
 
 _MELLIN_KERNELS = _mellin_bank()
@@ -463,9 +465,10 @@ def mellin_code(strip: NormalizedStrip) -> IrisCode:
     Three operator settings (p, q) in {(2, 1), (4, 1), (3, 2)} are correlated
     with the strip over a grid of 8 radial x 64 angular anchor positions,
     each seeing a 16 x 64 raised-cosine window that wraps circularly in angle
-    and clamps in radius.  A bit is 1 when the response phase lies in (0, pi];
-    its mask is 0 when more than half the window's cells are invalid.  Bits
-    are ordered by setting, then radial anchor, then angular anchor.
+    and clamps in radius.  A bit is 1 when the response phase, the angle of
+    the responses of the operator's real cosine and sine parts, lies in
+    (0, pi]; its mask is 0 when more than half the window's cells are invalid.
+    Bits are ordered by setting, then radial anchor, then angular anchor.
     """
     # Values and invalidity wrapped in angle; windows are views into them,
     # taken one radial anchor at a time.
@@ -476,8 +479,10 @@ def mellin_code(strip: NormalizedStrip) -> IrisCode:
     )[:, :, :DEFAULT_ANGULAR:DEFAULT_ANGULAR // MELLIN_ANGULAR_ANCHORS]
     resp = np.stack([np.einsum("wij,sij->sw", values[top], kernels)
                      for top, kernels in zip(_MELLIN_TOPS, _MELLIN_KERNELS)], axis=1)
-    ok = np.stack([invalid[top].mean(axis=(1, 2)) for top in _MELLIN_TOPS]) <= MELLIN_MAX_INVALID
-    bits = np.arctan2(resp.imag, resp.real) > 0.0
+    # whole counts of invalid cells, so each window's invalid share is exact
+    counts = np.stack([np.einsum("wij->w", invalid[top]) for top in _MELLIN_TOPS])
+    ok = counts / (MELLIN_WINDOW_ROWS * MELLIN_WINDOW_COLS) <= MELLIN_MAX_INVALID
+    bits = np.arctan2(resp[len(MELLIN_SETTINGS):], resp[:len(MELLIN_SETTINGS)]) > 0.0
     return IrisCode(bits.ravel(), np.broadcast_to(ok, bits.shape).ravel(), SCHEME_MELLIN)
 
 

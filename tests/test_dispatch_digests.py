@@ -8,8 +8,8 @@ registration's ``np.cos``/``np.sin`` are among the kernels that differ, so a
 CI runner or an older CPU could round differently from this machine.  This
 test re-computes every pinned digest in one subprocess with every dispatch
 target the host offers disabled, and compares them with the pins.  It covers
-every compiled kernel the pipelines call, the FFT included, except BLAS, which
-picks its own.
+every compiled kernel the pipelines call, the FFT and the Mellin coder's real
+``np.einsum`` loops included, except BLAS, which picks its own.
 """
 
 import json

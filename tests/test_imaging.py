@@ -337,6 +337,57 @@ def test_morph_equals_the_ndimage_max_min_filters_on_a_degraded_print():
 
 
 # ---------------------------------------------------------------------------
+# Bilinear sampler
+
+def bilinear_oracle(pixels, x, y):
+    """The sampler as first written: far corners clamped into the raster,
+    the four corners read by 2-D fancy indexing."""
+    h, w = pixels.shape
+    x = np.clip(x, 0.0, w - 1.0)
+    y = np.clip(y, 0.0, h - 1.0)
+    x0 = np.floor(x).astype(int)
+    y0 = np.floor(y).astype(int)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = x - x0
+    fy = y - y0
+    top = pixels[y0, x0] * (1 - fx) + pixels[y0, x1] * fx
+    bot = pixels[y1, x0] * (1 - fx) + pixels[y1, x1] * fx
+    return top * (1 - fy) + bot * fy
+
+
+def coordinates(n):
+    """Coordinates along an axis of n pixels: inside it, on its last pixel,
+    on whole pixels and past either border."""
+    return st.one_of(st.floats(-3.0, n + 2.0),
+                     st.sampled_from([0.0, -0.0, n - 1.0, np.nextafter(n - 1.0, 0.0), float(n),
+                                      -1e-300, -1e9, 1e9]),
+                     st.integers(-2, n + 1).map(float))
+
+
+@st.composite
+def bilinear_inputs(draw):
+    """A raster from 1 x 1 to 12 x 12, sometimes a transposed view, and a
+    grid of coordinates into it."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    pixels = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((h, w))
+    if draw(st.booleans()):
+        pixels, h, w = pixels.T, w, h
+    shape = draw(st.sampled_from([(1,), (7,), (3, 5)]))
+    x = draw(arrays(np.float64, shape, elements=coordinates(w)))
+    y = draw(arrays(np.float64, shape, elements=coordinates(h)))
+    return pixels, x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(bilinear_inputs())
+def test_bilinear_equals_its_two_dimensional_indexing_form(case):
+    pixels, x, y = case
+    got = imaging._bilinear(pixels, x, y)
+    assert got.shape == x.shape and got.tobytes() == bilinear_oracle(pixels, x, y).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # Adaptive threshold
 
 @st.composite

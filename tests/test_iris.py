@@ -537,38 +537,58 @@ def test_mellin_mask_majority_invalid_rule():
     assert mellin_code(NormalizedStrip(v, valid)).mask.all()
 
 
-def mellin_oracle(strip):
-    """The per-anchor loop the array coder replaced: operators keyed by
-    (window top, setting), windows stacked from slices, bits scattered by
-    setting, radial anchor and angular anchor."""
-    r_count, a_count = iris.MELLIN_RADIAL_ANCHORS, iris.MELLIN_ANGULAR_ANCHORS
-    rows, cols_n = iris.MELLIN_WINDOW_ROWS, iris.MELLIN_WINDOW_COLS
+def mellin_oracle_tops():
+    """Each radial anchor's window top: anchors at even fractions of the strip
+    height, windows clamped inside it."""
+    r_count, rows = iris.MELLIN_RADIAL_ANCHORS, iris.MELLIN_WINDOW_ROWS
     centers = (np.arange(r_count) + 0.5) * DEFAULT_RADIAL / r_count
-    tops = np.clip(np.round(centers - rows / 2).astype(int), 0, DEFAULT_RADIAL - rows)
+    return np.clip(np.round(centers - rows / 2).astype(int), 0, DEFAULT_RADIAL - rows)
+
+
+def mellin_oracle_kernels():
+    """The complex operators taper * exp(i * phase), one per (window top,
+    setting), built one at a time."""
+    rows, cols_n = iris.MELLIN_WINDOW_ROWS, iris.MELLIN_WINDOW_COLS
     taper = np.outer(np.hanning(rows), np.hanning(cols_n))
     cols = np.arange(cols_n, dtype=np.float64)
     kernels = {}
-    for top in np.unique(tops).tolist():
+    for top in np.unique(mellin_oracle_tops()).tolist():
         row_pos = top + np.arange(rows, dtype=np.float64) + 1.0
         s = np.log(row_pos / row_pos[0]) / math.log(row_pos[-1] / row_pos[0])
         for idx, (p, q) in enumerate(iris.MELLIN_SETTINGS):
             phase = p * 2.0 * math.pi * cols[None, :] / cols_n + q * 2.0 * math.pi * s[:, None]
             kernels[(top, idx)] = taper * np.exp(1j * phase)
+    return kernels
+
+
+def mellin_oracle_responses(strip):
+    """The per-anchor loop the array coder replaced: complex operators keyed by
+    (window top, setting), windows stacked from slices.  Returns the complex
+    responses and the windows' validity, each (setting, radial anchor,
+    angular anchor)."""
+    r_count, a_count = iris.MELLIN_RADIAL_ANCHORS, iris.MELLIN_ANGULAR_ANCHORS
+    rows, cols_n = iris.MELLIN_WINDOW_ROWS, iris.MELLIN_WINDOW_COLS
+    kernels = mellin_oracle_kernels()
     vals = np.concatenate([strip.values, strip.values[:, :cols_n]], axis=1)
     invalid = ~strip.valid
     inv = np.concatenate([invalid, invalid[:, :cols_n]], axis=1)
-    bits = np.zeros(len(iris.MELLIN_SETTINGS) * r_count * a_count, dtype=bool)
-    mask = np.zeros_like(bits)
+    resp = np.zeros((len(iris.MELLIN_SETTINGS), r_count, a_count), dtype=complex)
+    ok = np.zeros(resp.shape, dtype=bool)
     starts = np.arange(a_count) * (DEFAULT_ANGULAR // a_count)
-    for r_idx, top in enumerate(tops.tolist()):
+    for r_idx, top in enumerate(mellin_oracle_tops().tolist()):
         windows = np.stack([vals[top:top + rows, s:s + cols_n] for s in starts])
         bad_frac = np.stack([inv[top:top + rows, s:s + cols_n] for s in starts]).mean(axis=(1, 2))
         for s_idx in range(len(iris.MELLIN_SETTINGS)):
-            resp = np.einsum("wij,ij->w", windows, kernels[(top, s_idx)])
-            base = (s_idx * r_count + r_idx) * a_count
-            bits[base:base + a_count] = np.arctan2(resp.imag, resp.real) > 0.0
-            mask[base:base + a_count] = bad_frac <= iris.MELLIN_MAX_INVALID
-    return IrisCode(bits, mask, SCHEME_MELLIN)
+            resp[s_idx, r_idx] = np.einsum("wij,ij->w", windows, kernels[(top, s_idx)])
+            ok[s_idx, r_idx] = bad_frac <= iris.MELLIN_MAX_INVALID
+    return resp, ok
+
+
+def mellin_oracle(strip):
+    """A bit per response whose phase lies in (0, pi], bits ordered by
+    setting, radial anchor and angular anchor."""
+    resp, ok = mellin_oracle_responses(strip)
+    return IrisCode((np.arctan2(resp.imag, resp.real) > 0.0).ravel(), ok.ravel(), SCHEME_MELLIN)
 
 
 UPPER_LID = (math.radians(75), math.radians(105))
@@ -596,10 +616,33 @@ def test_mellin_code_matches_the_per_anchor_oracle():
 
 def test_mellin_bank_is_fixed_and_read_only():
     bank = iris._MELLIN_KERNELS
-    assert bank.shape == (8, 3, 16, 64) and bank.dtype == np.complex128
+    assert bank.shape == (8, 6, 16, 64) and bank.dtype == np.float64
     assert not bank.flags.writeable
     with pytest.raises(ValueError):
         bank[0, 0, 0, 0] = 0
+    # the three settings' cosine parts, then their sine parts, per radial anchor
+    kernels = mellin_oracle_kernels()
+    oracle = np.array([[kernels[(top, idx)] for idx in range(len(iris.MELLIN_SETTINGS))]
+                       for top in mellin_oracle_tops().tolist()])
+    assert np.array_equal(bank[:, :3], oracle.real) and np.array_equal(bank[:, 3:], oracle.imag)
+
+
+def test_mellin_sine_responses_keep_a_margin_round_off_cannot_cross():
+    """A Mellin bit is 1 when arctan2(sine, cosine) > 0, so the sign of the
+    sine response decides it unless that response is exactly zero.  Summing
+    the same products in another order moves a response by about 1e-14, so a
+    margin far above that leaves every valid bit where it is, on the pinned
+    eyes with and without a lid and on door-style re-renders."""
+    eyes = [synthgen.render_eye(seed, occlusion=lid)
+            for seed in PINNED_CODE_DIGESTS for lid in (None, UPPER_LID, LOWER_LID)]
+    eyes += [synthgen.render_eye(seed, rotation=math.radians(deg), noise=0.02,
+                                 noise_seed=9000 + seed)
+             for seed, deg in zip(SUBJECT_SEEDS, SUBJECT_ROTATIONS_DEG)]
+    margins = []
+    for eye in eyes:
+        resp, ok = mellin_oracle_responses(build_codes(eye)[1])
+        margins.append(np.abs(resp.imag[ok]).min())
+    assert min(margins) >= 1e-9
 
 
 def test_mellin_rejects_narrow_strip():
